@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .container import read_maps, write_maps
 from .decoder import Detection, decode
-from .encoder import encode_image
+from .encoder import TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
 from .evaluation import evaluate, rotated_iou
 from .geometry import OrientedBox, Point2, box_to_midlines
@@ -34,7 +34,6 @@ from .ingest import (
     parse_icdar,
     tile_image,
 )
-from .losses import LossWeights
 
 OK = 0
 VALIDATION_ERROR = 1
@@ -50,9 +49,6 @@ class RunConfig:
     threshold: float = 0.3
     branch_low: float = 88.0
     branch_high: float = 92.0
-    weights: LossWeights = field(default_factory=LossWeights)
-    ap_mode: str = "all-point"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
@@ -87,15 +83,27 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _load_gt_images(path: Path, class_names: Sequence[str] | None) -> list[AnnotatedImage]:
-    """Normalized ground-truth JSON from one file or a directory of files."""
-    if path.is_dir():
-        entries: list = []
-        for child in sorted(path.glob("*.json")):
-            entries.extend(json.loads(child.read_text(encoding="utf-8")))
-        return images_from_json(entries, class_names)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return images_from_json(data, class_names)
+def _load_gt_images(
+    result: CommandResult, path: Path, class_names: Sequence[str] | None
+) -> list[AnnotatedImage] | None:
+    """Normalized ground-truth JSON from one file or a directory of files.
+
+    On failure the error is logged on result (exit 2 for unreadable JSON,
+    1 for content outside the vocabulary or layout) and None comes back.
+    """
+    try:
+        if path.is_dir():
+            data: list = []
+            for child in sorted(path.glob("*.json")):
+                data.extend(json.loads(child.read_text(encoding="utf-8")))
+        else:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        return images_from_json(data, class_names)
+    except (OSError, json.JSONDecodeError) as err:
+        result.fail(IO_ERROR, error=err)
+    except (UnknownClass, ValueError) as err:
+        result.fail(VALIDATION_ERROR, error=err)
+    return None
 
 
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
@@ -103,6 +111,37 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def _map_images(
+    result: CommandResult, fn: Callable, images: Sequence[AnnotatedImage], jobs: int
+) -> list:
+    """fn over every image, in input order, keeping the outputs that worked.
+
+    An image whose fn raises MidlinesError is logged as image=<id>
+    error=... with exit 1, and the other images still run.
+    """
+    def guarded(img: AnnotatedImage):
+        try:
+            return fn(img)
+        except MidlinesError as err:
+            return err
+
+    outputs = []
+    for img, out in zip(images, _parallel_map(guarded, images, jobs)):
+        if isinstance(out, MidlinesError):
+            result.fail(VALIDATION_ERROR, image=img.image_id, error=f"{str(out)!r}")
+        else:
+            outputs.append(out)
+    return outputs
+
+
+def _encode(img: AnnotatedImage, config: RunConfig) -> TargetMaps:
+    return encode_image(
+        img.objects, img.width, img.height, len(img.class_names),
+        stride=config.stride, r=config.drift_r,
+        branch_low=config.branch_low, branch_high=config.branch_high,
+    )
 
 
 # --- tile -------------------------------------------------------------------------
@@ -180,13 +219,8 @@ def cmd_encode(
 ) -> CommandResult:
     """Encode every ground-truth image into a map container directory."""
     result = CommandResult()
-    try:
-        images = _load_gt_images(Path(gt_json), classes)
-    except (OSError, json.JSONDecodeError) as err:
-        result.fail(IO_ERROR, error=err)
-        return result
-    except (UnknownClass, ValueError) as err:
-        result.fail(VALIDATION_ERROR, error=err)
+    images = _load_gt_images(result, Path(gt_json), classes)
+    if images is None:
         return result
     out = Path(out_dir)
     provenance = {
@@ -195,20 +229,15 @@ def cmd_encode(
         "drift_r": config.drift_r,
         "branch_low": config.branch_low,
         "branch_high": config.branch_high,
-        "seed": config.seed,
     }
 
     def process(img: AnnotatedImage):
-        maps = encode_image(
-            img.objects, img.width, img.height, len(img.class_names),
-            stride=config.stride, r=config.drift_r,
-            branch_low=config.branch_low, branch_high=config.branch_high,
-        )
+        maps = _encode(img, config)
         write_maps(maps, out / img.image_id, img.class_names, provenance=provenance)
         return maps.n_objects
 
     try:
-        counts = _parallel_map(process, images, jobs)
+        counts = _map_images(result, process, images, jobs)
     except OSError as err:
         result.fail(IO_ERROR, error=err)
         return result
@@ -252,7 +281,7 @@ def cmd_decode(
     def process(container: Path):
         maps, class_names = read_maps(container)
         stats: dict = {}
-        dets = decode(maps, threshold=threshold, stats=stats)
+        dets = decode(maps, threshold=threshold, merge_iou=merge_iou, stats=stats)
         records = [_detection_record(d, class_names) for d in dets]
         if not single:
             for record in records:
@@ -297,22 +326,12 @@ def cmd_roundtrip(
     only to well-resolved objects.
     """
     result = CommandResult()
-    try:
-        images = _load_gt_images(Path(gt_json), None)
-    except (OSError, json.JSONDecodeError) as err:
-        result.fail(IO_ERROR, error=err)
-        return result
-    except (UnknownClass, ValueError) as err:
-        result.fail(VALIDATION_ERROR, error=err)
+    images = _load_gt_images(result, Path(gt_json), None)
+    if images is None:
         return result
 
     def process(img: AnnotatedImage):
-        maps = encode_image(
-            img.objects, img.width, img.height, len(img.class_names),
-            stride=config.stride, r=config.drift_r,
-            branch_low=config.branch_low, branch_high=config.branch_high,
-        )
-        dets = decode(maps, threshold=config.threshold)
+        dets = decode(_encode(img, config), threshold=config.threshold)
         ious, subres = [], 0
         for box in img.objects:
             pair = box_to_midlines(box, config.branch_low, config.branch_high)
@@ -322,7 +341,7 @@ def cmd_roundtrip(
             ious.append(_best_iou(box, dets))
         return ious, subres
 
-    outputs = _parallel_map(process, images, jobs)
+    outputs = _map_images(result, process, images, jobs)
     ious = [v for vs, _ in outputs for v in vs]
     subres = sum(s for _, s in outputs)
     if not ious:
@@ -414,22 +433,20 @@ def cmd_eval(
     if not 0.0 < iou <= 1.0:
         result.fail(VALIDATION_ERROR, error=f"iou must be in (0, 1], got {iou}")
         return result
+    images = _load_gt_images(result, Path(gt_json), classes)
+    if images is None:
+        return result
+    class_names = images[0].class_names if images else tuple(classes or ())
     try:
-        images = _load_gt_images(Path(gt_json), classes)
         records = json.loads(Path(det_json).read_text(encoding="utf-8"))
+        dets = _detections_by_image(records, class_names)
     except (OSError, json.JSONDecodeError) as err:
         result.fail(IO_ERROR, error=err)
         return result
     except (UnknownClass, ValueError) as err:
         result.fail(VALIDATION_ERROR, error=err)
         return result
-    class_names = images[0].class_names if images else tuple(classes or ())
     gts = {img.image_id: img.objects for img in images}
-    try:
-        dets = _detections_by_image(records, class_names)
-    except UnknownClass as err:
-        result.fail(VALIDATION_ERROR, error=err)
-        return result
     for image_id in dets:
         gts.setdefault(image_id, [])
     report = evaluate(
@@ -449,17 +466,16 @@ def cmd_eval(
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stride", type=int, default=4)
     p.add_argument("--drift-r", type=float, default=16.0)
-    p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--branch-low", type=float, default=88.0)
     p.add_argument("--branch-high", type=float, default=92.0)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    seed = int(os.environ.get("O2_SEED", args.seed))
+    # encode has no --threshold: it does not decode.
     return RunConfig(
-        stride=args.stride, drift_r=args.drift_r, threshold=args.threshold,
-        branch_low=args.branch_low, branch_high=args.branch_high, seed=seed,
+        stride=args.stride, drift_r=args.drift_r,
+        threshold=getattr(args, "threshold", RunConfig.threshold),
+        branch_low=args.branch_low, branch_high=args.branch_high,
     )
 
 
@@ -496,11 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="encode+decode self-test with IoU statistics")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
     p.add_argument("--bar", type=float, default=0.99, help="required fraction of objects at IoU >= 0.99")
+    p.add_argument("--threshold", type=float, default=0.3, help="decode heatmap threshold")
     p.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every loss gradient")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="overridden by O2_SEED when set")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
@@ -519,17 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> CommandResult:
+    classes = args.classes.split(",") if getattr(args, "classes", None) else None
+    if args.command in ("encode", "roundtrip"):
+        try:
+            config = _config_from(args)
+        except ValueError as err:
+            return CommandResult(VALIDATION_ERROR, [f"error={err}"])
     if args.command == "tile":
         return cmd_tile(
             args.input, args.out, window=args.window, overlap=args.overlap,
             fmt=args.format, strict=args.strict, jobs=args.jobs,
         )
     if args.command == "encode":
-        try:
-            config = _config_from(args)
-        except ValueError as err:
-            return CommandResult(VALIDATION_ERROR, [f"error={err}"])
-        classes = args.classes.split(",") if args.classes else None
         return cmd_encode(args.gt, args.out, config, classes=classes, jobs=args.jobs)
     if args.command == "decode":
         return cmd_decode(
@@ -537,10 +555,6 @@ def _run(args: argparse.Namespace) -> CommandResult:
             merge_iou=args.merge_iou, jobs=args.jobs,
         )
     if args.command == "roundtrip":
-        try:
-            config = _config_from(args)
-        except ValueError as err:
-            return CommandResult(VALIDATION_ERROR, [f"error={err}"])
         return cmd_roundtrip(args.gt, config, bar=args.bar, jobs=args.jobs)
     if args.command == "gradcheck":
         seed = int(os.environ.get("O2_SEED", args.seed))
@@ -551,7 +565,7 @@ def _run(args: argparse.Namespace) -> CommandResult:
     if args.command == "eval":
         return cmd_eval(
             args.gt, args.dets, mode=args.mode, iou=args.iou,
-            ap_mode=args.ap_mode, out_json=args.out, classes=args.classes,
+            ap_mode=args.ap_mode, out_json=args.out, classes=classes,
         )
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import TargetMaps
-from .errors import ShapeMismatch
+from .errors import MidlinesError, ShapeMismatch
 
 TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
 
@@ -72,8 +72,9 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     """Read a container back; inverse of write_maps up to float32 rounding.
 
     Raises ShapeMismatch when a tensor file's size disagrees with its
-    manifest shape or required tensors are missing; missing files surface
-    as FileNotFoundError.
+    manifest shape or required tensors are missing, and MidlinesError when
+    a tensor holds NaN or infinity; missing files surface as
+    FileNotFoundError.
     """
     root = Path(container_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -94,6 +95,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             raise ShapeMismatch(
                 f"tensor {name}: file holds {raw.size} values, manifest says {shape}"
             )
+        if not np.isfinite(raw).all():
+            raise MidlinesError(f"tensor {name}: non-finite values")
         arrays[name] = raw.reshape(shape).astype(np.float64)
 
     height, width = int(manifest["height"]), int(manifest["width"])

@@ -18,10 +18,8 @@ from .errors import DegenerateBox, OutOfBounds
 from .geometry import (
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
-    BranchId,
     MidlinePair,
     OrientedBox,
-    Point2,
     box_to_midlines,
     intersection_point,
 )
@@ -32,19 +30,6 @@ DEFAULT_DRIFT_R = 16.0
 # A cell center can sit up to sqrt(2)/2 from the region center after
 # rounding; this slack keeps it strictly inside the open disc.
 _CENTER_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class DriftRegion:
-    """Disc of feature cells allowed to carry an object's regression targets.
-
-    center is in feature-map units (x = ip.x / stride, y = ip.y / stride);
-    radius is in cells.
-    """
-
-    center: Point2
-    radius: float
-    object_index: int
 
 
 @dataclass
@@ -85,14 +70,16 @@ def drift_radius(pair: MidlinePair, stride: int = DEFAULT_STRIDE, r: float = DEF
     return max(base, to_center_cell + _CENTER_SLACK)
 
 
-def drift_region_cells(region: DriftRegion, width: int, height: int) -> np.ndarray:
-    """Integer (row, col) cells strictly inside the region's disc, row-major.
+def drift_region_cells(
+    cx: float, cy: float, radius: float, width: int, height: int
+) -> np.ndarray:
+    """Integer (row, col) cells strictly inside a drift region's disc, row-major.
 
-    The rounded center cell is always included (clamped into bounds), even
-    when floating-point slack would leave the disc empty.
+    The disc is centered at (cx, cy) in feature-map units (the intersection
+    point divided by the stride) with a radius in cells. The rounded center
+    cell is always included (clamped into bounds), even when floating-point
+    slack would leave the disc empty.
     """
-    cx, cy = region.center.x, region.center.y
-    radius = region.radius
     lo_r = max(0, math.ceil(cy - radius))
     hi_r = min(height - 1, math.floor(cy + radius))
     lo_c = max(0, math.ceil(cx - radius))
@@ -113,21 +100,6 @@ def drift_region_cells(region: DriftRegion, width: int, height: int) -> np.ndarr
     return np.asarray(cells, dtype=np.int64).reshape(-1, 2)
 
 
-def resolve_overlap(
-    cell: tuple[int, int],
-    candidates: Sequence[int],
-    annotations: Sequence[OrientedBox],
-) -> int:
-    """Pick which object owns a contested cell's regression targets.
-
-    The smallest-area candidate wins; equal areas fall back to the smallest
-    annotation index.
-    """
-    if not candidates:
-        raise ValueError(f"no candidates for cell {cell}")
-    return min(candidates, key=lambda i: (annotations[i].area, i))
-
-
 def encode_image(
     annotations: Sequence[OrientedBox],
     image_w: int,
@@ -141,9 +113,10 @@ def encode_image(
     """Rasterize annotations into heatmap, regression, and mask grids.
 
     Heatmap positives are written for every object into its own class
-    channel; a contested cell's regression targets follow the smallest-area
-    rule of resolve_overlap. Annotations whose midlines degenerate are
-    skipped and do not count toward n_objects.
+    channel. A cell contested within one branch takes its regression
+    targets from the smallest-area object, and from the earliest of equal
+    areas. Annotations whose midlines degenerate are skipped and do not
+    count toward n_objects.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"bad image size {image_w}x{image_h}")
@@ -169,12 +142,9 @@ def encode_image(
             raise OutOfBounds(
                 f"annotation {index} center ({ip.x}, {ip.y}) outside {image_w}x{image_h}"
             )
-        region = DriftRegion(
-            center=Point2(ip.x / stride, ip.y / stride),
-            radius=drift_radius(pair, stride, r),
-            object_index=index,
+        cells = drift_region_cells(
+            ip.x / stride, ip.y / stride, drift_radius(pair, stride, r), width, height
         )
-        cells = drift_region_cells(region, width, height)
         rows, cols = cells[:, 0], cells[:, 1]
         b = pair.branch.index
         heatmap[b, box.class_id, rows, cols] = 1.0

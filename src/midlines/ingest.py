@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
 from .geometry import OrientedBox, Point2, is_convex
@@ -79,6 +79,93 @@ def _extent(objects: Sequence[OrientedBox]) -> tuple[int, int]:
     return max(1, math.ceil(max_x)), max(1, math.ceil(max_y))
 
 
+class _Malformed(Exception):
+    """A content line that does not have its format's fields at all."""
+
+
+def _coords(fields: Sequence[str]) -> list[float]:
+    try:
+        return [float(t) for t in fields]
+    except ValueError:
+        raise _Malformed("unparseable coordinates") from None
+
+
+def _parse_lines(
+    text: str,
+    parse_line: Callable[[str, int | None, int | None], OrientedBox],
+    class_names: tuple[str, ...],
+    image_id: str,
+    width: int | None,
+    height: int | None,
+    strict: bool,
+    headers: tuple[str, ...] = (),
+) -> tuple[AnnotatedImage, list[str]]:
+    """The line loop both parsers share.
+
+    parse_line turns one stripped line into a box. It raises _Malformed for
+    a line that counts toward AllLinesMalformed, and ValueError for a line
+    that is skipped with a warning only. Lines starting with one of headers
+    (case-insensitive) are skipped silently.
+    """
+    warnings: list[str] = []
+    objects: list[OrientedBox] = []
+    content_lines = 0
+    malformed = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip().lstrip("\ufeff")
+        if not line or line.lower().startswith(headers):
+            continue
+        content_lines += 1
+        try:
+            objects.append(parse_line(line, width, height))
+        except _Malformed as err:
+            warnings.append(f"line {lineno}: {err}")
+            malformed += 1
+        except ValueError as err:
+            warnings.append(f"line {lineno}: {err}")
+    if content_lines == 0:
+        if strict:
+            raise EmptyFile(f"{image_id or 'input'}: no annotation lines")
+    elif malformed == content_lines:
+        raise AllLinesMalformed(f"{image_id or 'input'}: none of {malformed} lines parse")
+    if width is None or height is None:
+        ext_w, ext_h = _extent(objects)
+        width = width if width is not None else ext_w
+        height = height if height is not None else ext_h
+    return AnnotatedImage(image_id, width, height, objects, class_names), warnings
+
+
+def _dota_box(line: str, width: int | None, height: int | None) -> OrientedBox:
+    tokens = line.split()
+    if len(tokens) != 10:
+        raise _Malformed(f"expected 10 fields, got {len(tokens)}")
+    coords = _coords(tokens[:8])
+    category, difficult = tokens[8], tokens[9]
+    if difficult not in ("0", "1"):
+        raise _Malformed("difficult flag must be 0 or 1")
+    if category not in DOTA_CLASS_NAMES:
+        raise ValueError(f"unknown category {category!r}, skipped")
+    return _clamped_box(
+        coords, width, height,
+        class_id=DOTA_CLASS_NAMES.index(category),
+        difficult=difficult == "1",
+    )
+
+
+def _icdar_box(line: str, width: int | None, height: int | None) -> OrientedBox:
+    parts = line.split(",")
+    if len(parts) < 9:
+        raise _Malformed("expected 8 coordinates plus text")
+    coords = _coords(parts[:8])
+    transcription = ",".join(parts[8:]).strip()
+    box = _clamped_box(
+        coords, width, height, class_id=0, difficult=transcription == "###"
+    )
+    if not is_convex(box):
+        raise ValueError("non-convex quad skipped")
+    return box
+
+
 def parse_dota(
     text: str,
     image_id: str = "",
@@ -91,58 +178,9 @@ def parse_dota(
     Header lines (imagesource, gsd) are skipped silently. Without explicit
     image dimensions the extent of the parsed corners is used.
     """
-    warnings: list[str] = []
-    objects: list[OrientedBox] = []
-    content_lines = 0
-    malformed = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip().lstrip("﻿")
-        if not line:
-            continue
-        if line.lower().startswith(_DOTA_HEADERS):
-            continue
-        content_lines += 1
-        tokens = line.split()
-        if len(tokens) != 10:
-            warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
-            malformed += 1
-            continue
-        try:
-            coords = [float(t) for t in tokens[:8]]
-        except ValueError:
-            warnings.append(f"line {lineno}: unparseable coordinates")
-            malformed += 1
-            continue
-        category = tokens[8]
-        if tokens[9] not in ("0", "1"):
-            warnings.append(f"line {lineno}: difficult flag must be 0 or 1")
-            malformed += 1
-            continue
-        if category not in DOTA_CLASS_NAMES:
-            warnings.append(f"line {lineno}: unknown category {category!r}, skipped")
-            continue
-        try:
-            box = _clamped_box(
-                coords, width, height,
-                class_id=DOTA_CLASS_NAMES.index(category),
-                difficult=tokens[9] == "1",
-            )
-        except ValueError as err:
-            warnings.append(f"line {lineno}: {err}")
-            continue
-        objects.append(box)
-    if content_lines == 0:
-        if strict:
-            raise EmptyFile(f"{image_id or 'input'}: no annotation lines")
-    elif malformed == content_lines:
-        raise AllLinesMalformed(f"{image_id or 'input'}: none of {malformed} lines parse")
-    if width is None or height is None:
-        ext_w, ext_h = _extent(objects)
-        width = width if width is not None else ext_w
-        height = height if height is not None else ext_h
-    return (
-        AnnotatedImage(image_id, width, height, objects, DOTA_CLASS_NAMES),
-        warnings,
+    return _parse_lines(
+        text, _dota_box, DOTA_CLASS_NAMES, image_id, width, height, strict,
+        headers=_DOTA_HEADERS,
     )
 
 
@@ -159,51 +197,8 @@ def parse_icdar(
     region. Non-convex quads are skipped here so the overlap routine never
     sees them.
     """
-    warnings: list[str] = []
-    objects: list[OrientedBox] = []
-    content_lines = 0
-    malformed = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip().lstrip("﻿")
-        if not line:
-            continue
-        content_lines += 1
-        parts = line.split(",")
-        if len(parts) < 9:
-            warnings.append(f"line {lineno}: expected 8 coordinates plus text")
-            malformed += 1
-            continue
-        try:
-            coords = [float(t) for t in parts[:8]]
-        except ValueError:
-            warnings.append(f"line {lineno}: unparseable coordinates")
-            malformed += 1
-            continue
-        transcription = ",".join(parts[8:]).strip()
-        try:
-            box = _clamped_box(
-                coords, width, height, class_id=0,
-                difficult=transcription == "###",
-            )
-        except ValueError as err:
-            warnings.append(f"line {lineno}: {err}")
-            continue
-        if not is_convex(box):
-            warnings.append(f"line {lineno}: non-convex quad skipped")
-            continue
-        objects.append(box)
-    if content_lines == 0:
-        if strict:
-            raise EmptyFile(f"{image_id or 'input'}: no annotation lines")
-    elif malformed == content_lines:
-        raise AllLinesMalformed(f"{image_id or 'input'}: none of {malformed} lines parse")
-    if width is None or height is None:
-        ext_w, ext_h = _extent(objects)
-        width = width if width is not None else ext_w
-        height = height if height is not None else ext_h
-    return (
-        AnnotatedImage(image_id, width, height, objects, ICDAR_CLASS_NAMES),
-        warnings,
+    return _parse_lines(
+        text, _icdar_box, ICDAR_CLASS_NAMES, image_id, width, height, strict
     )
 
 

@@ -62,19 +62,11 @@ class LossValue:
     gradients: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def smooth_l1(pred: float, target: float) -> tuple[float, float]:
-    """Smooth L1 penalty of (pred - target) and its derivative in pred.
+def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth L1 of a difference array and its derivative: (values, dvalues/dx).
 
     0.5 * x^2 inside |x| < 1, |x| - 0.5 outside.
     """
-    x = pred - target
-    if abs(x) < 1.0:
-        return 0.5 * x * x, x
-    return abs(x) - 0.5, float(np.sign(x))
-
-
-def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized smooth L1 of a difference array: (values, dvalues/dx)."""
     ax = np.abs(x)
     quad = ax < 1.0
     value = np.where(quad, 0.5 * x * x, ax - 0.5)
@@ -235,30 +227,26 @@ def total_loss(
             f"regression {pred.regression.shape} vs {target.regression.shape}"
         )
     n = max(target.n_objects, 1)
-    beta = 0.0 if weights.text_mode else weights.beta
-    ip_total = 0.0
+    ip_total = line_total = 0.0
     l1_total = l2_total = l3_total = 0.0
     hm_grad = np.zeros_like(pred.heatmap)
     reg_grad = np.zeros_like(pred.regression)
     for b in range(2):
-        ip_v, ip_g = focal_ip_loss(
+        ip_v, hm_grad[b] = focal_ip_loss(
             pred.heatmap[b], target.heatmap[b], n, weights.alpha_focal
         )
+        line = line_loss(
+            pred.regression[b], target.regression[b], target.reg_mask[b], n, weights
+        )
         ip_total += ip_v
-        hm_grad[b] = ip_g
-        mask = target.reg_mask[b]
-        v1, g1 = endpoint_loss(pred.regression[b], target.regression[b], mask, n)
-        v2, g2 = collinear_loss(pred.regression[b], mask, n)
-        v3, g3 = vertical_loss(pred.regression[b], mask, n)
-        l1_total += v1
-        l2_total += v2
-        l3_total += v3
-        reg_grad[b] = weights.gamma * (g1 + weights.alpha * g2 + beta * g3)
-    total = ip_total + weights.gamma * (
-        l1_total + weights.alpha * l2_total + beta * l3_total
-    )
+        line_total += line.total
+        l1_total += line.l1
+        l2_total += line.l2
+        l3_total += line.l3
+        reg_grad[b] = weights.gamma * line.gradients["regression"]
     gradients = {"heatmap": hm_grad, "regression": reg_grad} if with_gradients else {}
     return LossValue(
-        total=total, ip=ip_total, l1=l1_total, l2=l2_total, l3=l3_total,
+        total=ip_total + weights.gamma * line_total,
+        ip=ip_total, l1=l1_total, l2=l2_total, l3=l3_total,
         gradients=gradients,
     )

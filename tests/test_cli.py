@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from midlines.cli import main
-from midlines.container import write_maps
-from midlines.encoder import TargetMaps
+from midlines.container import TENSOR_NAMES, read_maps, write_maps
+from midlines.encoder import TargetMaps, encode_image
+from midlines.errors import MidlinesError
+from midlines.geometry import OrientedBox, Point2
 
 DOTA_SCENE = """imagesource:GoogleEarth
 gsd:0.15
@@ -134,6 +136,37 @@ def test_encode_corrupt_json_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+def write_gt_with_bad_image(tmp_path):
+    """Two images; the first has a box centred at (300, 50) in a 100x100 image."""
+    outside = {"class": "plane", "corners": [290, 40, 310, 40, 310, 60, 290, 60], "difficult": False}
+    path = tmp_path / "gt.json"
+    path.write_text(
+        json.dumps([
+            {"image_id": "bad", "width": 100, "height": 100, "objects": [outside]},
+            {"image_id": "good", "width": 256, "height": 256, "objects": [PLANE]},
+        ]),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_encode_bad_image_is_reported_and_others_still_encode(tmp_path, capsys):
+    gt = write_gt_with_bad_image(tmp_path)
+    code, out = run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps", "--jobs", 2)
+    assert code == 1
+    assert "image=bad error=" in out and "outside 100x100" in out
+    assert (tmp_path / "maps" / "good" / "manifest.json").is_file()
+    assert not (tmp_path / "maps" / "bad").exists()
+
+
+def test_roundtrip_bad_image_is_reported_and_others_still_run(tmp_path, capsys):
+    gt = write_gt_with_bad_image(tmp_path)
+    code, out = run(capsys, "roundtrip", "--gt", gt)
+    assert code == 1
+    assert "image=bad error=" in out
+    assert "objects=1" in out and "fraction=1.000000" in out
+
+
 def test_encode_class_outside_vocabulary(tmp_path, capsys):
     gt = make_gt(tmp_path, [PLANE])
     code, out = run(
@@ -191,6 +224,39 @@ def test_decode_missing_tensor_is_io_error(tmp_path, capsys):
     (tmp_path / "maps" / "img" / "reg_b1.f32").unlink()
     code, _ = run(capsys, "decode", "--maps", tmp_path / "maps", "--out", tmp_path / "d.json")
     assert code == 2
+
+
+def test_decode_merge_iou_is_honoured(tmp_path, capsys):
+    # The same box sits in both branches: the default merge keeps one copy,
+    # and a merge IoU of 1.0 (IoU must exceed it) keeps both.
+    box = OrientedBox(tuple(Point2(*PLANE["corners"][i:i + 2]) for i in range(0, 8, 2)))
+    maps = encode_image([box], 256, 256, num_classes=1)
+    for array in (maps.heatmap, maps.regression, maps.reg_mask):
+        array[1] = array[0]
+    write_maps(maps, tmp_path / "c", ["plane"])
+    counts = []
+    for extra in ([], ["--merge-iou", "1.0"]):
+        code, _ = run(capsys, "decode", "--maps", tmp_path / "c", "--out", tmp_path / "d.json", *extra)
+        assert code == 0
+        counts.append(len(json.loads((tmp_path / "d.json").read_text())))
+    assert counts == [1, 2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("tensor", TENSOR_NAMES)
+def test_decode_rejects_non_finite_tensor(tmp_path, capsys, tensor, value):
+    gt = make_gt(tmp_path, [PLANE])
+    run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")
+    container = tmp_path / "maps" / "img"
+    path = container / f"{tensor}.f32"
+    data = np.fromfile(path, dtype="<f4")
+    data[len(data) // 2] = value
+    data.tofile(path)
+    with pytest.raises(MidlinesError, match=tensor):
+        read_maps(container)
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 2
+    assert out.startswith("error=") and tensor in out
 
 
 def test_decode_validates_threshold_and_input(tmp_path, capsys):
@@ -320,6 +386,19 @@ def test_eval_unknown_class_lists_offenders(tmp_path, capsys):
     code, out = run(capsys, "eval", "--gt", gt, "--dets", bad)
     assert code == 1
     assert "zeppelin" in out
+
+
+def test_eval_classes_flag_is_a_comma_separated_vocabulary(tmp_path, capsys):
+    gt = make_gt(tmp_path, [PLANE])
+    dets = dets_from_gt(gt, tmp_path / "d.json", image_id="img")
+    code, out = run(
+        capsys, "eval", "--gt", gt, "--dets", dets, "--classes", "plane,ship",
+        "--out", tmp_path / "report.json",
+    )
+    assert code == 0, out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["map"] == 1.0
+    assert report["per_class_ap"]["plane"] == 1.0
 
 
 def test_eval_validates_iou(tmp_path, capsys):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlines.encoder import (
-    DriftRegion,
-    drift_radius,
-    drift_region_cells,
-    encode_image,
-    resolve_overlap,
-)
+from midlines.encoder import drift_radius, drift_region_cells, encode_image
 from midlines.errors import OutOfBounds
 from midlines.geometry import (
     BranchId,
@@ -56,8 +50,7 @@ def test_drift_radius_thin_box_still_covers_center_cell():
         radius = drift_radius(pair, stride=4, r=16.0)
         assert radius >= 0.5
         ip = intersection_point(pair)
-        region = DriftRegion(Point2(ip.x / 4, ip.y / 4), radius, 0)
-        cells = {tuple(c) for c in drift_region_cells(region, 64, 64)}
+        cells = {tuple(c) for c in drift_region_cells(ip.x / 4, ip.y / 4, radius, 64, 64)}
         center_cell = (math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5))
         assert center_cell in cells
 
@@ -66,8 +59,7 @@ def test_drift_radius_thin_box_still_covers_center_cell():
 
 
 def test_region_cells_match_full_grid_oracle():
-    region = DriftRegion(Point2(25.0, 25.0), 4.0, 0)
-    got = {tuple(c) for c in drift_region_cells(region, 50, 50)}
+    got = {tuple(c) for c in drift_region_cells(25.0, 25.0, 4.0, 50, 50)}
     assert got == disc_oracle(25.0, 25.0, 4.0, 50, 50)
     assert len(got) == 45
 
@@ -79,8 +71,7 @@ def test_region_cells_match_full_grid_oracle():
 )
 @settings(max_examples=60, deadline=None)
 def test_region_cells_match_oracle_randomized(cx, cy, radius):
-    region = DriftRegion(Point2(cx, cy), radius, 0)
-    got = {tuple(c) for c in drift_region_cells(region, 50, 50)}
+    got = {tuple(c) for c in drift_region_cells(cx, cy, radius, 50, 50)}
     want = disc_oracle(cx, cy, radius, 50, 50)
     center_cell = (
         min(max(math.floor(cy + 0.5), 0), 49),
@@ -90,8 +81,7 @@ def test_region_cells_match_oracle_randomized(cx, cy, radius):
 
 
 def test_region_cells_are_row_major_and_in_bounds():
-    region = DriftRegion(Point2(1.0, 1.0), 3.5, 0)
-    cells = drift_region_cells(region, 50, 50)
+    cells = drift_region_cells(1.0, 1.0, 3.5, 50, 50)
     assert (cells >= 0).all()
     as_tuples = [tuple(c) for c in cells]
     assert as_tuples == sorted(as_tuples)
@@ -178,30 +168,63 @@ def test_mask_true_exactly_where_some_class_is_positive():
         np.testing.assert_array_equal(maps.reg_mask[b], union)
 
 
+def center_cell_endpoints(maps, box):
+    """Branch, center cell, stored endpoints there, and box's true endpoints."""
+    pair = box_to_midlines(box)
+    b = pair.branch.index
+    ip = intersection_point(pair)
+    row, col = math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5)
+    anchor = np.array([col, row] * 4, dtype=float) * maps.stride
+    stored = maps.regression[b, :, row, col] + anchor
+    endpoints = np.array(
+        [
+            pair.l1.ep1.x, pair.l1.ep1.y, pair.l1.ep2.x, pair.l1.ep2.y,
+            pair.l2.ep1.x, pair.l2.ep1.y, pair.l2.ep2.x, pair.l2.ep2.y,
+        ]
+    )
+    return b, (row, col), stored, endpoints
+
+
 def test_overlap_regression_goes_to_smaller_area_object():
     big = rectangle(100, 100, 60, 40, class_id=0)
     small = rectangle(102, 101, 30, 20, class_id=1)
-    maps = encode_image([big, small], 256, 256, num_classes=2)
-    pair_small = box_to_midlines(small)
-    b = pair_small.branch.index
-    ip = intersection_point(pair_small)
-    row, col = math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5)
-    # Both regions cover the small box's center cell; the stored offsets
-    # must reconstruct the small box's endpoints there.
-    delta = maps.regression[b, :, row, col]
-    anchor = np.array([col, row] * 4, dtype=float) * maps.stride
-    endpoints = np.array(
-        [
-            pair_small.l1.ep1.x, pair_small.l1.ep1.y,
-            pair_small.l1.ep2.x, pair_small.l1.ep2.y,
-            pair_small.l2.ep1.x, pair_small.l2.ep1.y,
-            pair_small.l2.ep2.x, pair_small.l2.ep2.y,
-        ]
-    )
-    np.testing.assert_allclose(delta + anchor, endpoints, atol=1e-12)
-    # Both class channels are positive at that cell all the same.
-    assert maps.heatmap[b, 0, row, col] == 1.0
-    assert maps.heatmap[b, 1, row, col] == 1.0
+    for boxes in ([big, small], [small, big]):
+        maps = encode_image(boxes, 256, 256, num_classes=2)
+        # Both regions cover the small box's center cell; whatever the input
+        # order, the stored offsets must reconstruct the small box's endpoints.
+        b, (row, col), stored, endpoints = center_cell_endpoints(maps, small)
+        np.testing.assert_allclose(stored, endpoints, atol=1e-12)
+        # Both class channels are positive at that cell all the same.
+        assert maps.heatmap[b, 0, row, col] == 1.0
+        assert maps.heatmap[b, 1, row, col] == 1.0
+
+
+def test_resolve_overlap_prefers_smaller_area():
+    # Two boxes share a centre: their regions contest the same centre cell,
+    # and the smaller one owns it in either input order.
+    larger = rectangle(100, 100, 40, 30)
+    smaller = rectangle(100, 100, 40, 20)
+    assert smaller.area < larger.area
+    for boxes in ([larger, smaller], [smaller, larger]):
+        maps = encode_image(boxes, 256, 256, num_classes=1)
+        b, cell, stored, endpoints = center_cell_endpoints(maps, smaller)
+        b2, cell2, _, other = center_cell_endpoints(maps, larger)
+        assert (b, cell) == (b2, cell2)  # one contested cell
+        np.testing.assert_allclose(stored, endpoints, atol=1e-12)
+        assert not np.allclose(stored, other)
+
+
+def test_overlap_equal_areas_go_to_earlier_index():
+    wide = rectangle(100, 100, 40, 20)
+    tall = rectangle(100, 100, 20, 40)
+    assert wide.area == tall.area
+    for first, second in ((wide, tall), (tall, wide)):
+        maps = encode_image([first, second], 256, 256, num_classes=1)
+        b, cell, stored, endpoints = center_cell_endpoints(maps, first)
+        b2, cell2, _, other = center_cell_endpoints(maps, second)
+        assert (b, cell) == (b2, cell2)  # one contested cell
+        np.testing.assert_allclose(stored, endpoints, atol=1e-12)
+        assert not np.allclose(stored, other)
 
 
 def test_single_object_touches_exactly_one_branch():
@@ -223,21 +246,3 @@ def test_class_id_outside_range_is_rejected():
     box = rectangle(100, 100, 20, 10, class_id=5)
     with pytest.raises(ValueError):
         encode_image([box], 256, 256, num_classes=3)
-
-
-# --- resolve_overlap ----------------------------------------------------------
-
-
-def test_resolve_overlap_prefers_smaller_area():
-    boxes = [rectangle(0, 0, 40, 30), rectangle(0, 0, 40, 20)]
-    assert resolve_overlap((0, 0), [0, 1], boxes) == 1
-
-
-def test_resolve_overlap_tie_takes_smaller_index():
-    boxes = [rectangle(0, 0, 40, 20), rectangle(5, 5, 20, 40)]
-    assert resolve_overlap((0, 0), [1, 0], boxes) == 0
-
-
-def test_resolve_overlap_rejects_empty_candidates():
-    with pytest.raises(ValueError):
-        resolve_overlap((0, 0), [], [])

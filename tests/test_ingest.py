@@ -75,6 +75,9 @@ def test_dota_unknown_category_is_skipped_not_structural():
 def test_dota_all_lines_malformed_raises():
     with pytest.raises(AllLinesMalformed):
         parse_dota("1 2 3\nnot even close")
+    # Unparseable coordinates and a bad difficult flag are malformed too.
+    with pytest.raises(AllLinesMalformed):
+        parse_dota("a b c d e f g h plane 0\n" + DOTA_LINE.replace(" 0", " 2"))
 
 
 def test_dota_empty_file_strict_only():
@@ -136,6 +139,8 @@ def test_icdar_non_convex_quad_skipped():
 def test_icdar_structural_failures():
     with pytest.raises(AllLinesMalformed):
         parse_icdar("1,2,3\nalso,not,enough")
+    with pytest.raises(AllLinesMalformed):
+        parse_icdar("a,b,c,d,e,f,g,h,word")
     with pytest.raises(EmptyFile):
         parse_icdar("\n\n", strict=True)
     img, _ = parse_icdar("")

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlines.encoder import encode_image
+from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import NonBinaryGroundTruth, ShapeMismatch
 from midlines.geometry import rectangle
 from midlines.losses import (
-    LossValue,
     LossWeights,
     collinear_loss,
     endpoint_loss,
     focal_ip_loss,
     line_loss,
-    smooth_l1,
     total_loss,
     vertical_loss,
 )
@@ -31,20 +29,35 @@ def single_cell_reg(values):
 
 ONE_CELL_MASK = np.ones((1, 1), dtype=bool)
 
+# Offsets of one cell with hand-computable line-loss terms: collinearity
+# |30 * 0 - (-30) * 1| - 0.5 = 29.5 (line 2 is antiparallel, 0) and
+# perpendicularity |30 * 0 + 1 * (-5)| - 0.5 = 4.5. A target 0.5 off in one
+# channel adds an endpoint term of 0.5 * 0.5^2 = 0.125.
+HAND_PRED = [30, 1, -30, 0, 0, -5, 0, 5]
+HAND_TARGET = [29.5, 1, -30, 0, 0, -5, 0, 5]
 
-# --- smooth_l1 ------------------------------------------------------------------
+
+def one_channel_endpoint(pred, target):
+    """endpoint_loss over one channel of one cell: the bare smooth L1."""
+    value, grad = endpoint_loss(
+        np.full((1, 1, 1), pred), np.full((1, 1, 1), target), ONE_CELL_MASK, 1
+    )
+    return value, float(grad[0, 0, 0])
+
+
+# --- smooth L1, through endpoint_loss --------------------------------------------
 
 
 def test_smooth_l1_hand_values():
-    assert smooth_l1(3.5, 3.0) == (0.125, 0.5)
-    assert smooth_l1(5.0, 3.0) == (1.5, 1.0)
-    assert smooth_l1(3.0, 3.0) == (0.0, 0.0)
-    assert smooth_l1(2.0, 3.0) == (0.5, -1.0)
+    assert one_channel_endpoint(3.5, 3.0) == (0.125, 0.5)
+    assert one_channel_endpoint(5.0, 3.0) == (1.5, 1.0)
+    assert one_channel_endpoint(3.0, 3.0) == (0.0, 0.0)
+    assert one_channel_endpoint(2.0, 3.0) == (0.5, -1.0)
 
 
 def test_smooth_l1_is_continuous_at_the_kink():
-    below, _ = smooth_l1(1.0 - 1e-12, 0.0)
-    at, slope = smooth_l1(1.0, 0.0)
+    below, _ = one_channel_endpoint(1.0 - 1e-12, 0.0)
+    at, slope = one_channel_endpoint(1.0, 0.0)
     assert at == 0.5
     assert slope == 1.0
     assert abs(below - at) < 1e-11
@@ -52,8 +65,8 @@ def test_smooth_l1_is_continuous_at_the_kink():
 
 @given(x=st.floats(min_value=-50, max_value=50))
 def test_smooth_l1_non_negative_and_even(x):
-    v_pos, _ = smooth_l1(x, 0.0)
-    v_neg, _ = smooth_l1(-x, 0.0)
+    v_pos, _ = one_channel_endpoint(x, 0.0)
+    v_neg, _ = one_channel_endpoint(-x, 0.0)
     assert v_pos >= 0.0
     assert v_pos == v_neg
 
@@ -219,10 +232,14 @@ def test_line_loss_weighted_sum_identity():
 
 
 def test_line_loss_worked_arithmetic():
-    # Component values 0.4 / 0.1 / 0.2 at unit weights combine to 0.7.
-    value = LossValue(total=0.0, ip=0.0, l1=0.4, l2=0.1, l3=0.2)
-    weights = LossWeights(alpha=1.0, beta=1.0)
-    assert value.l1 + weights.alpha * value.l2 + weights.beta * value.l3 == 0.7
+    pred, target = single_cell_reg(HAND_PRED), single_cell_reg(HAND_TARGET)
+    out = line_loss(pred, target, ONE_CELL_MASK, 1, LossWeights(alpha=0.5, beta=2.0))
+    assert (out.l1, out.l2, out.l3) == (0.125, 29.5, 4.5)
+    assert out.total == 0.125 + 0.5 * 29.5 + 2.0 * 4.5 == 23.875
+    text = line_loss(
+        pred, target, ONE_CELL_MASK, 1, LossWeights(alpha=0.5, beta=2.0, text_mode=True)
+    )
+    assert text.total == 0.125 + 0.5 * 29.5 == 14.875
 
 
 def test_line_loss_text_mode_drops_the_vertical_term():
@@ -301,9 +318,32 @@ def test_total_loss_decomposition_identity():
         assert abs(out.total - expected) <= 1e-12 * max(1.0, abs(out.total))
 
 
+def one_cell_maps(heatmap, regression, mask):
+    """One-class, one-cell maps; both branches given as [horizontal, oriented]."""
+    return TargetMaps(
+        stride=4, num_classes=1, width=1, height=1, image_w=4, image_h=4,
+        heatmap=np.asarray(heatmap, dtype=float).reshape(2, 1, 1, 1),
+        regression=np.stack([single_cell_reg(r) for r in regression]),
+        reg_mask=np.asarray(mask, dtype=bool).reshape(2, 1, 1),
+        n_objects=1,
+    )
+
+
 def test_total_loss_worked_arithmetic():
-    # ip 0.2 and line 0.6 at gamma 0.5 combine to 0.5.
-    assert 0.2 + 0.5 * 0.6 == 0.5
+    # Horizontal branch: a positive cell predicted at 0.5 with the hand line
+    # terms above. Oriented branch: a negative cell at 0.5, no regression.
+    target = one_cell_maps([1.0, 0.0], [HAND_TARGET, [0] * 8], [True, False])
+    pred = one_cell_maps([0.5, 0.5], [HAND_PRED, [7] * 8], [True, False])
+    weights = LossWeights(alpha=0.5, beta=2.0, gamma=0.5)
+    out = total_loss(pred, target, weights)
+    assert out.ip == pytest.approx(2 * HAND_FOCAL, abs=1e-12)
+    assert (out.l1, out.l2, out.l3) == (0.125, 29.5, 4.5)
+    assert out.total == pytest.approx(2 * HAND_FOCAL + 0.5 * 23.875, abs=1e-12)
+    line = line_loss(pred.regression[0], target.regression[0], ONE_CELL_MASK, 1, weights)
+    np.testing.assert_array_equal(
+        out.gradients["regression"][0], 0.5 * line.gradients["regression"]
+    )
+    assert not out.gradients["regression"][1].any()
 
 
 def test_total_loss_gradient_shapes_and_optionality():
