@@ -34,7 +34,7 @@ def predict_like(t, heatmap=None, regression=None):
 
 
 def report(label, pred, tgt, weights=LossWeights()):
-    v = total_loss(pred, tgt, weights, with_gradients=False)
+    v = total_loss(pred, tgt, weights)
     print(f"{label:<28} total={v.total:9.4f}  ip={v.ip:8.4f}  "
           f"endpoint={v.l1:8.4f}  collinear={v.l2:8.4f}  vertical={v.l3:8.4f}")
 

@@ -16,7 +16,6 @@ from midlines.errors import (
     KinkProximity,
     MidlinesError,
     NonBinaryGroundTruth,
-    NonConvexInput,
     OutOfBounds,
     ShapeMismatch,
     UnknownClass,
@@ -60,7 +59,6 @@ __all__ = [
     "MidlinePair",
     "MidlinesError",
     "NonBinaryGroundTruth",
-    "NonConvexInput",
     "OrientedBox",
     "OutOfBounds",
     "Point2",

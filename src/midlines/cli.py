@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .container import read_maps, write_maps
 from .decoder import Detection, decode
 from .encoder import TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
-from .evaluation import evaluate, rotated_iou
+from .evaluation import evaluate, may_overlap, rotated_iou
 from .geometry import OrientedBox, Point2, box_to_midlines
 from .gradcheck import run_gradchecks
 from .ingest import (
@@ -32,6 +34,7 @@ from .ingest import (
     images_from_json,
     parse_dota,
     parse_icdar,
+    require_fields,
     tile_image,
 )
 
@@ -306,13 +309,6 @@ def cmd_decode(
 # --- roundtrip --------------------------------------------------------------------
 
 
-def _best_iou(box: OrientedBox, dets: list[Detection]) -> float:
-    candidates = [d for d in dets if d.class_id == box.class_id]
-    if not candidates:
-        return 0.0
-    return max(rotated_iou(box, d.box) for d in candidates)
-
-
 def cmd_roundtrip(
     gt_json: str | Path,
     config: RunConfig,
@@ -332,13 +328,16 @@ def cmd_roundtrip(
 
     def process(img: AnnotatedImage):
         dets = decode(_encode(img, config), threshold=config.threshold)
+        candidates = may_overlap(img.objects, dets)
         ious, subres = [], 0
-        for box in img.objects:
+        for box, row in zip(img.objects, candidates):
             pair = box_to_midlines(box, config.branch_low, config.branch_high)
             if min(pair.l1.length, pair.l2.length) < 2.0 * config.stride:
                 subres += 1
                 continue
-            ious.append(_best_iou(box, dets))
+            ious.append(max(
+                (rotated_iou(box, dets[j].box) for j in np.flatnonzero(row)), default=0.0
+            ))
         return ious, subres
 
     outputs = _map_images(result, process, images, jobs)
@@ -371,14 +370,12 @@ def cmd_gradcheck(
     samples: int = 100,
     step: float = 1e-4,
     tolerance: float = 1e-4,
-    perturb: float = 0.0,
 ) -> CommandResult:
     """Finite-difference checks for every loss; exit 1 on any failure."""
     result = CommandResult()
     try:
         reports = run_gradchecks(
-            seed=seed, samples=samples, step=step,
-            tolerance=tolerance, perturb=perturb,
+            seed=seed, samples=samples, step=step, tolerance=tolerance
         )
     except ValueError as err:
         result.fail(VALIDATION_ERROR, error=err)
@@ -403,6 +400,8 @@ def cmd_gradcheck(
 def _detections_by_image(
     records: list, class_names: Sequence[str]
 ) -> dict[str, list[OrientedBox]]:
+    for n, r in enumerate(records):
+        require_fields(r, ("class", "corners", "score"), f"detection #{n}")
     index = {name: i for i, name in enumerate(class_names)}
     unknown = sorted({r["class"] for r in records} - set(index))
     if unknown:
@@ -521,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--perturb-grad", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("eval", help="score detections JSON against ground truth")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
@@ -560,7 +558,7 @@ def _run(args: argparse.Namespace) -> CommandResult:
         seed = int(os.environ.get("O2_SEED", args.seed))
         return cmd_gradcheck(
             seed=seed, samples=args.samples, step=args.step,
-            tolerance=args.tolerance, perturb=args.perturb_grad,
+            tolerance=args.tolerance,
         )
     if args.command == "eval":
         return cmd_eval(

@@ -73,8 +73,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
 
     Raises ShapeMismatch when a tensor file's size disagrees with its
     manifest shape or required tensors are missing, and MidlinesError when
-    a tensor holds NaN or infinity; missing files surface as
-    FileNotFoundError.
+    a tensor holds NaN or infinity or a heatmap holds a value outside
+    [0, 1]; missing files surface as FileNotFoundError.
     """
     root = Path(container_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -97,6 +97,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             )
         if not np.isfinite(raw).all():
             raise MidlinesError(f"tensor {name}: non-finite values")
+        if name.startswith("hm_") and ((raw < 0.0) | (raw > 1.0)).any():
+            raise MidlinesError(f"tensor {name}: values outside [0, 1]")
         arrays[name] = raw.reshape(shape).astype(np.float64)
 
     height, width = int(manifest["height"]), int(manifest["width"])

@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from .encoder import TargetMaps
 from .errors import DegenerateBox, ShapeMismatch
-from .evaluation import rotated_iou
+from .evaluation import may_overlap, rotated_iou
 from .geometry import (
     BranchId,
     MidlinePair,
@@ -131,15 +131,6 @@ def component_to_detection(
     )
 
 
-def _aabbs(dets: list[Detection]) -> np.ndarray:
-    out = np.empty((len(dets), 4))
-    for i, det in enumerate(dets):
-        xs = [p.x for p in det.box.corners]
-        ys = [p.y for p in det.box.corners]
-        out[i] = (min(xs), min(ys), max(xs), max(ys))
-    return out
-
-
 def merge_branches(
     detections: list[Detection],
     iou_threshold: float = DEFAULT_MERGE_IOU,
@@ -154,25 +145,13 @@ def merge_branches(
     horizontal = [d for d in detections if d.branch is BranchId.HORIZONTAL]
     oriented = [d for d in detections if d.branch is BranchId.ORIENTED]
     dead: set[int] = set()
-    if horizontal and oriented:
-        h_boxes = _aabbs(horizontal)
-        o_boxes = _aabbs(oriented)
-        for i, h in enumerate(horizontal):
-            overlap = (
-                (o_boxes[:, 0] <= h_boxes[i, 2])
-                & (o_boxes[:, 2] >= h_boxes[i, 0])
-                & (o_boxes[:, 1] <= h_boxes[i, 3])
-                & (o_boxes[:, 3] >= h_boxes[i, 1])
-            )
-            for j in np.flatnonzero(overlap):
-                o = oriented[j]
-                if o.class_id != h.class_id:
-                    continue
-                if rotated_iou(h.box, o.box) > iou_threshold:
-                    if o.score > h.score:
-                        dead.add(id(h))
-                    else:
-                        dead.add(id(o))
+    for i, j in zip(*np.nonzero(may_overlap(horizontal, oriented))):
+        h, o = horizontal[i], oriented[j]
+        if rotated_iou(h.box, o.box) > iou_threshold:
+            if o.score > h.score:
+                dead.add(id(h))
+            else:
+                dead.add(id(o))
     return [d for d in detections if id(d) not in dead]
 
 
@@ -184,9 +163,9 @@ def decode(
 ) -> list[Detection]:
     """All detections in one image's maps, cross-branch merged, unsorted.
 
-    Degenerate regressions (coincident or parallel endpoint pairs) drop
-    their component; the count lands in stats["dropped_degenerate"] when a
-    stats dict is supplied.
+    Degenerate regressions (coincident, parallel or near-parallel endpoint
+    pairs) drop their component; the count lands in
+    stats["dropped_degenerate"] when a stats dict is supplied.
     """
     if maps.heatmap.shape[0] != 2 or maps.heatmap.shape[2:] != maps.regression.shape[2:]:
         raise ShapeMismatch(

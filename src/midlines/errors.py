@@ -25,10 +25,6 @@ class KinkProximity(MidlinesError):
     """A finite-difference check was requested too close to a non-smooth point."""
 
 
-class NonConvexInput(MidlinesError):
-    """A quadrilateral passed to the overlap routine is not convex."""
-
-
 class UnknownClass(MidlinesError):
     """A detection names a class that is not in the ground-truth vocabulary."""
 

@@ -7,8 +7,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NonConvexInput, UnknownClass
-from .geometry import OrientedBox, is_convex
+from .errors import UnknownClass
+from .geometry import OrientedBox
 
 _MIN_INTERSECTION = 1e-9
 
@@ -62,15 +62,11 @@ def _polygon_area(points: Sequence[tuple[float, float]]) -> float:
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection over union of two convex quadrilaterals.
+    """Intersection over union of two boxes (convex by construction).
 
     The intersection polygon comes from clipping one box by the other's
     edges; intersections below 1e-9 square pixels count as empty.
     """
-    if not is_convex(a):
-        raise NonConvexInput("first box is not convex")
-    if not is_convex(b):
-        raise NonConvexInput("second box is not convex")
     subject = [(p.x, p.y) for p in a.corners]
     clip = [(p.x, p.y) for p in b.corners]
     for i in range(4):
@@ -81,6 +77,25 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     if inter < _MIN_INTERSECTION:
         return 0.0
     return inter / (a.area + b.area - inter)
+
+
+def may_overlap(a: Sequence, b: Sequence) -> np.ndarray:
+    """Which pairs of boxes can have a non-zero IoU: a (len(a), len(b)) bool array.
+
+    True where the two boxes share a class and their closed axis-aligned
+    bounding boxes intersect; every other pair has rotated_iou exactly 0.
+    Items are OrientedBoxes or anything carrying one under .box.
+    """
+    boxes = [_as_box(item) for item in (*a, *b)]
+    corners = np.array([[(p.x, p.y) for p in box.corners] for box in boxes]).reshape(-1, 4, 2)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    classes = np.array([box.class_id for box in boxes])
+    n = len(a)
+    return (
+        (classes[:n, None] == classes[None, n:])
+        & (lo[:n, None] <= hi[None, n:]).all(axis=2)
+        & (lo[None, n:] <= hi[:n, None]).all(axis=2)
+    )
 
 
 @dataclass
@@ -111,6 +126,7 @@ def match_detections(
     """
     det_boxes = [_as_box(d) for d in dets]
     gt_boxes = [_as_box(g) for g in gts]
+    candidates = may_overlap(det_boxes, gt_boxes)
     order = sorted(range(len(det_boxes)), key=lambda i: -det_boxes[i].score)
     taken = [False] * len(gt_boxes)
     outcomes: list[str] = []
@@ -118,10 +134,10 @@ def match_detections(
     for i in order:
         det = det_boxes[i]
         best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gt_boxes):
-            if taken[j] or gt.class_id != det.class_id:
+        for j in np.flatnonzero(candidates[i]):
+            if taken[j]:
                 continue
-            iou = rotated_iou(det, gt)
+            iou = rotated_iou(det, gt_boxes[j])
             if iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= iou_threshold:

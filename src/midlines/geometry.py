@@ -97,22 +97,27 @@ def _signed_area(corners: tuple[Point2, ...]) -> float:
     return total / 2.0
 
 
-def _proper_crossing(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """True when open segments ab and cd cross at an interior point."""
-    d1 = cross(b - a, c - a)
-    d2 = cross(b - a, d - a)
-    d3 = cross(d - c, a - c)
-    d4 = cross(d - c, b - c)
-    return d1 * d2 < 0 and d3 * d4 < 0
+def _turns(corners: tuple[Point2, ...]) -> list[float]:
+    """Cross product of the two edges meeting at each corner, in corner order."""
+    out = []
+    for i, b in enumerate(corners):
+        a, c = corners[i - 1], corners[(i + 1) % len(corners)]
+        out.append((b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x))
+    return out
+
+
+class _BadShape(ValueError):
+    """Corners that enclose no area or do not bound a convex region."""
 
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Simple quadrilateral with a class id, a score, and a difficult flag.
+    """Convex quadrilateral with a class id, a score, and a difficult flag.
 
     Corners are normalized at construction so the shoelace signed area is
-    positive; the first corner is kept first. Zero-area or self-intersecting
-    input is rejected.
+    positive; the first corner is kept first. Zero-area input is rejected,
+    and so is any corner order whose turns bend both ways (a dart or a
+    crossed bowtie), so every box is convex; collinear corners are allowed.
     """
 
     corners: tuple[Point2, Point2, Point2, Point2]
@@ -130,11 +135,10 @@ class OrientedBox:
             raise ValueError(f"score {self.score} outside [0, 1]")
         area = _signed_area(corners)
         if area == 0.0:
-            raise ValueError("zero-area box")
-        if _proper_crossing(corners[0], corners[1], corners[2], corners[3]) or _proper_crossing(
-            corners[1], corners[2], corners[3], corners[0]
-        ):
-            raise ValueError("self-intersecting corner order")
+            raise _BadShape("zero-area box")
+        turns = _turns(corners)
+        if min(turns) < 0.0 < max(turns):
+            raise _BadShape("non-convex quad")
         if area < 0.0:
             corners = (corners[0], corners[3], corners[2], corners[1])
         object.__setattr__(self, "corners", corners)
@@ -262,7 +266,9 @@ def midlines_to_box(
 
     With c the endpoint mean, u half of l1's directed extent and v half of
     l2's, the corners are c+u+v, c+u-v, c-u-v, c-u+v. Raises DegenerateBox
-    when either half-extent vanishes or the two lines are parallel.
+    when either half-extent vanishes, the two lines are parallel, or they
+    are so close to parallel that the rounded corners fail OrientedBox's
+    shape rule.
     """
     c = intersection_point(pair)
     u = pair.l1.direction.scaled(0.5)
@@ -272,7 +278,10 @@ def midlines_to_box(
     if cross(u, v) == 0.0:
         raise DegenerateBox("parallel midlines span no area")
     corners = (c + u + v, c + u - v, c - u - v, c - u + v)
-    return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+    try:
+        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+    except _BadShape as err:
+        raise DegenerateBox(f"rebuilt corners: {err}") from None
 
 
 def rectangle(
@@ -294,14 +303,3 @@ def rectangle(
         corners.append(Point2(cx + dx * ca - dy * sa, cy + dx * sa + dy * ca))
     return OrientedBox(tuple(corners), class_id=class_id, score=score, difficult=difficult)
 
-
-def is_convex(box: OrientedBox) -> bool:
-    """True when every corner turn bends the same way (collinear allowed)."""
-    signs = []
-    corners = box.corners
-    for i in range(4):
-        a, b, c = corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]
-        z = cross(b - a, c - b)
-        if z != 0.0:
-            signs.append(z > 0.0)
-    return all(signs) or not any(signs)

@@ -115,7 +115,7 @@ def _sample_away_from_kinks(rng: np.ndarray, draw, margin_of) -> np.ndarray:
 # --- one random check per loss -------------------------------------------------
 
 
-def check_focal(rng: np.random.Generator, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_focal(rng: np.random.Generator, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (2, 3, 4)
     gt = (rng.random(shape) < 0.3).astype(np.float64)
     pred = rng.uniform(0.05, 0.95, shape)
@@ -123,7 +123,7 @@ def check_focal(rng: np.random.Generator, step=DEFAULT_STEP, tolerance=DEFAULT_T
 
     def f(x):
         value, grad = focal_ip_loss(x.reshape(shape), gt, n)
-        return value, grad.ravel() + perturb
+        return value, grad.ravel()
 
     return grad_check(
         f, pred.ravel(), step, tolerance,
@@ -138,7 +138,7 @@ def _random_mask(rng, shape):
     return mask
 
 
-def check_endpoint(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_endpoint(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (8, 2, 3)
     mask = _random_mask(rng, shape[1:])
     target = rng.normal(0.0, 20.0, shape)
@@ -150,7 +150,7 @@ def check_endpoint(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=
 
     def f(x):
         value, grad = endpoint_loss(x.reshape(shape), target, mask, 2)
-        return value, grad.ravel() + perturb
+        return value, grad.ravel()
 
     return grad_check(
         f, pred.ravel(), step, tolerance,
@@ -168,7 +168,7 @@ def _dot_args(reg: np.ndarray) -> np.ndarray:
     return reg[0] * reg[4] + reg[1] * reg[5]
 
 
-def check_collinear(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_collinear(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (8, 2, 3)
     mask = _random_mask(rng, shape[1:])
     pred = _sample_away_from_kinks(
@@ -178,7 +178,7 @@ def check_collinear(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb
 
     def f(x):
         value, grad = collinear_loss(x.reshape(shape), mask, 2)
-        return value, grad.ravel() + perturb
+        return value, grad.ravel()
 
     return grad_check(
         f, pred.ravel(), step, tolerance,
@@ -187,7 +187,7 @@ def check_collinear(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb
     )
 
 
-def check_vertical(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_vertical(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (8, 2, 3)
     mask = _random_mask(rng, shape[1:])
     pred = _sample_away_from_kinks(
@@ -197,7 +197,7 @@ def check_vertical(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=
 
     def f(x):
         value, grad = vertical_loss(x.reshape(shape), mask, 2)
-        return value, grad.ravel() + perturb
+        return value, grad.ravel()
 
     return grad_check(
         f, pred.ravel(), step, tolerance,
@@ -214,7 +214,7 @@ def _line_margin(pred: np.ndarray, target: np.ndarray) -> float:
     )
 
 
-def check_line(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_line(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (8, 2, 3)
     mask = _random_mask(rng, shape[1:])
     target = rng.normal(0.0, 15.0, shape)
@@ -227,7 +227,7 @@ def check_line(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0)
 
     def f(x):
         out = line_loss(x.reshape(shape), target, mask, 2, weights)
-        return out.total, out.gradients["regression"].ravel() + perturb
+        return out.total, out.gradients["regression"].ravel()
 
     return grad_check(
         f, pred.ravel(), step, tolerance,
@@ -254,7 +254,7 @@ def _synthetic_pair(rng) -> tuple[TargetMaps, TargetMaps, int, int]:
     return target, maps(np.zeros_like(gt_hm), np.zeros_like(target_reg), mask, 2), hm_size, num_classes
 
 
-def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0):
+def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     target, pred, hm_size, num_classes = _synthetic_pair(rng)
     weights = LossWeights()
     hm_shape = target.heatmap.shape
@@ -284,7 +284,7 @@ def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE, perturb=0.0
         grad = np.concatenate(
             [out.gradients["heatmap"].ravel(), out.gradients["regression"].ravel()]
         )
-        return out.total, grad + perturb
+        return out.total, grad
 
     return grad_check(f, point, step, tolerance, kink_margin=margin, name="total")
 
@@ -304,13 +304,8 @@ def run_gradchecks(
     samples: int = 100,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
-    perturb: float = 0.0,
 ) -> list[GradCheckReport]:
-    """Run every loss check at `samples` random smooth points each.
-
-    perturb biases the analytic gradients and exists so the harness itself
-    can be shown to catch wrong gradients.
-    """
+    """Run every loss check at `samples` random smooth points each."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
@@ -320,7 +315,7 @@ def run_gradchecks(
         worst = 0.0
         n_components = 0
         for _ in range(samples):
-            rep = check(rng, step=step, tolerance=tolerance, perturb=perturb)
+            rep = check(rng, step=step, tolerance=tolerance)
             worst = max(worst, rep.max_rel_error)
             n_components = rep.n_components
         reports.append(

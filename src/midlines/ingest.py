@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
-from .geometry import OrientedBox, Point2, is_convex
+from .geometry import OrientedBox, Point2
 
 DOTA_CLASS_NAMES = (
     "plane", "baseball-diamond", "bridge", "ground-track-field", "small-vehicle",
@@ -158,12 +158,9 @@ def _icdar_box(line: str, width: int | None, height: int | None) -> OrientedBox:
         raise _Malformed("expected 8 coordinates plus text")
     coords = _coords(parts[:8])
     transcription = ",".join(parts[8:]).strip()
-    box = _clamped_box(
+    return _clamped_box(
         coords, width, height, class_id=0, difficult=transcription == "###"
     )
-    if not is_convex(box):
-        raise ValueError("non-convex quad skipped")
-    return box
 
 
 def parse_dota(
@@ -194,8 +191,7 @@ def parse_icdar(
     """Parse ICDAR text lines: x1,y1,...,y4,transcription.
 
     The transcription may itself contain commas; "###" marks a difficult
-    region. Non-convex quads are skipped here so the overlap routine never
-    sees them.
+    region.
     """
     return _parse_lines(
         text, _icdar_box, ICDAR_CLASS_NAMES, image_id, width, height, strict
@@ -224,8 +220,8 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
 
     An object belongs to every tile whose half-open window contains its
     corner centroid; in the overlap band that can be more than one tile.
-    Translated corners are clamped to the tile; boxes that degenerate under
-    clamping are dropped.
+    Translated corners are clamped to the tile; a box that clamping leaves
+    zero-area or non-convex is dropped with a warning.
     """
     xs = _axis_origins(img.width, spec.window, spec.step)
     ys = _axis_origins(img.height, spec.window, spec.step)
@@ -262,9 +258,10 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
                             difficult=box.difficult,
                         )
                     )
-                except ValueError:
+                except ValueError as err:
                     log.warning(
-                        "tile=%s dropped a box that clamping collapsed", tile.image_id
+                        "tile=%s dropped a box that clamping left invalid: %s",
+                        tile.image_id, err,
                     )
                     continue
             tiles.append(tile)
@@ -303,10 +300,28 @@ def infer_vocabulary(class_strings: set[str]) -> list[str]:
     return sorted(class_strings)
 
 
+def require_fields(record, fields: Sequence[str], where: str) -> None:
+    """Raise ValueError naming `where` and the first of `fields` the record lacks."""
+    for name in fields:
+        if not isinstance(record, dict) or name not in record:
+            raise ValueError(f"{where}: missing field {name!r}")
+
+
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
-    """Rebuild annotated images from the normalized JSON array."""
+    """Rebuild annotated images from the normalized JSON array.
+
+    A missing field or a size below 1 raises ValueError naming the image.
+    """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
+    for n, entry in enumerate(data):
+        require_fields(entry, ("image_id", "width", "height"), f"image #{n}")
+        where = f"image {entry['image_id']!r}"
+        for name in ("width", "height"):
+            if int(entry[name]) < 1:
+                raise ValueError(f"{where}: {name} {entry[name]} below 1")
+        for k, obj in enumerate(entry.get("objects", ())):
+            require_fields(obj, ("class", "corners"), f"{where} object {k}")
     if class_names is None:
         seen = {obj["class"] for img in data for obj in img.get("objects", ())}
         class_names = infer_vocabulary(seen)

@@ -46,7 +46,7 @@ class LossWeights:
 
 @dataclass
 class LossValue:
-    """A loss total with its components and optional gradient grids.
+    """A loss total with its components and its gradient grids.
 
     For total_loss outputs, total = ip + gamma * (l1 + alpha * l2 + beta * l3),
     with the l3 term dropped in text mode. line_loss outputs carry ip = 0 and
@@ -210,7 +210,6 @@ def total_loss(
     pred: TargetMaps,
     target: TargetMaps,
     weights: LossWeights = LossWeights(),
-    with_gradients: bool = True,
 ) -> LossValue:
     """Full objective: focal heatmap loss + gamma * line loss, both branches.
 
@@ -244,9 +243,8 @@ def total_loss(
         l2_total += line.l2
         l3_total += line.l3
         reg_grad[b] = weights.gamma * line.gradients["regression"]
-    gradients = {"heatmap": hm_grad, "regression": reg_grad} if with_gradients else {}
     return LossValue(
         total=ip_total + weights.gamma * line_total,
         ip=ip_total, l1=l1_total, l2=l2_total, l3=l3_total,
-        gradients=gradients,
+        gradients={"heatmap": hm_grad, "regression": reg_grad},
     )

@@ -286,8 +286,8 @@ def test_text_mode_shielding(verdict):
     rng = np.random.default_rng(17)
     text = LossWeights(text_mode=True)
     plain = LossWeights()
-    base_text = total_loss(pred, target, text, with_gradients=False)
-    base_plain = total_loss(pred, target, plain, with_gradients=False)
+    base_text = total_loss(pred, target, text)
+    base_plain = total_loss(pred, target, plain)
     trials = 0
     invariant = True
     moved = False
@@ -301,8 +301,8 @@ def test_text_mode_shielding(verdict):
         if not (other.regression != pred.regression).any():
             continue
         trials += 1
-        text_val = total_loss(other, target, text, with_gradients=False)
-        plain_val = total_loss(other, target, plain, with_gradients=False)
+        text_val = total_loss(other, target, text)
+        plain_val = total_loss(other, target, plain)
         invariant &= text_val.total == base_text.total
         invariant &= text_val.l1 == base_text.l1 and text_val.l2 == base_text.l2
         moved |= plain_val.total != base_plain.total

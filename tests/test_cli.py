@@ -11,6 +11,8 @@ from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError
 from midlines.geometry import OrientedBox, Point2
 
+from test_gradcheck import bias_every_loss
+
 DOTA_SCENE = """imagesource:GoogleEarth
 gsd:0.15
 100 80 160 80 160 120 100 120 plane 0
@@ -82,6 +84,28 @@ def test_tile_autodetects_icdar_and_keeps_going_after_bad_file(tmp_path, capsys)
     assert "broken.txt" in out
     data = json.loads((tmp_path / "t" / "img7__0_0.json").read_text())
     assert data[0]["objects"][0]["class"] == "text"
+
+
+# A dart: its corners turn both ways, but no two of its edges cross.
+DART_LINE = "200 200 260 210 220 220 260 260 plane 0\n"
+
+
+def test_tile_skips_a_dart_and_the_chain_scores_the_tiles(tmp_path, capsys):
+    labels = write_labels(tmp_path)
+    (labels / "P0001.txt").write_text(DOTA_SCENE + DART_LINE, encoding="utf-8")
+    tiles, maps, dets = tmp_path / "tiles", tmp_path / "maps", tmp_path / "dets.json"
+    code, out = run(capsys, "tile", "--input", labels, "--out", tiles)
+    assert code == 0
+    assert "file=P0001.txt warning='line 8: non-convex" in out
+    corners = [
+        obj["corners"] for path in tiles.glob("*.json")
+        for obj in json.loads(path.read_text())[0]["objects"]
+    ]
+    assert [200, 200, 260, 210, 220, 220, 260, 260] not in corners
+    assert run(capsys, "encode", "--gt", tiles, "--out", maps)[0] == 0
+    assert run(capsys, "decode", "--maps", maps, "--out", dets)[0] == 0
+    code, out = run(capsys, "eval", "--gt", tiles, "--dets", dets)
+    assert code == 0, out
 
 
 # --- encode -----------------------------------------------------------------------
@@ -165,6 +189,35 @@ def test_roundtrip_bad_image_is_reported_and_others_still_run(tmp_path, capsys):
     assert code == 1
     assert "image=bad error=" in out
     assert "objects=1" in out and "fraction=1.000000" in out
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"image_id": "z", "width": 0, "height": 10, "objects": []}, "image 'z': width 0 below 1"),
+    ({"image_id": "z", "width": 10, "height": -3, "objects": []}, "image 'z': height -3 below 1"),
+    ({"width": 10, "height": 10, "objects": []}, "image #0: missing field 'image_id'"),
+    ({"image_id": "z", "height": 10}, "image #0: missing field 'width'"),
+    ({"image_id": "z", "width": 10, "objects": []}, "image #0: missing field 'height'"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [{"class": "plane"}]},
+     "image 'z' object 0: missing field 'corners'"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [PLANE, {"corners": [0] * 8}]},
+     "image 'z' object 1: missing field 'class'"),
+    ("z", "image #0: missing field 'image_id'"),
+], ids=[
+    "zero-width", "negative-height", "no-image_id", "no-width", "no-height",
+    "object-without-corners", "object-without-class", "entry-not-an-object",
+])
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_malformed_gt_entry_is_validation_error(tmp_path, capsys, command, entry, message):
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([entry]), encoding="utf-8")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == f"error={message}\n"
 
 
 def test_encode_class_outside_vocabulary(tmp_path, capsys):
@@ -259,6 +312,44 @@ def test_decode_rejects_non_finite_tensor(tmp_path, capsys, tensor, value):
     assert out.startswith("error=") and tensor in out
 
 
+@pytest.mark.parametrize("value", [1.5, -0.5])
+@pytest.mark.parametrize("tensor", ["hm_b1", "hm_b2"])
+def test_decode_rejects_heatmap_outside_unit_interval(tmp_path, capsys, tensor, value):
+    gt = make_gt(tmp_path, [PLANE])
+    run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")
+    container = tmp_path / "maps" / "img"
+    path = container / f"{tensor}.f32"
+    data = np.fromfile(path, dtype="<f4")
+    data[len(data) // 2] = value
+    data.tofile(path)
+    with pytest.raises(MidlinesError, match=f"{tensor}: values outside"):
+        read_maps(container)
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 2
+    assert out.startswith("error=") and tensor in out
+
+
+def test_decode_drops_near_parallel_midlines(tmp_path, capsys):
+    # Offsets exact in float32 whose two midlines differ in direction by one
+    # unit in the last place; at this cell the rebuilt corners round to a
+    # zero-area quad, which decode drops as degenerate.
+    maps = TargetMaps(
+        stride=4, num_classes=1, width=64, height=64, image_w=256, image_h=256,
+        heatmap=np.zeros((2, 1, 64, 64)), regression=np.zeros((2, 8, 64, 64)),
+        reg_mask=np.zeros((2, 64, 64), dtype=bool), n_objects=0,
+    )
+    maps.heatmap[0, 0, 32, 21] = 0.9
+    maps.regression[0, :, 32, 21] = [
+        0.6419510841369629, -0.3967475891113281, -0.6419510841369629, 0.3967475891113281,
+        1.038698673248291, -0.6419510841369629, -1.038698673248291, 0.6419510841369629,
+    ]
+    write_maps(maps, tmp_path / "c", ["plane"])
+    code, out = run(capsys, "decode", "--maps", tmp_path / "c", "--out", tmp_path / "d.json")
+    assert code == 0
+    assert "detections=0 dropped_degenerate=1" in out
+    assert json.loads((tmp_path / "d.json").read_text()) == []
+
+
 def test_decode_validates_threshold_and_input(tmp_path, capsys):
     code, _ = run(
         capsys, "decode", "--maps", tmp_path, "--out", tmp_path / "d.json",
@@ -320,10 +411,13 @@ def test_gradcheck_passes_and_prints_per_loss(tmp_path, capsys):
     assert lines[0].startswith("loss=focal_ip")
 
 
-def test_gradcheck_negative_control_fails(tmp_path, capsys):
-    code, out = run(capsys, "gradcheck", "--samples", 1, "--perturb-grad", "0.05")
+def test_gradcheck_negative_control_fails(tmp_path, capsys, monkeypatch):
+    bias_every_loss(monkeypatch, 0.05)
+    code, out = run(capsys, "gradcheck", "--samples", 1)
     assert code == 1
-    assert "status=fail" in out
+    lines = out.strip().splitlines()
+    assert len(lines) == 6
+    assert all("status=fail" in line for line in lines)
 
 
 def test_gradcheck_zero_samples_is_validation_error(tmp_path, capsys):
@@ -399,6 +493,27 @@ def test_eval_classes_flag_is_a_comma_separated_vocabulary(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["map"] == 1.0
     assert report["per_class_ap"]["plane"] == 1.0
+
+
+@pytest.mark.parametrize("field", ["class", "corners", "score"])
+def test_eval_detection_record_missing_a_field(tmp_path, capsys, field):
+    gt = make_gt(tmp_path, [PLANE])
+    record = {"class": "plane", "score": 1.0, "corners": PLANE["corners"]}
+    del record[field]
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps([record, record]), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", gt, "--dets", bad)
+    assert code == 1
+    assert out == f"error=detection #0: missing field {field!r}\n"
+
+
+def test_eval_non_convex_box_is_validation_error(tmp_path, capsys):
+    dart = dict(PLANE, corners=[100, 80, 160, 90, 120, 100, 160, 140])
+    good_gt, dart_gt = make_gt(tmp_path, [PLANE]), make_gt(tmp_path, [dart], name="dart.json")
+    for gt, dets in ((dart_gt, good_gt), (good_gt, dart_gt)):
+        code, out = run(capsys, "eval", "--gt", gt, "--dets", dets_from_gt(dets, tmp_path / "d.json"))
+        assert code == 1
+        assert out.startswith("error=") and "non-convex" in out
 
 
 def test_eval_validates_iou(tmp_path, capsys):

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from midlines.errors import NonConvexInput, UnknownClass
+from midlines.errors import UnknownClass
 from midlines.evaluation import (
     EvalReport,
     average_precision,
     evaluate,
     match_detections,
+    may_overlap,
     rotated_iou,
 )
 from midlines.geometry import (
@@ -56,12 +57,14 @@ def test_contained_box():
 
 
 def test_non_convex_input_raises():
-    dart = OrientedBox((Point2(0, 0), Point2(10, 1), Point2(3, 2), Point2(10, 10)))
+    # rotated_iou clips by each edge and so needs convex boxes; the dart
+    # it used to reject itself is now refused when the box is built.
+    corners = (Point2(0, 0), Point2(10, 1), Point2(3, 2), Point2(10, 10))
+    for order in (corners, corners[::-1]):
+        with pytest.raises(ValueError, match="non-convex"):
+            OrientedBox(order)
     box = square(5, 5)
-    with pytest.raises(NonConvexInput):
-        rotated_iou(dart, box)
-    with pytest.raises(NonConvexInput):
-        rotated_iou(box, dart)
+    assert rotated_iou(box, box) == 1.0
 
 
 def random_box(rng):
@@ -79,6 +82,33 @@ def test_iou_symmetry_and_bounds():
         ba = rotated_iou(b, a)
         assert 0.0 <= ab <= 1.0
         assert abs(ab - ba) < 1e-12
+
+
+def test_may_overlap_marks_every_pair_with_non_zero_iou():
+    rng = np.random.default_rng(11)
+    a = [random_box(rng) for _ in range(40)]
+    b = [
+        rectangle(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(2, 20),
+                  rng.uniform(2, 20), rng.uniform(0, 180), class_id=int(rng.integers(0, 2)))
+        for _ in range(30)
+    ]
+    marked = may_overlap(a, b)
+    assert marked.shape == (40, 30) and marked.dtype == bool
+    for i, box_a in enumerate(a):
+        for j, box_b in enumerate(b):
+            if box_b.class_id != box_a.class_id:
+                assert not marked[i, j]
+            elif not marked[i, j]:
+                assert rotated_iou(box_a, box_b) == 0.0
+    assert 0 < marked.sum() < marked.size
+
+
+def test_may_overlap_bounds_are_closed_and_inputs_may_be_empty():
+    # Touching boxes are candidates even though their IoU is 0.
+    assert may_overlap([square(0, 0)], [square(2, 0)]).tolist() == [[True]]
+    assert not may_overlap([square(0, 0)], [square(2.5, 0)]).any()
+    assert may_overlap([], [square(0, 0)]).shape == (0, 1)
+    assert may_overlap([square(0, 0)], []).shape == (1, 0)
 
 
 def test_iou_is_rigid_motion_invariant():

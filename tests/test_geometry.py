@@ -13,10 +13,11 @@ from midlines.geometry import (
     Segment,
     _angle_deg,
     _midline_candidates,
+    _order_l1,
+    _order_l2,
     box_to_midlines,
     classify_branch,
     intersection_point,
-    is_convex,
     midlines_to_box,
     rectangle,
 )
@@ -325,7 +326,30 @@ def test_non_finite_points_are_rejected():
 
 
 def test_convexity_helper():
-    assert is_convex(RECT)
-    assert is_convex(SQUARE_45)
-    dart = OrientedBox((Point2(0, 0), Point2(10, 1), Point2(2, 2), Point2(10, 10)))
-    assert not is_convex(dart)
+    # A dart turns both ways without any two edges crossing, so no box
+    # that reaches the overlap routine can be one.
+    assert OrientedBox(RECT.corners) == RECT and OrientedBox(SQUARE_45.corners) == SQUARE_45
+    for tip in (Point2(2, 2), Point2(3, 2)):
+        corners = (Point2(0, 0), Point2(10, 1), tip, Point2(10, 10))
+        for order in (corners, corners[::-1]):
+            with pytest.raises(ValueError, match="non-convex"):
+                OrientedBox(order)
+
+
+def test_collinear_corners_are_allowed():
+    # A triangle with a corner on one edge has a zero turn, not a reflex one.
+    box = OrientedBox((Point2(0, 0), Point2(5, 0), Point2(10, 0), Point2(0, 10)))
+    assert box.area == 50.0
+
+
+def test_near_parallel_midlines_are_degenerate():
+    # float32-exact offsets whose cross product is one unit in the last
+    # place: the rebuilt corners round to a zero-area quad, which is a
+    # degenerate regression rather than a bad argument.
+    u = (0.6419510841369629, -0.3967475891113281)
+    v = (1.038698673248291, -0.6419510841369629)
+    base = Point2(84.0, 128.0)
+    ends = [base + Point2(*d) for d in (u, (-u[0], -u[1]), v, (-v[0], -v[1]))]
+    pair = MidlinePair(_order_l1(ends[0], ends[1]), _order_l2(ends[2], ends[3]), BranchId.HORIZONTAL)
+    with pytest.raises(DegenerateBox, match="zero-area"):
+        midlines_to_box(pair)

@@ -352,9 +352,6 @@ def test_total_loss_gradient_shapes_and_optionality():
     out = total_loss(pred, target)
     assert out.gradients["heatmap"].shape == pred.heatmap.shape
     assert out.gradients["regression"].shape == pred.regression.shape
-    bare = total_loss(pred, target, with_gradients=False)
-    assert bare.gradients == {}
-    assert bare.total == out.total
 
 
 def test_total_loss_text_mode_shields_vertical_gradient():
