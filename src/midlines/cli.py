@@ -25,13 +25,14 @@ from .decoder import Detection, decode
 from .encoder import TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
 from .evaluation import evaluate, may_overlap, rotated_iou
-from .geometry import OrientedBox, Point2, box_to_midlines
+from .geometry import OrientedBox, box_to_midlines
 from .gradcheck import run_gradchecks
 from .ingest import (
     AnnotatedImage,
     TileSpec,
     image_to_json,
     images_from_json,
+    json_box,
     parse_dota,
     parse_icdar,
     require_fields,
@@ -98,7 +99,10 @@ def _load_gt_images(
         if path.is_dir():
             data: list = []
             for child in sorted(path.glob("*.json")):
-                data.extend(json.loads(child.read_text(encoding="utf-8")))
+                part = json.loads(child.read_text(encoding="utf-8"))
+                if not isinstance(part, list):
+                    raise ValueError(f"{child.name}: ground-truth JSON must be an array of images")
+                data.extend(part)
         else:
             data = json.loads(path.read_text(encoding="utf-8"))
         return images_from_json(data, class_names)
@@ -272,6 +276,9 @@ def cmd_decode(
     if not 0.0 < threshold < 1.0:
         result.fail(VALIDATION_ERROR, error=f"threshold must be in (0, 1), got {threshold}")
         return result
+    if not 0.0 <= merge_iou <= 1.0:
+        result.fail(VALIDATION_ERROR, error=f"merge-iou must be in [0, 1], got {merge_iou}")
+        return result
     root = Path(maps_dir)
     single = (root / "manifest.json").is_file()
     containers = [root] if single else sorted(
@@ -293,7 +300,8 @@ def cmd_decode(
 
     try:
         outputs = _parallel_map(process, containers, jobs)
-    except (OSError, json.JSONDecodeError, MidlinesError) as err:
+    except (OSError, ValueError, MidlinesError) as err:
+        # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
         result.fail(IO_ERROR, error=err)
         return result
     records = [rec for recs, _ in outputs for rec in recs]
@@ -322,6 +330,9 @@ def cmd_roundtrip(
     only to well-resolved objects.
     """
     result = CommandResult()
+    if not 0.0 <= bar <= 1.0:
+        result.fail(VALIDATION_ERROR, error=f"bar must be in [0, 1], got {bar}")
+        return result
     images = _load_gt_images(result, Path(gt_json), None)
     if images is None:
         return result
@@ -400,6 +411,8 @@ def cmd_gradcheck(
 def _detections_by_image(
     records: list, class_names: Sequence[str]
 ) -> dict[str, list[OrientedBox]]:
+    if not isinstance(records, list):
+        raise ValueError("detections JSON must be an array of records")
     for n, r in enumerate(records):
         require_fields(r, ("class", "corners", "score"), f"detection #{n}")
     index = {name: i for i, name in enumerate(class_names)}
@@ -408,12 +421,7 @@ def _detections_by_image(
         raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
     grouped: dict[str, list[OrientedBox]] = {}
     for r in records:
-        c = r["corners"]
-        box = OrientedBox(
-            tuple(Point2(c[2 * i], c[2 * i + 1]) for i in range(4)),
-            class_id=index[r["class"]],
-            score=float(r["score"]),
-        )
+        box = json_box(r, index[r["class"]], score=float(r["score"]))
         grouped.setdefault(str(r.get("image_id", "")), []).append(box)
     return grouped
 

@@ -8,6 +8,7 @@ horizontal branch, branch 2 the oriented one.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from .errors import MidlinesError, ShapeMismatch
 
 TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
 
-_MANIFEST_FIELDS = ("stride", "num_classes", "width", "height", "image_w", "image_h", "class_names", "tensors")
+_MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image_h")
+_MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
 
 def _tensor_views(maps: TargetMaps) -> dict[str, np.ndarray]:
@@ -68,20 +70,45 @@ def write_maps(
     return path
 
 
+def _count(value, what: str, least: int) -> int:
+    """A manifest integer of at least `least`, or ShapeMismatch naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ShapeMismatch(f"manifest {what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     """Read a container back; inverse of write_maps up to float32 rounding.
 
-    Raises ShapeMismatch when a tensor file's size disagrees with its
+    Raises ShapeMismatch when a manifest field is missing or of the wrong
+    type (the six sizes are integers of at least 1), when class_names is
+    not num_classes strings, when a tensor file's size disagrees with its
     manifest shape or required tensors are missing, and MidlinesError when
     a tensor holds NaN or infinity or a heatmap holds a value outside
     [0, 1]; missing files surface as FileNotFoundError.
     """
     root = Path(container_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ShapeMismatch("manifest must be a JSON object")
     for field in _MANIFEST_FIELDS:
         if field not in manifest:
             raise ShapeMismatch(f"manifest missing field {field!r}")
-    by_name = {t["name"]: t for t in manifest["tensors"]}
+    sizes = {field: _count(manifest[field], field, 1) for field in _MANIFEST_SIZES}
+    height, width, num_classes = sizes["height"], sizes["width"], sizes["num_classes"]
+    class_names = manifest["class_names"]
+    if not (
+        isinstance(class_names, list)
+        and len(class_names) == num_classes
+        and all(isinstance(n, str) for n in class_names)
+    ):
+        raise ShapeMismatch(f"manifest class_names must be a list of {num_classes} strings")
+    entries = manifest["tensors"]
+    if not isinstance(entries, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("name"), str) for t in entries
+    ):
+        raise ShapeMismatch("manifest tensors must be a list of objects with a name")
+    by_name = {t["name"]: t for t in entries}
     missing = [n for n in TENSOR_NAMES if n not in by_name]
     if missing:
         raise ShapeMismatch(f"manifest missing tensors {missing}")
@@ -89,9 +116,11 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     arrays: dict[str, np.ndarray] = {}
     for name in TENSOR_NAMES:
         entry = by_name[name]
-        shape = tuple(int(s) for s in entry["shape"])
+        if not isinstance(entry.get("file"), str) or not isinstance(entry.get("shape"), list):
+            raise ShapeMismatch(f"tensor {name}: manifest entry needs a file name and a shape list")
+        shape = tuple(_count(s, f"tensor {name} shape entry", 0) for s in entry["shape"])
         raw = np.fromfile(root / entry["file"], dtype="<f4")
-        if raw.size != int(np.prod(shape)):
+        if raw.size != math.prod(shape):
             raise ShapeMismatch(
                 f"tensor {name}: file holds {raw.size} values, manifest says {shape}"
             )
@@ -101,8 +130,6 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
         arrays[name] = raw.reshape(shape).astype(np.float64)
 
-    height, width = int(manifest["height"]), int(manifest["width"])
-    num_classes = int(manifest["num_classes"])
     expected = {
         "hm_b1": (num_classes, height, width),
         "hm_b2": (num_classes, height, width),
@@ -116,15 +143,15 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             raise ShapeMismatch(f"tensor {name}: shape {arrays[name].shape}, expected {shape}")
 
     maps = TargetMaps(
-        stride=int(manifest["stride"]),
+        stride=sizes["stride"],
         num_classes=num_classes,
         width=width,
         height=height,
-        image_w=int(manifest["image_w"]),
-        image_h=int(manifest["image_h"]),
+        image_w=sizes["image_w"],
+        image_h=sizes["image_h"],
         heatmap=np.stack([arrays["hm_b1"], arrays["hm_b2"]]),
         regression=np.stack([arrays["reg_b1"], arrays["reg_b2"]]),
         reg_mask=np.stack([arrays["mask_b1"], arrays["mask_b2"]]) > 0.5,
         n_objects=0,
     )
-    return maps, [str(n) for n in manifest["class_names"]]
+    return maps, class_names

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -300,17 +301,60 @@ def infer_vocabulary(class_strings: set[str]) -> list[str]:
     return sorted(class_strings)
 
 
+def _is_number(value) -> bool:
+    """A real JSON number that fits a float (a bool is not one)."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
+# The type each checked field of the GT and detections JSON must hold.
+_FIELD_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    # encode names a directory after it, so it may not leave --out.
+    "image_id": (
+        lambda v: str(v) not in ("", ".", "..") and "/" not in str(v) and "\0" not in str(v),
+        "a plain file name",
+    ),
+    "width": (_is_integer, "an integer"),
+    "height": (_is_integer, "an integer"),
+    "class": (lambda v: isinstance(v, str), "a string"),
+    "score": (_is_number, "a number"),
+    "corners": (
+        lambda v: isinstance(v, list) and len(v) == 8 and all(map(_is_number, v)),
+        "a list of 8 numbers",
+    ),
+}
+
+
 def require_fields(record, fields: Sequence[str], where: str) -> None:
-    """Raise ValueError naming `where` and the first of `fields` the record lacks."""
+    """Raise ValueError naming `where` and the first of `fields` the record
+    lacks or holds with the wrong type."""
     for name in fields:
         if not isinstance(record, dict) or name not in record:
             raise ValueError(f"{where}: missing field {name!r}")
+        is_type, kind = _FIELD_TYPES.get(name, (None, ""))
+        if is_type is not None and not is_type(record[name]):
+            raise ValueError(f"{where}: {name} must be {kind}, got {record[name]!r}")
+
+
+def json_box(record: dict, class_id: int, **fields) -> OrientedBox:
+    """The box of a GT object or detection record whose `corners` passed
+    require_fields: x0 y0 ... x3 y3."""
+    c = record["corners"]
+    return OrientedBox(
+        tuple(Point2(c[i], c[i + 1]) for i in range(0, 8, 2)), class_id=class_id, **fields
+    )
 
 
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
     """Rebuild annotated images from the normalized JSON array.
 
-    A missing field or a size below 1 raises ValueError naming the image.
+    A missing field, a field of the wrong type or a size below 1 raises
+    ValueError naming the image.
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
@@ -318,8 +362,10 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
         require_fields(entry, ("image_id", "width", "height"), f"image #{n}")
         where = f"image {entry['image_id']!r}"
         for name in ("width", "height"):
-            if int(entry[name]) < 1:
+            if entry[name] < 1:
                 raise ValueError(f"{where}: {name} {entry[name]} below 1")
+        if not isinstance(entry.get("objects", []), list):
+            raise ValueError(f"{where}: objects must be a list")
         for k, obj in enumerate(entry.get("objects", ())):
             require_fields(obj, ("class", "corners"), f"{where} object {k}")
     if class_names is None:
@@ -333,13 +379,8 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
             name = obj["class"]
             if name not in index:
                 raise UnknownClass(f"class {name!r} not in vocabulary {list(class_names)}")
-            c = obj["corners"]
             objects.append(
-                OrientedBox(
-                    tuple(Point2(c[2 * i], c[2 * i + 1]) for i in range(4)),
-                    class_id=index[name],
-                    difficult=bool(obj.get("difficult", False)),
-                )
+                json_box(obj, index[name], difficult=bool(obj.get("difficult", False)))
             )
         images.append(
             AnnotatedImage(

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from midlines.cli import main
 from midlines.container import TENSOR_NAMES, read_maps, write_maps
 from midlines.encoder import TargetMaps, encode_image
-from midlines.errors import MidlinesError
+from midlines.errors import MidlinesError, ShapeMismatch
 from midlines.geometry import OrientedBox, Point2
 
 from test_gradcheck import bias_every_loss
@@ -202,9 +203,31 @@ def test_roundtrip_bad_image_is_reported_and_others_still_run(tmp_path, capsys):
     ({"image_id": "z", "width": 10, "height": 10, "objects": [PLANE, {"corners": [0] * 8}]},
      "image 'z' object 1: missing field 'class'"),
     ("z", "image #0: missing field 'image_id'"),
+    ({"image_id": "z", "width": None, "height": 10}, "image #0: width must be an integer, got None"),
+    ({"image_id": "z", "width": 10, "height": [10]}, "image #0: height must be an integer, got [10]"),
+    ({"image_id": "z", "width": 1.5, "height": 10}, "image #0: width must be an integer, got 1.5"),
+    ({"image_id": "z", "width": "10", "height": 10}, "image #0: width must be an integer, got '10'"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": None}, "image 'z': objects must be a list"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": {"class": "plane"}},
+     "image 'z': objects must be a list"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, corners=[1, 2, 3])]},
+     "image 'z' object 0: corners must be a list of 8 numbers, got [1, 2, 3]"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, corners=["1"] * 8)]},
+     "image 'z' object 0: corners must be a list of 8 numbers, got ['1', '1', '1', '1', '1', '1', '1', '1']"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, corners=None)]},
+     "image 'z' object 0: corners must be a list of 8 numbers, got None"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, **{"class": ["plane"]})]},
+     "image 'z' object 0: class must be a string, got ['plane']"),
+    ({"image_id": "../z", "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got '../z'"),
+    ({"image_id": "", "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got ''"),
+    ({"image_id": "a\x00b", "width": 10, "height": 10},
+     "image #0: image_id must be a plain file name, got 'a\\x00b'"),
 ], ids=[
     "zero-width", "negative-height", "no-image_id", "no-width", "no-height",
     "object-without-corners", "object-without-class", "entry-not-an-object",
+    "null-width", "list-height", "fractional-width", "string-width",
+    "null-objects", "objects-not-a-list", "short-corners", "string-corners",
+    "null-corners", "list-class", "image_id-leaves-out-dir", "empty-image_id", "nul-in-image_id",
 ])
 @pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
 def test_malformed_gt_entry_is_validation_error(tmp_path, capsys, command, entry, message):
@@ -218,6 +241,28 @@ def test_malformed_gt_entry_is_validation_error(tmp_path, capsys, command, entry
     code, out = run(capsys, command, "--gt", gt, *extra)
     assert code == 1
     assert out == f"error={message}\n"
+
+
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_gt_directory_file_that_is_not_an_array_is_validation_error(tmp_path, capsys, command):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    make_gt(gt, [PLANE], name="a.json")
+    (gt / "b.json").write_text("7", encoding="utf-8")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(gt / "a.json", tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == "error=b.json: ground-truth JSON must be an array of images\n"
+
+
+def test_gt_size_written_as_an_integral_float_is_accepted(tmp_path, capsys):
+    gt = make_gt(tmp_path, [PLANE], width=256.0, height=256.0)
+    code, out = run(capsys, "roundtrip", "--gt", gt)
+    assert code == 0 and "fraction=1.000000" in out
 
 
 def test_encode_class_outside_vocabulary(tmp_path, capsys):
@@ -350,6 +395,91 @@ def test_decode_drops_near_parallel_midlines(tmp_path, capsys):
     assert json.loads((tmp_path / "d.json").read_text()) == []
 
 
+def encode_plane(tmp_path, capsys):
+    run(capsys, "encode", "--gt", make_gt(tmp_path, [PLANE]), "--out", tmp_path / "maps")
+    return tmp_path / "maps" / "img"
+
+
+def set_stride(m, v):
+    m["stride"] = v
+
+
+def set_class_names(m, v):
+    m["class_names"] = v
+
+
+def set_tensors(m, v):
+    m["tensors"] = v
+
+
+def set_shape_entry(m, v):
+    m["tensors"][0]["shape"][1] = v
+
+
+def drop_tensor_key(key):
+    def edit(m, v):
+        del m["tensors"][2][key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, value, message", [
+    (set_stride, 0, "stride must be an integer >= 1, got 0"),
+    (set_stride, -4, "stride must be an integer >= 1, got -4"),
+    (set_stride, "4", "stride must be an integer >= 1, got '4'"),
+    (set_stride, 4.5, "stride must be an integer >= 1, got 4.5"),
+    (set_stride, None, "stride must be an integer >= 1, got None"),
+    (set_shape_entry, "64", "tensor hm_b1 shape entry must be an integer >= 0, got '64'"),
+    (set_shape_entry, 6.5, "tensor hm_b1 shape entry must be an integer >= 0, got 6.5"),
+    (drop_tensor_key("name"), None, "tensors must be a list of objects with a name"),
+    (drop_tensor_key("file"), None, "tensor reg_b1: manifest entry needs a file name and a shape list"),
+    (set_tensors, {"name": "hm_b1"}, "tensors must be a list of objects with a name"),
+    (set_tensors, "hm_b1", "tensors must be a list of objects with a name"),
+    (set_class_names, ["plane"], "class_names must be a list of 15 strings"),
+    (set_class_names, "plane", "class_names must be a list of 15 strings"),
+], ids=[
+    "zero-stride", "negative-stride", "string-stride", "fractional-stride", "null-stride",
+    "string-shape", "fractional-shape", "tensor-without-name", "tensor-without-file",
+    "tensors-an-object", "tensors-a-string", "short-class_names", "class_names-a-string",
+])
+def test_decode_rejects_malformed_manifest(tmp_path, capsys, edit, value, message):
+    container = encode_plane(tmp_path, capsys)
+    path = container / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest, value)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ShapeMismatch, match=re.escape(message)):
+        read_maps(container)
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 2
+    assert out.startswith("error=") and message in out
+
+
+@pytest.mark.parametrize("corrupt", ["not-utf-8", "nul-in-file-name"])
+def test_decode_unreadable_manifest_is_io_error(tmp_path, capsys, corrupt):
+    container = encode_plane(tmp_path, capsys)
+    path = container / "manifest.json"
+    if corrupt == "not-utf-8":
+        path.write_bytes(b"\xff\xfe")
+    else:
+        manifest = json.loads(path.read_text())
+        manifest["tensors"][0]["file"] = "hm\x00b1.f32"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 2
+    assert out.startswith("error=")
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+def test_decode_validates_merge_iou_range(tmp_path, capsys, value):
+    container = encode_plane(tmp_path, capsys)
+    code, out = run(
+        capsys, "decode", "--maps", container, "--out", tmp_path / "d.json", "--merge-iou", value
+    )
+    assert code == 1
+    assert out == f"error=merge-iou must be in [0, 1], got {float(value)}\n"
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_decode_validates_threshold_and_input(tmp_path, capsys):
     code, _ = run(
         capsys, "decode", "--maps", tmp_path, "--out", tmp_path / "d.json",
@@ -397,6 +527,13 @@ def test_roundtrip_fails_when_regions_merge(tmp_path, capsys):
     code, out = run(capsys, "roundtrip", "--gt", gt)
     assert code == 1
     assert "status=fail" in out
+
+
+@pytest.mark.parametrize("value", ["-3", "1.01", "nan"])
+def test_roundtrip_validates_bar_range(tmp_path, capsys, value):
+    code, out = run(capsys, "roundtrip", "--gt", make_gt(tmp_path, [PLANE]), "--bar", value)
+    assert code == 1
+    assert out == f"error=bar must be in [0, 1], got {float(value)}\n"
 
 
 # --- gradcheck --------------------------------------------------------------------
@@ -505,6 +642,37 @@ def test_eval_detection_record_missing_a_field(tmp_path, capsys, field):
     code, out = run(capsys, "eval", "--gt", gt, "--dets", bad)
     assert code == 1
     assert out == f"error=detection #0: missing field {field!r}\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"corners": [1, 2, 3]}, "corners must be a list of 8 numbers, got [1, 2, 3]"),
+    ({"corners": [None] * 8}, "corners must be a list of 8 numbers, got [None, None"),
+    ({"corners": "0 0 1 0 1 1 0 1"}, "corners must be a list of 8 numbers, got '0 0 1 0 1 1 0 1'"),
+    ({"class": ["plane"]}, "class must be a string, got ['plane']"),
+    ({"score": None}, "score must be a number, got None"),
+    ({"score": "0.5"}, "score must be a number, got '0.5'"),
+    ({"score": [1]}, "score must be a number, got [1]"),
+], ids=[
+    "short-corners", "null-corners", "string-corners", "list-class",
+    "null-score", "string-score", "list-score",
+])
+def test_eval_detection_record_with_a_field_of_the_wrong_type(tmp_path, capsys, change, message):
+    gt = make_gt(tmp_path, [PLANE])
+    record = {"class": "plane", "score": 1.0, "corners": PLANE["corners"]}
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps([record, dict(record, **change)]), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", gt, "--dets", bad)
+    assert code == 1
+    assert out.startswith(f"error=detection #1: {message}")
+
+
+@pytest.mark.parametrize("records", [7, None, "plane"])
+def test_eval_detections_that_are_not_an_array(tmp_path, capsys, records):
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps(records), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
+    assert code == 1
+    assert out == "error=detections JSON must be an array of records\n"
 
 
 def test_eval_non_convex_box_is_validation_error(tmp_path, capsys):

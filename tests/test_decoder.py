@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from midlines.decoder import (
     Detection,
-    component_to_detection,
     decode,
     extract_components,
     merge_branches,
@@ -44,8 +45,22 @@ def corner_set(box):
 # --- extract_components -----------------------------------------------------------
 
 
+def components(grid, threshold=0.3):
+    """extract_components on one channel: (cell set, score) per component."""
+    heatmap = np.zeros((2, 1, *grid.shape))
+    heatmap[0, 0] = grid
+    labels, lookup, scores = extract_components(heatmap, threshold)
+    assert len(lookup) == len(scores) == labels.max()
+    return [
+        (set(map(tuple, np.argwhere(labels[0, 0] == k + 1))), score)
+        for k, score in enumerate(scores)
+    ]
+
+
 def test_empty_grid_has_no_components():
-    assert extract_components(np.zeros((10, 10))) == []
+    labels, lookup, scores = extract_components(np.zeros((2, 3, 10, 10)))
+    assert labels.shape == (2, 3, 10, 10) and not labels.any()
+    assert lookup.shape == (0, 3) and scores.shape == (0,)
 
 
 def test_two_blocks_with_scores():
@@ -53,60 +68,85 @@ def test_two_blocks_with_scores():
     grid[2:4, 2:4] = 0.6
     grid[2, 3] = 0.8
     grid[8:10, 0:2] = 0.5
-    comps = extract_components(grid, threshold=0.3)
-    assert len(comps) == 2
-    first, second = comps
-    assert set(map(tuple, first.cells)) == {(2, 2), (2, 3), (3, 2), (3, 3)}
-    assert first.score == 0.8
-    assert set(map(tuple, second.cells)) == {(8, 0), (8, 1), (9, 0), (9, 1)}
-    assert second.score == 0.5
+    assert components(grid) == [
+        ({(2, 2), (2, 3), (3, 2), (3, 3)}, 0.8),
+        ({(8, 0), (8, 1), (9, 0), (9, 1)}, 0.5),
+    ]
 
 
 def test_diagonal_cells_join_one_component():
     grid = np.zeros((5, 5))
     grid[0, 0] = 0.9
     grid[1, 1] = 0.9
-    comps = extract_components(grid)
-    assert len(comps) == 1
-    assert set(map(tuple, comps[0].cells)) == {(0, 0), (1, 1)}
+    assert [cells for cells, _ in components(grid)] == [{(0, 0), (1, 1)}]
 
 
 def test_threshold_is_strict():
     grid = np.zeros((4, 4))
     grid[1, 1] = 0.3
     grid[2, 2] = 0.3000001
-    comps = extract_components(grid, threshold=0.3)
-    assert len(comps) == 1
-    assert set(map(tuple, comps[0].cells)) == {(2, 2)}
+    assert [cells for cells, _ in components(grid, threshold=0.3)] == [{(2, 2)}]
 
 
 def test_components_ordered_by_first_cell_scan_position():
-    grid = np.zeros((6, 6))
-    grid[0, 5] = 0.9  # first in scan order despite the rightmost column
-    grid[2, 0] = 0.9
-    grid[4, 3] = 0.9
-    comps = extract_components(grid)
-    firsts = [tuple(c.cells[0]) for c in comps]
-    assert firsts == [(0, 5), (2, 0), (4, 3)]
+    heatmap = np.zeros((2, 2, 6, 6))
+    heatmap[1, 0, 0, 0] = 0.9  # last: oriented branch
+    heatmap[0, 1, 0, 0] = 0.9  # after every class-0 component of its branch
+    heatmap[0, 0, 0, 5] = 0.9  # first in scan order despite the rightmost column
+    heatmap[0, 0, 2, 0] = 0.9
+    heatmap[0, 0, 4, 3] = 0.9
+    _, lookup, _ = extract_components(heatmap)
+    assert lookup.tolist() == [[0, 0, 5], [0, 2, 0], [0, 4, 3], [1, 0, 0], [2, 0, 0]]
 
 
 def test_components_carry_class_and_branch():
-    grid = np.zeros((4, 4))
-    grid[1, 1] = 0.9
-    (comp,) = extract_components(grid, class_id=7, branch=BranchId.ORIENTED)
-    assert comp.class_id == 7
-    assert comp.branch is BranchId.ORIENTED
+    heatmap = np.zeros((2, 9, 4, 4))
+    heatmap[BranchId.ORIENTED.index, 7, 1, 1] = 0.9
+    _, lookup, scores = extract_components(heatmap)
+    assert lookup.tolist() == [[9 + 7, 1, 1]]  # flat channel b * C + c
+    assert scores.tolist() == [0.9]
+
+
+def test_components_never_join_across_channels():
+    # The same block in adjacent classes of both branches: four domains.
+    heatmap = np.zeros((2, 2, 6, 6))
+    heatmap[:, :, 2:4, 2:4] = 0.9
+    labels, lookup, _ = extract_components(heatmap)
+    assert lookup.tolist() == [[channel, 3, 3] for channel in range(4)]
+    for k, (b, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        assert set(zip(*np.nonzero(labels == k + 1))) == {
+            (b, c, row, col) for row in (2, 3) for col in (2, 3)
+        }
 
 
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(11)
     for _ in range(30):
         grid = (rng.random((20, 20)) > 0.65).astype(float) * 0.9
-        comps = extract_components(grid, threshold=0.3)
+        comps = components(grid, threshold=0.3)
         expected = flood_components(grid > 0.3)
         assert len(comps) == len(expected)
-        for comp, cells in zip(comps, expected):
-            assert set(map(tuple, comp.cells)) == cells
+        for (cells, _), oracle_cells in zip(comps, expected):
+            assert cells == oracle_cells
+
+
+def test_lookup_cells_and_scores_match_a_per_component_loop():
+    # Reference: flood fill channel by channel, then the centroid of each
+    # component's cells rounded half up, and its highest cell value.
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        heatmap = rng.random((2, 3, 16, 16))
+        heatmap[heatmap < 0.6] = 0.0
+        expected = []
+        for channel, grid in enumerate(heatmap.reshape(6, 16, 16)):
+            for cells in flood_components(grid > 0.3):
+                rows, cols = np.array(sorted(cells)).T
+                expected.append((
+                    [channel, math.floor(rows.mean() + 0.5), math.floor(cols.mean() + 0.5)],
+                    max(grid[r, c] for r, c in cells),
+                ))
+        _, lookup, scores = extract_components(heatmap)
+        assert list(zip(lookup.tolist(), scores.tolist())) == expected
 
 
 # --- reconstruction ---------------------------------------------------------------
@@ -134,13 +174,11 @@ def test_centroid_rounds_half_up_to_lookup_cell():
     assert det.score == 0.95
 
 
-def test_component_to_detection_uses_component_metadata():
-    reg = np.zeros((8, 20, 20))
-    write_box_offsets(reg, 3, 3, 4, half_w=6, half_h=3)
-    grid = np.zeros((20, 20))
-    grid[3, 3] = 0.7
-    (comp,) = extract_components(grid, class_id=2, branch=BranchId.ORIENTED)
-    det = component_to_detection(comp, reg, stride=4)
+def test_decode_reads_class_branch_and_score_from_channel():
+    maps = make_maps(height=20, width=20, num_classes=3)
+    write_box_offsets(maps.regression[1], 3, 3, 4, half_w=6, half_h=3)
+    maps.heatmap[1, 2, 3, 3] = 0.7
+    (det,) = decode(maps)
     assert det.class_id == 2
     assert det.score == 0.7
     assert det.branch is BranchId.ORIENTED
@@ -202,6 +240,10 @@ def test_decode_rejects_malformed_maps():
     maps.regression = maps.regression[:, :6]
     with pytest.raises(ShapeMismatch):
         decode(maps)
+    maps = make_maps(num_classes=2)
+    maps.num_classes = 3  # disagrees with the heatmap's class channels
+    with pytest.raises(ShapeMismatch, match="3 classes"):
+        decode(maps)
 
 
 def test_decode_empty_maps():
@@ -251,3 +293,22 @@ def test_decode_is_deterministic():
     assert [(d.class_id, d.branch) for d in first] == [
         (d.class_id, d.branch) for d in second
     ]
+
+
+def test_decode_keeps_same_cells_in_adjacent_classes_and_both_branches_apart():
+    # One block lit in classes 0 and 1 of both branches, each with its own
+    # box; with merging off, every channel gives its own detection.
+    maps = make_maps(num_classes=2)
+    maps.heatmap[:, :, 10:12, 10:12] = 0.9
+    for b, half_w in ((0, 20), (1, 16)):
+        for row in (10, 11):
+            for col in (10, 11):
+                write_box_offsets(maps.regression[b], row, col, 4, half_w=half_w, half_h=8)
+    dets = decode(maps, merge_iou=1.0)
+    assert [(d.branch, d.class_id) for d in dets] == [
+        (BranchId.HORIZONTAL, 0), (BranchId.HORIZONTAL, 1),
+        (BranchId.ORIENTED, 0), (BranchId.ORIENTED, 1),
+    ]
+    for d in dets:
+        half_w = 20 if d.branch is BranchId.HORIZONTAL else 16
+        assert corner_set(d.box) == corner_set(rectangle(44, 44, 2 * half_w, 16))

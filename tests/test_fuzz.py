@@ -1,0 +1,128 @@
+"""Malformed inputs end in exit 0, 1 or 2 with an error= line, never a traceback.
+
+Each example replaces one to three values inside a valid ground-truth JSON,
+detections JSON or container manifest (the whole document included) with
+null, a string, a list, a negative number or a short list, then runs the
+CLI in-process on the result.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from midlines.cli import main
+
+BOX = [8, 8, 40, 8, 40, 24, 8, 24]
+GT = [{
+    "image_id": "img", "width": 64, "height": 64,
+    "objects": [{"class": "plane", "corners": BOX, "difficult": False}],
+}]
+DETS = [{"class": "plane", "score": 0.9, "corners": BOX, "branch": 1, "image_id": "img"}]
+JUNK = [None, "x", "", [], [1, 2, 3], -1, -2.5, {"a": 1}]
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def paths(node, prefix=()):
+    """Every key path inside a JSON value, the empty path (the root) first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def edits(doc):
+    return st.lists(
+        st.tuples(st.sampled_from(list(paths(doc))), st.sampled_from(JUNK)),
+        min_size=1, max_size=3,
+    )
+
+
+def mutated(doc, changes):
+    """doc with each (path, value) change applied; a path an earlier change removed is skipped."""
+    doc = copy.deepcopy(doc)
+    for path, value in changes:
+        value = copy.deepcopy(value)
+        if not path:
+            doc = value
+            continue
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]]  # the slot must still exist
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    text = out.getvalue()
+    assert code in (0, 1, 2), text
+    if code != 0:
+        assert re.search(r"(^| )error=", text, re.MULTILINE), text
+    return code
+
+
+@FUZZ
+@given(edits(GT))
+def test_malformed_ground_truth_never_raises(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gt = write_json(tmp / "gt.json", mutated(GT, changes))
+        dets = write_json(tmp / "dets.json", DETS)
+        run_cli("encode", "--gt", gt, "--out", tmp / "maps")
+        run_cli("roundtrip", "--gt", gt, "--bar", "0")
+        run_cli("eval", "--gt", gt, "--dets", dets)
+
+
+@FUZZ
+@given(edits(DETS))
+def test_malformed_detections_never_raise(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gt = write_json(tmp / "gt.json", GT)
+        dets = write_json(tmp / "dets.json", mutated(DETS, changes))
+        run_cli("eval", "--gt", gt, "--dets", dets)
+        run_cli("eval", "--gt", gt, "--dets", dets, "--mode", "text")
+
+
+def valid_manifest():
+    with tempfile.TemporaryDirectory() as tmp:
+        gt = write_json(Path(tmp) / "gt.json", GT)
+        assert run_cli("encode", "--gt", gt, "--out", Path(tmp) / "maps") == 0
+        return json.loads((Path(tmp) / "maps" / "img" / "manifest.json").read_text())
+
+
+MANIFEST = valid_manifest()
+
+
+@FUZZ
+@given(edits(MANIFEST))
+def test_malformed_manifest_never_raises(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        run_cli("encode", "--gt", write_json(tmp / "gt.json", GT), "--out", tmp / "maps")
+        write_json(tmp / "maps" / "img" / "manifest.json", mutated(MANIFEST, changes))
+        run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
+        run_cli("decode", "--maps", tmp / "maps" / "img", "--out", tmp / "dets.json")
