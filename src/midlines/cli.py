@@ -63,6 +63,8 @@ class RunConfig:
             )
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not self.drift_r > 0.0:
+            raise ValueError(f"drift_r must be > 0, got {self.drift_r}")
 
 
 @dataclass
@@ -388,7 +390,7 @@ def cmd_gradcheck(
         reports = run_gradchecks(
             seed=seed, samples=samples, step=step, tolerance=tolerance
         )
-    except ValueError as err:
+    except (ValueError, MidlinesError) as err:
         result.fail(VALIDATION_ERROR, error=err)
         return result
     for report in reports:

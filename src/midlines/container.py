@@ -82,10 +82,12 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
 
     Raises ShapeMismatch when a manifest field is missing or of the wrong
     type (the six sizes are integers of at least 1), when class_names is
-    not num_classes strings, when a tensor file's size disagrees with its
-    manifest shape or required tensors are missing, and MidlinesError when
-    a tensor holds NaN or infinity or a heatmap holds a value outside
-    [0, 1]; missing files surface as FileNotFoundError.
+    not num_classes strings, when a tensor's file is not a plain file name
+    inside the container (empty, "." or "..", or holding "/" or NUL), when a
+    tensor file's size disagrees with its manifest shape or required tensors
+    are missing, and MidlinesError when a tensor holds NaN or infinity or a
+    heatmap holds a value outside [0, 1]; missing files surface as
+    FileNotFoundError.
     """
     root = Path(container_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -116,10 +118,14 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     arrays: dict[str, np.ndarray] = {}
     for name in TENSOR_NAMES:
         entry = by_name[name]
-        if not isinstance(entry.get("file"), str) or not isinstance(entry.get("shape"), list):
+        file = entry.get("file")
+        if not isinstance(file, str) or not isinstance(entry.get("shape"), list):
             raise ShapeMismatch(f"tensor {name}: manifest entry needs a file name and a shape list")
+        # A path would let a manifest read any file outside its container.
+        if file in ("", ".", "..") or "/" in file or "\0" in file:
+            raise ShapeMismatch(f"tensor {name}: file must be a plain file name, got {file!r}")
         shape = tuple(_count(s, f"tensor {name} shape entry", 0) for s in entry["shape"])
-        raw = np.fromfile(root / entry["file"], dtype="<f4")
+        raw = np.fromfile(root / file, dtype="<f4")
         if raw.size != math.prod(shape):
             raise ShapeMismatch(
                 f"tensor {name}: file holds {raw.size} values, manifest says {shape}"

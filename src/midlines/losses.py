@@ -74,12 +74,6 @@ def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-def _check_mask(shape: tuple[int, ...], mask: np.ndarray) -> np.ndarray:
-    if mask.shape != shape[1:]:
-        raise ShapeMismatch(f"mask shape {mask.shape} for maps {shape}")
-    return mask.astype(bool)
-
-
 def focal_ip_loss(
     pred_hm: np.ndarray,
     gt_hm: np.ndarray,
@@ -88,99 +82,90 @@ def focal_ip_loss(
 ) -> tuple[float, np.ndarray]:
     """Focal intersection-point heatmap loss.
 
-    -(1/N) * sum over cells of (1 - p)^a * log(p) at positives and
-    p^a * log(1 - p) at negatives. Predictions are clamped to
-    [eps, 1 - eps] before the logs; where the clamp is active the gradient
-    is zero.
+    -(1/N) * sum over cells of (1 - q)^a * log(q), where q is the
+    probability the prediction gives the cell's own label: p at positives,
+    1 - p at negatives. Predictions are clamped to [eps, 1 - eps] before the
+    log; where the clamp is active the gradient is zero.
     """
     if pred_hm.shape != gt_hm.shape:
         raise ShapeMismatch(f"pred {pred_hm.shape} vs gt {gt_hm.shape}")
-    if not np.isin(gt_hm, (0.0, 1.0)).all():
+    pos = gt_hm == 1.0
+    if not (pos | (gt_hm == 0.0)).all():
         raise NonBinaryGroundTruth("heatmap targets must be exactly 0 or 1")
     if n_objects < 1:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
     a = alpha_focal
     inside = (pred_hm > CLAMP_EPS) & (pred_hm < 1.0 - CLAMP_EPS)
-    p = np.clip(pred_hm, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    pos = gt_hm == 1.0
-    one_m_p = 1.0 - p
-    log_p = np.log(p)
-    log_1mp = np.log(one_m_p)
-    value = -(
-        np.where(pos, one_m_p**a * log_p, p**a * log_1mp).sum()
-    ) / n_objects
-    grad_pos = -(one_m_p**a / p - a * one_m_p ** (a - 1.0) * log_p)
-    grad_neg = -(a * p ** (a - 1.0) * log_1mp - p**a / one_m_p)
-    grad = np.where(pos, grad_pos, grad_neg) * inside / n_objects
-    return float(value), grad
+    # Buffers are updated in place: one more full-heatmap temporary (about
+    # 10 MB for 15 classes on an 800 px tile) raises a training step's peak.
+    q = np.clip(pred_hm, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    miss = q.copy()
+    np.subtract(1.0, q, out=miss, where=pos)
+    np.subtract(1.0, q, out=q, where=~pos)
+    log_q = np.log(q)
+    grad = miss**a
+    # d/dp of -(1 - q)^a log q, for q = p; the sign flips where q = 1 - p.
+    np.power(miss, a - 1.0, out=miss)
+    miss *= a
+    miss *= log_q
+    log_q *= grad
+    value = -float(log_q.sum()) / n_objects
+    del log_q
+    grad /= q
+    grad -= miss
+    np.negative(grad, out=grad, where=pos)
+    grad *= inside
+    grad /= n_objects
+    return value, grad
 
 
 def endpoint_loss(
-    pred_reg: np.ndarray,
-    target_reg: np.ndarray,
-    mask: np.ndarray,
-    n_objects: int,
+    pred: np.ndarray, target: np.ndarray, n_objects: int
 ) -> tuple[float, np.ndarray]:
-    """Smooth L1 over all eight offset channels at masked cells, / N."""
-    if pred_reg.shape != target_reg.shape:
-        raise ShapeMismatch(f"pred {pred_reg.shape} vs target {target_reg.shape}")
-    m = _check_mask(pred_reg.shape, mask)
-    n = max(n_objects, 1)
-    value, grad = _smooth_l1_arrays(pred_reg - target_reg)
-    value = value * m
-    grad = grad * m / n
-    return float(value.sum() / n), grad
+    """Smooth L1 over all eight offset channels of (8, K) offsets, / N."""
+    value, grad = _smooth_l1_arrays(pred - target)
+    return float(value.sum() / n_objects), grad / n_objects
 
 
-def collinear_loss(
-    pred_reg: np.ndarray,
-    mask: np.ndarray,
-    n_objects: int,
-) -> tuple[float, np.ndarray]:
+def collinear_loss(pred: np.ndarray, n_objects: int) -> tuple[float, np.ndarray]:
     """Penalty for a cell and its two predicted endpoints leaving one line.
 
     Per line, smooth L1 between the cross products dx_ep1 * dy_ep2 and
-    dx_ep2 * dy_ep1 of the offset vectors; exactly zero when the offsets
-    are antiparallel (the cell sits on the line through both endpoints).
+    dx_ep2 * dy_ep1 of the (8, K) offset vectors; exactly zero when the
+    offsets are antiparallel (the cell sits on the line through both
+    endpoints).
     """
-    m = _check_mask(pred_reg.shape, mask)
-    n = max(n_objects, 1)
     total = 0.0
-    grad = np.zeros_like(pred_reg)
+    grad = np.zeros_like(pred)
     for base in (0, 4):
-        x1, y1 = pred_reg[base + 0], pred_reg[base + 1]
-        x2, y2 = pred_reg[base + 2], pred_reg[base + 3]
+        x1, y1 = pred[base + 0], pred[base + 1]
+        x2, y2 = pred[base + 2], pred[base + 3]
         value, s = _smooth_l1_arrays(x1 * y2 - x2 * y1)
-        total += float((value * m).sum())
-        s = s * m / n
+        total += float(value.sum())
+        s = s / n_objects
         grad[base + 0] += s * y2
         grad[base + 3] += s * x1
         grad[base + 2] -= s * y1
         grad[base + 1] -= s * x2
-    return total / n, grad
+    return total / n_objects, grad
 
 
-def vertical_loss(
-    pred_reg: np.ndarray,
-    mask: np.ndarray,
-    n_objects: int,
-) -> tuple[float, np.ndarray]:
+def vertical_loss(pred: np.ndarray, n_objects: int) -> tuple[float, np.ndarray]:
     """Penalty for the two first-endpoint offsets leaving a right angle.
 
-    Smooth L1 between dot(offset to l1 ep1, offset to l2 ep1) and zero.
+    Smooth L1 between dot(offset to l1 ep1, offset to l2 ep1) and zero, over
+    (8, K) offsets.
     """
-    m = _check_mask(pred_reg.shape, mask)
-    n = max(n_objects, 1)
-    ax, ay = pred_reg[_L1_EP1_X], pred_reg[_L1_EP1_Y]
-    bx, by = pred_reg[_L2_EP1_X], pred_reg[_L2_EP1_Y]
+    ax, ay = pred[_L1_EP1_X], pred[_L1_EP1_Y]
+    bx, by = pred[_L2_EP1_X], pred[_L2_EP1_Y]
     value, s = _smooth_l1_arrays(ax * bx + ay * by)
-    s = s * m / n
-    grad = np.zeros_like(pred_reg)
+    s = s / n_objects
+    grad = np.zeros_like(pred)
     grad[_L1_EP1_X] = s * bx
     grad[_L1_EP1_Y] = s * by
     grad[_L2_EP1_X] = s * ax
     grad[_L2_EP1_Y] = s * ay
-    return float((value * m).sum() / n), grad
+    return float(value.sum() / n_objects), grad
 
 
 def line_loss(
@@ -192,15 +177,24 @@ def line_loss(
 ) -> LossValue:
     """Endpoint + alpha * collinearity + beta * perpendicularity.
 
-    In text mode the perpendicularity term is shielded: its value is still
-    reported, but it contributes nothing to total or gradient.
+    pred_reg and target_reg are (..., 8, H, W) offset maps, mask is the
+    (..., H, W) regression mask; every term sums over the masked cells only,
+    and the gradient is zero at every other cell. In text mode the
+    perpendicularity term is shielded: its value is still reported, but it
+    contributes nothing to total or gradient.
     """
-    v1, g1 = endpoint_loss(pred_reg, target_reg, mask, n_objects)
-    v2, g2 = collinear_loss(pred_reg, mask, n_objects)
-    v3, g3 = vertical_loss(pred_reg, mask, n_objects)
+    shape, mask = pred_reg.shape, np.asarray(mask, dtype=bool)
+    if target_reg.shape != shape or shape[-3:-2] != (8,) or mask.shape != shape[:-3] + shape[-2:]:
+        raise ShapeMismatch(f"pred {shape}, target {target_reg.shape}, mask {mask.shape}")
+    n = max(n_objects, 1)
+    pred = np.moveaxis(pred_reg, -3, 0)[:, mask]
+    v1, g1 = endpoint_loss(pred, np.moveaxis(target_reg, -3, 0)[:, mask], n)
+    v2, g2 = collinear_loss(pred, n)
+    v3, g3 = vertical_loss(pred, n)
     beta = 0.0 if weights.text_mode else weights.beta
+    grad = np.zeros_like(pred_reg)
+    np.moveaxis(grad, -3, 0)[:, mask] = g1 + weights.alpha * g2 + beta * g3
     total = v1 + weights.alpha * v2 + beta * v3
-    grad = g1 + weights.alpha * g2 + beta * g3
     return LossValue(
         total=total, ip=0.0, l1=v1, l2=v2, l3=v3, gradients={"regression": grad}
     )
@@ -217,34 +211,13 @@ def total_loss(
     term. Gradients come back under keys "heatmap" and "regression" in the
     prediction's shapes.
     """
-    if pred.heatmap.shape != target.heatmap.shape:
-        raise ShapeMismatch(
-            f"heatmap {pred.heatmap.shape} vs {target.heatmap.shape}"
-        )
-    if pred.regression.shape != target.regression.shape:
-        raise ShapeMismatch(
-            f"regression {pred.regression.shape} vs {target.regression.shape}"
-        )
     n = max(target.n_objects, 1)
-    ip_total = line_total = 0.0
-    l1_total = l2_total = l3_total = 0.0
-    hm_grad = np.zeros_like(pred.heatmap)
-    reg_grad = np.zeros_like(pred.regression)
-    for b in range(2):
-        ip_v, hm_grad[b] = focal_ip_loss(
-            pred.heatmap[b], target.heatmap[b], n, weights.alpha_focal
-        )
-        line = line_loss(
-            pred.regression[b], target.regression[b], target.reg_mask[b], n, weights
-        )
-        ip_total += ip_v
-        line_total += line.total
-        l1_total += line.l1
-        l2_total += line.l2
-        l3_total += line.l3
-        reg_grad[b] = weights.gamma * line.gradients["regression"]
+    ip, hm_grad = focal_ip_loss(pred.heatmap, target.heatmap, n, weights.alpha_focal)
+    line = line_loss(pred.regression, target.regression, target.reg_mask, n, weights)
+    reg_grad = line.gradients["regression"]
+    reg_grad *= weights.gamma
     return LossValue(
-        total=ip_total + weights.gamma * line_total,
-        ip=ip_total, l1=l1_total, l2=l2_total, l3=l3_total,
+        total=ip + weights.gamma * line.total,
+        ip=ip, l1=line.l1, l2=line.l2, l3=line.l3,
         gradients={"heatmap": hm_grad, "regression": reg_grad},
     )

@@ -153,11 +153,10 @@ def test_gradient_checks(verdict):
 
 def test_hand_computed_loss_values(verdict):
     focal, _ = focal_ip_loss(np.array([[0.5]]), np.array([[1.0]]), 1)
-    one_cell = np.ones((1, 1), dtype=bool)
     reg_col = np.array([30.0, 1.0, -30.0, 0.0, 0.0, -5.0, 0.0, 5.0]).reshape(8, 1, 1)
-    col, _ = collinear_loss(reg_col, one_cell, 1)
+    col, _ = collinear_loss(reg_col, 1)
     reg_ver = np.array([30.0, 0.0, -30.0, 0.0, 2.0, -20.0, -2.0, 20.0]).reshape(8, 1, 1)
-    ver, _ = vertical_loss(reg_ver, one_cell, 1)
+    ver, _ = vertical_loss(reg_ver, 1)
     err_focal = abs(focal - 0.173286)
     err_col = abs(col - 29.5)
     err_ver = abs(ver - 59.5)

@@ -1,11 +1,14 @@
-"""The benchmark's trace mode wraps package functions by module and name.
+"""The benchmark's hooks into the package, checked in the test suite.
 
-perfbench/workloads.py looks those attributes up when it builds its
-patches, so renaming or deleting one breaks `perfbench/run.py --trace 1`.
-Building, entering and leaving the patches here turns that into a test
-failure.
+perfbench/workloads.py looks package attributes up by module and name when
+it builds its trace patches, so renaming or deleting one breaks
+`perfbench/run.py --trace 1`. Building, entering and leaving the patches
+here turns that into a test failure. The benchmark also checks every
+train_step tile's loss values against the ones recorded in
+perfbench/reference.json; one pass of seed 0 runs that check here.
 """
 
+import json
 from pathlib import Path
 
 import midlines.cli as cli
@@ -23,3 +26,16 @@ def test_trace_patches_enter_and_restore(monkeypatch):
     with patches:
         assert cli.rotated_iou is not original
     assert cli.rotated_iou is original
+
+
+def test_train_step_matches_the_recorded_losses(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    workload = workloads.TrainStep()
+    workload.start(workload.setup(0), reference["seeds"]["0"]["train_step"])
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    assert tally.attempted == workload.n_tiles
+    assert tally.failed == 0, tally.reasons

@@ -152,6 +152,17 @@ def test_encode_zero_objects_gives_zero_tensors(tmp_path, capsys):
         assert np.fromfile(container / entry["file"], dtype="<f4").max() == 0.0
 
 
+@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+@pytest.mark.parametrize("value", ["nan", "0", "-5"])
+def test_drift_r_must_be_positive(tmp_path, capsys, command, value):
+    gt = make_gt(tmp_path, [PLANE])
+    out_flag = ["--out", tmp_path / "maps"] if command == "encode" else []
+    code, out = run(capsys, command, "--gt", gt, *out_flag, "--drift-r", value)
+    assert code == 1
+    assert out == f"error=drift_r must be > 0, got {float(value)}\n"
+    assert not (tmp_path / "maps").exists()
+
+
 def test_encode_corrupt_json_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -416,6 +427,10 @@ def set_shape_entry(m, v):
     m["tensors"][0]["shape"][1] = v
 
 
+def set_file(m, v):
+    m["tensors"][0]["file"] = v
+
+
 def drop_tensor_key(key):
     def edit(m, v):
         del m["tensors"][2][key]
@@ -436,10 +451,16 @@ def drop_tensor_key(key):
     (set_tensors, "hm_b1", "tensors must be a list of objects with a name"),
     (set_class_names, ["plane"], "class_names must be a list of 15 strings"),
     (set_class_names, "plane", "class_names must be a list of 15 strings"),
+    (set_file, "../../other/hm_b1.f32", "tensor hm_b1: file must be a plain file name"),
+    (set_file, "/tmp/hm_b1.f32", "tensor hm_b1: file must be a plain file name"),
+    (set_file, "sub/hm_b1.f32", "tensor hm_b1: file must be a plain file name"),
+    (set_file, "..", "tensor hm_b1: file must be a plain file name"),
+    (set_file, "", "tensor hm_b1: file must be a plain file name"),
 ], ids=[
     "zero-stride", "negative-stride", "string-stride", "fractional-stride", "null-stride",
     "string-shape", "fractional-shape", "tensor-without-name", "tensor-without-file",
     "tensors-an-object", "tensors-a-string", "short-class_names", "class_names-a-string",
+    "relative-file", "absolute-file", "subdirectory-file", "parent-dir-file", "empty-file",
 ])
 def test_decode_rejects_malformed_manifest(tmp_path, capsys, edit, value, message):
     container = encode_plane(tmp_path, capsys)
@@ -560,6 +581,20 @@ def test_gradcheck_negative_control_fails(tmp_path, capsys, monkeypatch):
 def test_gradcheck_zero_samples_is_validation_error(tmp_path, capsys):
     code, out = run(capsys, "gradcheck", "--samples", 0)
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--step", "--tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+def test_gradcheck_rejects_step_and_tolerance_out_of_range(capsys, flag, value):
+    code, out = run(capsys, "gradcheck", "--samples", 1, flag, value)
+    assert code == 1
+    assert out == f"error={flag[2:]} must be finite and > 0, got {float(value)}\n"
+
+
+def test_gradcheck_step_too_large_for_every_point_is_validation_error(capsys):
+    code, out = run(capsys, "gradcheck", "--samples", 1, "--step", "1e300")
+    assert code == 1
+    assert out.startswith("error=focal_ip: point is")
 
 
 def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):

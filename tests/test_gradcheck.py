@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from midlines.gradcheck import (
     grad_check,
     run_gradchecks,
 )
+from midlines.losses import endpoint_loss
 
 LOSS_FUNCTIONS = (
     "focal_ip_loss", "endpoint_loss", "collinear_loss", "vertical_loss", "line_loss", "total_loss",
@@ -55,6 +57,30 @@ def test_grad_check_raises_near_a_kink():
 
     with pytest.raises(KinkProximity):
         grad_check(f, np.array([1.0]), kink_margin=lambda x: 1e-5)
+
+
+def test_grad_check_fails_a_nan_loss():
+    def f(x):
+        return float("nan"), np.full_like(x, np.nan)
+
+    report = grad_check(f, np.array([1.0, -2.0, 3.0]))
+    assert np.isnan(report.max_rel_error)
+    assert not report.passed
+
+
+def test_run_gradchecks_fails_a_nan_sample(monkeypatch):
+    # One NaN sample among finite ones must fail the aggregate report.
+    calls = itertools.count()
+
+    def sometimes_nan(*args):
+        value, grad = endpoint_loss(*args)
+        return (float("nan"), grad) if next(calls) == 3 else (value, grad)
+
+    monkeypatch.setattr(gradcheck, "endpoint_loss", sometimes_nan)
+    reports = {r.name: r for r in run_gradchecks(seed=9, samples=2)}
+    assert np.isnan(reports["endpoint"].max_rel_error)
+    assert not reports["endpoint"].passed
+    assert all(r.passed for name, r in reports.items() if name != "endpoint")
 
 
 def test_every_loss_passes_at_random_smooth_points():

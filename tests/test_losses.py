@@ -39,9 +39,7 @@ HAND_TARGET = [29.5, 1, -30, 0, 0, -5, 0, 5]
 
 def one_channel_endpoint(pred, target):
     """endpoint_loss over one channel of one cell: the bare smooth L1."""
-    value, grad = endpoint_loss(
-        np.full((1, 1, 1), pred), np.full((1, 1, 1), target), ONE_CELL_MASK, 1
-    )
+    value, grad = endpoint_loss(np.full((1, 1, 1), pred), np.full((1, 1, 1), target), 1)
     return value, float(grad[0, 0, 0])
 
 
@@ -132,9 +130,8 @@ def test_endpoint_loss_zero_at_truth_on_encoded_maps():
     box = rectangle(101.5, 97.0, 80, 30, angle_deg=25)
     maps = encode_image([box], 256, 256, num_classes=1)
     for b in range(2):
-        value, grad = endpoint_loss(
-            maps.regression[b], maps.regression[b], maps.reg_mask[b], maps.n_objects
-        )
+        offsets = maps.regression[b][:, maps.reg_mask[b]]
+        value, grad = endpoint_loss(offsets, offsets, maps.n_objects)
         assert value == 0.0
         assert not grad.any()
 
@@ -142,23 +139,8 @@ def test_endpoint_loss_zero_at_truth_on_encoded_maps():
 def test_endpoint_loss_hand_arithmetic():
     target = single_cell_reg([0.0] * 8)
     pred = single_cell_reg([3.5 - 3.0, 0, 0, 0, 2.0, 0, 0, 0])
-    value, _ = endpoint_loss(pred, target, ONE_CELL_MASK, 1)
+    value, _ = endpoint_loss(pred, target, 1)
     assert abs(value - (0.125 + 1.5)) < 1e-12
-
-
-def test_endpoint_loss_ignores_unmasked_cells():
-    pred = np.full((8, 2, 2), 100.0)
-    target = np.zeros((8, 2, 2))
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 0] = True
-    value, grad = endpoint_loss(pred, target, mask, 1)
-    assert abs(value - 8 * 99.5) < 1e-12
-    assert not grad[:, mask == False].any()  # noqa: E712
-
-
-def test_endpoint_loss_rejects_bad_mask_shape():
-    with pytest.raises(ShapeMismatch):
-        endpoint_loss(np.zeros((8, 2, 2)), np.zeros((8, 2, 2)), np.zeros((3, 2), bool), 1)
 
 
 # --- collinear_loss --------------------------------------------------------------
@@ -166,13 +148,13 @@ def test_endpoint_loss_rejects_bad_mask_shape():
 
 def test_collinear_hand_value():
     reg = single_cell_reg([30, 1, -30, 0, 0, -5, 0, 5])
-    value, _ = collinear_loss(reg, ONE_CELL_MASK, 1)
+    value, _ = collinear_loss(reg, 1)
     assert abs(value - 29.5) < 1e-9
 
 
 def test_collinear_zero_for_antiparallel_offsets():
     reg = single_cell_reg([30, 0, -30, 0, 0, -20, 0, 20])
-    value, grad = collinear_loss(reg, ONE_CELL_MASK, 1)
+    value, grad = collinear_loss(reg, 1)
     assert value == 0.0
     assert not grad.any()
 
@@ -185,7 +167,7 @@ def test_collinear_zero_for_antiparallel_offsets():
 @settings(max_examples=100)
 def test_collinear_zero_whenever_second_endpoint_opposes_first(ex, ey, scale):
     values = [ex, ey, -scale * ex, -scale * ey, 5.0, 1.0, -5.0, -1.0]
-    value, _ = collinear_loss(single_cell_reg(values), ONE_CELL_MASK, 1)
+    value, _ = collinear_loss(single_cell_reg(values), 1)
     assert abs(value) < 1e-9
 
 
@@ -196,7 +178,7 @@ def test_collinear_grows_as_endpoint_rotates_off_the_line():
         phi = math.radians(phi_deg)
         ep1 = (20 * math.cos(phi), 20 * math.sin(phi))
         values = [ep1[0], ep1[1], -20, 0, 3, -4, -3, 4]
-        value, _ = collinear_loss(single_cell_reg(values), ONE_CELL_MASK, 1)
+        value, _ = collinear_loss(single_cell_reg(values), 1)
         assert value > previous
         previous = value
 
@@ -206,18 +188,53 @@ def test_collinear_grows_as_endpoint_rotates_off_the_line():
 
 def test_vertical_hand_value():
     reg = single_cell_reg([30, 0, -30, 0, 2, -20, -2, 20])
-    value, _ = vertical_loss(reg, ONE_CELL_MASK, 1)
+    value, _ = vertical_loss(reg, 1)
     assert abs(value - 59.5) < 1e-9
 
 
 def test_vertical_zero_for_perpendicular_offsets():
     reg = single_cell_reg([30, 0, -30, 0, 0, -20, 0, 20])
-    value, grad = vertical_loss(reg, ONE_CELL_MASK, 1)
+    value, grad = vertical_loss(reg, 1)
     assert value == 0.0
     assert not grad.any()
 
 
 # --- line_loss -------------------------------------------------------------------
+
+
+def test_line_loss_ignores_unmasked_cells():
+    pred = np.full((8, 2, 2), 100.0)
+    target = np.zeros((8, 2, 2))
+    mask = np.zeros((2, 2), dtype=bool)
+    mask[0, 0] = True
+    out = line_loss(pred, target, mask, 1)
+    assert abs(out.l1 - 8 * 99.5) < 1e-12
+    assert not out.gradients["regression"][:, ~mask].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_line_loss_ignores_non_finite_offsets_at_unmasked_cells(bad):
+    rng = np.random.default_rng(7)
+    pred = rng.uniform(-20, 20, (8, 3, 4))
+    target = rng.normal(0, 10, (8, 3, 4))
+    mask = rng.random((3, 4)) < 0.5
+    mask[0, 0], mask[2, 3] = True, False
+    clean = line_loss(pred, target, mask, 2)
+    pred[:, 2, 3] = bad
+    out = line_loss(pred, target, mask, 2)
+    assert (out.total, out.l1, out.l2, out.l3) == (clean.total, clean.l1, clean.l2, clean.l3)
+    assert np.isfinite(out.gradients["regression"]).all()
+    assert not out.gradients["regression"][:, ~mask].any()
+
+
+def test_line_loss_rejects_bad_mask_shape():
+    maps = np.zeros((8, 2, 2))
+    with pytest.raises(ShapeMismatch):
+        line_loss(maps, maps, np.zeros((3, 2), bool), 1)
+    with pytest.raises(ShapeMismatch):
+        line_loss(maps, np.zeros((8, 2, 3)), np.zeros((2, 2), bool), 1)
+    with pytest.raises(ShapeMismatch):
+        line_loss(maps[:7], maps[:7], np.zeros((2, 2), bool), 1)
 
 
 def test_line_loss_weighted_sum_identity():
@@ -252,8 +269,8 @@ def test_line_loss_text_mode_drops_the_vertical_term():
     assert text.l3 == plain.l3  # still reported
     assert abs(text.total - (text.l1 + text.l2)) < 1e-12
     assert plain.total > text.total
-    v1, g1 = endpoint_loss(pred, target, mask, 1)
-    v2, g2 = collinear_loss(pred, mask, 1)
+    v1, g1 = endpoint_loss(pred, target, 1)
+    v2, g2 = collinear_loss(pred, 1)
     np.testing.assert_allclose(text.gradients["regression"], g1 + g2, atol=1e-15)
 
 
@@ -358,15 +375,42 @@ def test_total_loss_text_mode_shields_vertical_gradient():
     target = encode_image([rectangle(100, 100, 60, 24, angle_deg=30)], 256, 256, num_classes=1)
     pred = random_prediction(target, seed=5)
     out = total_loss(pred, target, LossWeights(text_mode=True, beta=9.0))
-    v3, g3 = vertical_loss(pred.regression[1], target.reg_mask[1], 1)
     assert out.l3 == pytest.approx(
-        v3 + vertical_loss(pred.regression[0], target.reg_mask[0], 1)[0]
+        sum(vertical_loss(pred.regression[b][:, target.reg_mask[b]], 1)[0] for b in range(2))
     )
     # Gradient must match the beta = 0 configuration exactly.
     base = total_loss(pred, target, LossWeights(beta=0.0))
     np.testing.assert_array_equal(
         out.gradients["regression"], base.gradients["regression"]
     )
+
+
+def test_both_branches_in_one_pass_equal_the_per_branch_losses():
+    boxes = [rectangle(100, 100, 60, 24, angle_deg=20), rectangle(50, 180, 40, 18)]
+    target = encode_image(boxes, 256, 256, num_classes=2)
+    assert target.reg_mask[0].any() and target.reg_mask[1].any()
+    pred = random_prediction(target, seed=13)
+    weights = LossWeights(alpha=0.3, beta=2.0, gamma=0.25)
+    n = target.n_objects
+    focal = [focal_ip_loss(pred.heatmap[b], target.heatmap[b], n) for b in range(2)]
+    lines = [
+        line_loss(pred.regression[b], target.regression[b], target.reg_mask[b], n, weights)
+        for b in range(2)
+    ]
+    both = line_loss(pred.regression, target.regression, target.reg_mask, n, weights)
+    out = total_loss(pred, target, weights)
+    for key in ("total", "l1", "l2", "l3"):
+        expected = sum(getattr(line, key) for line in lines)
+        assert getattr(both, key) == pytest.approx(expected, rel=1e-12, abs=0)
+    for key in ("l1", "l2", "l3"):
+        assert getattr(out, key) == pytest.approx(getattr(both, key), rel=1e-12, abs=0)
+    ip = focal[0][0] + focal[1][0]
+    assert out.ip == pytest.approx(ip, rel=1e-12, abs=0)
+    assert out.total == pytest.approx(ip + 0.25 * both.total, rel=1e-12, abs=0)
+    reg_grads = np.stack([line.gradients["regression"] for line in lines])
+    np.testing.assert_array_equal(both.gradients["regression"], reg_grads)
+    np.testing.assert_array_equal(out.gradients["regression"], 0.25 * reg_grads)
+    np.testing.assert_array_equal(out.gradients["heatmap"], np.stack([g for _, g in focal]))
 
 
 def test_loss_weights_validated():
