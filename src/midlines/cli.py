@@ -25,7 +25,12 @@ from .decoder import Detection, decode
 from .encoder import TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
 from .evaluation import evaluate, may_overlap, rotated_iou
-from .geometry import OrientedBox, box_to_midlines
+from .geometry import (  # noqa: F401 - perfbench's trace mode wraps cli.box_to_midlines
+    OrientedBox,
+    box_corners,
+    box_to_midlines,
+    midline_arrays,
+)
 from .gradcheck import run_gradchecks
 from .ingest import (
     AnnotatedImage,
@@ -342,16 +347,15 @@ def cmd_roundtrip(
     def process(img: AnnotatedImage):
         dets = decode(_encode(img, config), threshold=config.threshold)
         candidates = may_overlap(img.objects, dets)
-        ious, subres = [], 0
-        for box, row in zip(img.objects, candidates):
-            pair = box_to_midlines(box, config.branch_low, config.branch_high)
-            if min(pair.l1.length, pair.l2.length) < 2.0 * config.stride:
-                subres += 1
-                continue
-            ious.append(max(
-                (rotated_iou(box, dets[j].box) for j in np.flatnonzero(row)), default=0.0
-            ))
-        return ious, subres
+        lines = midline_arrays(box_corners(img.objects), config.branch_low, config.branch_high)
+        lines.check()
+        subres = lines.lengths.min(axis=1) < 2.0 * config.stride
+        ious = [
+            max((rotated_iou(box, dets[j].box) for j in np.flatnonzero(row)), default=0.0)
+            for box, row, small in zip(img.objects, candidates, subres)
+            if not small
+        ]
+        return ious, int(subres.sum())
 
     outputs = _map_images(result, process, images, jobs)
     ious = [v for vs, _ in outputs for v in vs]

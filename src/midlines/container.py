@@ -115,7 +115,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     if missing:
         raise ShapeMismatch(f"manifest missing tensors {missing}")
 
-    arrays: dict[str, np.ndarray] = {}
+    expected = {"hm": (num_classes, height, width), "reg": (8, height, width), "mask": (height, width)}
+    stacks: dict[str, np.ndarray] = {}
     for name in TENSOR_NAMES:
         entry = by_name[name]
         file = entry.get("file")
@@ -130,23 +131,21 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             raise ShapeMismatch(
                 f"tensor {name}: file holds {raw.size} values, manifest says {shape}"
             )
+        kind, branch = name.split("_")
+        if shape != expected[kind]:
+            raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")
         if not np.isfinite(raw).all():
             raise MidlinesError(f"tensor {name}: non-finite values")
-        if name.startswith("hm_") and ((raw < 0.0) | (raw > 1.0)).any():
+        if kind == "hm" and ((raw < 0.0) | (raw > 1.0)).any():
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
-        arrays[name] = raw.reshape(shape).astype(np.float64)
-
-    expected = {
-        "hm_b1": (num_classes, height, width),
-        "hm_b2": (num_classes, height, width),
-        "reg_b1": (8, height, width),
-        "reg_b2": (8, height, width),
-        "mask_b1": (height, width),
-        "mask_b2": (height, width),
-    }
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ShapeMismatch(f"tensor {name}: shape {arrays[name].shape}, expected {shape}")
+        # Allocated once a file has shown that the manifest's sizes are real.
+        if kind not in stacks:
+            stacks[kind] = np.empty((2, *shape), dtype=bool if kind == "mask" else np.float64)
+        slot = stacks[kind][int(branch[-1]) - 1]
+        if kind == "mask":
+            np.greater(raw.reshape(shape), 0.5, out=slot)
+        else:
+            slot[...] = raw.reshape(shape)
 
     maps = TargetMaps(
         stride=sizes["stride"],
@@ -155,9 +154,9 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         height=height,
         image_w=sizes["image_w"],
         image_h=sizes["image_h"],
-        heatmap=np.stack([arrays["hm_b1"], arrays["hm_b2"]]),
-        regression=np.stack([arrays["reg_b1"], arrays["reg_b2"]]),
-        reg_mask=np.stack([arrays["mask_b1"], arrays["mask_b2"]]) > 0.5,
+        heatmap=stacks["hm"],
+        regression=stacks["reg"],
+        reg_mask=stacks["mask"],
         n_objects=0,
     )
     return maps, class_names

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .encoder import TargetMaps
 from .errors import DegenerateBox, ShapeMismatch
@@ -20,6 +19,7 @@ from .geometry import (
     MidlinePair,
     OrientedBox,
     Point2,
+    _BRANCHES,
     _order_l1,
     _order_l2,
     midlines_to_box,
@@ -27,8 +27,6 @@ from .geometry import (
 
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_MERGE_IOU = 0.7
-
-_BRANCHES = tuple(BranchId)  # indexed by BranchId.index
 
 # Cells join 8-connected inside one (branch, class) channel, never across.
 _IN_CHANNEL = np.zeros((3, 3, 3), dtype=int)
@@ -64,6 +62,8 @@ def extract_components(
     value). Labels follow the scan order of each component's first cell,
     so components come in (branch, class, first row, first col) order.
     """
+    from scipy import ndimage  # loaded on first use: only decode labels anything
+
     stack = heatmap.reshape(-1, *heatmap.shape[-2:])
     labels, count = ndimage.label(stack > threshold, structure=_IN_CHANNEL)
     flat = np.flatnonzero(labels)  # far faster than a 3-D np.nonzero

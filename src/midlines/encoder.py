@@ -14,14 +14,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBox, OutOfBounds
+from .errors import OutOfBounds
 from .geometry import (
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
     MidlinePair,
     OrientedBox,
+    _map,
+    box_areas,
+    box_corners,
     box_to_midlines,
     intersection_point,
+    midline_arrays,
 )
 
 DEFAULT_STRIDE = 4
@@ -30,6 +34,9 @@ DEFAULT_DRIFT_R = 16.0
 # A cell center can sit up to sqrt(2)/2 from the region center after
 # rounding; this slack keeps it strictly inside the open disc.
 _CENTER_SLACK = 1e-6
+
+# Objects x stencil cells tested in one broadcast; bounds the temporaries.
+_STENCIL_CELLS = 1 << 18
 
 
 @dataclass
@@ -55,6 +62,15 @@ class TargetMaps:
     n_objects: int
 
 
+def _drift_radii(centre: np.ndarray, lengths: np.ndarray, stride: int, r: float):
+    """Centres in cells and drift radii of N objects; see drift_radius."""
+    c = centre / stride
+    base = np.minimum(r / stride, lengths.min(axis=1) / (2.0 * stride))
+    gap = np.floor(c + 0.5) - c
+    to_center_cell = _map(math.hypot, gap[:, 1], gap[:, 0])
+    return c, np.maximum(base, to_center_cell + _CENTER_SLACK)
+
+
 def drift_radius(pair: MidlinePair, stride: int = DEFAULT_STRIDE, r: float = DEFAULT_DRIFT_R) -> float:
     """Radius in cells of the drift region for one object.
 
@@ -62,12 +78,53 @@ def drift_radius(pair: MidlinePair, stride: int = DEFAULT_STRIDE, r: float = DEF
     Very thin objects can push that below one cell, so the result is raised
     just far enough that the rounded center cell always stays inside.
     """
-    base = min(r / stride, min(pair.l1.length, pair.l2.length) / (2.0 * stride))
     ip = intersection_point(pair)
-    cx, cy = ip.x / stride, ip.y / stride
-    row0, col0 = math.floor(cy + 0.5), math.floor(cx + 0.5)
-    to_center_cell = math.hypot(row0 - cy, col0 - cx)
-    return max(base, to_center_cell + _CENTER_SLACK)
+    _, radius = _drift_radii(
+        np.array([[ip.x, ip.y]]), np.array([[pair.l1.length, pair.l2.length]]), stride, r
+    )
+    return float(radius[0])
+
+
+def _disc_cells(
+    centre: np.ndarray, radius: np.ndarray, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(object, row, col) of every cell of N drift regions.
+
+    Row k of centre is (cx, cy) in cells. A cell is in a region when it is
+    strictly inside the disc; the rounded center cell, clamped into the
+    grid, is appended for every object, so an object may list a cell twice.
+    All discs are tested in one broadcast over a stencil of side
+    2 * ceil(max radius) + 3 cut to the grid, a bounded number of objects
+    at a time.
+    """
+    cx, cy = centre[:, 0], centre[:, 1]
+    n = len(radius)
+    side = 2 * math.ceil(radius.max()) + 3 if n else 0
+    side_r, side_c = min(side, height), min(side, width)
+    lo_r, hi_r = np.ceil(cy - radius), np.floor(cy + radius)
+    lo_c, hi_c = np.ceil(cx - radius), np.floor(cx + radius)
+    top = np.clip(lo_r, 0, height - side_r).astype(np.int64)
+    left = np.clip(lo_c, 0, width - side_c).astype(np.int64)
+    parts = [(
+        np.arange(n),
+        np.clip(np.floor(cy + 0.5), 0, height - 1).astype(np.int64),
+        np.clip(np.floor(cx + 0.5), 0, width - 1).astype(np.int64),
+    )]
+    step = max(1, _STENCIL_CELLS // max(1, side_r * side_c))
+    for s in range(0, n, step):
+        k = slice(s, s + step)
+        rows = top[k, None] + np.arange(side_r)
+        cols = left[k, None] + np.arange(side_c)
+        row_ok = (rows >= lo_r[k, None]) & (rows <= hi_r[k, None])
+        col_ok = (cols >= lo_c[k, None]) & (cols <= hi_c[k, None])
+        with np.errstate(over="ignore"):  # a far-off center only fails the test
+            dist2 = (rows - cy[k, None])[:, :, None] ** 2 + (cols - cx[k, None])[:, None, :] ** 2
+        inside = dist2 < (radius[k] * radius[k])[:, None, None]
+        inside &= row_ok[:, :, None] & col_ok[:, None, :]
+        o, i, j = np.nonzero(inside)
+        parts.append((o + s, rows[o, i], cols[o, j]))
+    obj, rows, cols = (np.concatenate(a) for a in zip(*parts))
+    return obj, rows, cols
 
 
 def drift_region_cells(
@@ -80,24 +137,10 @@ def drift_region_cells(
     cell is always included (clamped into bounds), even when floating-point
     slack would leave the disc empty.
     """
-    lo_r = max(0, math.ceil(cy - radius))
-    hi_r = min(height - 1, math.floor(cy + radius))
-    lo_c = max(0, math.ceil(cx - radius))
-    hi_c = min(width - 1, math.floor(cx + radius))
-    cells: list[tuple[int, int]] = []
-    for row in range(lo_r, hi_r + 1):
-        dr2 = (row - cy) ** 2
-        for col in range(lo_c, hi_c + 1):
-            if dr2 + (col - cx) ** 2 < radius * radius:
-                cells.append((row, col))
-    center_cell = (
-        min(max(math.floor(cy + 0.5), 0), height - 1),
-        min(max(math.floor(cx + 0.5), 0), width - 1),
+    _, rows, cols = _disc_cells(
+        np.array([[cx, cy]], dtype=np.float64), np.array([radius], dtype=np.float64), width, height
     )
-    if center_cell not in cells:
-        cells.append(center_cell)
-        cells.sort()
-    return np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    return np.stack(np.divmod(np.unique(rows * width + cols), width), axis=1)
 
 
 def encode_image(
@@ -116,7 +159,9 @@ def encode_image(
     channel. A cell contested within one branch takes its regression
     targets from the smallest-area object, and from the earliest of equal
     areas. Annotations whose midlines degenerate are skipped and do not
-    count toward n_objects.
+    count toward n_objects. A class id outside [0, num_classes), an
+    overflowing midline or a center outside the image raises for the first
+    such annotation in input order.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"bad image size {image_w}x{image_h}")
@@ -127,43 +172,40 @@ def encode_image(
     heatmap = np.zeros((2, num_classes, height, width), dtype=np.float64)
     regression = np.zeros((2, 8, height, width), dtype=np.float64)
     reg_mask = np.zeros((2, height, width), dtype=bool)
-    owner_area = np.full((2, height, width), np.inf, dtype=np.float64)
 
-    encoded = 0
-    for index, box in enumerate(annotations):
-        if not 0 <= box.class_id < num_classes:
-            raise ValueError(f"class id {box.class_id} outside [0, {num_classes})")
-        try:
-            pair = box_to_midlines(box, branch_low, branch_high)
-        except DegenerateBox:
-            continue
-        ip = intersection_point(pair)
-        if not (0.0 <= ip.x <= image_w and 0.0 <= ip.y <= image_h):
-            raise OutOfBounds(
-                f"annotation {index} center ({ip.x}, {ip.y}) outside {image_w}x{image_h}"
-            )
-        cells = drift_region_cells(
-            ip.x / stride, ip.y / stride, drift_radius(pair, stride, r), width, height
-        )
-        rows, cols = cells[:, 0], cells[:, 1]
-        b = pair.branch.index
-        heatmap[b, box.class_id, rows, cols] = 1.0
-        # Smallest area wins a contested cell; earlier index wins a tie
-        # (strict comparison keeps the incumbent on equal areas).
-        take = box.area < owner_area[b, rows, cols]
-        t_rows, t_cols = rows[take], cols[take]
-        offsets = (
-            pair.l1.ep1.x, pair.l1.ep1.y,
-            pair.l1.ep2.x, pair.l1.ep2.y,
-            pair.l2.ep1.x, pair.l2.ep1.y,
-            pair.l2.ep2.x, pair.l2.ep2.y,
-        )
-        for ch, value in enumerate(offsets):
-            anchor = t_cols if ch % 2 == 0 else t_rows
-            regression[b, ch, t_rows, t_cols] = value - anchor * float(stride)
-        owner_area[b, t_rows, t_cols] = box.area
-        reg_mask[b, t_rows, t_cols] = True
-        encoded += 1
+    corners = box_corners(annotations)
+    classes = np.array([box.class_id for box in annotations], dtype=np.int64)
+    lines = midline_arrays(corners, branch_low, branch_high)
+    live = ~(lines.degenerate | lines.non_finite)
+    x, y = lines.centre[:, 0], lines.centre[:, 1]
+    inside = (0.0 <= x) & (x <= image_w) & (0.0 <= y) & (y <= image_h)
+    bad_class = (classes < 0) | (classes >= num_classes)
+    fault = bad_class | lines.non_finite | (live & ~inside)
+    if fault.any():
+        i = int(np.argmax(fault))
+        if bad_class[i]:
+            raise ValueError(f"class id {annotations[i].class_id} outside [0, {num_classes})")
+        # An overflowing midline or center raises its ValueError here.
+        ip = intersection_point(box_to_midlines(annotations[i], branch_low, branch_high))
+        raise OutOfBounds(f"annotation {i} center ({ip.x}, {ip.y}) outside {image_w}x{image_h}")
+
+    keep = np.flatnonzero(live)
+    ends, branch = lines.ends[keep], lines.branch[keep]
+    centre, radius = _drift_radii(lines.centre[keep], lines.lengths[keep], stride, r)
+    obj, rows, cols = _disc_cells(centre, radius, width, height)
+    b = branch[obj]
+    heatmap[b, classes[keep][obj], rows, cols] = 1.0
+    # The smallest area owns a contested cell, the earlier index a tie: sort
+    # by (cell, area, index) and keep the first entry of each cell.
+    cell = (b * height + rows) * width + cols
+    order = np.lexsort((obj, box_areas(corners)[keep][obj], cell))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = cell[order[1:]] != cell[order[:-1]]
+    win = order[first]
+    obj, rows, cols, b = obj[win], rows[win], cols[win], b[win]
+    anchor = np.stack((cols, rows) * 4, axis=1) * float(stride)
+    np.moveaxis(regression, 1, -1)[b, rows, cols] = ends[obj] - anchor
+    reg_mask[b, rows, cols] = True
 
     return TargetMaps(
         stride=stride,
@@ -175,5 +217,5 @@ def encode_image(
         heatmap=heatmap,
         regression=regression,
         reg_mask=reg_mask,
-        n_objects=encoded,
+        n_objects=len(keep),
     )

@@ -3,6 +3,8 @@
 A box is stored as four corners. Its two midlines connect the midpoints of
 opposite edges; together with an ordering convention they carry the same
 information as the box, and they are what the dense maps actually regress.
+The midlines of many boxes are computed at once on arrays by
+midline_arrays; box_to_midlines and classify_branch are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DegenerateBox
 
@@ -55,16 +60,8 @@ class Point2:
         return math.hypot(self.x, self.y)
 
 
-def midpoint(a: Point2, b: Point2) -> Point2:
-    return Point2((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
 def cross(a: Point2, b: Point2) -> float:
     return a.x * b.y - a.y * b.x
-
-
-def dot(a: Point2, b: Point2) -> float:
-    return a.x * b.x + a.y * b.y
 
 
 @dataclass(frozen=True)
@@ -81,11 +78,6 @@ class Segment:
     @property
     def direction(self) -> Point2:
         return self.ep1 - self.ep2
-
-
-def _angle_deg(d: Point2) -> float:
-    """Angle of a direction in degrees, folded into [0, 180)."""
-    return math.degrees(math.atan2(d.y, d.x)) % 180.0
 
 
 def _signed_area(corners: tuple[Point2, ...]) -> float:
@@ -194,12 +186,140 @@ def _order_l2(a: Point2, b: Point2) -> Segment:
     return Segment(b, a)
 
 
-def _midline_candidates(box: OrientedBox) -> tuple[tuple[Point2, Point2], tuple[Point2, Point2]]:
-    """Candidate A joins midpoints of edges p0p1/p2p3, candidate B the other pair."""
-    p0, p1, p2, p3 = box.corners
-    cand_a = (midpoint(p0, p1), midpoint(p2, p3))
-    cand_b = (midpoint(p1, p2), midpoint(p3, p0))
-    return cand_a, cand_b
+@dataclass(frozen=True)
+class MidlineArrays:
+    """The midlines of N boxes, row i for box i.
+
+    ends:       (N, 8) canonical endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y
+    branch:     (N,) BranchId.index
+    theta:      (N,) folded angle in degrees of the more vertical candidate,
+                the value the branch window is tested on
+    lengths:    (N, 2) lengths of l1 and l2
+    centre:     (N, 2) endpoint mean, summed in intersection_point's order
+    degenerate: (N,) a midline has zero length
+    non_finite: (N,) a midpoint or a midline direction overflows
+    bad_point:  (N, 2) on a non-finite row, the first point that overflows
+
+    The other fields of a degenerate or non-finite row are meaningless.
+    """
+
+    ends: np.ndarray
+    branch: np.ndarray
+    theta: np.ndarray
+    lengths: np.ndarray
+    centre: np.ndarray
+    degenerate: np.ndarray
+    non_finite: np.ndarray
+    bad_point: np.ndarray
+
+    def check(self) -> None:
+        """Raise what box_to_midlines raises for the first faulty row."""
+        faulty = self.degenerate | self.non_finite
+        if faulty.any():
+            i = int(np.argmax(faulty))
+            if self.non_finite[i]:
+                x, y = self.bad_point[i].tolist()
+                raise ValueError(f"non-finite point ({x}, {y})")
+            raise DegenerateBox("zero-length midline")
+
+
+def box_corners(boxes: Sequence[OrientedBox]) -> np.ndarray:
+    """Corners of each box as an (N, 4, 2) float64 array."""
+    xy = [(p.x, p.y) for box in boxes for p in box.corners]
+    return np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2)
+
+
+def box_areas(corners: np.ndarray) -> np.ndarray:
+    """Area of each (4, 2) quad, summed term by term as OrientedBox.area is."""
+    x, y = corners[..., 0], corners[..., 1]
+    terms = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
+    return np.abs((((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]) / 2.0)
+
+
+def _map(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """fn over paired elements of two equal-shape arrays.
+
+    numpy's arctan2 and hypot kernels round differently from math.atan2 and
+    math.hypot on a few inputs. Branch choice and line order compare these
+    values with ties, and the recorded benchmark references were made with
+    the math module, so its functions are mapped over the elements.
+    """
+    out = list(map(fn, a.ravel().tolist(), b.ravel().tolist()))
+    return np.array(out, dtype=np.float64).reshape(a.shape)
+
+
+def midline_arrays(
+    corners: np.ndarray,
+    low_deg: float = BRANCH_LOW_DEG,
+    high_deg: float = BRANCH_HIGH_DEG,
+) -> MidlineArrays:
+    """Split N boxes, given as (N, 4, 2) corners, into ordered midlines.
+
+    Candidate A joins the midpoints of edges p0p1 and p2p3, candidate B
+    those of p1p2 and p3p0. The branch is HORIZONTAL when the folded angle
+    of the more vertical candidate lies strictly inside (low_deg, high_deg),
+    and ORIENTED otherwise, boundary included; A is the more vertical one
+    on a tie. On the horizontal branch l1 is the more horizontal candidate,
+    on the oriented branch the longer one; ties pick A. Endpoint order is
+    MidlinePair's.
+    """
+    p = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = (p + np.roll(p, -1, axis=1)) / 2.0  # edge midpoints m01, m12, m23, m30
+        cand = mids[:, [[0, 2], [1, 3]]]  # (N, candidate A/B, endpoint, xy)
+        d = cand[:, :, 0] - cand[:, :, 1]
+    length = _map(math.hypot, d[..., 0], d[..., 1])
+    angle = np.degrees(_map(math.atan2, d[..., 1], d[..., 0])) % 180.0
+    # The scalar rule builds the midpoints of A and B, then A's direction,
+    # A's length, B's direction and B's length, and stops at the first
+    # point that overflows or length that is zero.
+    rows = np.arange(len(p))
+    zero = length == 0.0
+    points = np.concatenate((mids[:, [0, 2, 1, 3]], d), axis=1)
+    overflow = ~np.isfinite(points).all(axis=-1)
+    overflow[:, 5] &= ~zero[:, 0]
+    non_finite = overflow.any(axis=1)
+    degenerate = ~non_finite & zero.any(axis=1)
+
+    off = np.abs(angle - 90.0)
+    a_vertical = off[:, 0] <= off[:, 1]
+    theta = np.where(a_vertical, angle[:, 0], angle[:, 1])
+    horizontal = (low_deg < theta) & (theta < high_deg)
+    a_first = np.where(horizontal, off[:, 0] >= off[:, 1], length[:, 0] >= length[:, 1])
+    pick = np.where(a_first, 0, 1)
+    first, second = cand[rows, pick], cand[rows, 1 - pick]
+    lengths = np.stack((length[rows, pick], length[rows, 1 - pick]), axis=1)
+
+    # l1 runs from the larger x (then smaller y), l2 from the smaller y
+    # (then larger x), as _order_l1 and _order_l2 order them.
+    (ax, ay), (bx, by) = first[:, 0].T, first[:, 1].T
+    swap1 = ~((ax > bx) | ((ax == bx) & (ay <= by)))
+    (cx, cy), (ex, ey) = second[:, 0].T, second[:, 1].T
+    swap2 = ~((cy < ey) | ((cy == ey) & (cx >= ex)))
+    first[swap1] = first[swap1, ::-1]
+    second[swap2] = second[swap2, ::-1]
+    ends = np.concatenate((first, second), axis=1).reshape(-1, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = (((ends[:, 0:2] + ends[:, 2:4]) + ends[:, 4:6]) + ends[:, 6:8]) * 0.25
+    return MidlineArrays(
+        ends=ends,
+        branch=np.where(horizontal, BranchId.HORIZONTAL.index, BranchId.ORIENTED.index),
+        theta=theta,
+        lengths=lengths,
+        centre=centre,
+        degenerate=degenerate,
+        non_finite=non_finite,
+        bad_point=points[rows, np.argmax(overflow, axis=1)],
+    )
+
+
+def _one_box(box: OrientedBox, low_deg: float, high_deg: float) -> MidlineArrays:
+    lines = midline_arrays(box_corners([box]), low_deg, high_deg)
+    lines.check()
+    return lines
+
+
+_BRANCHES = tuple(BranchId)  # indexed by BranchId.index
 
 
 def classify_branch(
@@ -213,16 +333,7 @@ def classify_branch(
     Strictly inside the open interval (low_deg, high_deg) means HORIZONTAL;
     everything else, boundary included, is ORIENTED.
     """
-    (a1, a2), (b1, b2) = _midline_candidates(box)
-    if (a1 - a2).norm() == 0.0 or (b1 - b2).norm() == 0.0:
-        raise DegenerateBox("zero-length midline")
-    ang_a = _angle_deg(a1 - a2)
-    ang_b = _angle_deg(b1 - b2)
-    vertical = min(abs(ang_a - 90.0), abs(ang_b - 90.0))
-    theta = ang_a if abs(ang_a - 90.0) == vertical else ang_b
-    if low_deg < theta < high_deg:
-        return BranchId.HORIZONTAL
-    return BranchId.ORIENTED
+    return _BRANCHES[_one_box(box, low_deg, high_deg).branch[0]]
 
 
 def box_to_midlines(
@@ -236,18 +347,13 @@ def box_to_midlines(
     oriented branch l1 is the longer one. Ties pick candidate A (the line
     through the midpoints of edges p0p1 and p2p3).
     """
-    branch = classify_branch(box, low_deg, high_deg)
-    cand_a, cand_b = _midline_candidates(box)
-    ang_a = _angle_deg(cand_a[0] - cand_a[1])
-    ang_b = _angle_deg(cand_b[0] - cand_b[1])
-    if branch is BranchId.HORIZONTAL:
-        a_first = abs(ang_a - 90.0) >= abs(ang_b - 90.0)
-    else:
-        len_a = (cand_a[0] - cand_a[1]).norm()
-        len_b = (cand_b[0] - cand_b[1]).norm()
-        a_first = len_a >= len_b
-    first, second = (cand_a, cand_b) if a_first else (cand_b, cand_a)
-    return MidlinePair(l1=_order_l1(*first), l2=_order_l2(*second), branch=branch)
+    lines = _one_box(box, low_deg, high_deg)
+    x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
+    return MidlinePair(
+        l1=Segment(Point2(x1, y1), Point2(x2, y2)),
+        l2=Segment(Point2(x3, y3), Point2(x4, y4)),
+        branch=_BRANCHES[lines.branch[0]],
+    )
 
 
 def intersection_point(pair: MidlinePair) -> Point2:

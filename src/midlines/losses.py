@@ -7,6 +7,7 @@ can be verified against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha_focal", "alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass

@@ -5,11 +5,14 @@ it builds its trace patches, so renaming or deleting one breaks
 `perfbench/run.py --trace 1`. Building, entering and leaving the patches
 here turns that into a test failure. The benchmark also checks every
 train_step tile's loss values against the ones recorded in
-perfbench/reference.json; one pass of seed 0 runs that check here.
+perfbench/reference.json; one pass each of seed 0 and the held-out seed
+90017 runs that check here.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 import midlines.cli as cli
 
@@ -28,13 +31,15 @@ def test_trace_patches_enter_and_restore(monkeypatch):
     assert cli.rotated_iou is original
 
 
-def test_train_step_matches_the_recorded_losses(monkeypatch):
+# 90017 is the benchmark's held-out seed.
+@pytest.mark.parametrize("seed", [0, 90017])
+def test_train_step_matches_the_recorded_losses(monkeypatch, seed):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     workload = workloads.TrainStep()
-    workload.start(workload.setup(0), reference["seeds"]["0"]["train_step"])
+    workload.start(workload.setup(seed), reference["seeds"][str(seed)]["train_step"])
     tally = workloads.Tally()
     workload.run_pass(tally)
     assert tally.attempted == workload.n_tiles

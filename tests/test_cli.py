@@ -761,6 +761,16 @@ def test_pipeline_is_byte_deterministic(tmp_path, capsys):
         assert (a / p).read_bytes() == (b / p).read_bytes(), p
 
 
+def test_importing_the_cli_does_not_load_scipy():
+    # Only decode labels anything; every other command skips scipy's import.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, midlines.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "midlines.cli", "--help"],

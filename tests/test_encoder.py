@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midlines.encoder import drift_radius, drift_region_cells, encode_image
-from midlines.errors import OutOfBounds
+from midlines.errors import DegenerateBox, OutOfBounds
 from midlines.geometry import (
     BranchId,
     OrientedBox,
     Point2,
+    box_corners,
     box_to_midlines,
     intersection_point,
+    midline_arrays,
     rectangle,
 )
 
@@ -246,3 +248,139 @@ def test_class_id_outside_range_is_rejected():
     box = rectangle(100, 100, 20, 10, class_id=5)
     with pytest.raises(ValueError):
         encode_image([box], 256, 256, num_classes=3)
+
+
+# --- the array rules on seeded scenes -------------------------------------------
+
+
+def combine_single_encodes(boxes, image_w, image_h, num_classes, **kw):
+    """Encode each box alone, then merge the maps one box at a time.
+
+    Heatmaps and masks are unions; a contested cell keeps the offsets of the
+    smallest area, and the strict comparison keeps the earlier box on a tie.
+    """
+    base = encode_image([], image_w, image_h, num_classes, **kw)
+    heatmap, regression, mask = base.heatmap, base.regression, base.reg_mask
+    best = np.full(mask.shape, np.inf)
+    n_objects = 0
+    for box in boxes:
+        one = encode_image([box], image_w, image_h, num_classes, **kw)
+        take = one.reg_mask & (box.area < best)
+        regression = np.where(take[:, None], one.regression, regression)
+        best[take] = box.area
+        heatmap = np.maximum(heatmap, one.heatmap)
+        mask = mask | one.reg_mask
+        n_objects += one.n_objects
+    return heatmap, regression, mask, n_objects
+
+
+def random_scene(rng, image_w, image_h, n):
+    """Boxes with squares, the branch-bound angles, edge centers and duplicates."""
+    boxes = []
+    for _ in range(n):
+        kind = rng.integers(6)
+        cx, cy = rng.uniform(0, image_w), rng.uniform(0, image_h)
+        w, h = rng.uniform(1.0, 70.0), rng.uniform(1.0, 50.0)
+        angle = float(rng.choice([0.0, 90.0, 2.0, -2.0, 88.0, 92.0, 45.0, rng.uniform(0, 180)]))
+        if kind == 0:
+            h = w  # a square: the two midline candidates tie
+        elif kind == 1:
+            # On the image edge or corner: the disc is clipped and the
+            # rounded center cell clamped into the grid.
+            cx = float(rng.choice([0.0, image_w, cx]))
+            cy = float(rng.choice([0.0, image_h]))
+        elif kind == 2 and boxes:
+            # An exact copy in another class: an equal-area contest.
+            prev = boxes[int(rng.integers(len(boxes)))]
+            boxes.append(OrientedBox(prev.corners, class_id=int(rng.integers(3))))
+            continue
+        elif kind == 3:
+            w = rng.uniform(0.5, 4.0)  # thin: radius raised to reach the center cell
+        boxes.append(rectangle(cx, cy, w, h, angle_deg=angle, class_id=int(rng.integers(3))))
+    return boxes
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("stride, r", [(4, 16.0), (2, 40.0), (1, 3.0)])
+def test_encode_equals_single_encodes_combined_by_the_owner_rule(seed, stride, r):
+    rng = np.random.default_rng(seed)
+    image_w, image_h = int(rng.integers(60, 200)), int(rng.integers(60, 200))
+    boxes = random_scene(rng, image_w, image_h, int(rng.integers(1, 40)))
+    for scene in (boxes, boxes[::-1]):
+        maps = encode_image(scene, image_w, image_h, 3, stride=stride, r=r)
+        heatmap, regression, mask, n_objects = combine_single_encodes(
+            scene, image_w, image_h, 3, stride=stride, r=r
+        )
+        np.testing.assert_array_equal(maps.heatmap, heatmap)
+        np.testing.assert_array_equal(maps.regression, regression)
+        np.testing.assert_array_equal(maps.reg_mask, mask)
+        assert maps.n_objects == n_objects == len(scene)
+
+
+def test_square_encodes_candidate_a_as_l1():
+    # Equal candidates: A (through the midpoints of p0p1 and p2p3) is l1.
+    square = OrientedBox((Point2(100, 60), Point2(140, 100), Point2(100, 140), Point2(60, 100)))
+    maps = encode_image([square], 256, 256, num_classes=1)
+    b = BranchId.ORIENTED.index
+    np.testing.assert_array_equal(
+        maps.regression[b, :, 25, 25], [20, -20, -20, 20, -20, -20, 20, 20]
+    )
+
+
+@pytest.mark.parametrize("angle", [-2.0, 2.0])
+def test_branch_bounds_are_open_in_encode(angle):
+    # Turned by -2 or +2 degrees, the box's more vertical midline sits at
+    # about 88 or 92 degrees. With that angle itself as the bound the box is
+    # ORIENTED; with the bound one step further out it is HORIZONTAL.
+    box = rectangle(100, 100, 60, 30, angle_deg=angle)
+    theta = float(midline_arrays(box_corners([box])).theta[0])
+    assert abs(theta - (90.0 + angle)) < 1e-9
+    outward = math.nextafter(theta, 0.0 if angle < 0 else 180.0)
+    for bound, branch in ((theta, BranchId.ORIENTED), (outward, BranchId.HORIZONTAL)):
+        low, high = (bound, 92.0) if angle < 0 else (88.0, bound)
+        maps = encode_image([box], 256, 256, 1, branch_low=low, branch_high=high)
+        assert maps.heatmap[branch.index].sum() > 0
+        assert maps.heatmap[1 - branch.index].sum() == 0
+
+
+def test_center_on_the_far_corner_is_clamped_into_the_grid():
+    # 250 px is 62.5 cells: the rounded center (63, 63) lies off the grid
+    # and is clamped to the last cell, which the region still owns.
+    box = rectangle(250, 250, 3, 3)
+    maps = encode_image([box], 250, 250, num_classes=1)
+    assert (maps.width, maps.height) == (63, 63)
+    cells = {tuple(c) for c in np.argwhere(maps.reg_mask[BranchId.HORIZONTAL.index])}
+    assert (62, 62) in cells
+    assert all(0 <= row < 63 and 0 <= col < 63 for row, col in cells)
+
+
+def test_equal_areas_go_to_the_earlier_index_in_both_orders():
+    a = rectangle(120, 120, 40, 20, class_id=0)
+    b = OrientedBox(a.corners, class_id=1)  # same corners, same area
+    for first, second in ((a, b), (b, a)):
+        maps = encode_image([first, second], 256, 256, num_classes=2)
+        heatmap, regression, mask, _ = combine_single_encodes([first, second], 256, 256, 2)
+        np.testing.assert_array_equal(maps.regression, regression)
+        # Both classes are positive on the shared cells.
+        np.testing.assert_array_equal(maps.heatmap[:, 0], maps.heatmap[:, 1])
+
+
+def test_the_first_faulty_annotation_names_the_error():
+    fine = rectangle(50, 50, 20, 10)
+    bad_class = rectangle(60, 60, 20, 10, class_id=7)
+    outside = rectangle(300, 50, 20, 10)
+    with pytest.raises(ValueError, match=r"class id 7 outside \[0, 3\)"):
+        encode_image([fine, bad_class, outside], 256, 256, num_classes=3)
+    with pytest.raises(OutOfBounds, match="annotation 1 center"):
+        encode_image([fine, outside, bad_class], 256, 256, num_classes=3)
+
+
+def test_degenerate_object_is_skipped_before_its_center_is_checked():
+    # At y = 2**53 these corners' opposite-edge midpoints round onto each
+    # other: a zero-length midline. It is skipped, not reported out of bounds.
+    y = 2.0 ** 53
+    flat = OrientedBox((Point2(0, y), Point2(2, y - 1), Point2(2, y + 2), Point2(0, y)))
+    with pytest.raises(DegenerateBox):
+        box_to_midlines(flat)
+    maps = encode_image([flat, rectangle(50, 50, 20, 10)], 256, 256, num_classes=1)
+    assert maps.n_objects == 1

@@ -11,13 +11,13 @@ from midlines.geometry import (
     OrientedBox,
     Point2,
     Segment,
-    _angle_deg,
-    _midline_candidates,
     _order_l1,
     _order_l2,
+    box_corners,
     box_to_midlines,
     classify_branch,
     intersection_point,
+    midline_arrays,
     midlines_to_box,
     rectangle,
 )
@@ -28,6 +28,22 @@ SQUARE_45 = OrientedBox((Point2(100, 60), Point2(140, 100), Point2(100, 140), Po
 
 def corners_xy(box):
     return [(p.x, p.y) for p in box.corners]
+
+
+def folded_deg(dx, dy):
+    """Angle of a direction in degrees, folded into [0, 180)."""
+    return math.degrees(math.atan2(dy, dx)) % 180.0
+
+
+def candidate_angles(box):
+    """Folded angles of midline candidates A (p0p1 to p2p3) and B (p1p2 to p3p0)."""
+    p0, p1, p2, p3 = box.corners
+    out = []
+    for a, b, c, d in ((p0, p1, p2, p3), (p1, p2, p3, p0)):
+        dx = (a.x + b.x) / 2.0 - (c.x + d.x) / 2.0
+        dy = (a.y + b.y) / 2.0 - (c.y + d.y) / 2.0
+        out.append(folded_deg(dx, dy))
+    return out
 
 
 def assert_vertex_sets_close(a, b, tol=1e-9):
@@ -57,8 +73,7 @@ def test_branch_interval_is_open_at_both_ends():
     # Measure the exact folded angle this box presents, then use it as the
     # bound: a value sitting exactly on the boundary must stay ORIENTED.
     box = rectangle(100, 100, 60, 30, angle_deg=-2.0)
-    (a1, a2), (b1, b2) = _midline_candidates(box)
-    angles = sorted((_angle_deg(a1 - a2), _angle_deg(b1 - b2)), key=lambda t: abs(t - 90))
+    angles = sorted(candidate_angles(box), key=lambda t: abs(t - 90))
     theta = angles[0]
     assert 87.9 < theta < 88.1
     assert classify_branch(box, low_deg=theta, high_deg=92.0) is BranchId.ORIENTED
@@ -66,8 +81,7 @@ def test_branch_interval_is_open_at_both_ends():
     assert classify_branch(box, low_deg=below, high_deg=92.0) is BranchId.HORIZONTAL
 
     box_hi = rectangle(100, 100, 60, 30, angle_deg=2.0)
-    (a1, a2), (b1, b2) = _midline_candidates(box_hi)
-    angles = sorted((_angle_deg(a1 - a2), _angle_deg(b1 - b2)), key=lambda t: abs(t - 90))
+    angles = sorted(candidate_angles(box_hi), key=lambda t: abs(t - 90))
     theta_hi = angles[0]
     assert 91.9 < theta_hi < 92.1
     assert classify_branch(box_hi, low_deg=88.0, high_deg=theta_hi) is BranchId.ORIENTED
@@ -85,9 +99,7 @@ def test_vertical_rect_is_horizontal_branch():
 @settings(max_examples=150)
 def test_branch_totality_matches_angle_window(angle):
     box = rectangle(0.0, 0.0, 40.0, 12.0, angle_deg=angle)
-    (a1, a2), (b1, b2) = _midline_candidates(box)
-    thetas = (_angle_deg(a1 - a2), _angle_deg(b1 - b2))
-    theta = min(thetas, key=lambda t: abs(t - 90.0))
+    theta = min(candidate_angles(box), key=lambda t: abs(t - 90.0))
     expected = BranchId.HORIZONTAL if 88.0 < theta < 92.0 else BranchId.ORIENTED
     assert classify_branch(box) is expected
 
@@ -150,6 +162,61 @@ def test_endpoint_ordering_invariants(box):
 def test_rectangle_round_trip_is_exact(box):
     rebuilt = midlines_to_box(box_to_midlines(box))
     assert_vertex_sets_close(corners_xy(box), corners_xy(rebuilt), tol=1e-9)
+
+
+def scalar_midlines(box, low=88.0, high=92.0):
+    """The midline rule in Python floats, one box at a time: (ends, branch index, theta)."""
+    p = box.corners
+    cands = []
+    for a, b, c, d in ((p[0], p[1], p[2], p[3]), (p[1], p[2], p[3], p[0])):
+        e1 = ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+        e2 = ((c.x + d.x) / 2.0, (c.y + d.y) / 2.0)
+        dx, dy = e1[0] - e2[0], e1[1] - e2[1]
+        cands.append((e1, e2, math.hypot(dx, dy), folded_deg(dx, dy)))
+    a, b = cands
+    off_a, off_b = abs(a[3] - 90.0), abs(b[3] - 90.0)
+    theta = a[3] if off_a <= off_b else b[3]
+    horizontal = low < theta < high
+    a_first = off_a >= off_b if horizontal else a[2] >= b[2]
+    (p1, p2, *_), (q1, q2, *_) = (a, b) if a_first else (b, a)
+    if (p1[0], -p1[1]) < (p2[0], -p2[1]):
+        p1, p2 = p2, p1
+    if (q1[1], -q1[0]) > (q2[1], -q2[0]):
+        q1, q2 = q2, q1
+    return [*p1, *p2, *q1, *q2], 0 if horizontal else 1, theta
+
+
+@given(
+    boxes=st.lists(
+        st.tuples(
+            random_rectangles(),
+            st.sampled_from([None, 0.0, 90.0, 2.0, -2.0, 45.0]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=100)
+def test_midline_arrays_match_the_scalar_rule_row_by_row(boxes):
+    # Squares (tied candidates) and the angles at the branch bounds included.
+    shapes = []
+    for box, angle, square in boxes:
+        if angle is not None:
+            box = rectangle(box.corners[0].x, box.corners[0].y, 30.0, 30.0 if square else 12.0, angle)
+        shapes.append(box)
+    lines = midline_arrays(box_corners(shapes))
+    assert not (lines.degenerate | lines.non_finite).any()
+    for i, box in enumerate(shapes):
+        ends, branch, theta = scalar_midlines(box)
+        assert lines.ends[i].tolist() == ends
+        assert lines.branch[i] == branch
+        assert lines.theta[i] == theta  # bit for bit: branch choice compares it
+        pair = box_to_midlines(box)
+        assert [pair.l1.length, pair.l2.length] == lines.lengths[i].tolist()
+        ip = intersection_point(pair)
+        assert [ip.x, ip.y] == lines.centre[i].tolist()
+        assert pair.branch.index == branch == classify_branch(box).index
 
 
 # --- intersection_point -------------------------------------------------------
@@ -258,7 +325,7 @@ def random_midline_pairs(draw):
     t2 = t1 + skew
     u = Point2(a * math.cos(t1), a * math.sin(t1))
     v = Point2(b * math.cos(t2), b * math.sin(t2))
-    theta = min((_angle_deg(u), _angle_deg(v)), key=lambda t: abs(t - 90.0))
+    theta = min((folded_deg(u.x, u.y), folded_deg(v.x, v.y)), key=lambda t: abs(t - 90.0))
     assume(not 87.9 < theta < 92.1)
     l1 = Segment(u, u.scaled(-1.0))
     l2 = Segment(v, v.scaled(-1.0))

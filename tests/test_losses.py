@@ -416,3 +416,13 @@ def test_both_branches_in_one_pass_equal_the_per_branch_losses():
 def test_loss_weights_validated():
     with pytest.raises(ValueError):
         LossWeights(gamma=-0.1)
+
+
+@pytest.mark.parametrize("name", ["alpha_focal", "alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_weights_must_be_finite_and_non_negative(name, value):
+    # A NaN weight used to pass the `< 0` check and turn every loss it
+    # weights into NaN.
+    with pytest.raises(ValueError, match=name):
+        LossWeights(**{name: value})
+    LossWeights(**{name: 0.0})
