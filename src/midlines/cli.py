@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -120,11 +120,29 @@ def _load_gt_images(
     return None
 
 
+# One pool per --jobs value, kept for the life of the process. Commands run
+# one after another in one process (a test run, a notebook) reuse the same
+# worker threads instead of starting fresh ones per command: a fresh thread
+# that starts before the last command's workers have fully exited gets a new
+# malloc arena of its own, which keeps its freed maps resident and made peak
+# memory jump by one decode's working set at random.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+
+
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
+    """fn over items in input order; with jobs > 1, on that many pool threads.
+
+    Every item has finished when this returns, also when one raised: the
+    first exception in input order is raised after the rest are done.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    pool = _POOLS.get(jobs)
+    if pool is None:
+        pool = _POOLS.setdefault(jobs, ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="midlines"))
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _map_images(
@@ -132,18 +150,19 @@ def _map_images(
 ) -> list:
     """fn over every image, in input order, keeping the outputs that worked.
 
-    An image whose fn raises MidlinesError is logged as image=<id>
-    error=... with exit 1, and the other images still run.
+    An image whose fn raises MidlinesError, or ValueError for geometry its
+    values cannot hold (an edge midpoint that overflows), is logged as
+    image=<id> error=... with exit 1, and the other images still run.
     """
     def guarded(img: AnnotatedImage):
         try:
             return fn(img)
-        except MidlinesError as err:
+        except (MidlinesError, ValueError) as err:
             return err
 
     outputs = []
     for img, out in zip(images, _parallel_map(guarded, images, jobs)):
-        if isinstance(out, MidlinesError):
+        if isinstance(out, (MidlinesError, ValueError)):
             result.fail(VALIDATION_ERROR, image=img.image_id, error=f"{str(out)!r}")
         else:
             outputs.append(out)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import OrientedBox
+from .geometry import OrientedBox, box_corners
 
 _MIN_INTERSECTION = 1e-9
 
@@ -87,14 +87,16 @@ def may_overlap(a: Sequence, b: Sequence) -> np.ndarray:
     Items are OrientedBoxes or anything carrying one under .box.
     """
     boxes = [_as_box(item) for item in (*a, *b)]
-    corners = np.array([[(p.x, p.y) for p in box.corners] for box in boxes]).reshape(-1, 4, 2)
-    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    corners = box_corners(boxes)
+    (x0, y0), (x1, y1) = corners.min(axis=1).T, corners.max(axis=1).T
     classes = np.array([box.class_id for box in boxes])
     n = len(a)
     return (
         (classes[:n, None] == classes[None, n:])
-        & (lo[:n, None] <= hi[None, n:]).all(axis=2)
-        & (lo[None, n:] <= hi[:n, None]).all(axis=2)
+        & (x0[:n, None] <= x1[None, n:])
+        & (y0[:n, None] <= y1[None, n:])
+        & (x0[None, n:] <= x1[:n, None])
+        & (y0[None, n:] <= y1[:n, None])
     )
 
 

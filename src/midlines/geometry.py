@@ -60,10 +60,6 @@ class Point2:
         return math.hypot(self.x, self.y)
 
 
-def cross(a: Point2, b: Point2) -> float:
-    return a.x * b.y - a.y * b.x
-
-
 @dataclass(frozen=True)
 class Segment:
     """Directed segment from ep1 to ep2."""
@@ -74,10 +70,6 @@ class Segment:
     @property
     def length(self) -> float:
         return (self.ep1 - self.ep2).norm()
-
-    @property
-    def direction(self) -> Point2:
-        return self.ep1 - self.ep2
 
 
 def _signed_area(corners: tuple[Point2, ...]) -> float:
@@ -96,10 +88,6 @@ def _turns(corners: tuple[Point2, ...]) -> list[float]:
         a, c = corners[i - 1], corners[(i + 1) % len(corners)]
         out.append((b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x))
     return out
-
-
-class _BadShape(ValueError):
-    """Corners that enclose no area or do not bound a convex region."""
 
 
 @dataclass(frozen=True)
@@ -127,10 +115,10 @@ class OrientedBox:
             raise ValueError(f"score {self.score} outside [0, 1]")
         area = _signed_area(corners)
         if area == 0.0:
-            raise _BadShape("zero-area box")
+            raise ValueError("zero-area box")
         turns = _turns(corners)
         if min(turns) < 0.0 < max(turns):
-            raise _BadShape("non-convex quad")
+            raise ValueError("non-convex quad")
         if area < 0.0:
             corners = (corners[0], corners[3], corners[2], corners[1])
         object.__setattr__(self, "corners", corners)
@@ -170,20 +158,6 @@ class MidlinePair:
         c, d = self.l2.ep1, self.l2.ep2
         if (c.y, -c.x) > (d.y, -d.x):
             raise ValueError("l2 endpoints out of order")
-
-
-def _order_l1(a: Point2, b: Point2) -> Segment:
-    """Order so ep1 has the larger x, ties broken by the smaller y."""
-    if (a.x, -a.y) >= (b.x, -b.y):
-        return Segment(a, b)
-    return Segment(b, a)
-
-
-def _order_l2(a: Point2, b: Point2) -> Segment:
-    """Order so ep1 has the smaller y, ties broken by the larger x."""
-    if (a.y, -a.x) <= (b.y, -b.x):
-        return Segment(a, b)
-    return Segment(b, a)
 
 
 @dataclass(frozen=True)
@@ -229,11 +203,35 @@ def box_corners(boxes: Sequence[OrientedBox]) -> np.ndarray:
     return np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2)
 
 
+_NEXT, _PREV = np.array([1, 2, 3, 0]), np.array([3, 0, 1, 2])  # a quad's neighbouring corners
+
+
 def box_areas(corners: np.ndarray) -> np.ndarray:
     """Area of each (4, 2) quad, summed term by term as OrientedBox.area is."""
-    x, y = corners[..., 0], corners[..., 1]
-    terms = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
-    return np.abs((((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]) / 2.0)
+    after = corners[:, _NEXT]
+    terms = corners[..., 0] * after[..., 1] - after[..., 0] * corners[..., 1]
+    return np.abs(np.add.accumulate(terms, axis=1)[:, 3] / 2.0)  # accumulate adds left to right
+
+
+# Sort keys per endpoint, as (x, -y): l1's ep1 has the larger x, then the
+# larger -y; l2's has the larger -y, then the larger x. Rows of _ORDER_KEYS
+# pick, for l1 and l2, the first key of ep1 and of ep2, then the tie keys.
+_KEY_SIGNS = np.array([1.0, -1.0] * 4)
+_ORDER_KEYS = np.array([[0, 5], [2, 7], [1, 4], [3, 6]])
+
+
+def order_midline_ends(ends: np.ndarray) -> np.ndarray:
+    """N rows of endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y, in MidlinePair's order.
+
+    l1 runs from the larger x, ties broken by the smaller y; l2 from the
+    smaller y, ties broken by the larger x. Returns a new (N, 8) array; a
+    row already in order comes back unchanged.
+    """
+    flat = np.asarray(ends, dtype=np.float64).reshape(-1, 8)
+    key1, key2, tie1, tie2 = (flat * _KEY_SIGNS)[:, _ORDER_KEYS].transpose(1, 0, 2)
+    keep = np.where(key1 == key2, tie1 >= tie2, key1 > key2)  # (N, line)
+    lines = flat.reshape(-1, 2, 2, 2)  # line, endpoint, x/y
+    return np.where(keep[:, :, None, None], lines, lines[:, :, ::-1]).reshape(-1, 8)
 
 
 def _map(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,7 +263,7 @@ def midline_arrays(
     """
     p = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        mids = (p + np.roll(p, -1, axis=1)) / 2.0  # edge midpoints m01, m12, m23, m30
+        mids = (p + p[:, _NEXT]) / 2.0  # edge midpoints m01, m12, m23, m30
         cand = mids[:, [[0, 2], [1, 3]]]  # (N, candidate A/B, endpoint, xy)
         d = cand[:, :, 0] - cand[:, :, 1]
     length = _map(math.hypot, d[..., 0], d[..., 1])
@@ -286,21 +284,10 @@ def midline_arrays(
     theta = np.where(a_vertical, angle[:, 0], angle[:, 1])
     horizontal = (low_deg < theta) & (theta < high_deg)
     a_first = np.where(horizontal, off[:, 0] >= off[:, 1], length[:, 0] >= length[:, 1])
-    pick = np.where(a_first, 0, 1)
-    first, second = cand[rows, pick], cand[rows, 1 - pick]
-    lengths = np.stack((length[rows, pick], length[rows, 1 - pick]), axis=1)
-
-    # l1 runs from the larger x (then smaller y), l2 from the smaller y
-    # (then larger x), as _order_l1 and _order_l2 order them.
-    (ax, ay), (bx, by) = first[:, 0].T, first[:, 1].T
-    swap1 = ~((ax > bx) | ((ax == bx) & (ay <= by)))
-    (cx, cy), (ex, ey) = second[:, 0].T, second[:, 1].T
-    swap2 = ~((cy < ey) | ((cy == ey) & (cx >= ex)))
-    first[swap1] = first[swap1, ::-1]
-    second[swap2] = second[swap2, ::-1]
-    ends = np.concatenate((first, second), axis=1).reshape(-1, 8)
+    lengths = np.where(a_first[:, None], length, length[:, ::-1])
+    ends = order_midline_ends(np.where(a_first[:, None, None, None], cand, cand[:, ::-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = (((ends[:, 0:2] + ends[:, 2:4]) + ends[:, 4:6]) + ends[:, 6:8]) * 0.25
+        centre = np.add.accumulate(ends.reshape(-1, 4, 2), axis=1)[:, 3] * 0.25  # left to right
     return MidlineArrays(
         ends=ends,
         branch=np.where(horizontal, BranchId.HORIZONTAL.index, BranchId.ORIENTED.index),
@@ -362,32 +349,155 @@ def intersection_point(pair: MidlinePair) -> Point2:
     return s.scaled(0.25)
 
 
+# Why a midline pair rebuilds no box: MidlineBoxes.fault, 0 for a box.
+ZERO_LENGTH, PARALLEL, ZERO_AREA, NON_CONVEX, NON_FINITE = 1, 2, 3, 4, 5
+_FAULT_MESSAGES = {
+    ZERO_LENGTH: "zero-length midline",
+    PARALLEL: "parallel midlines span no area",
+    ZERO_AREA: "rebuilt corners: zero-area box",
+    NON_CONVEX: "rebuilt corners: non-convex quad",
+}
+
+
+@dataclass(frozen=True)
+class MidlineBoxes:
+    """The boxes rebuilt from N midline pairs, row i from pair i.
+
+    corners: (N, 4, 2) c+u+v, c+u-v, c-u-v, c-u+v, in this order before
+             OrientedBox orients them
+    fault:   (N,) 0 for a box, else the first rule the row breaks:
+             ZERO_LENGTH, PARALLEL, ZERO_AREA, NON_CONVEX or NON_FINITE
+    points:  (N, 17, 2) every point the rebuild makes, in the order it
+             makes them; on a NON_FINITE row the first non-finite one is
+             the point that overflows
+
+    The corners of a faulty row are meaningless.
+    """
+
+    corners: np.ndarray
+    fault: np.ndarray
+    points: np.ndarray
+
+    def error(self, i: int) -> Exception | None:
+        """What midlines_to_box raises for row i; None for a box."""
+        fault = int(self.fault[i])
+        if fault == NON_FINITE:
+            points = self.points[i]
+            x, y = points[np.argmax(~np.isfinite(points).all(axis=1))].tolist()
+            return ValueError(f"non-finite point ({x}, {y})")
+        return DegenerateBox(_FAULT_MESSAGES[fault]) if fault else None
+
+    def box(
+        self, i: int, class_id: int = 0, score: float = 1.0, difficult: bool = False
+    ) -> OrientedBox:
+        """Row i as an OrientedBox; a faulty row raises its error."""
+        err = self.error(i)
+        if err is not None:
+            raise err
+        corners = tuple(Point2(x, y) for x, y in self.corners[i].tolist())
+        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+
+
+# The checks midline_boxes makes, in the order the scalar steps make them,
+# as (fault, column of its `failed` array). Columns 0-16 say that a point
+# overflows, in MidlineBoxes.points' order: the four endpoints, l1's and
+# l2's extents, u and v (finite when the extents are), the running
+# endpoint sum, then c+u, two corners, c-u and two corners. Columns 17-20
+# say that l1's extent, l2's extent, u or v is zero; 21-23 are the
+# parallel, zero-area and non-convex tests, and 24 is always true, which
+# leaves fault 0.
+_CHECKS = (
+    *((NON_FINITE, k) for k in range(5)),
+    (ZERO_LENGTH, 17),
+    (NON_FINITE, 5),
+    (ZERO_LENGTH, 18),
+    *((NON_FINITE, k) for k in (8, 9, 10)),
+    (ZERO_LENGTH, 19),  # u or v rounds to zero
+    (ZERO_LENGTH, 20),
+    (PARALLEL, 21),
+    *((NON_FINITE, k) for k in range(11, 17)),
+    (ZERO_AREA, 22),
+    (NON_CONVEX, 23),
+    (0, 24),
+)
+_CHECK_FAULT, _CHECK_COLUMN = (np.array(column) for column in zip(*_CHECKS))
+_U_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # c + u * -1 is c - u, bit for bit
+_V_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+
+
+def midline_boxes(ends: np.ndarray) -> MidlineBoxes:
+    """Rebuild N boxes from midline endpoints given as (N, 8) rows.
+
+    Row i holds both endpoints of l1, then both of l2, as x, y, in either
+    order along each line; order_midline_ends puts them in MidlinePair's
+    order. With c the endpoint mean (((e1 + e2) + e3) + e4) * 0.25, u half
+    of l1's directed extent and v half of l2's, the corners are (c+u)+v,
+    (c+u)-v, (c-u)-v and (c-u)+v. The checks run in this order, and each
+    row records the first that fails: an endpoint is not finite; l1's
+    extent overflows, or is zero (ZERO_LENGTH); the same for l2; the
+    endpoint sum overflows; u or v rounds to zero (ZERO_LENGTH); u x v is
+    zero (PARALLEL); a corner overflows; the rounded corners have zero
+    shoelace area (ZERO_AREA) or turn both ways (NON_CONVEX), as
+    OrientedBox tests them. An overflow is NON_FINITE. Every value is the
+    float a scalar evaluation of these steps gives, bit for bit.
+    """
+    raw = np.asarray(ends, dtype=np.float64).reshape(-1, 4, 2)
+    e = order_midline_ends(raw).reshape(-1, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = e[:, 0::2] - e[:, 1::2]  # l1's, then l2's
+        half = extent * 0.5  # u, then v
+        sums = np.add.accumulate(e, axis=1)  # adds left to right: e1, e1+e2, ...
+        c_u = sums[:, 3:] * 0.25 + half[:, :1] * _U_SIGNS  # c+u, c+u, c-u, c-u
+        corners = c_u + half[:, 1:] * _V_SIGNS
+        points = np.concatenate((
+            raw, extent, half, sums[:, 1:],
+            c_u[:, :1], corners[:, :2], c_u[:, 2:3], corners[:, 2:],
+        ), axis=1)
+        # One cross product for the shoelace terms, the turn at each corner
+        # and u x v: a.x * b.y - a.y * b.x, with b's columns swapped.
+        after = corners[:, _NEXT]
+        edges = after - corners
+        a = np.concatenate((corners, edges[:, _PREV], half[:, :1]), axis=1)
+        b = np.concatenate((after, edges, half[:, 1:]), axis=1)[..., ::-1]
+        products = a * b
+        cross = products[..., 0] - products[..., 1]
+        area = np.add.accumulate(cross[:, :4], axis=1)[:, 3:] / 2.0
+    signs = np.sign(cross[:, 4:8])  # of the turns
+    failed = np.concatenate((
+        ~np.isfinite(points).all(axis=2),
+        (points[:, 4:8] == 0.0).all(axis=2),  # l1's and l2's extents, u, v
+        cross[:, 8:] == 0.0,
+        area == 0.0,
+        # OrientedBox's min(turns) < 0 < max(turns), on the turns' signs:
+        # Python's min and max fold from the first turn, so a NaN there
+        # makes the test false and a later NaN is skipped, as fmin and fmax
+        # skip it.
+        (np.fmin.reduce(signs, axis=1, keepdims=True) * np.fmax.reduce(signs, axis=1, keepdims=True) < 0.0)
+        & (signs[:, :1] == signs[:, :1]),
+        np.ones_like(area, dtype=bool),
+    ), axis=1)
+    return MidlineBoxes(
+        corners=corners,
+        fault=_CHECK_FAULT[np.argmax(failed[:, _CHECK_COLUMN], axis=1)],
+        points=points,
+    )
+
+
 def midlines_to_box(
     pair: MidlinePair,
     class_id: int = 0,
     score: float = 1.0,
     difficult: bool = False,
 ) -> OrientedBox:
-    """Rebuild the box spanned by a midline pair.
+    """Rebuild the box spanned by a midline pair: one row of midline_boxes.
 
-    With c the endpoint mean, u half of l1's directed extent and v half of
-    l2's, the corners are c+u+v, c+u-v, c-u-v, c-u+v. Raises DegenerateBox
-    when either half-extent vanishes, the two lines are parallel, or they
-    are so close to parallel that the rounded corners fail OrientedBox's
-    shape rule.
+    Raises DegenerateBox when either half-extent vanishes, the two lines
+    are parallel, or they are so close to parallel that the rounded
+    corners fail OrientedBox's shape rule.
     """
-    c = intersection_point(pair)
-    u = pair.l1.direction.scaled(0.5)
-    v = pair.l2.direction.scaled(0.5)
-    if u.norm() == 0.0 or v.norm() == 0.0:
-        raise DegenerateBox("zero-length midline")
-    if cross(u, v) == 0.0:
-        raise DegenerateBox("parallel midlines span no area")
-    corners = (c + u + v, c + u - v, c - u - v, c - u + v)
-    try:
-        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
-    except _BadShape as err:
-        raise DegenerateBox(f"rebuilt corners: {err}") from None
+    ends = [pair.l1.ep1, pair.l1.ep2, pair.l2.ep1, pair.l2.ep2]
+    rebuilt = midline_boxes(np.array([[(p.x, p.y) for p in ends]]))
+    return rebuilt.box(0, class_id=class_id, score=score, difficult=difficult)
 
 
 def rectangle(

@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from midlines.cli import main
+from midlines.cli import _parallel_map, main
 from midlines.container import TENSOR_NAMES, read_maps, write_maps
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError, ShapeMismatch
@@ -201,6 +203,26 @@ def test_roundtrip_bad_image_is_reported_and_others_still_run(tmp_path, capsys):
     assert code == 1
     assert "image=bad error=" in out
     assert "objects=1" in out and "fraction=1.000000" in out
+
+
+@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+def test_overflowing_edge_midpoint_is_reported_and_others_still_run(tmp_path, capsys, command):
+    # Finite corners whose edge midpoint (1e308 + 1.7e308) / 2 overflows.
+    huge = {"class": "plane", "corners": [1e308, 0, 1.7e308, 0, 1.7e308, 10, 1e308, 10]}
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([
+        {"image_id": "huge", "width": 100, "height": 100, "objects": [huge]},
+        {"image_id": "good", "width": 256, "height": 256, "objects": [PLANE]},
+    ]), encoding="utf-8")
+    out_flag = ["--out", tmp_path / "maps"] if command == "encode" else []
+    code, out = run(capsys, command, "--gt", gt, *out_flag, "--jobs", 2)
+    assert code == 1
+    assert out.splitlines()[0] == "image=huge error='non-finite point (inf, 0.0)'"
+    if command == "encode":
+        assert (tmp_path / "maps" / "good" / "manifest.json").is_file()
+        assert not (tmp_path / "maps" / "huge").exists()
+    else:
+        assert "objects=1" in out and "fraction=1.000000" in out
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -759,6 +781,35 @@ def test_pipeline_is_byte_deterministic(tmp_path, capsys):
     assert rel(a) == rel(b)
     for p in rel(a):
         assert (a / p).read_bytes() == (b / p).read_bytes(), p
+
+
+def test_commands_in_one_process_reuse_the_worker_threads(tmp_path, capsys):
+    # A fresh thread per command could land in a new malloc arena and hold
+    # another decode's worth of freed memory; one pool keeps the same threads.
+    labels = write_labels(tmp_path)
+    seen = []
+    for run_dir in ("a", "b"):
+        base = tmp_path / run_dir
+        run(capsys, "tile", "--input", labels, "--out", base / "tiles", "--jobs", 2)
+        run(capsys, "encode", "--gt", base / "tiles", "--out", base / "maps", "--jobs", 2)
+        seen.append({t.ident for t in threading.enumerate() if t.name.startswith("midlines")})
+    assert seen[0] and seen[0] == seen[1]
+
+
+def test_parallel_map_finishes_every_item_before_raising():
+    done = []
+
+    def work(item):
+        if item == 0:
+            raise ValueError("first")
+        time.sleep(0.01)
+        done.append(item)
+        return item
+
+    with pytest.raises(ValueError, match="first"):
+        _parallel_map(work, range(6), 2)
+    assert sorted(done) == [1, 2, 3, 4, 5]
+    assert _parallel_map(lambda x: x * x, range(6), 2) == [0, 1, 4, 9, 16, 25]
 
 
 def test_importing_the_cli_does_not_load_scipy():

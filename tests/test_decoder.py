@@ -11,9 +11,9 @@ from midlines.decoder import (
     reconstruct_at_cell,
 )
 from midlines.encoder import TargetMaps, encode_image
-from midlines.errors import ShapeMismatch
+from midlines.errors import DegenerateBox, ShapeMismatch
 from midlines.evaluation import rotated_iou
-from midlines.geometry import BranchId, rectangle
+from midlines.geometry import BranchId, OrientedBox, Point2, rectangle
 
 from oracles import flood_components
 
@@ -312,3 +312,175 @@ def test_decode_keeps_same_cells_in_adjacent_classes_and_both_branches_apart():
     for d in dets:
         half_w = 20 if d.branch is BranchId.HORIZONTAL else 16
         assert corner_set(d.box) == corner_set(rectangle(44, 44, 2 * half_w, 16))
+
+
+# --- the array rebuild against a per-component statement of its rules --------------
+
+
+def _point(x, y):
+    """A point the rebuild builds; a non-finite one ends it, as Point2 does."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point ({x}, {y})")
+    return x, y
+
+
+def reference_rebuild(ends):
+    """One cell's box in plain Python floats: ordering plus midlines_to_box's rules.
+
+    `ends` holds the four endpoints as read, x, y each: l1's two, then l2's.
+    Returns the corners c+u+v, c+u-v, c-u-v, c-u+v, or the message of the
+    rule that drops the cell.
+    """
+    e1, e2, e3, e4 = (_point(ends[i], ends[i + 1]) for i in range(0, 8, 2))
+    a, b = (e1, e2) if (e1[0], -e1[1]) >= (e2[0], -e2[1]) else (e2, e1)
+    c, d = (e3, e4) if (e3[1], -e3[0]) <= (e4[1], -e4[0]) else (e4, e3)
+    d1 = _point(a[0] - b[0], a[1] - b[1])
+    if math.hypot(*d1) == 0.0:
+        return "zero-length midline"
+    d2 = _point(c[0] - d[0], c[1] - d[1])
+    if math.hypot(*d2) == 0.0:
+        return "zero-length midline"
+    s = _point(a[0] + b[0], a[1] + b[1])
+    s = _point(s[0] + c[0], s[1] + c[1])
+    s = _point(s[0] + d[0], s[1] + d[1])
+    cx, cy = s[0] * 0.25, s[1] * 0.25
+    ux, uy, vx, vy = d1[0] * 0.5, d1[1] * 0.5, d2[0] * 0.5, d2[1] * 0.5
+    if math.hypot(ux, uy) == 0.0 or math.hypot(vx, vy) == 0.0:
+        return "zero-length midline"
+    if ux * vy - uy * vx == 0.0:
+        return "parallel midlines span no area"
+    plus_u, minus_u = _point(cx + ux, cy + uy), _point(cx - ux, cy - uy)
+    corners = [
+        _point(plus_u[0] + vx, plus_u[1] + vy),
+        _point(plus_u[0] - vx, plus_u[1] - vy),
+        _point(minus_u[0] - vx, minus_u[1] - vy),
+        _point(minus_u[0] + vx, minus_u[1] + vy),
+    ]
+    area = 0.0
+    for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1]):
+        area += px * qy - qx * py
+    if area / 2.0 == 0.0:
+        return "rebuilt corners: zero-area box"
+    before, after = corners[-1:] + corners[:-1], corners[1:] + corners[:1]
+    turns = [
+        (qx - px) * (ry - qy) - (qy - py) * (rx - qx)
+        for (px, py), (qx, qy), (rx, ry) in zip(before, corners, after)
+    ]
+    if min(turns) < 0.0 < max(turns):
+        return "rebuilt corners: non-convex quad"
+    return corners
+
+
+def cell_ends(maps, b, row, col):
+    anchor = [col * maps.stride, row * maps.stride] * 4
+    return [p + q for p, q in zip(anchor, maps.regression[b, :, row, col].tolist())]
+
+
+def reference_decode(maps, threshold=0.3):
+    """decode one component at a time: (merged detections, drop messages)."""
+    _, lookup, scores = extract_components(maps.heatmap, threshold)
+    dets, drops = [], []
+    for (channel, row, col), score in zip(lookup.tolist(), scores.tolist()):
+        b, class_id = divmod(channel, maps.num_classes)
+        out = reference_rebuild(cell_ends(maps, b, row, col))
+        if isinstance(out, str):
+            drops.append(out)
+            continue
+        box = OrientedBox(tuple(Point2(x, y) for x, y in out), class_id=class_id, score=score)
+        dets.append(Detection(box=box, branch=BranchId(b + 1)))
+    return merge_branches(dets), drops
+
+
+def bits(det):
+    """Everything a detection carries, exactly: -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in det.box.corner_array() + [det.score]], det.class_id, det.branch
+
+
+# Rows that hit each drop rule, as (branch, row, col, offsets) at stride 4.
+PLANTED = [
+    (0, 2, 2, [3.0, 1.0, 3.0, 1.0, 0.0, -2.0, 0.0, 2.0]),  # coincident l1 endpoints
+    (1, 2, 6, [4.0, 2.0, -4.0, -2.0, 2.0, 1.0, -2.0, -1.0]),  # parallel
+    # float32-exact near-parallel offsets: the corners round to a zero-area quad
+    (0, 2, 10, [0.6419510841369629, -0.3967475891113281, -0.6419510841369629, 0.3967475891113281,
+                1.038698673248291, -0.6419510841369629, -1.038698673248291, 0.6419510841369629]),
+    # offsets far below one unit in the last place of the anchor: the rounded
+    # corners turn both ways, or keep an area with every turn exactly 0
+    (1, 8, 12, [-2.0682123453971774e-13, 4.6151111981715775e-14, 7.904977817925713e-14,
+                -2.640926815810598e-13, -1.2987956572676929e-14, 1.6509747739096509e-13,
+                8.141054819731722e-14, 6.945803146611649e-14]),
+    (0, 20, 19, [2.6756152350637398e-14, 1.8735855920021134e-13, -1.3044020270902306e-13,
+                 -1.1041042552510325e-13, -1.852618431359625e-14, 2.735438000414092e-15,
+                 -9.332964816893124e-14, -1.447681404309629e-13]),
+]
+
+
+def random_maps(seed):
+    """Sparse blobs over 2 branches x 2 classes with a mix of offset kinds, plus PLANTED."""
+    rng = np.random.default_rng(seed)
+    maps = make_maps(num_classes=2)
+    lit = rng.random(maps.heatmap.shape) < 0.06
+    maps.heatmap[lit] = rng.uniform(0.31, 1.0, lit.sum())
+    shape = maps.regression.shape
+    kinds = rng.integers(0, 4, (2, 1, *shape[2:]))
+    maps.regression[:] = np.choose(kinds, [
+        rng.normal(0.0, 12.0, shape),
+        rng.integers(-4, 5, shape) / 2.0,  # ties in x and y, coincident and parallel lines
+        rng.normal(0.0, 12.0, shape).astype(np.float32),
+        rng.uniform(-3e-13, 3e-13, shape),  # rounding decides the shape
+    ])
+    for b, row, col, offsets in PLANTED:
+        maps.heatmap[:, :, row - 1:row + 2, col - 1:col + 2] = 0.0
+        maps.heatmap[b, 1, row, col] = 0.8
+        maps.regression[b, :, row, col] = offsets
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decode_matches_the_per_component_rules_bit_for_bit(seed):
+    maps = random_maps(seed)
+    stats = {}
+    dets = decode(maps, stats=stats)
+    expected, drops = reference_decode(maps)
+    assert [bits(d) for d in dets] == [bits(d) for d in expected]
+    assert stats["dropped_degenerate"] == len(drops)
+    assert {
+        "zero-length midline", "parallel midlines span no area",
+        "rebuilt corners: zero-area box", "rebuilt corners: non-convex quad",
+    } <= set(drops)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_reconstruct_at_cell_is_one_row_of_the_rebuild(seed):
+    maps = random_maps(seed)
+    for b, class_id, row, col in np.argwhere(maps.heatmap > 0.3).tolist():
+        out = reference_rebuild(cell_ends(maps, b, row, col))
+        call = (maps.regression[b], row, col, maps.stride, BranchId(b + 1), class_id, 0.5)
+        if isinstance(out, str):
+            with pytest.raises(DegenerateBox) as err:
+                reconstruct_at_cell(*call)
+            assert str(err.value) == out
+        else:
+            box = OrientedBox(tuple(Point2(x, y) for x, y in out), class_id=class_id, score=0.5)
+            assert bits(reconstruct_at_cell(*call)) == bits(Detection(box, BranchId(b + 1)))
+
+
+@pytest.mark.parametrize("offsets", [
+    [math.nan, 0.0, -3.0, 0.0, 0.0, -2.0, 0.0, 2.0],  # an endpoint
+    [1.7e308, 0.0, -1.7e308, 0.0, 0.0, -2.0, 0.0, 2.0],  # l1's extent
+    [3.0, 0.0, -3.0, 0.0, 0.0, -1.7e308, 0.0, 1.7e308],  # l2's extent
+    [1.7e308, 0.0, 1.6e308, 2.0, 0.0, -2.0, 0.0, 2.0],  # the endpoint sum
+    [1.09e308, 0.0, -0.69e308, 0.0, 1.09e308, 4.0, -0.69e308, -4.0],  # a rebuilt corner
+])
+def test_overflow_raises_what_the_per_component_rules_raise(offsets):
+    maps = make_maps()
+    maps.heatmap[0, 0, 3, 3] = 0.9  # a coincident component first: counted, not raised
+    maps.heatmap[0, 0, 6, 6] = 0.8
+    maps.regression[0, :, 6, 6] = offsets
+    with pytest.raises(ValueError) as expected:
+        reference_rebuild(cell_ends(maps, 0, 6, 6))
+    with pytest.raises(ValueError) as err:
+        decode(maps)
+    assert str(err.value) == str(expected.value)
+    with pytest.raises(ValueError) as err:
+        reconstruct_at_cell(maps.regression[0], 6, 6, 4, BranchId.HORIZONTAL)
+    assert str(err.value) == str(expected.value)

@@ -11,14 +11,13 @@ from midlines.geometry import (
     OrientedBox,
     Point2,
     Segment,
-    _order_l1,
-    _order_l2,
     box_corners,
     box_to_midlines,
     classify_branch,
     intersection_point,
     midline_arrays,
     midlines_to_box,
+    order_midline_ends,
     rectangle,
 )
 
@@ -297,6 +296,18 @@ def test_parallel_midlines_are_rejected():
         midlines_to_box(pair)
 
 
+def test_half_extent_that_underflows_is_zero_length():
+    # l1 spans the smallest subnormal, so half of it rounds to 0: the
+    # half-extent test fires before the parallel test.
+    pair = MidlinePair(
+        Segment(Point2(5e-324, 0), Point2(0, 0)),
+        Segment(Point2(0, -5), Point2(0, 5)),
+        BranchId.ORIENTED,
+    )
+    with pytest.raises(DegenerateBox, match="^zero-length midline$"):
+        midlines_to_box(pair)
+
+
 def test_misordered_endpoints_are_rejected():
     with pytest.raises(ValueError):
         MidlinePair(
@@ -417,6 +428,11 @@ def test_near_parallel_midlines_are_degenerate():
     v = (1.038698673248291, -0.6419510841369629)
     base = Point2(84.0, 128.0)
     ends = [base + Point2(*d) for d in (u, (-u[0], -u[1]), v, (-v[0], -v[1]))]
-    pair = MidlinePair(_order_l1(ends[0], ends[1]), _order_l2(ends[2], ends[3]), BranchId.HORIZONTAL)
+    x1, y1, x2, y2, x3, y3, x4, y4 = order_midline_ends([[(p.x, p.y) for p in ends]])[0].tolist()
+    pair = MidlinePair(
+        Segment(Point2(x1, y1), Point2(x2, y2)),
+        Segment(Point2(x3, y3), Point2(x4, y4)),
+        BranchId.HORIZONTAL,
+    )
     with pytest.raises(DegenerateBox, match="zero-area"):
         midlines_to_box(pair)
