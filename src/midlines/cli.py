@@ -21,17 +21,19 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .container import read_maps, write_maps
-from .decoder import Detection, decode
-from .encoder import TargetMaps, encode_image
+from .decoder import DEFAULT_MERGE_IOU, DEFAULT_THRESHOLD, Detection, decode
+from .encoder import DEFAULT_DRIFT_R, DEFAULT_STRIDE, TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
 from .evaluation import evaluate, may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps cli.box_to_midlines
+    BRANCH_HIGH_DEG,
+    BRANCH_LOW_DEG,
     OrientedBox,
     box_corners,
     box_to_midlines,
     midline_arrays,
 )
-from .gradcheck import run_gradchecks
+from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_gradchecks
 from .ingest import (
     AnnotatedImage,
     TileSpec,
@@ -53,11 +55,11 @@ IO_ERROR = 2
 class RunConfig:
     """Numeric knobs shared by the pipeline subcommands."""
 
-    stride: int = 4
-    drift_r: float = 16.0
-    threshold: float = 0.3
-    branch_low: float = 88.0
-    branch_high: float = 92.0
+    stride: int = DEFAULT_STRIDE
+    drift_r: float = DEFAULT_DRIFT_R
+    threshold: float = DEFAULT_THRESHOLD
+    branch_low: float = BRANCH_LOW_DEG
+    branch_high: float = BRANCH_HIGH_DEG
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
@@ -183,8 +185,8 @@ def _encode(img: AnnotatedImage, config: RunConfig) -> TargetMaps:
 def cmd_tile(
     input_dir: str | Path,
     out_dir: str | Path,
-    window: int = 800,
-    overlap: float = 0.25,
+    window: int = TileSpec.window,
+    overlap: float = TileSpec.overlap,
     fmt: str = "auto",
     strict: bool = False,
     jobs: int = 1,
@@ -205,14 +207,14 @@ def cmd_tile(
     files = sorted(root.glob("*.txt"))
 
     def process(path: Path):
-        text = path.read_text(encoding="utf-8")
         try:
+            text = path.read_text(encoding="utf-8")
             if fmt == "icdar" or (fmt == "auto" and path.name.startswith("gt_")):
                 image_id = path.stem.removeprefix("gt_")
                 img, warnings = parse_icdar(text, image_id=image_id, strict=strict)
             else:
                 img, warnings = parse_dota(text, image_id=path.stem, strict=strict)
-        except MidlinesError as err:
+        except (MidlinesError, UnicodeDecodeError) as err:
             return None, [str(err)], []
         return img, warnings, tile_image(img, spec)
 
@@ -293,8 +295,8 @@ def _detection_record(det: Detection, class_names: Sequence[str]) -> dict:
 def cmd_decode(
     maps_dir: str | Path,
     out_json: str | Path,
-    threshold: float = 0.3,
-    merge_iou: float = 0.7,
+    threshold: float = DEFAULT_THRESHOLD,
+    merge_iou: float = DEFAULT_MERGE_IOU,
     jobs: int = 1,
 ) -> CommandResult:
     """Decode one container, or a directory of them, into detections JSON."""
@@ -404,8 +406,8 @@ def cmd_roundtrip(
 def cmd_gradcheck(
     seed: int = 0,
     samples: int = 100,
-    step: float = 1e-4,
-    tolerance: float = 1e-4,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> CommandResult:
     """Finite-difference checks for every loss; exit 1 on any failure."""
     result = CommandResult()
@@ -496,10 +498,10 @@ def cmd_eval(
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--drift-r", type=float, default=16.0)
-    p.add_argument("--branch-low", type=float, default=88.0)
-    p.add_argument("--branch-high", type=float, default=92.0)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p.add_argument("--drift-r", type=float, default=DEFAULT_DRIFT_R)
+    p.add_argument("--branch-low", type=float, default=BRANCH_LOW_DEG)
+    p.add_argument("--branch-high", type=float, default=BRANCH_HIGH_DEG)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -521,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="split annotation files into window tiles")
     p.add_argument("--input", required=True, help="directory of label .txt files")
     p.add_argument("--out", required=True, help="output directory for tile JSON")
-    p.add_argument("--window", type=int, default=800)
-    p.add_argument("--overlap", type=float, default=0.25)
+    p.add_argument("--window", type=int, default=TileSpec.window)
+    p.add_argument("--overlap", type=float, default=TileSpec.overlap)
     p.add_argument("--format", choices=("auto", "dota", "icdar"), default="auto")
     p.add_argument("--strict", action="store_true", help="reject empty label files")
     p.add_argument("--jobs", type=int, default=1)
@@ -537,22 +539,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="read containers back into detections JSON")
     p.add_argument("--maps", required=True, help="container directory, or a directory of containers")
     p.add_argument("--out", required=True, help="detections JSON path")
-    p.add_argument("--threshold", type=float, default=0.3)
-    p.add_argument("--merge-iou", type=float, default=0.7)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--merge-iou", type=float, default=DEFAULT_MERGE_IOU)
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("roundtrip", help="encode+decode self-test with IoU statistics")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
     p.add_argument("--bar", type=float, default=0.99, help="required fraction of objects at IoU >= 0.99")
-    p.add_argument("--threshold", type=float, default=0.3, help="decode heatmap threshold")
+    p.add_argument(
+        "--threshold", type=float, default=DEFAULT_THRESHOLD, help="decode heatmap threshold"
+    )
     p.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every loss gradient")
     p.add_argument("--seed", type=int, default=0, help="overridden by O2_SEED when set")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("eval", help="score detections JSON against ground truth")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")

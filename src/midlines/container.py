@@ -126,11 +126,13 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         if file in ("", ".", "..") or "/" in file or "\0" in file:
             raise ShapeMismatch(f"tensor {name}: file must be a plain file name, got {file!r}")
         shape = tuple(_count(s, f"tensor {name} shape entry", 0) for s in entry["shape"])
-        raw = np.fromfile(root / file, dtype="<f4")
-        if raw.size != math.prod(shape):
+        path = root / file
+        size, needed = path.stat().st_size, 4 * math.prod(shape)
+        if size != needed:  # np.fromfile would drop 1-3 trailing bytes unseen
             raise ShapeMismatch(
-                f"tensor {name}: file holds {raw.size} values, manifest says {shape}"
+                f"tensor {name}: file holds {size} bytes, manifest shape {shape} needs {needed}"
             )
+        raw = np.fromfile(path, dtype="<f4")
         kind, branch = name.split("_")
         if shape != expected[kind]:
             raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import TargetMaps
-from .errors import ShapeMismatch
+from .errors import DegenerateBox, ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
     NON_FINITE,
@@ -132,12 +132,13 @@ def decode(
     """All detections in one image's maps, cross-branch merged, unsorted.
 
     The offsets at every component's lookup cell are read with one index
-    and all boxes are rebuilt at once by geometry.midline_boxes; only the
-    survivors become Detections, in component order. Degenerate
-    regressions (coincident, parallel or near-parallel endpoint pairs)
-    drop their component; the count lands in stats["dropped_degenerate"]
-    when a stats dict is supplied. Offsets whose rebuild overflows raise
-    the ValueError of the first such component.
+    and all boxes are rebuilt at once by geometry.midline_boxes. A row that
+    passes its midline rules becomes a Detection, in component order, when
+    OrientedBox accepts its corners. Degenerate regressions (coincident,
+    parallel or near-parallel endpoint pairs) drop their component; the
+    count lands in stats["dropped_degenerate"] when a stats dict is
+    supplied. Offsets whose rebuild overflows raise the ValueError of the
+    first such component.
     """
     if maps.regression.ndim != 4 or maps.regression.shape[:2] != (2, 8):
         raise ShapeMismatch(f"regression shape {maps.regression.shape}")
@@ -156,12 +157,15 @@ def decode(
     if overflow.any():
         raise rebuilt.error(int(np.argmax(overflow)))
     keep = np.flatnonzero(rebuilt.fault == 0)
+    detections = []
+    for i, b, c, score in zip(
+        keep.tolist(), branch[keep].tolist(), class_id[keep].tolist(), scores[keep].tolist()
+    ):
+        try:
+            box = rebuilt.box(i, class_id=c, score=score)
+        except DegenerateBox:  # the rebuilt corners fail OrientedBox's shape rule
+            continue
+        detections.append(Detection(box=box, branch=_BRANCHES[b]))
     if stats is not None:
-        stats["dropped_degenerate"] = len(lookup) - len(keep)
-    detections = [
-        Detection(box=rebuilt.box(i, class_id=c, score=score), branch=_BRANCHES[b])
-        for i, b, c, score in zip(
-            keep.tolist(), branch[keep].tolist(), class_id[keep].tolist(), scores[keep].tolist()
-        )
-    ]
+        stats["dropped_degenerate"] = len(lookup) - len(detections)
     return merge_branches(detections, merge_iou)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import OrientedBox, box_corners
+from .geometry import OrientedBox, box_corners, signed_area
 
 _MIN_INTERSECTION = 1e-9
 
@@ -53,14 +53,6 @@ def _clip_by_edge(points: list[tuple[float, float]], a, b) -> list[tuple[float, 
     return out
 
 
-def _polygon_area(points: Sequence[tuple[float, float]]) -> float:
-    total = 0.0
-    for i, (px, py) in enumerate(points):
-        qx, qy = points[(i + 1) % len(points)]
-        total += px * qy - qx * py
-    return abs(total) / 2.0
-
-
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two boxes (convex by construction).
 
@@ -73,7 +65,7 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
         subject = _clip_by_edge(subject, clip[i], clip[(i + 1) % 4])
         if not subject:
             return 0.0
-    inter = _polygon_area(subject)
+    inter = abs(signed_area(subject))
     if inter < _MIN_INTERSECTION:
         return 0.0
     return inter / (a.area + b.area - inter)

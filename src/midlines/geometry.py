@@ -72,21 +72,25 @@ class Segment:
         return (self.ep1 - self.ep2).norm()
 
 
-def _signed_area(corners: tuple[Point2, ...]) -> float:
-    """Shoelace signed area in the stored coordinate system."""
+class _ShapeError(ValueError):
+    """Four corners make no box; only OrientedBox's shape rule raises it."""
+
+
+def signed_area(points: Sequence[tuple[float, float]]) -> float:
+    """Shoelace signed area of a polygon given as (x, y) pairs, summed in corner order."""
     total = 0.0
-    for i, p in enumerate(corners):
-        q = corners[(i + 1) % len(corners)]
-        total += p.x * q.y - q.x * p.y
+    for i, (px, py) in enumerate(points):
+        qx, qy = points[(i + 1) % len(points)]
+        total += px * qy - qx * py
     return total / 2.0
 
 
-def _turns(corners: tuple[Point2, ...]) -> list[float]:
+def _turns(points: Sequence[tuple[float, float]]) -> list[float]:
     """Cross product of the two edges meeting at each corner, in corner order."""
     out = []
-    for i, b in enumerate(corners):
-        a, c = corners[i - 1], corners[(i + 1) % len(corners)]
-        out.append((b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x))
+    for i, (bx, by) in enumerate(points):
+        (ax, ay), (cx, cy) = points[i - 1], points[(i + 1) % len(points)]
+        out.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
     return out
 
 
@@ -98,6 +102,8 @@ class OrientedBox:
     positive; the first corner is kept first. Zero-area input is rejected,
     and so is any corner order whose turns bend both ways (a dart or a
     crossed bowtie), so every box is convex; collinear corners are allowed.
+    This is the package's only rule for whether four corners make a box;
+    the rebuild from midlines leaves it to this constructor.
     """
 
     corners: tuple[Point2, Point2, Point2, Point2]
@@ -113,19 +119,20 @@ class OrientedBox:
             raise ValueError(f"negative class id {self.class_id}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
-        area = _signed_area(corners)
+        xy = [(p.x, p.y) for p in corners]
+        area = signed_area(xy)
         if area == 0.0:
-            raise ValueError("zero-area box")
-        turns = _turns(corners)
+            raise _ShapeError("zero-area box")
+        turns = _turns(xy)
         if min(turns) < 0.0 < max(turns):
-            raise ValueError("non-convex quad")
+            raise _ShapeError("non-convex quad")
         if area < 0.0:
             corners = (corners[0], corners[3], corners[2], corners[1])
         object.__setattr__(self, "corners", corners)
 
     @property
     def area(self) -> float:
-        return abs(_signed_area(self.corners))
+        return abs(signed_area([(p.x, p.y) for p in self.corners]))
 
     def corner_array(self) -> list[float]:
         """Corners flattened to [x0, y0, x1, y1, x2, y2, x3, y3]."""
@@ -203,7 +210,7 @@ def box_corners(boxes: Sequence[OrientedBox]) -> np.ndarray:
     return np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2)
 
 
-_NEXT, _PREV = np.array([1, 2, 3, 0]), np.array([3, 0, 1, 2])  # a quad's neighbouring corners
+_NEXT = np.array([1, 2, 3, 0])  # the corner after each corner of a quad
 
 
 def box_areas(corners: np.ndarray) -> np.ndarray:
@@ -349,13 +356,12 @@ def intersection_point(pair: MidlinePair) -> Point2:
     return s.scaled(0.25)
 
 
-# Why a midline pair rebuilds no box: MidlineBoxes.fault, 0 for a box.
-ZERO_LENGTH, PARALLEL, ZERO_AREA, NON_CONVEX, NON_FINITE = 1, 2, 3, 4, 5
+# Why a midline pair rebuilds no box: MidlineBoxes.fault, 0 for a pair that
+# passes every midline rule.
+ZERO_LENGTH, PARALLEL, NON_FINITE = 1, 2, 3
 _FAULT_MESSAGES = {
     ZERO_LENGTH: "zero-length midline",
     PARALLEL: "parallel midlines span no area",
-    ZERO_AREA: "rebuilt corners: zero-area box",
-    NON_CONVEX: "rebuilt corners: non-convex quad",
 }
 
 
@@ -365,13 +371,15 @@ class MidlineBoxes:
 
     corners: (N, 4, 2) c+u+v, c+u-v, c-u-v, c-u+v, in this order before
              OrientedBox orients them
-    fault:   (N,) 0 for a box, else the first rule the row breaks:
-             ZERO_LENGTH, PARALLEL, ZERO_AREA, NON_CONVEX or NON_FINITE
+    fault:   (N,) 0 when the row passes the midline rules, else the first
+             one it breaks: ZERO_LENGTH, PARALLEL or NON_FINITE
     points:  (N, 17, 2) every point the rebuild makes, in the order it
              makes them; on a NON_FINITE row the first non-finite one is
              the point that overflows
 
-    The corners of a faulty row are meaningless.
+    The corners of a faulty row are meaningless. Whether the corners of a
+    row with fault 0 make a box is OrientedBox's shape rule, which box
+    applies.
     """
 
     corners: np.ndarray
@@ -379,7 +387,7 @@ class MidlineBoxes:
     points: np.ndarray
 
     def error(self, i: int) -> Exception | None:
-        """What midlines_to_box raises for row i; None for a box."""
+        """What midlines_to_box raises for row i by the midline rules; None for no fault."""
         fault = int(self.fault[i])
         if fault == NON_FINITE:
             points = self.points[i]
@@ -390,12 +398,19 @@ class MidlineBoxes:
     def box(
         self, i: int, class_id: int = 0, score: float = 1.0, difficult: bool = False
     ) -> OrientedBox:
-        """Row i as an OrientedBox; a faulty row raises its error."""
+        """Row i as an OrientedBox.
+
+        A faulty row raises its error; corners that fail OrientedBox's shape
+        rule raise DegenerateBox("rebuilt corners: <reason>").
+        """
         err = self.error(i)
         if err is not None:
             raise err
         corners = tuple(Point2(x, y) for x, y in self.corners[i].tolist())
-        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+        try:
+            return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+        except _ShapeError as shape:
+            raise DegenerateBox(f"rebuilt corners: {shape}") from shape
 
 
 # The checks midline_boxes makes, in the order the scalar steps make them,
@@ -403,9 +418,8 @@ class MidlineBoxes:
 # overflows, in MidlineBoxes.points' order: the four endpoints, l1's and
 # l2's extents, u and v (finite when the extents are), the running
 # endpoint sum, then c+u, two corners, c-u and two corners. Columns 17-20
-# say that l1's extent, l2's extent, u or v is zero; 21-23 are the
-# parallel, zero-area and non-convex tests, and 24 is always true, which
-# leaves fault 0.
+# say that l1's extent, l2's extent, u or v is zero; 21 is the parallel
+# test, and 22 is always true, which leaves fault 0.
 _CHECKS = (
     *((NON_FINITE, k) for k in range(5)),
     (ZERO_LENGTH, 17),
@@ -416,9 +430,7 @@ _CHECKS = (
     (ZERO_LENGTH, 20),
     (PARALLEL, 21),
     *((NON_FINITE, k) for k in range(11, 17)),
-    (ZERO_AREA, 22),
-    (NON_CONVEX, 23),
-    (0, 24),
+    (0, 22),
 )
 _CHECK_FAULT, _CHECK_COLUMN = (np.array(column) for column in zip(*_CHECKS))
 _U_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # c + u * -1 is c - u, bit for bit
@@ -436,10 +448,9 @@ def midline_boxes(ends: np.ndarray) -> MidlineBoxes:
     row records the first that fails: an endpoint is not finite; l1's
     extent overflows, or is zero (ZERO_LENGTH); the same for l2; the
     endpoint sum overflows; u or v rounds to zero (ZERO_LENGTH); u x v is
-    zero (PARALLEL); a corner overflows; the rounded corners have zero
-    shoelace area (ZERO_AREA) or turn both ways (NON_CONVEX), as
-    OrientedBox tests them. An overflow is NON_FINITE. Every value is the
-    float a scalar evaluation of these steps gives, bit for bit.
+    zero (PARALLEL); a corner overflows. An overflow is NON_FINITE. Every
+    value is the float a scalar evaluation of these steps gives, bit for
+    bit. Whether the corners make a box is left to OrientedBox.
     """
     raw = np.asarray(ends, dtype=np.float64).reshape(-1, 4, 2)
     e = order_midline_ends(raw).reshape(-1, 4, 2)
@@ -453,28 +464,13 @@ def midline_boxes(ends: np.ndarray) -> MidlineBoxes:
             raw, extent, half, sums[:, 1:],
             c_u[:, :1], corners[:, :2], c_u[:, 2:3], corners[:, 2:],
         ), axis=1)
-        # One cross product for the shoelace terms, the turn at each corner
-        # and u x v: a.x * b.y - a.y * b.x, with b's columns swapped.
-        after = corners[:, _NEXT]
-        edges = after - corners
-        a = np.concatenate((corners, edges[:, _PREV], half[:, :1]), axis=1)
-        b = np.concatenate((after, edges, half[:, 1:]), axis=1)[..., ::-1]
-        products = a * b
-        cross = products[..., 0] - products[..., 1]
-        area = np.add.accumulate(cross[:, :4], axis=1)[:, 3:] / 2.0
-    signs = np.sign(cross[:, 4:8])  # of the turns
+        products = half[:, 0] * half[:, 1, ::-1]  # u.x * v.y, u.y * v.x
+        parallel = products[:, :1] - products[:, 1:] == 0.0
     failed = np.concatenate((
         ~np.isfinite(points).all(axis=2),
         (points[:, 4:8] == 0.0).all(axis=2),  # l1's and l2's extents, u, v
-        cross[:, 8:] == 0.0,
-        area == 0.0,
-        # OrientedBox's min(turns) < 0 < max(turns), on the turns' signs:
-        # Python's min and max fold from the first turn, so a NaN there
-        # makes the test false and a later NaN is skipped, as fmin and fmax
-        # skip it.
-        (np.fmin.reduce(signs, axis=1, keepdims=True) * np.fmax.reduce(signs, axis=1, keepdims=True) < 0.0)
-        & (signs[:, :1] == signs[:, :1]),
-        np.ones_like(area, dtype=bool),
+        parallel,
+        np.ones_like(parallel),
     ), axis=1)
     return MidlineBoxes(
         corners=corners,

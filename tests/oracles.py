@@ -24,6 +24,12 @@ def inside_convex(xg: np.ndarray, yg: np.ndarray, box: OrientedBox) -> np.ndarra
     return mask
 
 
+def _reach(lo: np.ndarray, hi: np.ndarray, a: float, b: float, margin: float) -> slice:
+    """The run of grid lines whose samples span [lo, hi] and come within margin of [a, b]."""
+    hit = np.flatnonzero((hi >= a - margin) & (lo <= b + margin))
+    return slice(hit[0], hit[-1] + 1)
+
+
 def mc_iou(
     a: OrientedBox,
     b: OrientedBox,
@@ -49,8 +55,20 @@ def mc_iou(
         v = (np.arange(resolution)[:, None] + rng.random((resolution, resolution))) / resolution
         xg = x0 + u * (x1 - x0)
         yg = y0 + v * (y1 - y0)
-    in_a = inside_convex(xg, yg, a)
-    in_b = inside_convex(xg, yg, b)
+    # A sample more than a stratum outside a box's bounding box is outside
+    # the box whatever the rounding, so each box is tested only on the rows
+    # and columns of samples that come nearer.
+    row_lo, row_hi = yg.min(axis=1), yg.max(axis=1)
+    col_lo, col_hi = xg.min(axis=0), xg.max(axis=0)
+    inside = []
+    for box in (a, b):
+        bx, by = [p.x for p in box.corners], [p.y for p in box.corners]
+        rows = _reach(row_lo, row_hi, min(by), max(by), (y1 - y0) / resolution)
+        cols = _reach(col_lo, col_hi, min(bx), max(bx), (x1 - x0) / resolution)
+        mask = np.zeros(xg.shape, dtype=bool)
+        mask[rows, cols] = inside_convex(xg[rows, cols], yg[rows, cols], box)
+        inside.append(mask)
+    in_a, in_b = inside
     union = np.logical_or(in_a, in_b).sum()
     if union == 0:
         return 0.0

@@ -89,6 +89,16 @@ def test_tile_autodetects_icdar_and_keeps_going_after_bad_file(tmp_path, capsys)
     assert data[0]["objects"][0]["class"] == "text"
 
 
+def test_tile_reports_a_label_file_that_is_not_utf8(tmp_path, capsys):
+    labels = write_labels(tmp_path)
+    (labels / "A0000.txt").write_bytes(b"\xff\xfe" + DOTA_SCENE.splitlines(True)[2].encode())
+    code, out = run(capsys, "tile", "--input", labels, "--out", tmp_path / "t", "--jobs", "2")
+    assert code == 1
+    assert re.search(r"^file=A0000.txt error=.*can't decode byte 0xff", out, re.MULTILINE), out
+    assert "images=2 tiles=4" in out  # P0001 still tiles
+    assert (tmp_path / "t" / "P0001__0_0.json").is_file()
+
+
 # A dart: its corners turn both ways, but no two of its edges cross.
 DART_LINE = "200 200 260 210 220 220 260 260 plane 0\n"
 

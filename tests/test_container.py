@@ -70,6 +70,17 @@ def test_truncated_tensor_raises_shape_mismatch(tmp_path):
         read_maps(tmp_path)
 
 
+@pytest.mark.parametrize("extra", [1, 2, 3, 4])
+def test_trailing_bytes_raise_shape_mismatch(tmp_path, extra):
+    # np.fromfile reads whole float32 values only, so 1-3 extra bytes
+    # leave the element count right; the byte size is what disagrees.
+    write_maps(sample_maps(), tmp_path, ["a", "b"])
+    with open(tmp_path / "reg_b1.f32", "ab") as f:
+        f.write(bytes(extra))
+    with pytest.raises(ShapeMismatch, match="reg_b1: file holds"):
+        read_maps(tmp_path)
+
+
 def test_manifest_missing_tensor_entry_raises(tmp_path):
     write_maps(sample_maps(), tmp_path, ["a", "b"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())

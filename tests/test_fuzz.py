@@ -2,21 +2,25 @@
 
 Each example replaces one to three values inside a valid ground-truth JSON,
 detections JSON or container manifest (the whole document included) with
-null, a string, a list, a negative number or a short list, then runs the
-CLI in-process on the result.
+null, a string, a list, a negative number or a short list, or damages the
+bytes of one tensor file in a valid container, then runs the CLI
+in-process on the result.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from midlines.cli import main
+from midlines.container import TENSOR_NAMES
 
 BOX = [8, 8, 40, 8, 40, 24, 8, 24]
 GT = [{
@@ -126,3 +130,35 @@ def test_malformed_manifest_never_raises(changes):
         write_json(tmp / "maps" / "img" / "manifest.json", mutated(MANIFEST, changes))
         run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
         run_cli("decode", "--maps", tmp / "maps" / "img", "--out", tmp / "dets.json")
+
+
+# How one tensor file is damaged: cut short, extended by a few bytes, or one
+# float32 value overwritten with NaN, an infinity or a heatmap value outside [0, 1].
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 4096)),
+    st.tuples(st.just("extend"), st.integers(1, 7)),
+    st.tuples(st.just("overwrite"), st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 1.5])),
+)
+
+
+def damaged(data, damage, position):
+    kind, arg = damage
+    if kind == "truncate":
+        return data[:max(0, len(data) - arg)]
+    if kind == "extend":
+        return data + bytes(range(1, arg + 1))
+    at = 4 * (position % (len(data) // 4))
+    return data[:at] + struct.pack("<f", arg) + data[at + 4:]
+
+
+@FUZZ
+@given(st.sampled_from(TENSOR_NAMES), DAMAGE, st.integers(0, 2**20))
+def test_damaged_tensor_bytes_never_raise(name, damage, position):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        run_cli("encode", "--gt", write_json(tmp / "gt.json", GT), "--out", tmp / "maps")
+        tensor = tmp / "maps" / "img" / f"{name}.f32"
+        tensor.write_bytes(damaged(tensor.read_bytes(), damage, position))
+        code = run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
+        if damage[0] != "overwrite" or not math.isfinite(damage[1]) or name.startswith("hm"):
+            assert code == 2  # a size, a non-finite value or a heatmap outside [0, 1]
