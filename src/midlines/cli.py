@@ -1,6 +1,12 @@
 """Command-line pipeline around the library: tile, encode, decode,
 roundtrip, gradcheck, eval.
 
+Each subparser holds its flags' defaults and its handler, and a handler
+reads the parsed flags directly. Before any handler runs, main checks the
+numeric flags a subcommand has against FLAG_RANGES, in that table's order;
+the first one out of range prints one error= line and exits 1, before any
+file is read.
+
 Output is line-oriented key=value logging plus the JSON files each
 subcommand writes; given the same inputs and seed, every written file is
 byte-identical between runs. A --jobs flag parallelizes per-file work, but
@@ -51,27 +57,29 @@ VALIDATION_ERROR = 1
 IO_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    """Numeric knobs shared by the pipeline subcommands."""
+# Every numeric range the CLI checks, in the order main checks them: the
+# flag dests a rule reads, the test their values must pass, and the error
+# text. A subcommand is held to every rule whose dests its parser defines.
+FLAG_RANGES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
+    (("threshold",), lambda v: 0.0 < v < 1.0, "threshold must be in (0, 1), got {}"),
+    (("branch_low", "branch_high"), lambda lo, hi: lo < hi, "branch window empty: [{}, {}]"),
+    (("stride",), lambda v: v >= 1, "stride must be >= 1, got {}"),
+    (("drift_r",), lambda v: v > 0.0, "drift_r must be > 0, got {}"),
+    (("merge_iou",), lambda v: 0.0 <= v <= 1.0, "merge-iou must be in [0, 1], got {}"),
+    (("bar",), lambda v: 0.0 <= v <= 1.0, "bar must be in [0, 1], got {}"),
+    (("iou",), lambda v: 0.0 < v <= 1.0, "iou must be in (0, 1], got {}"),
+)
 
-    stride: int = DEFAULT_STRIDE
-    drift_r: float = DEFAULT_DRIFT_R
-    threshold: float = DEFAULT_THRESHOLD
-    branch_low: float = BRANCH_LOW_DEG
-    branch_high: float = BRANCH_HIGH_DEG
 
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not self.branch_low < self.branch_high:
-            raise ValueError(
-                f"branch window empty: [{self.branch_low}, {self.branch_high}]"
-            )
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not self.drift_r > 0.0:
-            raise ValueError(f"drift_r must be > 0, got {self.drift_r}")
+def _range_error(args: argparse.Namespace) -> str | None:
+    """The first FLAG_RANGES rule the parsed flags break, as its error text."""
+    flags = vars(args)
+    for dests, ok, message in FLAG_RANGES:
+        if all(d in flags for d in dests):
+            values = [flags[d] for d in dests]
+            if not ok(*values):
+                return message.format(*values)
+    return None
 
 
 @dataclass
@@ -171,56 +179,48 @@ def _map_images(
     return outputs
 
 
-def _encode(img: AnnotatedImage, config: RunConfig) -> TargetMaps:
+def _encode(img: AnnotatedImage, args: argparse.Namespace) -> TargetMaps:
     return encode_image(
         img.objects, img.width, img.height, len(img.class_names),
-        stride=config.stride, r=config.drift_r,
-        branch_low=config.branch_low, branch_high=config.branch_high,
+        stride=args.stride, r=args.drift_r,
+        branch_low=args.branch_low, branch_high=args.branch_high,
     )
 
 
 # --- tile -------------------------------------------------------------------------
 
 
-def cmd_tile(
-    input_dir: str | Path,
-    out_dir: str | Path,
-    window: int = TileSpec.window,
-    overlap: float = TileSpec.overlap,
-    fmt: str = "auto",
-    strict: bool = False,
-    jobs: int = 1,
-) -> CommandResult:
+def cmd_tile(args: argparse.Namespace) -> CommandResult:
     """Parse a directory of annotation files and write one JSON per tile."""
     result = CommandResult()
     try:
-        spec = TileSpec(window=window, overlap=overlap)
+        spec = TileSpec(window=args.window, overlap=args.overlap)
     except ValueError as err:
         result.fail(VALIDATION_ERROR, error=err)
         return result
-    root = Path(input_dir)
+    root = Path(args.input)
     if not root.is_dir():
         result.fail(IO_ERROR, error=f"not a readable directory: {root}")
         return result
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = sorted(root.glob("*.txt"))
 
     def process(path: Path):
         try:
             text = path.read_text(encoding="utf-8")
-            if fmt == "icdar" or (fmt == "auto" and path.name.startswith("gt_")):
+            if args.format == "icdar" or (args.format == "auto" and path.name.startswith("gt_")):
                 image_id = path.stem.removeprefix("gt_")
-                img, warnings = parse_icdar(text, image_id=image_id, strict=strict)
+                img, warnings = parse_icdar(text, image_id=image_id, strict=args.strict)
             else:
-                img, warnings = parse_dota(text, image_id=path.stem, strict=strict)
+                img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
         except (MidlinesError, UnicodeDecodeError) as err:
             return None, [str(err)], []
         return img, warnings, tile_image(img, spec)
 
     n_tiles = n_objects = n_warnings = 0
     try:
-        outputs = _parallel_map(process, files, jobs)
+        outputs = _parallel_map(process, files, args.jobs)
     except OSError as err:
         result.fail(IO_ERROR, error=err)
         return result
@@ -245,34 +245,28 @@ def cmd_tile(
 # --- encode -----------------------------------------------------------------------
 
 
-def cmd_encode(
-    gt_json: str | Path,
-    out_dir: str | Path,
-    config: RunConfig,
-    classes: Sequence[str] | None = None,
-    jobs: int = 1,
-) -> CommandResult:
+def cmd_encode(args: argparse.Namespace) -> CommandResult:
     """Encode every ground-truth image into a map container directory."""
     result = CommandResult()
-    images = _load_gt_images(result, Path(gt_json), classes)
+    images = _load_gt_images(result, Path(args.gt), args.classes)
     if images is None:
         return result
-    out = Path(out_dir)
+    out = Path(args.out)
     provenance = {
         "command": "encode",
-        "stride": config.stride,
-        "drift_r": config.drift_r,
-        "branch_low": config.branch_low,
-        "branch_high": config.branch_high,
+        "stride": args.stride,
+        "drift_r": args.drift_r,
+        "branch_low": args.branch_low,
+        "branch_high": args.branch_high,
     }
 
     def process(img: AnnotatedImage):
-        maps = _encode(img, config)
+        maps = _encode(img, args)
         write_maps(maps, out / img.image_id, img.class_names, provenance=provenance)
         return maps.n_objects
 
     try:
-        counts = _map_images(result, process, images, jobs)
+        counts = _map_images(result, process, images, args.jobs)
     except OSError as err:
         result.fail(IO_ERROR, error=err)
         return result
@@ -292,22 +286,10 @@ def _detection_record(det: Detection, class_names: Sequence[str]) -> dict:
     }
 
 
-def cmd_decode(
-    maps_dir: str | Path,
-    out_json: str | Path,
-    threshold: float = DEFAULT_THRESHOLD,
-    merge_iou: float = DEFAULT_MERGE_IOU,
-    jobs: int = 1,
-) -> CommandResult:
+def cmd_decode(args: argparse.Namespace) -> CommandResult:
     """Decode one container, or a directory of them, into detections JSON."""
     result = CommandResult()
-    if not 0.0 < threshold < 1.0:
-        result.fail(VALIDATION_ERROR, error=f"threshold must be in (0, 1), got {threshold}")
-        return result
-    if not 0.0 <= merge_iou <= 1.0:
-        result.fail(VALIDATION_ERROR, error=f"merge-iou must be in [0, 1], got {merge_iou}")
-        return result
-    root = Path(maps_dir)
+    root = Path(args.maps)
     single = (root / "manifest.json").is_file()
     containers = [root] if single else sorted(
         p.parent for p in root.glob("*/manifest.json")
@@ -319,7 +301,7 @@ def cmd_decode(
     def process(container: Path):
         maps, class_names = read_maps(container)
         stats: dict = {}
-        dets = decode(maps, threshold=threshold, merge_iou=merge_iou, stats=stats)
+        dets = decode(maps, threshold=args.threshold, merge_iou=args.merge_iou, stats=stats)
         records = [_detection_record(d, class_names) for d in dets]
         if not single:
             for record in records:
@@ -327,17 +309,17 @@ def cmd_decode(
         return records, stats["dropped_degenerate"]
 
     try:
-        outputs = _parallel_map(process, containers, jobs)
+        outputs = _parallel_map(process, containers, args.jobs)
     except (OSError, ValueError, MidlinesError) as err:
         # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
         result.fail(IO_ERROR, error=err)
         return result
     records = [rec for recs, _ in outputs for rec in recs]
     dropped = sum(d for _, d in outputs)
-    _write_json(Path(out_json), records)
+    _write_json(Path(args.out), records)
     result.log(
         containers=len(containers), detections=len(records),
-        dropped_degenerate=dropped, out=out_json,
+        dropped_degenerate=dropped, out=args.out,
     )
     return result
 
@@ -345,12 +327,7 @@ def cmd_decode(
 # --- roundtrip --------------------------------------------------------------------
 
 
-def cmd_roundtrip(
-    gt_json: str | Path,
-    config: RunConfig,
-    bar: float = 0.99,
-    jobs: int = 1,
-) -> CommandResult:
+def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
     """Encode then decode every image and report per-object fidelity.
 
     Objects whose shorter side is under two strides cannot survive the
@@ -358,19 +335,16 @@ def cmd_roundtrip(
     only to well-resolved objects.
     """
     result = CommandResult()
-    if not 0.0 <= bar <= 1.0:
-        result.fail(VALIDATION_ERROR, error=f"bar must be in [0, 1], got {bar}")
-        return result
-    images = _load_gt_images(result, Path(gt_json), None)
+    images = _load_gt_images(result, Path(args.gt), None)
     if images is None:
         return result
 
     def process(img: AnnotatedImage):
-        dets = decode(_encode(img, config), threshold=config.threshold)
+        dets = decode(_encode(img, args), threshold=args.threshold)
         candidates = may_overlap(img.objects, dets)
-        lines = midline_arrays(box_corners(img.objects), config.branch_low, config.branch_high)
+        lines = midline_arrays(box_corners(img.objects), args.branch_low, args.branch_high)
         lines.check()
-        subres = lines.lengths.min(axis=1) < 2.0 * config.stride
+        subres = lines.lengths.min(axis=1) < 2.0 * args.stride
         ious = [
             max((rotated_iou(box, dets[j].box) for j in np.flatnonzero(row)), default=0.0)
             for box, row, small in zip(img.objects, candidates, subres)
@@ -378,7 +352,7 @@ def cmd_roundtrip(
         ]
         return ious, int(subres.sum())
 
-    outputs = _map_images(result, process, images, jobs)
+    outputs = _map_images(result, process, images, args.jobs)
     ious = [v for vs, _ in outputs for v in vs]
     subres = sum(s for _, s in outputs)
     if not ious:
@@ -389,11 +363,11 @@ def cmd_roundtrip(
         return result
     passed = sum(1 for v in ious if v >= 0.99)
     fraction = passed / len(ious)
-    status = "pass" if fraction >= bar else "fail"
+    status = "pass" if fraction >= args.bar else "fail"
     result.log(
         images=len(images), objects=len(ious), sub_resolution=subres,
         min_iou=f"{min(ious):.6f}", mean_iou=f"{sum(ious) / len(ious):.6f}",
-        fraction=f"{fraction:.6f}", bar=bar, status=status,
+        fraction=f"{fraction:.6f}", bar=args.bar, status=status,
     )
     if status == "fail":
         result.exit_code = VALIDATION_ERROR
@@ -403,17 +377,13 @@ def cmd_roundtrip(
 # --- gradcheck --------------------------------------------------------------------
 
 
-def cmd_gradcheck(
-    seed: int = 0,
-    samples: int = 100,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CommandResult:
+def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
     """Finite-difference checks for every loss; exit 1 on any failure."""
     result = CommandResult()
     try:
         reports = run_gradchecks(
-            seed=seed, samples=samples, step=step, tolerance=tolerance
+            seed=int(os.environ.get("O2_SEED", args.seed)), samples=args.samples,
+            step=args.step, tolerance=args.tolerance,
         )
     except (ValueError, MidlinesError) as err:
         result.fail(VALIDATION_ERROR, error=err)
@@ -453,26 +423,15 @@ def _detections_by_image(
     return grouped
 
 
-def cmd_eval(
-    gt_json: str | Path,
-    det_json: str | Path,
-    mode: str = "map",
-    iou: float = 0.5,
-    ap_mode: str = "all-point",
-    out_json: str | Path | None = None,
-    classes: Sequence[str] | None = None,
-) -> CommandResult:
+def cmd_eval(args: argparse.Namespace) -> CommandResult:
     """Score a detections file against ground truth; print the table."""
     result = CommandResult()
-    if not 0.0 < iou <= 1.0:
-        result.fail(VALIDATION_ERROR, error=f"iou must be in (0, 1], got {iou}")
-        return result
-    images = _load_gt_images(result, Path(gt_json), classes)
+    images = _load_gt_images(result, Path(args.gt), args.classes)
     if images is None:
         return result
-    class_names = images[0].class_names if images else tuple(classes or ())
+    class_names = images[0].class_names if images else tuple(args.classes or ())
     try:
-        records = json.loads(Path(det_json).read_text(encoding="utf-8"))
+        records = json.loads(Path(args.dets).read_text(encoding="utf-8"))
         dets = _detections_by_image(records, class_names)
     except (OSError, json.JSONDecodeError) as err:
         result.fail(IO_ERROR, error=err)
@@ -484,13 +443,13 @@ def cmd_eval(
     for image_id in dets:
         gts.setdefault(image_id, [])
     report = evaluate(
-        dets, gts, mode=mode, iou_threshold=iou,
-        ap_mode=ap_mode, class_names=class_names,
+        dets, gts, mode=args.mode, iou_threshold=args.iou,
+        ap_mode=args.ap_mode, class_names=class_names,
     )
     result.messages.append(report.format_table())
-    if out_json is not None:
-        _write_json(Path(out_json), report.to_json_dict())
-        result.log(out=out_json)
+    if args.out is not None:
+        _write_json(Path(args.out), report.to_json_dict())
+        result.log(out=args.out)
     return result
 
 
@@ -504,13 +463,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch-high", type=float, default=BRANCH_HIGH_DEG)
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    # encode has no --threshold: it does not decode.
-    return RunConfig(
-        stride=args.stride, drift_r=args.drift_r,
-        threshold=getattr(args, "threshold", RunConfig.threshold),
-        branch_low=args.branch_low, branch_high=args.branch_high,
-    )
+def _class_list(text: str) -> list[str] | None:
+    """--classes as a vocabulary; an empty value overrides nothing."""
+    return text.split(",") if text else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,13 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("auto", "dota", "icdar"), default="auto")
     p.add_argument("--strict", action="store_true", help="reject empty label files")
     p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(run=cmd_tile)
 
     p = sub.add_parser("encode", help="rasterize ground truth into map containers")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
     p.add_argument("--out", required=True, help="output directory, one container per image")
-    p.add_argument("--classes", help="comma-separated class vocabulary override")
+    p.add_argument("--classes", type=_class_list, help="comma-separated class vocabulary override")
     p.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p)
+    p.set_defaults(run=cmd_encode)
 
     p = sub.add_parser("decode", help="read containers back into detections JSON")
     p.add_argument("--maps", required=True, help="container directory, or a directory of containers")
@@ -542,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--merge-iou", type=float, default=DEFAULT_MERGE_IOU)
     p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(run=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode+decode self-test with IoU statistics")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
@@ -551,12 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p)
+    p.set_defaults(run=cmd_roundtrip)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every loss gradient")
     p.add_argument("--seed", type=int, default=0, help="overridden by O2_SEED when set")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("eval", help="score detections JSON against ground truth")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
@@ -565,49 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--ap-mode", choices=("all-point", "11-point"), default="all-point")
     p.add_argument("--out", help="also write the report as JSON")
-    p.add_argument("--classes", help="comma-separated class vocabulary override")
+    p.add_argument("--classes", type=_class_list, help="comma-separated class vocabulary override")
+    p.set_defaults(run=cmd_eval)
 
     return parser
 
 
-def _run(args: argparse.Namespace) -> CommandResult:
-    classes = args.classes.split(",") if getattr(args, "classes", None) else None
-    if args.command in ("encode", "roundtrip"):
-        try:
-            config = _config_from(args)
-        except ValueError as err:
-            return CommandResult(VALIDATION_ERROR, [f"error={err}"])
-    if args.command == "tile":
-        return cmd_tile(
-            args.input, args.out, window=args.window, overlap=args.overlap,
-            fmt=args.format, strict=args.strict, jobs=args.jobs,
-        )
-    if args.command == "encode":
-        return cmd_encode(args.gt, args.out, config, classes=classes, jobs=args.jobs)
-    if args.command == "decode":
-        return cmd_decode(
-            args.maps, args.out, threshold=args.threshold,
-            merge_iou=args.merge_iou, jobs=args.jobs,
-        )
-    if args.command == "roundtrip":
-        return cmd_roundtrip(args.gt, config, bar=args.bar, jobs=args.jobs)
-    if args.command == "gradcheck":
-        seed = int(os.environ.get("O2_SEED", args.seed))
-        return cmd_gradcheck(
-            seed=seed, samples=args.samples, step=args.step,
-            tolerance=args.tolerance,
-        )
-    if args.command == "eval":
-        return cmd_eval(
-            args.gt, args.dets, mode=args.mode, iou=args.iou,
-            ap_mode=args.ap_mode, out_json=args.out, classes=classes,
-        )
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    result = _run(args)
+    error = _range_error(args)
+    result = CommandResult(VALIDATION_ERROR, [f"error={error}"]) if error else args.run(args)
     for line in result.messages:
         print(line)
     return result.exit_code

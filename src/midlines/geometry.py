@@ -100,8 +100,9 @@ class OrientedBox:
 
     Corners are normalized at construction so the shoelace signed area is
     positive; the first corner is kept first. Zero-area input is rejected,
-    and so is any corner order whose turns bend both ways (a dart or a
-    crossed bowtie), so every box is convex; collinear corners are allowed.
+    as is finite input whose area overflows, and so is any corner order
+    whose turns bend both ways (a dart or a crossed bowtie), so every box is
+    convex; collinear corners are allowed.
     This is the package's only rule for whether four corners make a box;
     the rebuild from midlines leaves it to this constructor.
     """
@@ -123,6 +124,8 @@ class OrientedBox:
         area = signed_area(xy)
         if area == 0.0:
             raise _ShapeError("zero-area box")
+        if not math.isfinite(area):
+            raise _ShapeError("non-finite area")
         turns = _turns(xy)
         if min(turns) < 0.0 < max(turns):
             raise _ShapeError("non-convex quad")

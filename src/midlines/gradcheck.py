@@ -104,13 +104,34 @@ def _clamp_margin(p: np.ndarray) -> float:
     return float(min((p - CLAMP_EPS).min(), (1.0 - CLAMP_EPS - p).min()))
 
 
-def _sample_away_from_kinks(rng: np.ndarray, draw, margin_of) -> np.ndarray:
-    """Redraw until every non-smooth spot is at least _SAMPLE_MARGIN away."""
+def _sampled_check(
+    name: str,
+    rng: np.random.Generator,
+    draw: Callable[[np.random.Generator], np.ndarray],
+    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    margin: Callable[[np.ndarray], float],
+    step: float,
+    tolerance: float,
+) -> GradCheckReport:
+    """grad_check f at a point draw(rng) gives, redrawn until smooth enough.
+
+    margin is the loss's one statement of its kinks: the flat point is
+    redrawn until it is more than _SAMPLE_MARGIN from every kink, and the
+    same margin guards each probe inside grad_check.
+    """
     for _ in range(100):
-        x = draw()
-        if margin_of(x) > _SAMPLE_MARGIN:
-            return x
+        point = draw(rng).ravel()
+        if margin(point) > _SAMPLE_MARGIN:
+            return grad_check(f, point, step, tolerance, kink_margin=margin, name=name)
     raise RuntimeError("could not sample a smooth point")
+
+
+def _flat(loss: Callable, shape: tuple[int, ...], *args) -> Callable:
+    """loss(x.reshape(shape), *args) as value and gradient of the flat point x."""
+    def f(x):
+        value, grad = loss(x.reshape(shape), *args)
+        return value, grad.ravel()
+    return f
 
 
 # --- one random check per loss -------------------------------------------------
@@ -119,16 +140,10 @@ def _sample_away_from_kinks(rng: np.ndarray, draw, margin_of) -> np.ndarray:
 def check_focal(rng: np.random.Generator, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = (2, 3, 4)
     gt = (rng.random(shape) < 0.3).astype(np.float64)
-    pred = rng.uniform(0.05, 0.95, shape)
-    n = max(1, int(gt.sum()) // 3)
-
-    def f(x):
-        value, grad = focal_ip_loss(x.reshape(shape), gt, n)
-        return value, grad.ravel()
-
-    return grad_check(
-        f, pred.ravel(), step, tolerance,
-        kink_margin=lambda x: _clamp_margin(x), name="focal_ip",
+    f = _flat(focal_ip_loss, shape, gt, max(1, int(gt.sum()) // 3))
+    return _sampled_check(
+        "focal_ip", rng, lambda rng: rng.uniform(0.05, 0.95, shape), f, _clamp_margin,
+        step, tolerance,
     )
 
 
@@ -147,19 +162,10 @@ _OFFSETS_SHAPE = (8, 4)
 def check_endpoint(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = _OFFSETS_SHAPE
     target = rng.normal(0.0, 20.0, shape)
-
-    def draw():
-        return target + rng.uniform(-3.0, 3.0, shape)
-
-    pred = _sample_away_from_kinks(rng, draw, lambda x: _sl1_margin(x - target))
-
-    def f(x):
-        value, grad = endpoint_loss(x.reshape(shape), target, 2)
-        return value, grad.ravel()
-
-    return grad_check(
-        f, pred.ravel(), step, tolerance,
-        kink_margin=lambda x: _sl1_margin(x.reshape(shape) - target), name="endpoint",
+    return _sampled_check(
+        "endpoint", rng, lambda rng: target + rng.uniform(-3.0, 3.0, shape),
+        _flat(endpoint_loss, shape, target, 2),
+        lambda x: _sl1_margin(x.reshape(shape) - target), step, tolerance,
     )
 
 
@@ -175,37 +181,19 @@ def _dot_args(reg: np.ndarray) -> np.ndarray:
 
 def check_collinear(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = _OFFSETS_SHAPE
-    pred = _sample_away_from_kinks(
-        rng, lambda: rng.uniform(-25.0, 25.0, shape),
-        lambda x: _sl1_margin(_cross_args(x)),
-    )
-
-    def f(x):
-        value, grad = collinear_loss(x.reshape(shape), 2)
-        return value, grad.ravel()
-
-    return grad_check(
-        f, pred.ravel(), step, tolerance,
-        kink_margin=lambda x: _sl1_margin(_cross_args(x.reshape(shape))),
-        name="collinear",
+    return _sampled_check(
+        "collinear", rng, lambda rng: rng.uniform(-25.0, 25.0, shape),
+        _flat(collinear_loss, shape, 2),
+        lambda x: _sl1_margin(_cross_args(x.reshape(shape))), step, tolerance,
     )
 
 
 def check_vertical(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     shape = _OFFSETS_SHAPE
-    pred = _sample_away_from_kinks(
-        rng, lambda: rng.uniform(-25.0, 25.0, shape),
-        lambda x: _sl1_margin(_dot_args(x)),
-    )
-
-    def f(x):
-        value, grad = vertical_loss(x.reshape(shape), 2)
-        return value, grad.ravel()
-
-    return grad_check(
-        f, pred.ravel(), step, tolerance,
-        kink_margin=lambda x: _sl1_margin(_dot_args(x.reshape(shape))),
-        name="vertical",
+    return _sampled_check(
+        "vertical", rng, lambda rng: rng.uniform(-25.0, 25.0, shape),
+        _flat(vertical_loss, shape, 2),
+        lambda x: _sl1_margin(_dot_args(x.reshape(shape))), step, tolerance,
     )
 
 
@@ -223,45 +211,32 @@ def check_line(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
     target = rng.normal(0.0, 15.0, shape)
     weights = LossWeights(alpha=1.0, beta=1.0)
 
-    def draw():
-        return rng.uniform(-25.0, 25.0, shape)
-
-    pred = _sample_away_from_kinks(rng, draw, lambda x: _line_margin(x, target))
-
     def f(x):
         out = line_loss(x.reshape(shape), target, mask, 2, weights)
         return out.total, out.gradients["regression"].ravel()
 
-    return grad_check(
-        f, pred.ravel(), step, tolerance,
-        kink_margin=lambda x: _line_margin(x.reshape(shape), target), name="line",
+    return _sampled_check(
+        "line", rng, lambda rng: rng.uniform(-25.0, 25.0, shape), f,
+        lambda x: _line_margin(x.reshape(shape), target), step, tolerance,
     )
 
 
-def _synthetic_pair(rng) -> tuple[TargetMaps, TargetMaps, int, int]:
-    """Small random prediction/target map pair for the total-loss check."""
-    num_classes, height, width = 1, 2, 3
+def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
+    """total_loss over both branches of a small random map pair."""
+    hm_shape, reg_shape = (2, 1, 2, 3), (2, 8, 2, 3)
+    hm_size = math.prod(hm_shape)
 
-    def maps(hm, reg, mask, n):
+    def maps(hm, reg, mask):
         return TargetMaps(
-            stride=4, num_classes=num_classes, width=width, height=height,
-            image_w=width * 4, image_h=height * 4,
-            heatmap=hm, regression=reg, reg_mask=mask, n_objects=n,
+            stride=4, num_classes=1, width=3, height=2, image_w=12, image_h=8,
+            heatmap=hm, regression=reg, reg_mask=mask, n_objects=2,
         )
 
-    gt_hm = (rng.random((2, num_classes, height, width)) < 0.3).astype(np.float64)
-    mask = np.stack([_random_mask(rng, (height, width)) for _ in range(2)])
-    target_reg = rng.normal(0.0, 15.0, (2, 8, height, width))
-    target = maps(gt_hm, target_reg, mask, 2)
-    hm_size = gt_hm.size
-    return target, maps(np.zeros_like(gt_hm), np.zeros_like(target_reg), mask, 2), hm_size, num_classes
-
-
-def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
-    target, pred, hm_size, num_classes = _synthetic_pair(rng)
+    gt_hm = (rng.random(hm_shape) < 0.3).astype(np.float64)
+    mask = np.stack([_random_mask(rng, hm_shape[2:]) for _ in range(2)])
+    target = maps(gt_hm, rng.normal(0.0, 15.0, reg_shape), mask)
+    pred = maps(None, None, mask)  # f sets its maps at every probe
     weights = LossWeights()
-    hm_shape = target.heatmap.shape
-    reg_shape = target.regression.shape
 
     def split(x):
         return x[:hm_size].reshape(hm_shape), x[hm_size:].reshape(reg_shape)
@@ -273,23 +248,20 @@ def check_total(rng, step=DEFAULT_STEP, tolerance=DEFAULT_TOLERANCE):
             min(_line_margin(reg[b], target.regression[b]) for b in range(2)),
         )
 
-    def draw():
+    def draw(rng):
         hm = rng.uniform(0.05, 0.95, hm_shape)
         reg = rng.uniform(-25.0, 25.0, reg_shape)
         return np.concatenate([hm.ravel(), reg.ravel()])
 
-    point = _sample_away_from_kinks(rng, draw, margin)
-
     def f(x):
-        hm, reg = split(x)
-        pred.heatmap, pred.regression = hm, reg
+        pred.heatmap, pred.regression = split(x)
         out = total_loss(pred, target, weights)
         grad = np.concatenate(
             [out.gradients["heatmap"].ravel(), out.gradients["regression"].ravel()]
         )
         return out.total, grad
 
-    return grad_check(f, point, step, tolerance, kink_margin=margin, name="total")
+    return _sampled_check("total", rng, draw, f, margin, step, tolerance)
 
 
 _CHECKS = {

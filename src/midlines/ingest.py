@@ -200,14 +200,16 @@ def parse_icdar(
 
 
 def _axis_origins(dim: int, window: int, step: float) -> list[float]:
-    """Window origins along one axis; the last window is clamped to the edge."""
+    """Window origins along one axis; the last window is clamped to the edge.
+
+    They increase strictly: every origin before the last is below dim - window,
+    and the clamped last one is min(o, dim - window) for a larger o.
+    """
     origins: list[float] = []
     o = 0.0
     while True:
-        actual = min(o, max(0.0, dim - window))
-        if actual not in origins:
-            origins.append(actual)
-        if actual + window >= dim:
+        origins.append(min(o, max(0.0, dim - window)))
+        if origins[-1] + window >= dim:
             return origins
         o += step
 

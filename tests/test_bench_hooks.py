@@ -31,6 +31,36 @@ def test_trace_patches_enter_and_restore(monkeypatch):
     assert cli.rotated_iou is original
 
 
+
+def test_traced_cli_chain_records_every_layer(monkeypatch, tmp_path, capsys):
+    # The trace wraps names in the cli module; a command that reached the
+    # library some other way would leave its layer's numbers at zero.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from spans import Tracer
+    from test_cli import DOTA_SCENE
+
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "P0001.txt").write_text(DOTA_SCENE, encoding="utf-8")
+    tiles, maps, dets = tmp_path / "tiles", tmp_path / "maps", tmp_path / "dets.json"
+    tracer = Tracer()
+    with workloads.tracing_patches(tracer, workloads.WarningCounter()):
+        for argv in (
+            ["tile", "--input", labels, "--out", tiles],
+            ["encode", "--gt", tiles, "--out", maps, "--jobs", "2"],
+            ["decode", "--maps", maps, "--out", dets],
+            ["eval", "--gt", tiles, "--dets", dets],
+            ["roundtrip", "--gt", tiles],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr().out
+    missing = {
+        "ingest.parse", "ingest.tile", "ingest.gt_load", "encoder.encode",
+        "container.write", "container.read", "decoder.decode",
+        "evaluation.evaluate", "cli.item",
+    } - {s.name for s in tracer.spans}
+    assert not missing
+
 # 90017 is the benchmark's held-out seed.
 @pytest.mark.parametrize("seed", [0, 90017])
 def test_train_step_matches_the_recorded_losses(monkeypatch, seed):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from midlines.cli import _parallel_map, main
+from midlines.cli import FLAG_RANGES, _parallel_map, build_parser, main
 from midlines.container import TENSOR_NAMES, read_maps, write_maps
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError, ShapeMismatch
@@ -217,8 +217,8 @@ def test_roundtrip_bad_image_is_reported_and_others_still_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["encode", "roundtrip"])
 def test_overflowing_edge_midpoint_is_reported_and_others_still_run(tmp_path, capsys, command):
-    # Finite corners whose edge midpoint (1e308 + 1.7e308) / 2 overflows.
-    huge = {"class": "plane", "corners": [1e308, 0, 1.7e308, 0, 1.7e308, 10, 1e308, 10]}
+    # Finite corners with a finite area whose edge midpoint (1e308 + 1.7e308) / 2 overflows.
+    huge = {"class": "plane", "corners": [1e308, 0, 1.7e308, 0, 1.7e308, 1e-300, 1e308, 1e-300]}
     gt = tmp_path / "gt.json"
     gt.write_text(json.dumps([
         {"image_id": "huge", "width": 100, "height": 100, "objects": [huge]},
@@ -233,6 +233,21 @@ def test_overflowing_edge_midpoint_is_reported_and_others_still_run(tmp_path, ca
         assert not (tmp_path / "maps" / "huge").exists()
     else:
         assert "objects=1" in out and "fraction=1.000000" in out
+
+
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_gt_box_whose_area_overflows_is_validation_error(tmp_path, capsys, command):
+    # rectangle(0, 0, 1e200, 1e200): finite corners, shoelace area inf.
+    huge = dict(PLANE, corners=[-5e199, -5e199, 5e199, -5e199, 5e199, 5e199, -5e199, 5e199])
+    gt = make_gt(tmp_path, [huge], width=1, height=1)
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out.startswith("error=") and out.endswith("non-finite area\n"), out
+    assert not (tmp_path / "maps").exists()
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -756,6 +771,63 @@ def test_eval_validates_iou(tmp_path, capsys):
     dets = dets_from_gt(gt, tmp_path / "d.json")
     code, _ = run(capsys, "eval", "--gt", gt, "--dets", dets, "--iou", "0")
     assert code == 1
+
+
+# --- flag ranges ------------------------------------------------------------------
+
+
+# Each range rule's exact line, and which rule wins when two flags are out of
+# range: the rules run in one fixed order before any file is read.
+@pytest.mark.parametrize("argv, message", [
+    (["decode", "--threshold", "0"], "threshold must be in (0, 1), got 0.0"),
+    (["decode", "--threshold", "1.5"], "threshold must be in (0, 1), got 1.5"),
+    (["roundtrip", "--threshold", "nan"], "threshold must be in (0, 1), got nan"),
+    (["encode", "--branch-low", "95"], "branch window empty: [95.0, 92.0]"),
+    (["roundtrip", "--branch-high", "88"], "branch window empty: [88.0, 88.0]"),
+    (["encode", "--branch-high", "nan"], "branch window empty: [88.0, nan]"),
+    (["encode", "--stride", "0"], "stride must be >= 1, got 0"),
+    (["roundtrip", "--stride", "-4"], "stride must be >= 1, got -4"),
+    (["encode", "--drift-r", "-1"], "drift_r must be > 0, got -1.0"),
+    (["roundtrip", "--drift-r", "0"], "drift_r must be > 0, got 0.0"),
+    (["decode", "--merge-iou", "-0.5"], "merge-iou must be in [0, 1], got -0.5"),
+    (["roundtrip", "--bar", "1.5"], "bar must be in [0, 1], got 1.5"),
+    (["eval", "--iou", "0"], "iou must be in (0, 1], got 0.0"),
+    (["eval", "--iou", "nan"], "iou must be in (0, 1], got nan"),
+    (["roundtrip", "--threshold", "2", "--bar", "5"], "threshold must be in (0, 1), got 2.0"),
+    (["encode", "--stride", "0", "--branch-low", "95"], "branch window empty: [95.0, 92.0]"),
+    (["decode", "--merge-iou", "2", "--threshold", "0"], "threshold must be in (0, 1), got 0.0"),
+    (["roundtrip", "--bar", "2", "--drift-r", "0"], "drift_r must be > 0, got 0.0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_flag_out_of_range_is_one_error_line_and_writes_nothing(tmp_path, capsys, argv, message):
+    gt = make_gt(tmp_path, [PLANE])
+    write_maps(encode_image([], 64, 64, num_classes=1), tmp_path / "maps", ["plane"])
+    outputs = {
+        "encode": ["--gt", gt, "--out", tmp_path / "out"],
+        "decode": ["--maps", tmp_path / "maps", "--out", tmp_path / "d.json"],
+        "roundtrip": ["--gt", gt],
+        "eval": ["--gt", gt, "--dets", dets_from_gt(gt, tmp_path / "dets.json"),
+                 "--out", tmp_path / "report.json"],
+    }
+    command, *flags = argv
+    code, out = run(capsys, command, *outputs[command], *flags)
+    assert code == 1
+    assert out == f"error={message}\n"
+    assert not any(p.exists() for p in (tmp_path / "out", tmp_path / "d.json", tmp_path / "report.json"))
+
+
+def test_every_range_rule_reads_flags_that_one_subcommand_has():
+    # A misspelled dest would leave its rule silently never firing.
+    parser = build_parser()
+    dests = [set(vars(parser.parse_args(argv))) for argv in (
+        ["tile", "--input", "i", "--out", "o"],
+        ["encode", "--gt", "g", "--out", "o"],
+        ["decode", "--maps", "m", "--out", "o"],
+        ["roundtrip", "--gt", "g"],
+        ["gradcheck"],
+        ["eval", "--gt", "g", "--dets", "d"],
+    )]
+    for rule, _, message in FLAG_RANGES:
+        assert any(set(rule) <= have for have in dests), message
 
 
 # --- whole pipeline ---------------------------------------------------------------

@@ -361,6 +361,8 @@ def reference_rebuild(ends):
         area += px * qy - qx * py
     if area / 2.0 == 0.0:
         return "rebuilt corners: zero-area box"
+    if not math.isfinite(area):
+        return "rebuilt corners: non-finite area"
     before, after = corners[-1:] + corners[:-1], corners[1:] + corners[:1]
     turns = [
         (qx - px) * (ry - qy) - (qy - py) * (rx - qx)
@@ -411,6 +413,8 @@ PLANTED = [
     (0, 20, 19, [2.6756152350637398e-14, 1.8735855920021134e-13, -1.3044020270902306e-13,
                  -1.1041042552510325e-13, -1.852618431359625e-14, 2.735438000414092e-15,
                  -9.332964816893124e-14, -1.447681404309629e-13]),
+    # finite corners 1e200 from the anchor, whose shoelace area overflows
+    (1, 14, 4, [1e200, 0.0, -1e200, 0.0, 0.0, -1e200, 0.0, 1e200]),
 ]
 
 
@@ -446,6 +450,7 @@ def test_decode_matches_the_per_component_rules_bit_for_bit(seed):
     assert {
         "zero-length midline", "parallel midlines span no area",
         "rebuilt corners: zero-area box", "rebuilt corners: non-convex quad",
+        "rebuilt corners: non-finite area",
     } <= set(drops)
 
 

@@ -403,6 +403,19 @@ def test_non_finite_points_are_rejected():
         Point2(0.0, float("inf"))
 
 
+@pytest.mark.parametrize("corners", [
+    [(-5e199, -5e199), (5e199, -5e199), (5e199, 5e199), (-5e199, 5e199)],
+    [(0, 0), (1e200, 1e200), (1.5e200, 2e200), (0, 1e200)],
+], ids=["area-inf", "area-nan"])
+def test_finite_corners_whose_area_overflows_are_rejected(corners):
+    # Each corner is finite, but the shoelace sum overflows to inf, or to
+    # inf - inf; such a box would give a NaN IoU with itself.
+    with pytest.raises(ValueError, match="non-finite area"):
+        OrientedBox(tuple(Point2(x, y) for x, y in corners))
+    with pytest.raises(ValueError, match="non-finite area"):
+        rectangle(0, 0, 1e200, 1e200)
+
+
 def test_convexity_helper():
     # A dart turns both ways without any two edges crossing, so no box
     # that reaches the overlap routine can be one.

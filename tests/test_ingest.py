@@ -10,6 +10,7 @@ from midlines.ingest import (
     ICDAR_CLASS_NAMES,
     AnnotatedImage,
     TileSpec,
+    _axis_origins,
     image_to_json,
     images_from_json,
     infer_vocabulary,
@@ -230,6 +231,18 @@ def test_tile_spec_validation():
     with pytest.raises(ValueError):
         TileSpec(overlap=1.0)
     assert TileSpec(window=800, overlap=0.25).step == 600.0
+
+
+@pytest.mark.parametrize("window", [1, 3, 800, 1024])
+@pytest.mark.parametrize("overlap", [0.0, 0.25, 1 / 3, 0.5, 0.9])
+def test_axis_origins_cover_the_axis_in_increasing_order(window, overlap):
+    step = TileSpec(window, overlap).step
+    for dim in (1, 2, 7, 799, 800, 801, 1023, 1400, 1401, 5000, 10007):
+        origins = _axis_origins(dim, window, step)
+        assert origins[0] == 0.0
+        assert all(a < b <= a + step for a, b in zip(origins, origins[1:])), (dim, origins)
+        assert origins[-1] + window >= dim
+        assert all(o + window < dim for o in origins[:-1])
 
 
 # --- normalized JSON --------------------------------------------------------------
