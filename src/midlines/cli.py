@@ -214,9 +214,11 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
                 img, warnings = parse_icdar(text, image_id=image_id, strict=args.strict)
             else:
                 img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
-        except (MidlinesError, UnicodeDecodeError) as err:
+            tiles = tile_image(img, spec)
+        except (MidlinesError, ValueError) as err:
+            # ValueError: bytes that are not UTF-8, or more windows than an axis may hold.
             return None, [str(err)], []
-        return img, warnings, tile_image(img, spec)
+        return img, warnings, tiles
 
     n_tiles = n_objects = n_warnings = 0
     try:
@@ -417,8 +419,8 @@ def _detections_by_image(
     if unknown:
         raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
     grouped: dict[str, list[OrientedBox]] = {}
-    for r in records:
-        box = json_box(r, index[r["class"]], score=float(r["score"]))
+    for n, r in enumerate(records):
+        box = json_box(r, index[r["class"]], f"detection #{n}", score=float(r["score"]))
         grouped.setdefault(str(r.get("image_id", "")), []).append(box)
     return grouped
 

@@ -199,12 +199,29 @@ def parse_icdar(
     )
 
 
-def _axis_origins(dim: int, window: int, step: float) -> list[float]:
+# Most windows tile_image lays along one axis. A coordinate near the float
+# maximum, or an overlap a few ulps below 1, would otherwise ask for an
+# unbounded number of tiles. A 10,007 px axis cut into 1 px windows at
+# overlap 0.9 takes 100,061.
+MAX_AXIS_WINDOWS = 200_000
+
+
+def _axis_origins(dim: int, window: int, step: float, axis: str = "x") -> list[float]:
     """Window origins along one axis; the last window is clamped to the edge.
 
     They increase strictly: every origin before the last is below dim - window,
-    and the clamped last one is min(o, dim - window) for a larger o.
+    and the clamped last one is min(o, dim - window) for a larger o. An axis
+    that needs more than MAX_AXIS_WINDOWS windows raises ValueError before
+    any origin is built.
     """
+    if dim > window:
+        span = (dim - window) / step
+        count = math.ceil(span) + 1 if math.isfinite(span) else span
+        if count > MAX_AXIS_WINDOWS:
+            raise ValueError(
+                f"{axis} axis of {dim:.6g} px needs {count:.6g} windows, "
+                f"more than {MAX_AXIS_WINDOWS}"
+            )
     origins: list[float] = []
     o = 0.0
     while True:
@@ -224,10 +241,11 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     An object belongs to every tile whose half-open window contains its
     corner centroid; in the overlap band that can be more than one tile.
     Translated corners are clamped to the tile; a box that clamping leaves
-    zero-area or non-convex is dropped with a warning.
+    zero-area or non-convex is dropped with a warning. An axis that needs
+    more than MAX_AXIS_WINDOWS windows raises ValueError.
     """
-    xs = _axis_origins(img.width, spec.window, spec.step)
-    ys = _axis_origins(img.height, spec.window, spec.step)
+    xs = _axis_origins(img.width, spec.window, spec.step, "x")
+    ys = _axis_origins(img.height, spec.window, spec.step, "y")
     tiles = []
     for oy in ys:
         for ox in xs:
@@ -343,20 +361,24 @@ def require_fields(record, fields: Sequence[str], where: str) -> None:
             raise ValueError(f"{where}: {name} must be {kind}, got {record[name]!r}")
 
 
-def json_box(record: dict, class_id: int, **fields) -> OrientedBox:
+def json_box(record: dict, class_id: int, where: str, **fields) -> OrientedBox:
     """The box of a GT object or detection record whose `corners` passed
-    require_fields: x0 y0 ... x3 y3."""
+    require_fields: x0 y0 ... x3 y3. A shape the box rule rejects raises
+    ValueError naming `where`."""
     c = record["corners"]
-    return OrientedBox(
-        tuple(Point2(c[i], c[i + 1]) for i in range(0, 8, 2)), class_id=class_id, **fields
-    )
+    try:
+        return OrientedBox(
+            tuple(Point2(c[i], c[i + 1]) for i in range(0, 8, 2)), class_id=class_id, **fields
+        )
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
     """Rebuild annotated images from the normalized JSON array.
 
-    A missing field, a field of the wrong type or a size below 1 raises
-    ValueError naming the image.
+    A missing field, a field of the wrong type, a size below 1 or a box the
+    box rule rejects raises ValueError naming the image (and the object).
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
@@ -377,13 +399,14 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
     images = []
     for entry in data:
         objects = []
-        for obj in entry.get("objects", ()):
+        for k, obj in enumerate(entry.get("objects", ())):
             name = obj["class"]
             if name not in index:
                 raise UnknownClass(f"class {name!r} not in vocabulary {list(class_names)}")
-            objects.append(
-                json_box(obj, index[name], difficult=bool(obj.get("difficult", False)))
-            )
+            objects.append(json_box(
+                obj, index[name], f"image {entry['image_id']!r} object {k}",
+                difficult=bool(obj.get("difficult", False)),
+            ))
         images.append(
             AnnotatedImage(
                 image_id=str(entry["image_id"]),

@@ -121,6 +121,30 @@ def test_tile_skips_a_dart_and_the_chain_scores_the_tiles(tmp_path, capsys):
     assert code == 0, out
 
 
+# A valid box (finite shoelace area) that reaches x = 1e308.
+FAR_LINE = "0 0 1e308 0 1e308 0.5 0 0.5 plane 0\n"
+
+
+@pytest.mark.parametrize("extra_label, flags, message", [
+    (FAR_LINE, [], "x axis of 1e+308 px needs 1.66667e+305 windows, more than 200000"),
+    (DOTA_SCENE, ["--overlap", "0.9999999999999999"],
+     "x axis of 1400 px needs 6.7554e+15 windows, more than 200000"),
+], ids=["coordinate-1e308", "overlap-one-ulp-below-1"])
+def test_tile_reports_an_axis_with_too_many_windows(tmp_path, capsys, extra_label, flags, message):
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "A0000.txt").write_text(DOTA_SCENE.splitlines(True)[2] + extra_label, encoding="utf-8")
+    # One window wide, so it tiles at any overlap.
+    (labels / "B0000.txt").write_text(DOTA_SCENE.splitlines(True)[2], encoding="utf-8")
+    started = time.perf_counter()
+    code, out = run(capsys, "tile", "--input", labels, "--out", tmp_path / "t", "--jobs", "2", *flags)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out.splitlines()[0] == f"file=A0000.txt error={message!r}", out
+    assert "images=2 tiles=1 objects=1" in out
+    assert [p.name for p in (tmp_path / "t").glob("*.json")] == ["B0000__0_0.json"]
+
+
 # --- encode -----------------------------------------------------------------------
 
 
@@ -247,6 +271,29 @@ def test_gt_box_whose_area_overflows_is_validation_error(tmp_path, capsys, comma
     code, out = run(capsys, command, "--gt", gt, *extra)
     assert code == 1
     assert out.startswith("error=") and out.endswith("non-finite area\n"), out
+    assert not (tmp_path / "maps").exists()
+
+
+# Boxes with valid corner fields that the box rule rejects, by its message.
+BAD_SHAPES = {
+    "non-convex quad": [100, 80, 160, 90, 120, 100, 160, 140],
+    "zero-area box": [100, 80, 160, 80, 160, 80, 100, 80],
+    "non-finite area": [-5e199, -5e199, 5e199, -5e199, 5e199, 5e199, -5e199, 5e199],
+}
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES)
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_gt_box_shape_error_names_its_image_and_object(tmp_path, capsys, command, shape):
+    gt = make_gt(tmp_path, [PLANE, dict(PLANE, corners=BAD_SHAPES[shape])], image_id="z")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == f"error=image 'z' object 1: {shape}\n"
     assert not (tmp_path / "maps").exists()
 
 
@@ -746,6 +793,16 @@ def test_eval_detection_record_with_a_field_of_the_wrong_type(tmp_path, capsys, 
     code, out = run(capsys, "eval", "--gt", gt, "--dets", bad)
     assert code == 1
     assert out.startswith(f"error=detection #1: {message}")
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES)
+def test_eval_detection_shape_error_names_its_record(tmp_path, capsys, shape):
+    record = {"class": "plane", "score": 1.0, "corners": PLANE["corners"]}
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps([record] * 3 + [dict(record, corners=BAD_SHAPES[shape])]), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
+    assert code == 1
+    assert out == f"error=detection #3: {shape}\n"
 
 
 @pytest.mark.parametrize("records", [7, None, "plane"])

@@ -8,6 +8,7 @@ from midlines.geometry import rectangle
 from midlines.ingest import (
     DOTA_CLASS_NAMES,
     ICDAR_CLASS_NAMES,
+    MAX_AXIS_WINDOWS,
     AnnotatedImage,
     TileSpec,
     _axis_origins,
@@ -243,6 +244,15 @@ def test_axis_origins_cover_the_axis_in_increasing_order(window, overlap):
         assert all(a < b <= a + step for a, b in zip(origins, origins[1:])), (dim, origins)
         assert origins[-1] + window >= dim
         assert all(o + window < dim for o in origins[:-1])
+
+
+def test_tile_image_refuses_an_axis_beyond_the_window_limit():
+    step = TileSpec(800, 0.25).step
+    at_limit = int(step) * (MAX_AXIS_WINDOWS - 1) + 800
+    assert len(_axis_origins(at_limit, 800, step)) == MAX_AXIS_WINDOWS
+    img = AnnotatedImage("tall", 10, at_limit + 1)
+    with pytest.raises(ValueError, match=f"^y axis of .* needs {MAX_AXIS_WINDOWS + 1} windows"):
+        tile_image(img, TileSpec(800, 0.25))
 
 
 # --- normalized JSON --------------------------------------------------------------

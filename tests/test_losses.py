@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import NonBinaryGroundTruth, ShapeMismatch
 from midlines.geometry import rectangle
 from midlines.losses import (
+    _FOCAL_BLOCK,
+    CLAMP_EPS,
     LossWeights,
     collinear_loss,
     endpoint_loss,
@@ -121,6 +124,79 @@ def test_focal_is_non_negative(seed):
     gt = (rng.random((3, 4)) < 0.4).astype(float)
     value, _ = focal_ip_loss(pred, gt, 2)
     assert value >= 0.0
+
+
+def dense_focal(pred_hm, gt_hm, n_objects, alpha_focal):
+    """focal_ip_loss as one dense pass over the whole heatmap, operation for
+    operation: the statement the blocked evaluation must reproduce."""
+    pos = gt_hm == 1.0
+    a = alpha_focal
+    inside = (pred_hm > CLAMP_EPS) & (pred_hm < 1.0 - CLAMP_EPS)
+    q = np.clip(pred_hm, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    miss = q.copy()
+    np.subtract(1.0, q, out=miss, where=pos)
+    np.subtract(1.0, q, out=q, where=~pos)
+    log_q = np.log(q)
+    grad = miss**a
+    np.power(miss, a - 1.0, out=miss)
+    miss *= a
+    miss *= log_q
+    log_q *= grad
+    value = -float(log_q.sum()) / n_objects
+    grad /= q
+    grad -= miss
+    np.negative(grad, out=grad, where=pos)
+    grad *= inside
+    grad /= n_objects
+    return value, grad
+
+
+# Predictions at and beyond both clamps, at the extremes and NaN.
+EDGE_PREDICTIONS = [CLAMP_EPS, 1.0 - CLAMP_EPS, 0.0, 1.0, -0.25, 1.25, -np.inf, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("alpha_focal", [0.0, 0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize("shape", [
+    (1,), (3, 5, 7), (_FOCAL_BLOCK - 1,), (_FOCAL_BLOCK,), (2, 15, 40, 40),
+    (3 * _FOCAL_BLOCK - 5,), (0,), (2, 0, 4),
+], ids=["one-cell", "below-a-block", "block-less-one", "one-block", "ragged-4d",
+        "ragged-three-blocks", "empty", "empty-4d"])
+def test_focal_matches_the_dense_statement_bit_for_bit(shape, alpha_focal):
+    rng = np.random.default_rng(len(shape) * 1000 + int(np.prod(shape)))
+    pred = rng.uniform(0.0, 1.0, shape)
+    gt = (rng.random(shape) < 0.01).astype(float)
+    p, g = pred.reshape(-1), gt.reshape(-1)
+    # Positives on the first and last cell of every block and of the heatmap.
+    edges = [i for b in range(0, p.size, _FOCAL_BLOCK) for i in (b, b + _FOCAL_BLOCK - 1)]
+    g[[i for i in edges + [p.size - 1] if 0 <= i < p.size]] = 1.0
+    # Every edge prediction at a positive and at a negative, at both ends.
+    for k, value in enumerate(EDGE_PREDICTIONS):
+        for i, label in ((2 * k, 1.0), (2 * k + 1, 0.0), (p.size - 1 - 2 * k, 1.0), (p.size - 2 - 2 * k, 0.0)):
+            if 0 <= i < p.size:
+                p[i], g[i] = value, label
+    n = 3
+    with np.errstate(all="ignore"):
+        value, grad = focal_ip_loss(pred, gt, n, alpha_focal)
+        expected_value, expected_grad = dense_focal(pred, gt, n, alpha_focal)
+    assert value == expected_value or (math.isnan(value) and math.isnan(expected_value))
+    assert grad.shape == shape and grad.dtype == expected_grad.dtype
+    np.testing.assert_array_equal(grad, expected_grad)
+    finite = ~np.isnan(expected_grad)
+    np.testing.assert_array_equal(np.signbit(grad[finite]), np.signbit(expected_grad[finite]))
+
+
+def test_focal_peak_memory_stays_near_the_gradient():
+    # A training tile: 2 branches x 15 classes x 200 x 200 cells, 0.3% positive.
+    rng = np.random.default_rng(0)
+    gt = (rng.random((2, 15, 200, 200)) < 0.003).astype(float)
+    pred = gt * 0.8 + rng.uniform(0.02, 0.15, gt.shape)
+    tracemalloc.start()
+    try:
+        focal_ip_loss(pred, gt, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * gt.nbytes, peak / gt.nbytes
 
 
 # --- endpoint_loss ---------------------------------------------------------------
