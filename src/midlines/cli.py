@@ -216,7 +216,7 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
                 img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
             tiles = tile_image(img, spec)
         except (MidlinesError, ValueError) as err:
-            # ValueError: bytes that are not UTF-8, or more windows than an axis may hold.
+            # ValueError: bytes that are not UTF-8, or more windows or tiles than allowed.
             return None, [str(err)], []
         return img, warnings, tiles
 

@@ -204,6 +204,10 @@ def parse_icdar(
 # unbounded number of tiles. A 10,007 px axis cut into 1 px windows at
 # overlap 0.9 takes 100,061.
 MAX_AXIS_WINDOWS = 200_000
+# Most tiles tile_image lays out for one image, over both axes: a 1,000 px
+# square cut into 1 px windows. Two axes under their cap could otherwise
+# still ask for 4 * 10**10 tiles.
+MAX_TILES = 1_000_000
 
 
 def _axis_origins(dim: int, window: int, step: float, axis: str = "x") -> list[float]:
@@ -242,10 +246,15 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     corner centroid; in the overlap band that can be more than one tile.
     Translated corners are clamped to the tile; a box that clamping leaves
     zero-area or non-convex is dropped with a warning. An axis that needs
-    more than MAX_AXIS_WINDOWS windows raises ValueError.
+    more than MAX_AXIS_WINDOWS windows, or an image that needs more than
+    MAX_TILES tiles, raises ValueError before any tile is built.
     """
     xs = _axis_origins(img.width, spec.window, spec.step, "x")
     ys = _axis_origins(img.height, spec.window, spec.step, "y")
+    if len(xs) * len(ys) > MAX_TILES:
+        raise ValueError(
+            f"{len(xs)} x {len(ys)} windows make {len(xs) * len(ys)} tiles, more than {MAX_TILES}"
+        )
     tiles = []
     for oy in ys:
         for ox in xs:

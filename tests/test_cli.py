@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -142,6 +143,31 @@ def test_tile_reports_an_axis_with_too_many_windows(tmp_path, capsys, extra_labe
     assert code == 1
     assert out.splitlines()[0] == f"file=A0000.txt error={message!r}", out
     assert "images=2 tiles=1 objects=1" in out
+    assert [p.name for p in (tmp_path / "t").glob("*.json")] == ["B0000__0_0.json"]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_tile_reports_an_image_with_too_many_tiles(tmp_path):
+    # Near (1.2e8, 1.2e8) each axis needs 200,000 windows, just within its
+    # cap, and both together 4e10 tiles. Without a cap on the product, tile
+    # lays them out until the timeout or the 2 GB address-space limit.
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    far = "120000000 120000000 120000010 120000000 120000010 120000010 120000000 120000010"
+    (labels / "A0000.txt").write_text(DOTA_SCENE.splitlines(True)[2] + f"{far} plane 0\n", encoding="utf-8")
+    (labels / "B0000.txt").write_text(DOTA_SCENE.splitlines(True)[2], encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "midlines.cli", "tile", "--input", str(labels),
+         "--out", str(tmp_path / "t")],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    message = "200000 x 200000 windows make 40000000000 tiles, more than 1000000"
+    assert proc.stdout.splitlines()[0] == f"file=A0000.txt error={message!r}", proc.stdout
+    assert "images=2 tiles=1 objects=1" in proc.stdout
     assert [p.name for p in (tmp_path / "t").glob("*.json")] == ["B0000__0_0.json"]
 
 
@@ -951,14 +977,29 @@ def test_parallel_map_finishes_every_item_before_raising():
     assert _parallel_map(lambda x: x * x, range(6), 2) == [0, 1, 4, 9, 16, 25]
 
 
+DECODE_ONE_MAP = """
+import sys
+import numpy as np
+import midlines.cli
+from midlines.decoder import decode
+from midlines.encoder import TargetMaps
+
+heatmap = np.zeros((2, 1, 8, 8))
+heatmap[0, 0, 3:5, 3:5] = 0.9
+regression = np.zeros((2, 8, 8, 8))
+regression[0, :, 3:5, 3:5] = np.array([4.0, 0, -4, 0, 0, -2, 0, 2])[:, None, None]
+maps = TargetMaps(stride=4, num_classes=1, width=8, height=8, image_w=32, image_h=32,
+                  heatmap=heatmap, regression=regression,
+                  reg_mask=np.zeros((2, 8, 8), dtype=bool), n_objects=0)
+print(len(decode(maps)), 'scipy' in sys.modules)
+"""
+
+
 def test_importing_the_cli_does_not_load_scipy():
-    # Only decode labels anything; every other command skips scipy's import.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, midlines.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+    # Neither the CLI nor decode's labelling needs scipy.
+    proc = subprocess.run([sys.executable, "-c", DECODE_ONE_MAP], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_console_script_entry_point():

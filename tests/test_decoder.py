@@ -149,6 +149,77 @@ def test_lookup_cells_and_scores_match_a_per_component_loop():
         assert list(zip(lookup.tolist(), scores.tolist())) == expected
 
 
+def assert_matches_flood_fill(heatmap, threshold=0.3):
+    """The label volume, channel by channel and in scan order, against the flood-fill oracle."""
+    labels, lookup, _ = extract_components(heatmap, threshold)
+    stack = heatmap.reshape(-1, *heatmap.shape[-2:])
+    expected = [
+        {(channel, r, c) for r, c in cells}
+        for channel, grid in enumerate(stack)
+        for cells in flood_components(grid > threshold)
+    ]
+    volume = labels.reshape(stack.shape)
+    assert labels.dtype == np.int32 and volume.max() == len(lookup) == len(expected)
+    assert [set(map(tuple, np.argwhere(volume == k + 1))) for k in range(len(expected))] == expected
+    return lookup
+
+
+def one_channel(grid):
+    heatmap = np.zeros((2, 1, *grid.shape))
+    heatmap[0, 0] = grid
+    return heatmap
+
+
+def test_fully_lit_volume_is_one_component_per_channel():
+    lookup = assert_matches_flood_fill(np.ones((2, 3, 16, 16)))
+    assert lookup.tolist() == [[channel, 8, 8] for channel in range(6)]  # 7.5 rounds up
+
+
+def test_half_lit_random_volume_matches_flood_fill():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        assert_matches_flood_fill(rng.random((2, 2, 24, 24)), threshold=0.5)
+
+
+def test_serpentine_is_one_component():
+    grid = np.zeros((15, 15))
+    grid[::2] = 0.9
+    grid[1::4, -1] = 0.9  # the turns alternate between the right end
+    grid[3::4, 0] = 0.9  # and the left end
+    lookup = assert_matches_flood_fill(one_channel(grid))
+    assert len(lookup) == 1
+
+
+def test_run_ending_a_row_stays_apart_from_one_starting_the_next():
+    # (1, 5) and (2, 0) are neighbours in the flat index, not on the map.
+    grid = np.zeros((4, 6))
+    grid[1, 4:] = 0.9
+    grid[2, :2] = 0.9
+    lookup = assert_matches_flood_fill(one_channel(grid))
+    assert lookup[:, 1].tolist() == [1, 2]
+
+
+def test_last_row_of_a_channel_never_joins_the_next_channels_first_row():
+    heatmap = np.zeros((2, 2, 4, 5))
+    heatmap[:, :, 0] = 0.9
+    heatmap[:, :, -1] = 0.9
+    lookup = assert_matches_flood_fill(heatmap)
+    assert lookup.tolist() == [[channel, row, 2] for channel in range(4) for row in (0, 3)]
+
+
+@pytest.mark.parametrize("gap, expected", [(0, 1), (1, 5)], ids=["diagonal", "one-cell-gap"])
+def test_components_meeting_diagonally_below_either_end_of_a_run(gap, expected):
+    # Two bars from the top row reach a later run only through the upper
+    # diagonals of its end cells, and two cells hang off its ends the same
+    # way from below. A gap of one cell at each end leaves five domains.
+    grid = np.zeros((6, 12))
+    grid[:3, 1] = grid[:3, 10] = 0.9
+    grid[3, 2 + gap:10 - gap] = 0.9
+    grid[4, 1] = grid[4, 10] = 0.9
+    lookup = assert_matches_flood_fill(one_channel(grid))
+    assert len(lookup) == expected
+
+
 # --- reconstruction ---------------------------------------------------------------
 
 

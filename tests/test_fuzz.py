@@ -2,9 +2,10 @@
 
 Each example replaces one to three values inside a valid ground-truth JSON,
 detections JSON or container manifest (the whole document included) with
-null, a string, a list, a negative number or a short list, or damages the
-bytes of one tensor file in a valid container, then runs the CLI
-in-process on the result.
+null, a string, a list, a negative number or a short list, damages the
+bytes of one tensor file in a valid container, or writes DOTA and ICDAR
+label lines with huge, non-finite or missing coordinates, then runs the
+CLI in-process on the result.
 """
 
 import contextlib
@@ -162,3 +163,34 @@ def test_damaged_tensor_bytes_never_raise(name, damage, position):
         code = run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
         if damage[0] != "overwrite" or not math.isfinite(damage[1]) or name.startswith("hm"):
             assert code == 2  # a size, a non-finite value or a heatmap outside [0, 1]
+
+
+# Label coordinates: ordinary ones (at most five windows per axis), and
+# values that are huge, non-finite, or overflow float() to inf. Every huge
+# positive one needs more than MAX_AXIS_WINDOWS windows, so no example
+# lays out a large tile set.
+COORD = st.one_of(
+    st.floats(-50.0, 3000.0).map(str),
+    st.sampled_from(["1e9", "-1e9", "1e15", "1e308", "-1e308", "1.7976931348623157e308",
+                     "1e999", "inf", "-inf", "nan", "x"]),
+)
+CORNERS = st.lists(COORD, min_size=7, max_size=9)  # one short or long now and then
+DOTA_LINE = st.tuples(
+    CORNERS, st.sampled_from(["plane", "ship", "vehicle-ish"]), st.sampled_from(["0", "1", "2"]),
+).map(lambda t: " ".join([*t[0], t[1], t[2]]))
+ICDAR_LINE = st.tuples(CORNERS, st.sampled_from(["word", "###", "a,b", ""])).map(
+    lambda t: ",".join([*t[0], t[1]])
+)
+
+
+@FUZZ
+@given(st.lists(DOTA_LINE, min_size=1, max_size=4), st.lists(ICDAR_LINE, min_size=1, max_size=4),
+       st.booleans())
+def test_label_text_through_tile_never_raises(dota, icdar, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        labels = tmp / "labels"
+        labels.mkdir()
+        (labels / "P0000.txt").write_text("\n".join(["gsd:0.15", *dota]), encoding="utf-8")
+        (labels / "gt_img.txt").write_text("\n".join(icdar), encoding="utf-8")
+        run_cli("tile", "--input", labels, "--out", tmp / "tiles", *(["--strict"] if strict else []))
