@@ -7,7 +7,7 @@ clipping-based rotated IoU. The `midlines` console script drives the same
 pieces from the command line.
 """
 
-from midlines.decoder import Detection, decode, reconstruct_at_cell
+from midlines.decoder import Detection, Detections, decode, reconstruct_at_cell
 from midlines.encoder import TargetMaps, drift_radius, encode_image
 from midlines.errors import (
     AllLinesMalformed,
@@ -51,6 +51,7 @@ __all__ = [
     "BranchId",
     "DegenerateBox",
     "Detection",
+    "Detections",
     "EmptyFile",
     "EvalReport",
     "KinkProximity",

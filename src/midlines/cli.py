@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .container import read_maps, write_maps
-from .decoder import DEFAULT_MERGE_IOU, DEFAULT_THRESHOLD, Detection, decode
+from .decoder import DEFAULT_MERGE_IOU, DEFAULT_THRESHOLD, Detections, decode
 from .encoder import DEFAULT_DRIFT_R, DEFAULT_STRIDE, TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
 from .evaluation import evaluate, may_overlap, rotated_iou
@@ -279,13 +279,16 @@ def cmd_encode(args: argparse.Namespace) -> CommandResult:
 # --- decode -----------------------------------------------------------------------
 
 
-def _detection_record(det: Detection, class_names: Sequence[str]) -> dict:
-    return {
-        "class": class_names[det.class_id],
-        "score": det.score,
-        "corners": det.box.corner_array(),
-        "branch": det.branch.value,
-    }
+def _detection_records(dets: Detections, class_names: Sequence[str]) -> list[dict]:
+    """One record per row, read straight from the table's columns."""
+    columns = (
+        dets.class_id.tolist(), dets.score.tolist(),
+        dets.corners.reshape(-1, 8).tolist(), (dets.branch + 1).tolist(),
+    )
+    return [
+        {"class": class_names[c], "score": score, "corners": corners, "branch": branch}
+        for c, score, corners, branch in zip(*columns)
+    ]
 
 
 def cmd_decode(args: argparse.Namespace) -> CommandResult:
@@ -304,7 +307,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
         maps, class_names = read_maps(container)
         stats: dict = {}
         dets = decode(maps, threshold=args.threshold, merge_iou=args.merge_iou, stats=stats)
-        records = [_detection_record(d, class_names) for d in dets]
+        records = _detection_records(dets, class_names)
         if not single:
             for record in records:
                 record["image_id"] = container.name
@@ -343,12 +346,16 @@ def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
 
     def process(img: AnnotatedImage):
         dets = decode(_encode(img, args), threshold=args.threshold)
-        candidates = may_overlap(img.objects, dets)
-        lines = midline_arrays(box_corners(img.objects), args.branch_low, args.branch_high)
+        corners = box_corners(img.objects)
+        candidates = may_overlap(
+            corners, [box.class_id for box in img.objects], dets.corners, dets.class_id
+        )
+        lines = midline_arrays(corners, args.branch_low, args.branch_high)
         lines.check()
         subres = lines.lengths.min(axis=1) < 2.0 * args.stride
+        det_corners = dets.corners.tolist()
         ious = [
-            max((rotated_iou(box, dets[j].box) for j in np.flatnonzero(row)), default=0.0)
+            max((rotated_iou(box, det_corners[j]) for j in np.flatnonzero(row)), default=0.0)
             for box, row, small in zip(img.objects, candidates, subres)
             if not small
         ]

@@ -2,7 +2,8 @@
 
 No non-maximum suppression and no top-K cut: every connected domain above
 threshold yields exactly one detection, and only the cross-branch merge can
-remove one.
+remove one. The detections of an image come back as one Detections table of
+arrays; a Detection object is made only when a row is asked for.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import TargetMaps
-from .errors import DegenerateBox, ShapeMismatch
+from .errors import ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
     NON_FINITE,
     BranchId,
     OrientedBox,
+    Point2,
     _BRANCHES,
     midline_boxes,
     midlines_to_box,
+    quad_rule,
 )
 
 DEFAULT_THRESHOLD = 0.3
@@ -42,6 +45,43 @@ class Detection:
         return self.box.class_id
 
 
+@dataclass(frozen=True)
+class Detections:
+    """The detections of one image as columns, row k for detection k.
+
+    corners:  (K, 4, 2) float64, in the order OrientedBox keeps them
+              (positive shoelace area)
+    score:    (K,) float64
+    class_id: (K,) int
+    branch:   (K,) BranchId.index
+
+    Iterating or indexing gives each row as a Detection, made from the
+    columns in one tolist pass; len is K.
+    """
+
+    corners: np.ndarray
+    score: np.ndarray
+    class_id: np.ndarray
+    branch: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __iter__(self):
+        columns = (self.corners.tolist(), self.score.tolist(), self.class_id.tolist(), self.branch.tolist())
+        for corners, score, class_id, branch in zip(*columns):
+            box = OrientedBox._accepted(tuple(Point2(x, y) for x, y in corners), class_id, score)
+            yield Detection(box=box, branch=_BRANCHES[branch])
+
+    def __getitem__(self, k: int) -> Detection:
+        (row,) = self.take(np.array([k]))
+        return row
+
+    def take(self, rows: np.ndarray) -> Detections:
+        """The table of the given rows: indices, or a (K,) bool mask."""
+        return Detections(self.corners[rows], self.score[rows], self.class_id[rows], self.branch[rows])
+
+
 def _jump(parent: np.ndarray) -> np.ndarray:
     """Point every node of a forest straight at its root; each pass halves every path."""
     while True:
@@ -54,16 +94,16 @@ def _jump(parent: np.ndarray) -> np.ndarray:
 def extract_components(
     heatmap: np.ndarray,
     threshold: float = DEFAULT_THRESHOLD,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Connected domains of cells strictly above threshold, in one labelling.
 
     `heatmap` is (2, C, H, W); cells join 8-connected inside one channel, never
-    across. Returns the label volume (heatmap's shape, int32, 0 off, k + 1 on
-    component k), a (K, 3) int array of each component's flat channel
-    b * C + c and its lookup cell (centroid rounded half up), and the K scores
-    (highest cell value). Labels follow the scan order of each component's
-    first cell, so components come in (branch, class, first row, first col)
-    order.
+    across. Returns the flat indices of the lit cells into the heatmap, in
+    increasing order, and the component k of each; a (K, 3) int array of each
+    component's flat channel b * C + c and its lookup cell (centroid rounded
+    half up); and the K scores (highest cell value). Components are numbered
+    in the scan order of their first cell, so they come in (branch, class,
+    first row, first col) order.
 
     Only the lit cells are visited. They are cut into row runs (He, Chao and
     Suzuki, "A Run-Based Two-Scan Labeling Algorithm", 2008), and the runs
@@ -76,9 +116,8 @@ def extract_components(
     height, width = stack.shape[1:]
     values = stack.ravel()
     flat = np.flatnonzero(values > threshold)
-    labels = np.zeros(values.size, dtype=np.int32)
     if not flat.size:
-        return labels.reshape(heatmap.shape), np.zeros((0, 3), dtype=int), np.zeros(0)
+        return flat, flat, np.zeros((0, 3), dtype=int), np.zeros(0)
 
     # Runs: a new one starts where the flat index jumps or a row begins. A
     # run's row counts the rows of the whole (2 * C * H, W) stack.
@@ -131,8 +170,7 @@ def extract_components(
     owner = np.repeat(component, length)  # the component of each lit cell
     scores = np.full(len(lookup), -np.inf)
     np.maximum.at(scores, owner, values[flat])
-    labels[flat] = owner + 1
-    return labels.reshape(heatmap.shape), lookup, scores
+    return flat, owner, lookup, scores
 
 
 def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
@@ -155,27 +193,27 @@ def reconstruct_at_cell(
 
 
 def merge_branches(
-    detections: list[Detection],
+    detections: Detections,
     iou_threshold: float = DEFAULT_MERGE_IOU,
-) -> list[Detection]:
+) -> Detections:
     """Collapse cross-branch duplicates of the same class.
 
     For every horizontal/oriented pair of the same class with overlap
     strictly above the threshold, the lower-scoring one is dropped; an
     exact score tie keeps the horizontal one. Detections within a branch
-    never suppress each other.
+    never suppress each other. Only the pairs may_overlap finds get a
+    rotated_iou call.
     """
-    horizontal = [d for d in detections if d.branch is BranchId.HORIZONTAL]
-    oriented = [d for d in detections if d.branch is BranchId.ORIENTED]
-    dead: set[int] = set()
-    for i, j in zip(*np.nonzero(may_overlap(horizontal, oriented))):
-        h, o = horizontal[i], oriented[j]
-        if rotated_iou(h.box, o.box) > iou_threshold:
-            if o.score > h.score:
-                dead.add(id(h))
-            else:
-                dead.add(id(o))
-    return [d for d in detections if id(d) not in dead]
+    horizontal = np.flatnonzero(detections.branch == BranchId.HORIZONTAL.index)
+    oriented = np.flatnonzero(detections.branch == BranchId.ORIENTED.index)
+    h, o = (detections.take(rows) for rows in (horizontal, oriented))
+    pairs = np.nonzero(may_overlap(h.corners, h.class_id, o.corners, o.class_id))
+    corners, score = detections.corners.tolist(), detections.score.tolist()
+    keep = np.ones(len(detections), dtype=bool)
+    for i, j in zip(horizontal[pairs[0]].tolist(), oriented[pairs[1]].tolist()):
+        if rotated_iou(corners[i], corners[j]) > iou_threshold:
+            keep[i if score[j] > score[i] else j] = False
+    return detections.take(keep)
 
 
 def decode(
@@ -183,17 +221,20 @@ def decode(
     threshold: float = DEFAULT_THRESHOLD,
     merge_iou: float = DEFAULT_MERGE_IOU,
     stats: dict | None = None,
-) -> list[Detection]:
+) -> Detections:
     """All detections in one image's maps, cross-branch merged, unsorted.
 
-    The offsets at every component's lookup cell are read with one index
-    and all boxes are rebuilt at once by geometry.midline_boxes. A row that
-    passes its midline rules becomes a Detection, in component order, when
-    OrientedBox accepts its corners. Degenerate regressions (coincident,
+    The offsets at every component's lookup cell are read with one index,
+    all boxes are rebuilt at once by geometry.midline_boxes, and
+    geometry.quad_rule runs once on the columns of their corners. A row that
+    passes the midline rules and the quad rule is a detection, in component
+    order, with its corners flipped to (0, 3, 2, 1) when its area is
+    negative, as OrientedBox keeps them. Degenerate regressions (coincident,
     parallel or near-parallel endpoint pairs) drop their component; the
     count lands in stats["dropped_degenerate"] when a stats dict is
     supplied. Offsets whose rebuild overflows raise the ValueError of the
-    first such component.
+    first such component, and a score outside [0, 1] the ValueError
+    OrientedBox raises for the first kept one.
     """
     if maps.regression.ndim != 4 or maps.regression.shape[:2] != (2, 8):
         raise ShapeMismatch(f"regression shape {maps.regression.shape}")
@@ -202,7 +243,7 @@ def decode(
             f"heatmap {maps.heatmap.shape} vs regression {maps.regression.shape}"
             f" and {maps.num_classes} classes"
         )
-    _, lookup, scores = extract_components(maps.heatmap, threshold)
+    *_, lookup, scores = extract_components(maps.heatmap, threshold)
     branch, class_id = np.divmod(lookup[:, 0], maps.num_classes)
     rows, cols = lookup[:, 1], lookup[:, 2]
     rebuilt = midline_boxes(
@@ -212,15 +253,16 @@ def decode(
     if overflow.any():
         raise rebuilt.error(int(np.argmax(overflow)))
     keep = np.flatnonzero(rebuilt.fault == 0)
-    detections = []
-    for i, b, c, score in zip(
-        keep.tolist(), branch[keep].tolist(), class_id[keep].tolist(), scores[keep].tolist()
-    ):
-        try:
-            box = rebuilt.box(i, class_id=c, score=score)
-        except DegenerateBox:  # the rebuilt corners fail OrientedBox's shape rule
-            continue
-        detections.append(Detection(box=box, branch=_BRANCHES[b]))
+    bad_score = ~((scores[keep] >= 0.0) & (scores[keep] <= 1.0))
+    if bad_score.any():
+        raise ValueError(f"score {scores[keep][np.argmax(bad_score)].item()} outside [0, 1]")
+    corners = rebuilt.corners[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, area = quad_rule(*corners.reshape(-1, 8).T)
+    good = code == 0
+    corners = np.where((area < 0.0)[:, None, None], corners[:, [0, 3, 2, 1]], corners)
+    keep = keep[good]
+    table = Detections(corners[good], scores[keep], class_id[keep], branch[keep])
     if stats is not None:
-        stats["dropped_degenerate"] = len(lookup) - len(detections)
-    return merge_branches(detections, merge_iou)
+        stats["dropped_degenerate"] = len(lookup) - len(table)
+    return merge_branches(table, merge_iou)

@@ -21,11 +21,11 @@ from .geometry import (
     MidlinePair,
     OrientedBox,
     _map,
-    box_areas,
     box_corners,
     box_to_midlines,
     intersection_point,
     midline_arrays,
+    quad_area,
 )
 
 DEFAULT_STRIDE = 4
@@ -127,22 +127,6 @@ def _disc_cells(
     return obj, rows, cols
 
 
-def drift_region_cells(
-    cx: float, cy: float, radius: float, width: int, height: int
-) -> np.ndarray:
-    """Integer (row, col) cells strictly inside a drift region's disc, row-major.
-
-    The disc is centered at (cx, cy) in feature-map units (the intersection
-    point divided by the stride) with a radius in cells. The rounded center
-    cell is always included (clamped into bounds), even when floating-point
-    slack would leave the disc empty.
-    """
-    _, rows, cols = _disc_cells(
-        np.array([[cx, cy]], dtype=np.float64), np.array([radius], dtype=np.float64), width, height
-    )
-    return np.stack(np.divmod(np.unique(rows * width + cols), width), axis=1)
-
-
 def encode_image(
     annotations: Sequence[OrientedBox],
     image_w: int,
@@ -198,7 +182,8 @@ def encode_image(
     # The smallest area owns a contested cell, the earlier index a tie: sort
     # by (cell, area, index) and keep the first entry of each cell.
     cell = (b * height + rows) * width + cols
-    order = np.lexsort((obj, box_areas(corners)[keep][obj], cell))
+    areas = np.abs(quad_area(*corners[keep].reshape(-1, 8).T))
+    order = np.lexsort((obj, areas[obj], cell))
     first = np.ones(len(order), dtype=bool)
     first[1:] = cell[order[1:]] != cell[order[:-1]]
     win = order[first]

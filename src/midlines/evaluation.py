@@ -53,14 +53,20 @@ def _clip_by_edge(points: list[tuple[float, float]], a, b) -> list[tuple[float, 
     return out
 
 
-def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
+def _xy(box) -> Sequence[Sequence[float]]:
+    return [(p.x, p.y) for p in box.corners] if isinstance(box, OrientedBox) else box
+
+
+def rotated_iou(a, b) -> float:
     """Intersection over union of two boxes (convex by construction).
 
-    The intersection polygon comes from clipping one box by the other's
-    edges; intersections below 1e-9 square pixels count as empty.
+    Each box is an OrientedBox or its four corners as (x, y) pairs in the
+    order OrientedBox keeps them. The intersection polygon comes from
+    clipping one box by the other's edges; intersections below 1e-9 square
+    pixels count as empty.
     """
-    subject = [(p.x, p.y) for p in a.corners]
-    clip = [(p.x, p.y) for p in b.corners]
+    subject = quad = _xy(a)
+    clip = _xy(b)
     for i in range(4):
         subject = _clip_by_edge(subject, clip[i], clip[(i + 1) % 4])
         if not subject:
@@ -68,27 +74,24 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     inter = abs(signed_area(subject))
     if inter < _MIN_INTERSECTION:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / (abs(signed_area(quad)) + abs(signed_area(clip)) - inter)
 
 
-def may_overlap(a: Sequence, b: Sequence) -> np.ndarray:
+def may_overlap(corners_a: np.ndarray, class_a, corners_b: np.ndarray, class_b) -> np.ndarray:
     """Which pairs of boxes can have a non-zero IoU: a (len(a), len(b)) bool array.
 
-    True where the two boxes share a class and their closed axis-aligned
-    bounding boxes intersect; every other pair has rotated_iou exactly 0.
-    Items are OrientedBoxes or anything carrying one under .box.
+    Each side is given as (N, 4, 2) corners and N class ids. True where the
+    two boxes share a class and their closed axis-aligned bounding boxes
+    intersect; every other pair has rotated_iou exactly 0.
     """
-    boxes = [_as_box(item) for item in (*a, *b)]
-    corners = box_corners(boxes)
-    (x0, y0), (x1, y1) = corners.min(axis=1).T, corners.max(axis=1).T
-    classes = np.array([box.class_id for box in boxes])
-    n = len(a)
+    (x0, y0), (x1, y1) = corners_a.min(axis=1).T, corners_a.max(axis=1).T
+    (u0, v0), (u1, v1) = corners_b.min(axis=1).T, corners_b.max(axis=1).T
     return (
-        (classes[:n, None] == classes[None, n:])
-        & (x0[:n, None] <= x1[None, n:])
-        & (y0[:n, None] <= y1[None, n:])
-        & (x0[None, n:] <= x1[:n, None])
-        & (y0[None, n:] <= y1[:n, None])
+        (np.asarray(class_a)[:, None] == np.asarray(class_b)[None, :])
+        & (x0[:, None] <= u1[None, :])
+        & (y0[:, None] <= v1[None, :])
+        & (u0[None, :] <= x1[:, None])
+        & (v0[None, :] <= y1[:, None])
     )
 
 
@@ -120,7 +123,10 @@ def match_detections(
     """
     det_boxes = [_as_box(d) for d in dets]
     gt_boxes = [_as_box(g) for g in gts]
-    candidates = may_overlap(det_boxes, gt_boxes)
+    candidates = may_overlap(
+        box_corners(det_boxes), [box.class_id for box in det_boxes],
+        box_corners(gt_boxes), [box.class_id for box in gt_boxes],
+    )
     order = sorted(range(len(det_boxes)), key=lambda i: -det_boxes[i].score)
     taken = [False] * len(gt_boxes)
     outcomes: list[str] = []

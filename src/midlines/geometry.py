@@ -4,7 +4,9 @@ A box is stored as four corners. Its two midlines connect the midpoints of
 opposite edges; together with an ordering convention they carry the same
 information as the box, and they are what the dense maps actually regress.
 The midlines of many boxes are computed at once on arrays by
-midline_arrays; box_to_midlines and classify_branch are one-row calls of it.
+midline_arrays, and box_to_midlines is a one-row call of it. Whether four
+corners make a box is quad_rule, which runs unchanged on Python floats for
+one box and on numpy columns for many.
 """
 
 from __future__ import annotations
@@ -85,13 +87,45 @@ def signed_area(points: Sequence[tuple[float, float]]) -> float:
     return total / 2.0
 
 
-def _turns(points: Sequence[tuple[float, float]]) -> list[float]:
-    """Cross product of the two edges meeting at each corner, in corner order."""
-    out = []
-    for i, (bx, by) in enumerate(points):
-        (ax, ay), (cx, cy) = points[i - 1], points[(i + 1) % len(points)]
-        out.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
-    return out
+# Why four corners make no box: the code quad_rule gives, 0 for a box.
+ZERO_AREA, NON_FINITE_AREA, NON_CONVEX = 1, 2, 3
+_QUAD_MESSAGES = {ZERO_AREA: "zero-area box", NON_FINITE_AREA: "non-finite area", NON_CONVEX: "non-convex quad"}
+
+
+def quad_area(x0, y0, x1, y1, x2, y2, x3, y3):
+    """Shoelace signed area of the quad (x0, y0) .. (x3, y3), its terms added in corner order."""
+    return ((((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)) + (x2 * y3 - x3 * y2)) + (x3 * y0 - x0 * y3)) / 2.0
+
+
+def quad_rule(x0, y0, x1, y1, x2, y2, x3, y3):
+    """Whether four corners make a box: (code, signed area).
+
+    The code is 0 for a box, else the first rule the corners break: the area
+    is zero (ZERO_AREA), the area is not finite (NON_FINITE_AREA), or the
+    turns bend both ways, which a dart and a crossed bowtie do (NON_CONVEX).
+    The turn at a corner is the cross product of the edges meeting there;
+    collinear corners (a zero turn) are allowed. A NaN turn has no sign, and
+    a NaN turn at the first corner allows the quad, as Python's min and max
+    over the turns in corner order decide it.
+
+    Only arithmetic and comparison operators are used, so the same code
+    gives the same floats on Python floats for one quad and on (K,) numpy
+    columns for K quads; callers on arrays silence numpy's overflow warnings.
+    """
+    area = quad_area(x0, y0, x1, y1, x2, y2, x3, y3)
+    t0 = (x0 - x3) * (y1 - y0) - (y0 - y3) * (x1 - x0)
+    t1 = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+    t2 = (x2 - x1) * (y3 - y2) - (y2 - y1) * (x3 - x2)
+    t3 = (x3 - x2) * (y0 - y3) - (y3 - y2) * (x0 - x3)
+    zero = area == 0.0
+    non_finite = area - area != 0.0  # true for inf and NaN
+    bent = (
+        (t0 == t0)
+        & ((t0 < 0.0) | (t1 < 0.0) | (t2 < 0.0) | (t3 < 0.0))
+        & ((t0 > 0.0) | (t1 > 0.0) | (t2 > 0.0) | (t3 > 0.0))
+    )
+    # zero and non_finite exclude each other; bent counts only when both are false.
+    return ZERO_AREA * zero + NON_FINITE_AREA * non_finite + NON_CONVEX * (bent > (zero | non_finite)), area
 
 
 @dataclass(frozen=True)
@@ -102,9 +136,8 @@ class OrientedBox:
     positive; the first corner is kept first. Zero-area input is rejected,
     as is finite input whose area overflows, and so is any corner order
     whose turns bend both ways (a dart or a crossed bowtie), so every box is
-    convex; collinear corners are allowed.
-    This is the package's only rule for whether four corners make a box;
-    the rebuild from midlines leaves it to this constructor.
+    convex; collinear corners are allowed. The rule is quad_rule, the
+    package's only statement of it; decode applies it to whole columns.
     """
 
     corners: tuple[Point2, Point2, Point2, Point2]
@@ -120,18 +153,25 @@ class OrientedBox:
             raise ValueError(f"negative class id {self.class_id}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
-        xy = [(p.x, p.y) for p in corners]
-        area = signed_area(xy)
-        if area == 0.0:
-            raise _ShapeError("zero-area box")
-        if not math.isfinite(area):
-            raise _ShapeError("non-finite area")
-        turns = _turns(xy)
-        if min(turns) < 0.0 < max(turns):
-            raise _ShapeError("non-convex quad")
+        p0, p1, p2, p3 = corners
+        code, area = quad_rule(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
+        if code:
+            raise _ShapeError(_QUAD_MESSAGES[code])
         if area < 0.0:
-            corners = (corners[0], corners[3], corners[2], corners[1])
+            corners = (p0, p3, p2, p1)
         object.__setattr__(self, "corners", corners)
+
+    @classmethod
+    def _accepted(cls, corners: tuple[Point2, Point2, Point2, Point2], class_id: int, score: float):
+        """A box whose corners quad_rule accepted with a positive area, made without checks.
+
+        For rows that an array caller already ran the rule on and flipped.
+        Checking the flipped order again could round its area differently.
+        """
+        box = object.__new__(cls)
+        for name, value in (("corners", corners), ("class_id", class_id), ("score", score), ("difficult", False)):
+            object.__setattr__(box, name, value)
+        return box
 
     @property
     def area(self) -> float:
@@ -214,13 +254,6 @@ def box_corners(boxes: Sequence[OrientedBox]) -> np.ndarray:
 
 
 _NEXT = np.array([1, 2, 3, 0])  # the corner after each corner of a quad
-
-
-def box_areas(corners: np.ndarray) -> np.ndarray:
-    """Area of each (4, 2) quad, summed term by term as OrientedBox.area is."""
-    after = corners[:, _NEXT]
-    terms = corners[..., 0] * after[..., 1] - after[..., 0] * corners[..., 1]
-    return np.abs(np.add.accumulate(terms, axis=1)[:, 3] / 2.0)  # accumulate adds left to right
 
 
 # Sort keys per endpoint, as (x, -y): l1's ep1 has the larger x, then the
@@ -310,27 +343,7 @@ def midline_arrays(
     )
 
 
-def _one_box(box: OrientedBox, low_deg: float, high_deg: float) -> MidlineArrays:
-    lines = midline_arrays(box_corners([box]), low_deg, high_deg)
-    lines.check()
-    return lines
-
-
 _BRANCHES = tuple(BranchId)  # indexed by BranchId.index
-
-
-def classify_branch(
-    box: OrientedBox,
-    low_deg: float = BRANCH_LOW_DEG,
-    high_deg: float = BRANCH_HIGH_DEG,
-) -> BranchId:
-    """Assign a box to a branch by the angle of its more vertical midline.
-
-    The angle is measured in degrees from the +x axis, folded into [0, 180).
-    Strictly inside the open interval (low_deg, high_deg) means HORIZONTAL;
-    everything else, boundary included, is ORIENTED.
-    """
-    return _BRANCHES[_one_box(box, low_deg, high_deg).branch[0]]
 
 
 def box_to_midlines(
@@ -344,7 +357,8 @@ def box_to_midlines(
     oriented branch l1 is the longer one. Ties pick candidate A (the line
     through the midpoints of edges p0p1 and p2p3).
     """
-    lines = _one_box(box, low_deg, high_deg)
+    lines = midline_arrays(box_corners([box]), low_deg, high_deg)
+    lines.check()
     x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
     return MidlinePair(
         l1=Segment(Point2(x1, y1), Point2(x2, y2)),

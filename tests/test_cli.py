@@ -11,6 +11,7 @@ import pytest
 
 from midlines.cli import FLAG_RANGES, _parallel_map, build_parser, main
 from midlines.container import TENSOR_NAMES, read_maps, write_maps
+from midlines.decoder import decode
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError, ShapeMismatch
 from midlines.geometry import OrientedBox, Point2
@@ -430,6 +431,27 @@ def test_decode_directory_adds_image_ids(tmp_path, capsys):
     assert code == 0
     (det,) = json.loads((tmp_path / "d.json").read_text())
     assert det["image_id"] == "img"
+
+
+def test_decode_directory_writes_the_rows_of_each_containers_table(tmp_path, capsys):
+    labels = write_labels(tmp_path)
+    tiles, maps = tmp_path / "tiles", tmp_path / "maps"
+    run(capsys, "tile", "--input", labels, "--out", tiles)
+    run(capsys, "encode", "--gt", tiles, "--out", maps)
+    code, _ = run(capsys, "decode", "--maps", maps, "--out", tmp_path / "d.json", "--jobs", 2)
+    assert code == 0
+    expected = []
+    containers = sorted(p.parent for p in maps.glob("*/manifest.json"))
+    for container in containers:
+        container_maps, class_names = read_maps(container)
+        for det in decode(container_maps):
+            expected.append({
+                "class": class_names[det.class_id], "score": det.score,
+                "corners": det.box.corner_array(), "branch": det.branch.value,
+                "image_id": container.name,
+            })
+    assert len(containers) > 1 and len({r["image_id"] for r in expected}) > 1
+    assert json.loads((tmp_path / "d.json").read_text()) == expected
 
 
 def test_decode_high_threshold_gives_empty_array(tmp_path, capsys):

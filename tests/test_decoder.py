@@ -5,6 +5,7 @@ import pytest
 
 from midlines.decoder import (
     Detection,
+    Detections,
     decode,
     extract_components,
     merge_branches,
@@ -13,7 +14,7 @@ from midlines.decoder import (
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import DegenerateBox, ShapeMismatch
 from midlines.evaluation import rotated_iou
-from midlines.geometry import BranchId, OrientedBox, Point2, rectangle
+from midlines.geometry import BranchId, OrientedBox, Point2, box_corners, rectangle
 
 from oracles import flood_components
 
@@ -42,6 +43,24 @@ def corner_set(box):
     return sorted((round(p.x, 9), round(p.y, 9)) for p in box.corners)
 
 
+def table(dets):
+    """A Detections table holding the given Detections, in order."""
+    return Detections(
+        corners=box_corners([d.box for d in dets]),
+        score=np.array([d.score for d in dets]),
+        class_id=np.array([d.class_id for d in dets], dtype=int),
+        branch=np.array([d.branch.index for d in dets], dtype=int),
+    )
+
+
+def label_volume(heatmap, threshold=0.3):
+    """extract_components' lit cells and their components as a label volume: 0 off, k + 1 on component k."""
+    lit, owner, lookup, scores = extract_components(heatmap, threshold)
+    labels = np.zeros(heatmap.size, dtype=np.int32)
+    labels[lit] = owner + 1
+    return labels.reshape(heatmap.shape), lookup, scores
+
+
 # --- extract_components -----------------------------------------------------------
 
 
@@ -49,7 +68,7 @@ def components(grid, threshold=0.3):
     """extract_components on one channel: (cell set, score) per component."""
     heatmap = np.zeros((2, 1, *grid.shape))
     heatmap[0, 0] = grid
-    labels, lookup, scores = extract_components(heatmap, threshold)
+    labels, lookup, scores = label_volume(heatmap, threshold)
     assert len(lookup) == len(scores) == labels.max()
     return [
         (set(map(tuple, np.argwhere(labels[0, 0] == k + 1))), score)
@@ -58,7 +77,7 @@ def components(grid, threshold=0.3):
 
 
 def test_empty_grid_has_no_components():
-    labels, lookup, scores = extract_components(np.zeros((2, 3, 10, 10)))
+    labels, lookup, scores = label_volume(np.zeros((2, 3, 10, 10)))
     assert labels.shape == (2, 3, 10, 10) and not labels.any()
     assert lookup.shape == (0, 3) and scores.shape == (0,)
 
@@ -95,14 +114,14 @@ def test_components_ordered_by_first_cell_scan_position():
     heatmap[0, 0, 0, 5] = 0.9  # first in scan order despite the rightmost column
     heatmap[0, 0, 2, 0] = 0.9
     heatmap[0, 0, 4, 3] = 0.9
-    _, lookup, _ = extract_components(heatmap)
+    *_, lookup, _ = extract_components(heatmap)
     assert lookup.tolist() == [[0, 0, 5], [0, 2, 0], [0, 4, 3], [1, 0, 0], [2, 0, 0]]
 
 
 def test_components_carry_class_and_branch():
     heatmap = np.zeros((2, 9, 4, 4))
     heatmap[BranchId.ORIENTED.index, 7, 1, 1] = 0.9
-    _, lookup, scores = extract_components(heatmap)
+    *_, lookup, scores = extract_components(heatmap)
     assert lookup.tolist() == [[9 + 7, 1, 1]]  # flat channel b * C + c
     assert scores.tolist() == [0.9]
 
@@ -111,7 +130,7 @@ def test_components_never_join_across_channels():
     # The same block in adjacent classes of both branches: four domains.
     heatmap = np.zeros((2, 2, 6, 6))
     heatmap[:, :, 2:4, 2:4] = 0.9
-    labels, lookup, _ = extract_components(heatmap)
+    labels, lookup, _ = label_volume(heatmap)
     assert lookup.tolist() == [[channel, 3, 3] for channel in range(4)]
     for k, (b, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         assert set(zip(*np.nonzero(labels == k + 1))) == {
@@ -145,13 +164,13 @@ def test_lookup_cells_and_scores_match_a_per_component_loop():
                     [channel, math.floor(rows.mean() + 0.5), math.floor(cols.mean() + 0.5)],
                     max(grid[r, c] for r, c in cells),
                 ))
-        _, lookup, scores = extract_components(heatmap)
+        *_, lookup, scores = extract_components(heatmap)
         assert list(zip(lookup.tolist(), scores.tolist())) == expected
 
 
 def assert_matches_flood_fill(heatmap, threshold=0.3):
     """The label volume, channel by channel and in scan order, against the flood-fill oracle."""
-    labels, lookup, _ = extract_components(heatmap, threshold)
+    labels, lookup, _ = label_volume(heatmap, threshold)
     stack = heatmap.reshape(-1, *heatmap.shape[-2:])
     expected = [
         {(channel, r, c) for r, c in cells}
@@ -268,39 +287,39 @@ def det_at(x, y, w=40, h=16, angle=0.0, class_id=0, score=0.9, branch=BranchId.H
 def test_merge_drops_lower_scoring_duplicate():
     weak = det_at(0, 0, score=0.6, branch=BranchId.HORIZONTAL)
     strong = det_at(0, 0, angle=2.5, score=0.8, branch=BranchId.ORIENTED)
-    kept = merge_branches([weak, strong])
-    assert kept == [strong]
+    kept = merge_branches(table([weak, strong]))
+    assert list(kept) == [strong]
     # Role reversal keeps the horizontal one instead.
     strong_h = det_at(0, 0, score=0.8, branch=BranchId.HORIZONTAL)
     weak_o = det_at(0, 0, angle=2.5, score=0.6, branch=BranchId.ORIENTED)
-    assert merge_branches([weak_o, strong_h]) == [strong_h]
+    assert list(merge_branches(table([weak_o, strong_h]))) == [strong_h]
 
 
 def test_merge_tie_keeps_horizontal():
     h = det_at(0, 0, score=0.7, branch=BranchId.HORIZONTAL)
     o = det_at(0, 0, angle=1.5, score=0.7, branch=BranchId.ORIENTED)
-    assert merge_branches([o, h]) == [h]
+    assert list(merge_branches(table([o, h]))) == [h]
 
 
 def test_merge_requires_strictly_greater_overlap():
     h = det_at(0, 0, score=0.6, branch=BranchId.HORIZONTAL)
     o = det_at(2, 0, score=0.9, branch=BranchId.ORIENTED)
     iou = rotated_iou(h.box, o.box)
-    assert merge_branches([h, o], iou_threshold=iou) == [h, o]
-    assert merge_branches([h, o], iou_threshold=iou - 1e-9) == [o]
+    assert list(merge_branches(table([h, o]), iou_threshold=iou)) == [h, o]
+    assert list(merge_branches(table([h, o]), iou_threshold=iou - 1e-9)) == [o]
 
 
 def test_merge_ignores_other_classes_and_low_overlap():
     h = det_at(0, 0, class_id=0, score=0.6, branch=BranchId.HORIZONTAL)
     other_class = det_at(0, 0, class_id=1, score=0.9, branch=BranchId.ORIENTED)
     far = det_at(500, 500, class_id=0, score=0.9, branch=BranchId.ORIENTED)
-    assert merge_branches([h, other_class, far]) == [h, other_class, far]
+    assert list(merge_branches(table([h, other_class, far]))) == [h, other_class, far]
 
 
 def test_merge_never_suppresses_within_a_branch():
     a = det_at(0, 0, score=0.9, branch=BranchId.ORIENTED)
     b = det_at(0.5, 0, score=0.3, branch=BranchId.ORIENTED)
-    assert merge_branches([a, b]) == [a, b]
+    assert list(merge_branches(table([a, b]))) == [a, b]
 
 
 # --- decode -----------------------------------------------------------------------
@@ -319,7 +338,7 @@ def test_decode_rejects_malformed_maps():
 
 def test_decode_empty_maps():
     stats = {}
-    assert decode(make_maps(), stats=stats) == []
+    assert list(decode(make_maps(), stats=stats)) == []
     assert stats["dropped_degenerate"] == 0
 
 
@@ -327,8 +346,20 @@ def test_decode_drops_degenerate_regression():
     maps = make_maps()
     maps.heatmap[0, 0, 5, 5] = 0.9  # offsets all zero: endpoints coincide
     stats = {}
-    assert decode(maps, stats=stats) == []
+    assert list(decode(maps, stats=stats)) == []
     assert stats["dropped_degenerate"] == 1
+
+
+def test_decode_rejects_a_score_above_one_only_on_a_kept_component():
+    # OrientedBox's score rule, applied to the column: a component dropped
+    # by the midline rules never reaches it.
+    maps = make_maps()
+    maps.heatmap[0, 0, 5, 5] = 1.5  # offsets all zero: dropped, not raised
+    assert list(decode(maps)) == []
+    maps.heatmap[0, 0, 12, 12] = 1.25
+    write_box_offsets(maps.regression[0], 12, 12, 4, half_w=6, half_h=3)
+    with pytest.raises(ValueError, match=r"^score 1.25 outside \[0, 1\]$"):
+        decode(maps)
 
 
 def test_decode_recovers_encoded_objects_exactly():
@@ -451,7 +482,7 @@ def cell_ends(maps, b, row, col):
 
 def reference_decode(maps, threshold=0.3):
     """decode one component at a time: (merged detections, drop messages)."""
-    _, lookup, scores = extract_components(maps.heatmap, threshold)
+    *_, lookup, scores = extract_components(maps.heatmap, threshold)
     dets, drops = [], []
     for (channel, row, col), score in zip(lookup.tolist(), scores.tolist()):
         b, class_id = divmod(channel, maps.num_classes)
@@ -461,7 +492,7 @@ def reference_decode(maps, threshold=0.3):
             continue
         box = OrientedBox(tuple(Point2(x, y) for x, y in out), class_id=class_id, score=score)
         dets.append(Detection(box=box, branch=BranchId(b + 1)))
-    return merge_branches(dets), drops
+    return merge_branches(table(dets)), drops
 
 
 def bits(det):

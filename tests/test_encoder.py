@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlines.encoder import drift_radius, drift_region_cells, encode_image
+from midlines.encoder import drift_radius, encode_image
 from midlines.errors import DegenerateBox, OutOfBounds
 from midlines.geometry import (
     BranchId,
@@ -48,21 +48,41 @@ def test_drift_radius_thin_box_still_covers_center_cell():
     # Shorter midline of 4 px gives a base radius of 0.5 cells, below the
     # worst-case rounding distance; the region must still own its cell.
     for center in ((100.0, 100.0), (102.0, 103.0), (97.9, 101.3)):
-        pair = box_to_midlines(rectangle(center[0], center[1], 200, 4))
+        box = rectangle(center[0], center[1], 200, 4)
+        pair = box_to_midlines(box)
         radius = drift_radius(pair, stride=4, r=16.0)
         assert radius >= 0.5
         ip = intersection_point(pair)
-        cells = {tuple(c) for c in drift_region_cells(ip.x / 4, ip.y / 4, radius, 64, 64)}
+        maps = encode_image([box], 256, 256, num_classes=1)
         center_cell = (math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5))
-        assert center_cell in cells
+        assert maps.heatmap[pair.branch.index, 0][center_cell] == 1.0
 
 
-# --- drift_region_cells -------------------------------------------------------
+# --- the drift region, as encode_image writes it ---------------------------------
+
+
+def region_and_oracle(cx, cy, side, size=50, stride=4, r=16.0):
+    """encode_image's positives for a side x side square centred at (cx, cy) cells, and the oracle's.
+
+    The oracle scans the whole grid for the disc at the centre and radius
+    that box_to_midlines and drift_radius give, plus the rounded centre cell
+    clamped into the grid.
+    """
+    box = rectangle(cx * stride, cy * stride, side, side)
+    maps = encode_image([box], size * stride, size * stride, num_classes=1, stride=stride, r=r)
+    pair = box_to_midlines(box)
+    ip = intersection_point(pair)
+    x, y = ip.x / stride, ip.y / stride
+    want = disc_oracle(x, y, drift_radius(pair, stride, r), size, size)
+    want.add((min(max(math.floor(y + 0.5), 0), size - 1), min(max(math.floor(x + 0.5), 0), size - 1)))
+    got = {tuple(c) for c in np.argwhere(maps.heatmap[pair.branch.index, 0] == 1.0)}
+    assert not maps.heatmap[1 - pair.branch.index].any()
+    return got, want
 
 
 def test_region_cells_match_full_grid_oracle():
-    got = {tuple(c) for c in drift_region_cells(25.0, 25.0, 4.0, 50, 50)}
-    assert got == disc_oracle(25.0, 25.0, 4.0, 50, 50)
+    got, want = region_and_oracle(25.0, 25.0, 32.0)  # radius min(16, 32 / 2) / 4 = 4 cells
+    assert got == want == disc_oracle(25.0, 25.0, 4.0, 50, 50)
     assert len(got) == 45
 
 
@@ -73,20 +93,14 @@ def test_region_cells_match_full_grid_oracle():
 )
 @settings(max_examples=60, deadline=None)
 def test_region_cells_match_oracle_randomized(cx, cy, radius):
-    got = {tuple(c) for c in drift_region_cells(cx, cy, radius, 50, 50)}
-    want = disc_oracle(cx, cy, radius, 50, 50)
-    center_cell = (
-        min(max(math.floor(cy + 0.5), 0), 49),
-        min(max(math.floor(cx + 0.5), 0), 49),
-    )
-    assert got == want | {center_cell}
+    got, want = region_and_oracle(cx, cy, 8.0 * radius, r=64.0)
+    assert got == want
 
 
 def test_region_cells_are_row_major_and_in_bounds():
-    cells = drift_region_cells(1.0, 1.0, 3.5, 50, 50)
-    assert (cells >= 0).all()
-    as_tuples = [tuple(c) for c in cells]
-    assert as_tuples == sorted(as_tuples)
+    # A region that reaches past the top-left corner is cut to the grid.
+    got, want = region_and_oracle(1.0, 1.0, 28.0)
+    assert got == want == disc_oracle(1.0, 1.0, 3.5, 50, 50)
 
 
 # --- encode_image -------------------------------------------------------------

@@ -16,6 +16,7 @@ from midlines.evaluation import (
 from midlines.geometry import (
     OrientedBox,
     Point2,
+    box_corners,
     box_to_midlines,
     midlines_to_box,
     rectangle,
@@ -84,6 +85,13 @@ def test_iou_symmetry_and_bounds():
         assert abs(ab - ba) < 1e-12
 
 
+def overlap(a, b):
+    """may_overlap on two lists of boxes."""
+    return may_overlap(
+        box_corners(a), [box.class_id for box in a], box_corners(b), [box.class_id for box in b]
+    )
+
+
 def test_may_overlap_marks_every_pair_with_non_zero_iou():
     rng = np.random.default_rng(11)
     a = [random_box(rng) for _ in range(40)]
@@ -92,7 +100,7 @@ def test_may_overlap_marks_every_pair_with_non_zero_iou():
                   rng.uniform(2, 20), rng.uniform(0, 180), class_id=int(rng.integers(0, 2)))
         for _ in range(30)
     ]
-    marked = may_overlap(a, b)
+    marked = overlap(a, b)
     assert marked.shape == (40, 30) and marked.dtype == bool
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
@@ -105,10 +113,19 @@ def test_may_overlap_marks_every_pair_with_non_zero_iou():
 
 def test_may_overlap_bounds_are_closed_and_inputs_may_be_empty():
     # Touching boxes are candidates even though their IoU is 0.
-    assert may_overlap([square(0, 0)], [square(2, 0)]).tolist() == [[True]]
-    assert not may_overlap([square(0, 0)], [square(2.5, 0)]).any()
-    assert may_overlap([], [square(0, 0)]).shape == (0, 1)
-    assert may_overlap([square(0, 0)], []).shape == (1, 0)
+    assert overlap([square(0, 0)], [square(2, 0)]).tolist() == [[True]]
+    assert not overlap([square(0, 0)], [square(2.5, 0)]).any()
+    assert overlap([], [square(0, 0)]).shape == (0, 1)
+    assert overlap([square(0, 0)], []).shape == (1, 0)
+
+
+def test_iou_of_corner_pairs_is_the_iou_of_their_boxes():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        a, b = random_box(rng), random_box(rng)
+        xy_a, xy_b = (box_corners([box])[0].tolist() for box in (a, b))
+        expected = rotated_iou(a, b)
+        assert rotated_iou(xy_a, xy_b) == rotated_iou(a, xy_b) == rotated_iou(xy_a, b) == expected
 
 
 def test_iou_is_rigid_motion_invariant():

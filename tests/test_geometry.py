@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,11 @@ from midlines.geometry import (
     Segment,
     box_corners,
     box_to_midlines,
-    classify_branch,
     intersection_point,
     midline_arrays,
     midlines_to_box,
     order_midline_ends,
+    quad_rule,
     rectangle,
 )
 
@@ -60,12 +61,17 @@ def assert_vertex_sets_close(a, b, tol=1e-9):
 # --- branch classification ---------------------------------------------------
 
 
+def branch_of(box, low_deg=88.0, high_deg=92.0):
+    """The branch midline_arrays gives one box."""
+    return BranchId(int(midline_arrays(box_corners([box]), low_deg, high_deg).branch[0]) + 1)
+
+
 def test_axis_aligned_rect_is_horizontal():
-    assert classify_branch(RECT) is BranchId.HORIZONTAL
+    assert branch_of(RECT) is BranchId.HORIZONTAL
 
 
 def test_square_at_45_is_oriented():
-    assert classify_branch(SQUARE_45) is BranchId.ORIENTED
+    assert branch_of(SQUARE_45) is BranchId.ORIENTED
 
 
 def test_branch_interval_is_open_at_both_ends():
@@ -75,23 +81,23 @@ def test_branch_interval_is_open_at_both_ends():
     angles = sorted(candidate_angles(box), key=lambda t: abs(t - 90))
     theta = angles[0]
     assert 87.9 < theta < 88.1
-    assert classify_branch(box, low_deg=theta, high_deg=92.0) is BranchId.ORIENTED
+    assert branch_of(box, low_deg=theta, high_deg=92.0) is BranchId.ORIENTED
     below = math.nextafter(theta, 0.0)
-    assert classify_branch(box, low_deg=below, high_deg=92.0) is BranchId.HORIZONTAL
+    assert branch_of(box, low_deg=below, high_deg=92.0) is BranchId.HORIZONTAL
 
     box_hi = rectangle(100, 100, 60, 30, angle_deg=2.0)
     angles = sorted(candidate_angles(box_hi), key=lambda t: abs(t - 90))
     theta_hi = angles[0]
     assert 91.9 < theta_hi < 92.1
-    assert classify_branch(box_hi, low_deg=88.0, high_deg=theta_hi) is BranchId.ORIENTED
+    assert branch_of(box_hi, low_deg=88.0, high_deg=theta_hi) is BranchId.ORIENTED
     above = math.nextafter(theta_hi, 180.0)
-    assert classify_branch(box_hi, low_deg=88.0, high_deg=above) is BranchId.HORIZONTAL
+    assert branch_of(box_hi, low_deg=88.0, high_deg=above) is BranchId.HORIZONTAL
 
 
 def test_vertical_rect_is_horizontal_branch():
     # Tall axis-aligned rect: its long midline is exactly vertical (90 deg).
     box = rectangle(50, 50, 20, 80)
-    assert classify_branch(box) is BranchId.HORIZONTAL
+    assert branch_of(box) is BranchId.HORIZONTAL
 
 
 @given(angle=st.floats(min_value=0.0, max_value=180.0, exclude_max=True))
@@ -100,7 +106,7 @@ def test_branch_totality_matches_angle_window(angle):
     box = rectangle(0.0, 0.0, 40.0, 12.0, angle_deg=angle)
     theta = min(candidate_angles(box), key=lambda t: abs(t - 90.0))
     expected = BranchId.HORIZONTAL if 88.0 < theta < 92.0 else BranchId.ORIENTED
-    assert classify_branch(box) is expected
+    assert branch_of(box) is expected
 
 
 # --- box_to_midlines ----------------------------------------------------------
@@ -215,7 +221,7 @@ def test_midline_arrays_match_the_scalar_rule_row_by_row(boxes):
         assert [pair.l1.length, pair.l2.length] == lines.lengths[i].tolist()
         ip = intersection_point(pair)
         assert [ip.x, ip.y] == lines.centre[i].tolist()
-        assert pair.branch.index == branch == classify_branch(box).index
+        assert pair.branch.index == branch == branch_of(box).index
 
 
 # --- intersection_point -------------------------------------------------------
@@ -449,3 +455,108 @@ def test_near_parallel_midlines_are_degenerate():
     )
     with pytest.raises(DegenerateBox, match="zero-area"):
         midlines_to_box(pair)
+
+
+# --- the quad rule on floats and on columns -----------------------------------
+
+QUAD_MESSAGES = {1: "zero-area box", 2: "non-finite area", 3: "non-convex quad"}
+
+
+def stated_rule(xy):
+    """The quad rule as OrientedBox stated it on corner lists: (code, area)."""
+    area = 0.0
+    for i, (px, py) in enumerate(xy):
+        qx, qy = xy[(i + 1) % 4]
+        area += px * qy - qx * py
+    area /= 2.0
+    if area == 0.0:
+        return 1, area
+    if not math.isfinite(area):
+        return 2, area
+    turns = [
+        (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        for (ax, ay), (bx, by), (cx, cy) in zip(xy[-1:] + xy[:-1], xy, xy[1:] + xy[:1])
+    ]
+    return (3 if min(turns) < 0.0 < max(turns) else 0), area
+
+
+coords = st.floats(-1e3, 1e3, allow_nan=False)
+points = st.tuples(coords, coords)
+
+
+@st.composite
+def quads(draw):
+    """Four corners: a random quad, or one built to hit one rule or its edge."""
+    kind = draw(st.sampled_from(["any", "collinear", "coincident", "dart", "bowtie", "huge", "nan-turns"]))
+    if kind == "any":
+        return [draw(points) for _ in range(4)]
+    if kind == "collinear":
+        (ax, ay), (dx, dy) = draw(points), draw(points)
+        return [(ax + t * dx, ay + t * dy) for t in draw(st.lists(coords, min_size=4, max_size=4))]
+    if kind == "coincident":
+        corners = [draw(points) for _ in range(4)]
+        i = draw(st.integers(0, 3))
+        corners[i] = corners[draw(st.integers(0, 3))]
+        return corners
+    if kind == "dart":  # the third corner inside the triangle of the other three
+        a, b, c = (draw(points) for _ in range(3))
+        w = [draw(st.floats(0.01, 1.0)) for _ in range(3)]
+        d = tuple(sum(wk * p[k] for wk, p in zip(w, (a, b, c))) / sum(w) for k in (0, 1))
+        return [a, b, d, c]
+    if kind == "bowtie":  # a rectangle with two corners swapped
+        box = rectangle(*draw(points), draw(st.floats(1, 100)), draw(st.floats(1, 100)), draw(coords))
+        p0, p1, p2, p3 = ((p.x, p.y) for p in box.corners)
+        return [p0, p2, p1, p3]
+    big = st.floats(1e150, 1.7e308) if kind == "huge" else st.sampled_from([1.7e308, 1e308, 0.0])
+    if kind == "huge":  # areas or turns that overflow
+        return [(draw(big) * draw(st.sampled_from([1, -1])), draw(big) * draw(st.sampled_from([1, -1])))
+                for _ in range(4)]
+    # x differences overflow while every area term stays finite: NaN turns, finite area
+    tiny = st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, 2e-300])
+    return [(draw(big) * draw(st.sampled_from([1, -1])), draw(tiny)) for _ in range(4)]
+
+
+def hexed(values):
+    return [float(v).hex() for v in values]
+
+
+@given(st.lists(quads(), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_quad_rule_on_columns_is_the_float_rule_row_by_row(rows):
+    flat = np.array([[v for corner in corners for v in corner] for corners in rows], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes, areas = quad_rule(*flat.T)
+    assert codes.dtype.kind == "i" and codes.shape == areas.shape == (len(rows),)
+    for corners, code, area in zip(rows, codes.tolist(), areas.tolist()):
+        row_code, row_area = quad_rule(*[v for corner in corners for v in corner])
+        assert (row_code, row_area.hex()) == (code, area.hex())  # bit for bit, -0.0 included
+        stated_code, stated_area = stated_rule(list(corners))
+        assert row_code == stated_code
+        if row_code == 0:
+            assert row_area == stated_area
+        try:
+            box = OrientedBox(tuple(Point2(x, y) for x, y in corners))
+        except ValueError as err:
+            assert code != 0
+            assert str(err) == QUAD_MESSAGES[code]
+        else:
+            assert code == 0
+            order = [0, 1, 2, 3] if area > 0.0 else [0, 3, 2, 1]
+            assert corners_xy(box) == [tuple(corners[i]) for i in order]
+
+
+def test_quad_rule_cases_by_hand():
+    cases = [
+        (0, [(0, 0), (4, 0), (4, 2), (0, 2)]),
+        (1, [(0, 0), (5, 0), (10, 0), (2, 0)]),
+        (2, [(-5e199, -5e199), (5e199, -5e199), (5e199, 5e199), (-5e199, 5e199)]),
+        (3, [(0, 0), (10, 0), (0, 10), (12, 10)]),  # a bowtie whose lobes differ
+        # Finite areas whose turns overflow to NaN: turns (nan, 0, inf, nan)
+        # allow the quad, turns (inf, -0, -inf, nan) do not.
+        (0, [(1.7e308, 0.0), (1.7e308, 0.0), (1.7e308, 1e-300), (-1.7e308, 0.0)]),
+        (3, [(1.7e308, 0.0), (1.7e308, 1e-300), (1.7e308, -1e-300), (-1.7e308, 0.0)]),
+    ]
+    for code, corners in cases:
+        got, area = quad_rule(*[float(v) for p in corners for v in p])
+        assert got == code == stated_rule(corners)[0]
+        assert code == 2 or math.isfinite(area)
