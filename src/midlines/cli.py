@@ -155,24 +155,28 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
     return [future.result() for future in futures]
 
 
+_IMAGE_ERRORS = (MidlinesError, ValueError, MemoryError)
+
+
 def _map_images(
     result: CommandResult, fn: Callable, images: Sequence[AnnotatedImage], jobs: int
 ) -> list:
     """fn over every image, in input order, keeping the outputs that worked.
 
-    An image whose fn raises MidlinesError, or ValueError for geometry its
-    values cannot hold (an edge midpoint that overflows), is logged as
-    image=<id> error=... with exit 1, and the other images still run.
+    An image whose fn raises MidlinesError, ValueError for geometry its
+    values cannot hold (an edge midpoint that overflows), or MemoryError for
+    maps too large to allocate, is logged as image=<id> error=... with exit
+    1, and the other images still run.
     """
     def guarded(img: AnnotatedImage):
         try:
             return fn(img)
-        except (MidlinesError, ValueError) as err:
+        except _IMAGE_ERRORS as err:
             return err
 
     outputs = []
     for img, out in zip(images, _parallel_map(guarded, images, jobs)):
-        if isinstance(out, (MidlinesError, ValueError)):
+        if isinstance(out, _IMAGE_ERRORS):
             result.fail(VALIDATION_ERROR, image=img.image_id, error=f"{str(out)!r}")
         else:
             outputs.append(out)
@@ -449,8 +453,6 @@ def cmd_eval(args: argparse.Namespace) -> CommandResult:
         result.fail(VALIDATION_ERROR, error=err)
         return result
     gts = {img.image_id: img.objects for img in images}
-    for image_id in dets:
-        gts.setdefault(image_id, [])
     report = evaluate(
         dets, gts, mode=args.mode, iou_threshold=args.iou,
         ap_mode=args.ap_mode, class_names=class_names,

@@ -22,6 +22,11 @@ _MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image
 _MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
 
+def is_plain_file_name(name: str) -> bool:
+    """Whether name stays inside its directory: not "", "." or "..", no "/" or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+
+
 def _tensor_views(maps: TargetMaps) -> dict[str, np.ndarray]:
     return {
         "hm_b1": maps.heatmap[0],
@@ -123,7 +128,7 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         if not isinstance(file, str) or not isinstance(entry.get("shape"), list):
             raise ShapeMismatch(f"tensor {name}: manifest entry needs a file name and a shape list")
         # A path would let a manifest read any file outside its container.
-        if file in ("", ".", "..") or "/" in file or "\0" in file:
+        if not is_plain_file_name(file):
             raise ShapeMismatch(f"tensor {name}: file must be a plain file name, got {file!r}")
         shape = tuple(_count(s, f"tensor {name} shape entry", 0) for s in entry["shape"])
         path = root / file

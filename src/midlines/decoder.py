@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import TargetMaps
+from .encoder import TargetMaps, _cell_anchors
 from .errors import ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
@@ -171,11 +171,6 @@ def extract_components(
     scores = np.full(len(lookup), -np.inf)
     np.maximum.at(scores, owner, values[flat])
     return flat, owner, lookup, scores
-
-
-def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
-    """The image position of each cell, repeated for the four endpoints: (K, 8), or (8,) for one."""
-    return np.tile(np.stack((cols, rows), axis=-1) * stride, 4)
 
 
 def reconstruct_at_cell(

@@ -62,6 +62,11 @@ class TargetMaps:
     n_objects: int
 
 
+def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
+    """The input point of each cell, repeated for the four endpoints: (K, 8), or (8,) for one."""
+    return np.tile(np.stack((cols, rows), axis=-1) * stride, 4)
+
+
 def _drift_radii(centre: np.ndarray, lengths: np.ndarray, stride: int, r: float):
     """Centres in cells and drift radii of N objects; see drift_radius."""
     c = centre / stride
@@ -188,8 +193,7 @@ def encode_image(
     first[1:] = cell[order[1:]] != cell[order[:-1]]
     win = order[first]
     obj, rows, cols, b = obj[win], rows[win], cols[win], b[win]
-    anchor = np.stack((cols, rows) * 4, axis=1) * float(stride)
-    np.moveaxis(regression, 1, -1)[b, rows, cols] = ends[obj] - anchor
+    np.moveaxis(regression, 1, -1)[b, rows, cols] = ends[obj] - _cell_anchors(rows, cols, stride)
     reg_mask[b, rows, cols] = True
 
     return TargetMaps(

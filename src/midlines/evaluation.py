@@ -97,7 +97,8 @@ def may_overlap(corners_a: np.ndarray, class_a, corners_b: np.ndarray, class_b) 
 
 @dataclass
 class MatchResult:
-    """Outcome per detection, in descending-score order, plus the miss count.
+    """Outcome, score and class id per detection, in descending-score order,
+    plus the miss count.
 
     outcomes holds "tp", "fp", or "ignored" (best match was a difficult
     ground-truth box, which is excluded from the precision/recall curve).
@@ -107,6 +108,7 @@ class MatchResult:
     scores: list[float]
     n_gt: int
     fn: int
+    classes: list[int]
 
 
 def match_detections(
@@ -130,7 +132,6 @@ def match_detections(
     order = sorted(range(len(det_boxes)), key=lambda i: -det_boxes[i].score)
     taken = [False] * len(gt_boxes)
     outcomes: list[str] = []
-    scores: list[float] = []
     for i in order:
         det = det_boxes[i]
         best_iou, best_j = 0.0, -1
@@ -145,12 +146,14 @@ def match_detections(
             outcomes.append(IGNORED if gt_boxes[best_j].difficult else TP)
         else:
             outcomes.append(FP)
-        scores.append(det.score)
     fn = sum(
         1 for j, gt in enumerate(gt_boxes) if not taken[j] and not gt.difficult
     )
     n_gt = sum(1 for gt in gt_boxes if not gt.difficult)
-    return MatchResult(outcomes=outcomes, scores=scores, n_gt=n_gt, fn=fn)
+    return MatchResult(
+        outcomes=outcomes, scores=[det_boxes[i].score for i in order], n_gt=n_gt, fn=fn,
+        classes=[det_boxes[i].class_id for i in order],
+    )
 
 
 def average_precision(
@@ -263,18 +266,20 @@ def evaluate(
     """Score detections against ground truth.
 
     dets and gts are either flat sequences (one image) or mappings from
-    image id to sequences. mode "map" reports per-class interpolated AP and
-    their mean; mode "text" reports micro-averaged precision/recall/F1 at
-    the IoU threshold. Matching is always per image and per class.
+    image id to sequences; an image missing on one side is empty there.
+    mode "map" reports per-class interpolated AP and their mean; mode
+    "text" reports micro-averaged precision/recall/F1 at the IoU threshold.
+    Each image is matched once for all its classes, since a detection only
+    competes for ground truth of its own class. A class's misses are its
+    non-difficult ground truth minus its true positives.
     """
     if mode not in ("map", "text"):
         raise ValueError(f"unknown eval mode {mode!r}")
     dets_by_image = _group_by_image(dets)
     gts_by_image = _group_by_image(gts)
-    highest = -1
-    for coll in (*gts_by_image.values(), *dets_by_image.values()):
-        for item in coll:
-            highest = max(highest, _as_box(item).class_id)
+    gt_boxes = [_as_box(g) for image in gts_by_image.values() for g in image]
+    det_boxes = [_as_box(d) for image in dets_by_image.values() for d in image]
+    highest = max((box.class_id for box in (*gt_boxes, *det_boxes)), default=-1)
     if class_names is None:
         class_names = [f"class_{i}" for i in range(highest + 1)]
     if highest >= len(class_names):
@@ -282,48 +287,32 @@ def evaluate(
             f"class id {highest} outside vocabulary of {len(class_names)} names"
         )
 
+    n_gt = [0] * len(class_names)
+    for box in gt_boxes:
+        if not box.difficult:
+            n_gt[box.class_id] += 1
+    # Per class, in image order and then descending score, as AP breaks ties.
+    flags: list[list[bool]] = [[] for _ in class_names]
+    scores: list[list[float]] = [[] for _ in class_names]
+    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
+        result = match_detections(
+            dets_by_image.get(image_id, ()), gts_by_image.get(image_id, ()), iou_threshold
+        )
+        for outcome, score, class_id in zip(result.outcomes, result.scores, result.classes):
+            if outcome != IGNORED:
+                flags[class_id].append(outcome == TP)
+                scores[class_id].append(score)
+
     per_class_ap: dict[str, float | None] = {}
     counts: dict[str, tuple[int, int, int]] = {}
-    total_tp = total_fp = total_fn = 0
-    for class_id, name in enumerate(class_names):
-        flags: list[bool] = []
-        scores: list[float] = []
-        n_gt = 0
-        tp_count = fp_count = fn_count = 0
-        seen_det = False
-        for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
-            image_dets = [
-                d for d in dets_by_image.get(image_id, ())
-                if _as_box(d).class_id == class_id
-            ]
-            image_gts = [
-                g for g in gts_by_image.get(image_id, ())
-                if _as_box(g).class_id == class_id
-            ]
-            if not image_dets and not image_gts:
-                continue
-            seen_det = seen_det or bool(image_dets)
-            result = match_detections(image_dets, image_gts, iou_threshold)
-            n_gt += result.n_gt
-            fn_count += result.fn
-            for outcome, score in zip(result.outcomes, result.scores):
-                if outcome == IGNORED:
-                    continue
-                flags.append(outcome == TP)
-                scores.append(score)
-                if outcome == TP:
-                    tp_count += 1
-                else:
-                    fp_count += 1
-        if n_gt == 0 and not seen_det:
-            ap = None  # class absent from this dataset entirely
-        else:
-            ap = average_precision(flags, scores, n_gt, ap_mode)
-        per_class_ap[name] = ap
-        counts[name] = (tp_count, fp_count, fn_count)
-        total_tp += tp_count
-        total_fp += fp_count
-        total_fn += fn_count
+    for name, class_flags, class_scores, counted in zip(class_names, flags, scores, n_gt):
+        tp = sum(class_flags)
+        # A true positive uses up exactly one non-difficult box of its class.
+        counts[name] = (tp, len(class_flags) - tp, counted - tp)
+        per_class_ap[name] = average_precision(class_flags, class_scores, counted, ap_mode)
+    total_tp = sum(map(sum, flags))
+    total_fp = sum(map(len, flags)) - total_tp
+    total_fn = sum(n_gt) - total_tp
 
     if mode == "map":
         defined = [ap for ap in per_class_ap.values() if ap is not None]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .container import is_plain_file_name
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
 from .geometry import OrientedBox, Point2
 
@@ -344,10 +345,7 @@ def _is_integer(value) -> bool:
 # The type each checked field of the GT and detections JSON must hold.
 _FIELD_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
     # encode names a directory after it, so it may not leave --out.
-    "image_id": (
-        lambda v: str(v) not in ("", ".", "..") and "/" not in str(v) and "\0" not in str(v),
-        "a plain file name",
-    ),
+    "image_id": (lambda v: is_plain_file_name(str(v)), "a plain file name"),
     "width": (_is_integer, "an integer"),
     "height": (_is_integer, "an integer"),
     "class": (lambda v: isinstance(v, str), "a string"),

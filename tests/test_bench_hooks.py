@@ -4,9 +4,10 @@ perfbench/workloads.py looks package attributes up by module and name when
 it builds its trace patches, so renaming or deleting one breaks
 `perfbench/run.py --trace 1`. Building, entering and leaving the patches
 here turns that into a test failure. The benchmark also checks every
-train_step tile's loss values, and each detect pass's mAP, against the
-ones recorded in perfbench/reference.json; one pass each of seed 0 and
-the held-out seed 90017 runs those checks here.
+train_step tile's loss values, each detect pass's mAP, and each cli_chain
+pass's eval mAP and roundtrip fraction against the ones recorded in
+perfbench/reference.json; one pass each of seed 0 and the held-out seed
+90017 runs those checks here.
 """
 
 import json
@@ -88,4 +89,19 @@ def test_detect_matches_the_recorded_map(monkeypatch, seed):
     workload.run_pass(tally)
     workload.finish(tally)
     assert tally.attempted == workload.n_images + 1
+    assert tally.failed == 0, tally.reasons
+
+
+@pytest.mark.parametrize("seed", [0, 90017])
+def test_cli_chain_matches_the_recorded_map_and_fraction(monkeypatch, tmp_path, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    workload = workloads.CliChain(tmp_path)
+    workload.start(workload.setup(seed), reference["seeds"][str(seed)]["cli_chain"])
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    workload.finish(tally)
+    assert tally.attempted == len(workload.commands(tmp_path)) + 1
     assert tally.failed == 0, tally.reasons

@@ -286,6 +286,26 @@ def test_overflowing_edge_midpoint_is_reported_and_others_still_run(tmp_path, ca
         assert "objects=1" in out and "fraction=1.000000" in out
 
 
+@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+def test_maps_too_large_to_allocate_are_reported_and_others_still_run(tmp_path, capsys, command):
+    # The maps of a 1e8 x 1e8 image exceed the address space, so numpy refuses
+    # them with MemoryError before touching a page.
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([
+        {"image_id": "vast", "width": 100_000_000, "height": 100_000_000, "objects": [PLANE]},
+        {"image_id": "good", "width": 256, "height": 256, "objects": [PLANE]},
+    ]), encoding="utf-8")
+    out_flag = ["--out", tmp_path / "maps"] if command == "encode" else []
+    code, out = run(capsys, command, "--gt", gt, *out_flag, "--jobs", 2)
+    assert code == 1
+    assert out.splitlines()[0].startswith("image=vast error='Unable to allocate"), out
+    if command == "encode":
+        assert (tmp_path / "maps" / "good" / "manifest.json").is_file()
+        assert not (tmp_path / "maps" / "vast").exists()
+    else:
+        assert "objects=1" in out and "fraction=1.000000" in out
+
+
 @pytest.mark.parametrize("command", ["encode", "eval"])
 def test_gt_box_whose_area_overflows_is_validation_error(tmp_path, capsys, command):
     # rectangle(0, 0, 1e200, 1e200): finite corners, shoelace area inf.

@@ -311,6 +311,58 @@ def test_matching_is_per_image():
     assert report.counts["a"] == (0, 1, 1)
 
 
+def random_scene(rng, n_classes=3, n_images=4):
+    """Images of boxes that overlap across classes, with jittered detections
+    (some relabelled, scores on a coarse grid so ties occur) and stray ones;
+    some images appear on one side only."""
+    dets, gts = {}, {}
+    for k in range(n_images):
+        image_dets, image_gts = [], []
+        for _ in range(int(rng.integers(0, 10))):
+            centre, (w, h), angle = rng.uniform(0, 30, 2), rng.uniform(4, 12, 2), rng.uniform(0, 180)
+            class_id = int(rng.integers(n_classes))
+            image_gts.append(rectangle(
+                *centre, w, h, angle, class_id=class_id, difficult=bool(rng.random() < 0.15)
+            ))
+            for _ in range(int(rng.integers(0, 3))):
+                if rng.random() < 0.3:
+                    class_id = int(rng.integers(n_classes))
+                image_dets.append(rectangle(
+                    *(centre + rng.normal(0, 1.5, 2)), w, h, angle + rng.normal(0, 5),
+                    class_id=class_id, score=round(float(rng.random()), 1),
+                ))
+        for _ in range(int(rng.integers(0, 3))):
+            image_dets.append(rectangle(
+                *rng.uniform(0, 30, 2), 6, 6, class_id=int(rng.integers(n_classes)),
+                score=round(float(rng.random()), 1),
+            ))
+        if rng.random() < 0.9:
+            gts[f"img{k}"] = image_gts
+        if rng.random() < 0.9:
+            dets[f"img{k}"] = image_dets
+    return dets, gts
+
+
+@pytest.mark.parametrize("mode", ["map", "text"])
+@pytest.mark.parametrize("ap_mode", ["all-point", "11-point"])
+def test_classes_never_interact(mode, ap_mode):
+    # Scoring all classes at once must give each class what scoring it alone gives.
+    names = ["a", "b", "c"]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        dets, gts = random_scene(rng, len(names))
+        report = evaluate(dets, gts, mode=mode, ap_mode=ap_mode, class_names=names)
+        for class_id, name in enumerate(names):
+            alone = evaluate(
+                {k: [d for d in v if d.class_id == class_id] for k, v in dets.items()},
+                {k: [g for g in v if g.class_id == class_id] for k, v in gts.items()},
+                mode=mode, ap_mode=ap_mode, class_names=names,
+            )
+            assert report.counts[name] == alone.counts[name]
+            if mode == "map":  # text mode reports no AP
+                assert report.per_class_ap[name] == alone.per_class_ap[name]
+
+
 def test_unknown_class_raises():
     gts = [square(0, 0, 6, class_id=0)]
     dets = [square(0, 0, 6, class_id=3, score=0.5)]
