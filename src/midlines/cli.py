@@ -359,8 +359,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
         subres = lines.lengths.min(axis=1) < 2.0 * args.stride
         det_corners = dets.corners.tolist()
         ious = [
-            max((rotated_iou(box, det_corners[j]) for j in np.flatnonzero(row)), default=0.0)
-            for box, row, small in zip(img.objects, candidates, subres)
+            max((rotated_iou(gt, det_corners[j]) for j in np.flatnonzero(row)), default=0.0)
+            for gt, row, small in zip(corners.tolist(), candidates, subres)
             if not small
         ]
         return ious, int(subres.sum())

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate, pairwise, starmap
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -11,14 +12,6 @@ from .errors import UnknownClass
 from .geometry import OrientedBox, box_corners, signed_area
 
 _MIN_INTERSECTION = 1e-9
-
-TP, FP, IGNORED = "tp", "fp", "ignored"
-
-
-def _as_box(obj) -> OrientedBox:
-    """Accept OrientedBox or anything carrying one under .box."""
-    return obj if isinstance(obj, OrientedBox) else obj.box
-
 
 def _clip_by_edge(points: list[tuple[float, float]], a, b) -> list[tuple[float, float]]:
     """Keep the part of a polygon on the left of directed edge a->b."""
@@ -92,67 +85,6 @@ def may_overlap(corners_a: np.ndarray, class_a, corners_b: np.ndarray, class_b) 
         & (y0[:, None] <= v1[None, :])
         & (u0[None, :] <= x1[:, None])
         & (v0[None, :] <= y1[:, None])
-    )
-
-
-@dataclass
-class MatchResult:
-    """Outcome, score and class id per detection, in descending-score order,
-    plus the miss count.
-
-    outcomes holds "tp", "fp", or "ignored" (best match was a difficult
-    ground-truth box, which is excluded from the precision/recall curve).
-    """
-
-    outcomes: list[str]
-    scores: list[float]
-    n_gt: int
-    fn: int
-    classes: list[int]
-
-
-def match_detections(
-    dets: Sequence,
-    gts: Sequence,
-    iou_threshold: float = 0.5,
-) -> MatchResult:
-    """Greedy one-to-one matching, best detections first.
-
-    Detections are visited in descending score order (stable for ties);
-    each claims the not-yet-matched same-class ground-truth box of highest
-    overlap, provided it reaches the threshold. Difficult ground truth
-    never counts as a miss.
-    """
-    det_boxes = [_as_box(d) for d in dets]
-    gt_boxes = [_as_box(g) for g in gts]
-    candidates = may_overlap(
-        box_corners(det_boxes), [box.class_id for box in det_boxes],
-        box_corners(gt_boxes), [box.class_id for box in gt_boxes],
-    )
-    order = sorted(range(len(det_boxes)), key=lambda i: -det_boxes[i].score)
-    taken = [False] * len(gt_boxes)
-    outcomes: list[str] = []
-    for i in order:
-        det = det_boxes[i]
-        best_iou, best_j = 0.0, -1
-        for j in np.flatnonzero(candidates[i]):
-            if taken[j]:
-                continue
-            iou = rotated_iou(det, gt_boxes[j])
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            taken[best_j] = True
-            outcomes.append(IGNORED if gt_boxes[best_j].difficult else TP)
-        else:
-            outcomes.append(FP)
-    fn = sum(
-        1 for j, gt in enumerate(gt_boxes) if not taken[j] and not gt.difficult
-    )
-    n_gt = sum(1 for gt in gt_boxes if not gt.difficult)
-    return MatchResult(
-        outcomes=outcomes, scores=[det_boxes[i].score for i in order], n_gt=n_gt, fn=fn,
-        classes=[det_boxes[i].class_id for i in order],
     )
 
 
@@ -249,10 +181,42 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _group_by_image(items) -> Mapping[str, Sequence]:
-    if isinstance(items, Mapping):
-        return items
-    return {"": list(items)}
+def _columns(by_image: Mapping[str, Sequence], image_ids: Sequence[str]) -> tuple[list, ...]:
+    """Boxes, class ids, scores and difficult flags of the items of every
+    image in image_ids, image after image, then each image's item count.
+    An item is an OrientedBox or a row carrying one under .box."""
+    images = [by_image.get(image_id, ()) for image_id in image_ids]
+    boxes = [item if isinstance(item, OrientedBox) else item.box for image in images for item in image]
+    return (boxes, [box.class_id for box in boxes], [box.score for box in boxes],
+            [box.difficult for box in boxes], [len(image) for image in images])
+
+
+def _greedy_matches(dets, gts, iou_threshold: float) -> Iterator[tuple[int, float, bool]]:
+    """Class id, score and hit of each detection, image by image and best first
+    within one; a detection that claims difficult ground truth is left out."""
+    det_boxes, det_classes, det_scores, _, det_counts = dets
+    gt_boxes, gt_classes, _, gt_difficult, gt_counts = gts
+    det_spans = starmap(slice, pairwise(accumulate(det_counts, initial=0)))
+    gt_spans = starmap(slice, pairwise(accumulate(gt_counts, initial=0)))
+    for d, g in zip(det_spans, gt_spans):
+        # One image's corners at a time: kept for all images, they outweigh the boxes.
+        det_corners, gt_corners = box_corners(det_boxes[d]), box_corners(gt_boxes[g])
+        classes, scores, difficult = det_classes[d], det_scores[d], gt_difficult[g]
+        candidates = may_overlap(det_corners, classes, gt_corners, gt_classes[g])
+        det_xy, gt_xy = det_corners.tolist(), gt_corners.tolist()
+        taken = [False] * len(gt_xy)
+        for i in sorted(range(len(det_xy)), key=lambda i: -scores[i]):
+            best_iou, best_j = 0.0, -1
+            for j in np.flatnonzero(candidates[i]):
+                if not taken[j]:
+                    iou = rotated_iou(det_xy[i], gt_xy[j])
+                    if iou > best_iou:
+                        best_iou, best_j = iou, j
+            hit = best_j >= 0 and best_iou >= iou_threshold
+            if hit:
+                taken[best_j] = True
+            if not (hit and difficult[best_j]):
+                yield classes[i], scores[i], hit
 
 
 def evaluate(
@@ -267,19 +231,26 @@ def evaluate(
 
     dets and gts are either flat sequences (one image) or mappings from
     image id to sequences; an image missing on one side is empty there.
+    Each item is an OrientedBox or a row carrying one under .box.
     mode "map" reports per-class interpolated AP and their mean; mode
     "text" reports micro-averaged precision/recall/F1 at the IoU threshold.
-    Each image is matched once for all its classes, since a detection only
-    competes for ground truth of its own class. A class's misses are its
-    non-difficult ground truth minus its true positives.
+
+    Matching is greedy and one-to-one, one pass per image for all classes:
+    detections are visited best score first (stable for ties), and each
+    claims the not-yet-taken ground truth of its class with the highest
+    IoU, if that reaches the threshold. A detection that claims difficult
+    ground truth counts nowhere; a class's misses are its non-difficult
+    ground truth minus its true positives.
     """
     if mode not in ("map", "text"):
         raise ValueError(f"unknown eval mode {mode!r}")
-    dets_by_image = _group_by_image(dets)
-    gts_by_image = _group_by_image(gts)
-    gt_boxes = [_as_box(g) for image in gts_by_image.values() for g in image]
-    det_boxes = [_as_box(d) for image in dets_by_image.values() for d in image]
-    highest = max((box.class_id for box in (*gt_boxes, *det_boxes)), default=-1)
+    dets_by_image = dets if isinstance(dets, Mapping) else {"": list(dets)}
+    gts_by_image = gts if isinstance(gts, Mapping) else {"": list(gts)}
+    image_ids = sorted(set(dets_by_image) | set(gts_by_image))
+    det_columns = _columns(dets_by_image, image_ids)
+    gt_columns = _columns(gts_by_image, image_ids)
+    _, gt_classes, _, gt_difficult, _ = gt_columns
+    highest = max((*det_columns[1], *gt_classes), default=-1)
     if class_names is None:
         class_names = [f"class_{i}" for i in range(highest + 1)]
     if highest >= len(class_names):
@@ -288,20 +259,14 @@ def evaluate(
         )
 
     n_gt = [0] * len(class_names)
-    for box in gt_boxes:
-        if not box.difficult:
-            n_gt[box.class_id] += 1
+    for class_id, difficult in zip(gt_classes, gt_difficult):
+        n_gt[class_id] += not difficult
     # Per class, in image order and then descending score, as AP breaks ties.
     flags: list[list[bool]] = [[] for _ in class_names]
     scores: list[list[float]] = [[] for _ in class_names]
-    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
-        result = match_detections(
-            dets_by_image.get(image_id, ()), gts_by_image.get(image_id, ()), iou_threshold
-        )
-        for outcome, score, class_id in zip(result.outcomes, result.scores, result.classes):
-            if outcome != IGNORED:
-                flags[class_id].append(outcome == TP)
-                scores[class_id].append(score)
+    for class_id, score, hit in _greedy_matches(det_columns, gt_columns, iou_threshold):
+        flags[class_id].append(hit)
+        scores[class_id].append(score)
 
     per_class_ap: dict[str, float | None] = {}
     counts: dict[str, tuple[int, int, int]] = {}

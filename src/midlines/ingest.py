@@ -384,13 +384,18 @@ def json_box(record: dict, class_id: int, where: str, **fields) -> OrientedBox:
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
     """Rebuild annotated images from the normalized JSON array.
 
-    A missing field, a field of the wrong type, a size below 1 or a box the
-    box rule rejects raises ValueError naming the image (and the object).
+    A missing field, a field of the wrong type, a size below 1, an image_id
+    an earlier image already has or a box the box rule rejects raises
+    ValueError naming the image (and the object).
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
+    first: dict[str, int] = {}
     for n, entry in enumerate(data):
         require_fields(entry, ("image_id", "width", "height"), f"image #{n}")
+        image_id = str(entry["image_id"])
+        if first.setdefault(image_id, n) != n:
+            raise ValueError(f"image #{n}: image_id {image_id!r} repeats image #{first[image_id]}")
         where = f"image {entry['image_id']!r}"
         for name in ("width", "height"):
             if entry[name] < 1:

@@ -411,6 +411,32 @@ def test_gt_directory_file_that_is_not_an_array_is_validation_error(tmp_path, ca
     assert out == "error=b.json: ground-truth JSON must be an array of images\n"
 
 
+@pytest.mark.parametrize("layout", ["file", "directory"])
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_repeated_gt_image_id_is_validation_error(tmp_path, capsys, command, layout):
+    # Two images named "x", one plane each. Accepted, eval would score both
+    # images' detections against one image's ground truth, and encode would
+    # write both into one container directory.
+    other = dict(PLANE, corners=[20, 20, 60, 20, 60, 50, 20, 50])
+    entries = [{"image_id": "x", "width": 256, "height": 256, "objects": [obj]} for obj in (PLANE, other)]
+    gt = tmp_path / ("gt.json" if layout == "file" else "gt")
+    if layout == "file":
+        gt.write_text(json.dumps(entries), encoding="utf-8")
+    else:
+        gt.mkdir()
+        for name, entry in zip(("a.json", "b.json"), entries):
+            (gt / name).write_text(json.dumps([entry]), encoding="utf-8")
+    dets = tmp_path / "d.json"
+    dets.write_text(json.dumps([
+        {"class": "plane", "score": 1.0, "corners": obj["corners"], "image_id": "x"} for obj in (PLANE, other)
+    ]), encoding="utf-8")
+    extra = {"encode": ["--out", tmp_path / "maps"], "roundtrip": [], "eval": ["--dets", dets]}[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == "error=image #1: image_id 'x' repeats image #0\n"
+    assert not (tmp_path / "maps").exists()
+
+
 def test_gt_size_written_as_an_integral_float_is_accepted(tmp_path, capsys):
     gt = make_gt(tmp_path, [PLANE], width=256.0, height=256.0)
     code, out = run(capsys, "roundtrip", "--gt", gt)

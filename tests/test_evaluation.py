@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from midlines import evaluation
 from midlines.errors import UnknownClass
 from midlines.evaluation import (
     EvalReport,
     average_precision,
     evaluate,
-    match_detections,
     may_overlap,
     rotated_iou,
 )
@@ -171,52 +171,63 @@ def test_iou_survives_near_identical_boxes():
             assert rotated_iou(box, rebuilt) > 0.999
 
 
-# --- match_detections -------------------------------------------------------------
+# --- greedy matching in evaluate -------------------------------------------------
 
 
 def test_matching_basic_tp_fp_fn():
     gts = [square(0, 0, 4), square(20, 0, 4)]
     dets = [square(0, 0, 4, score=0.9), square(40, 40, 4, score=0.8)]
-    result = match_detections(dets, gts, iou_threshold=0.5)
-    assert result.outcomes == ["tp", "fp"]
-    assert result.scores == [0.9, 0.8]
-    assert result.fn == 1
-    assert result.n_gt == 2
+    report = evaluate(dets, gts, iou_threshold=0.5)
+    assert report.counts == {"class_0": (1, 1, 1)}
 
 
 def test_matching_visits_higher_scores_first():
     gt = [square(0, 0, 4)]
     close = square(0.2, 0, 4, score=0.6)
     exact = square(0, 0, 4, score=0.9)
-    result = match_detections([close, exact], gt, iou_threshold=0.5)
-    # The exact box outranks the earlier, lower-scoring one.
-    assert result.outcomes == ["tp", "fp"]
-    assert result.scores == [0.9, 0.6]
+    report = evaluate([close, exact], gt, iou_threshold=0.5)
+    # The exact box outranks the earlier, lower-scoring one; had the close
+    # box claimed the ground truth first, the ranking FP-then-TP gives 0.5.
+    assert report.counts == {"class_0": (1, 1, 0)}
+    assert report.per_class_ap == {"class_0": 1.0}
 
 
 def test_each_gt_matches_at_most_once():
     gt = [square(0, 0, 4)]
     dets = [square(0, 0, 4, score=0.9), square(0.1, 0, 4, score=0.8)]
-    result = match_detections(dets, gt, iou_threshold=0.3)
-    assert result.outcomes == ["tp", "fp"]
-    assert result.fn == 0
+    report = evaluate(dets, gt, iou_threshold=0.3)
+    assert report.counts == {"class_0": (1, 1, 0)}
 
 
 def test_difficult_gt_is_ignored_not_counted():
     gts = [square(0, 0, 4, difficult=True), square(20, 0, 4)]
     dets = [square(0, 0, 4, score=0.9)]
-    result = match_detections(dets, gts, iou_threshold=0.5)
-    assert result.outcomes == ["ignored"]
-    assert result.n_gt == 1  # difficult one does not count
-    assert result.fn == 1  # only the non-difficult miss
+    report = evaluate(dets, gts, iou_threshold=0.5)
+    # The match to difficult ground truth is neither a TP nor an FP, and only
+    # the non-difficult box counts as a miss.
+    assert report.counts == {"class_0": (0, 0, 1)}
 
 
 def test_matching_respects_class():
     gts = [square(0, 0, 4, class_id=1)]
     dets = [square(0, 0, 4, class_id=0, score=0.9)]
-    result = match_detections(dets, gts, iou_threshold=0.5)
-    assert result.outcomes == ["fp"]
-    assert result.fn == 1
+    report = evaluate(dets, gts, iou_threshold=0.5)
+    assert report.counts == {"class_0": (0, 1, 0), "class_1": (0, 0, 1)}
+
+
+def test_taken_ground_truth_gets_no_iou_call(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return rotated_iou(a, b)
+
+    monkeypatch.setattr(evaluation, "rotated_iou", counted)
+    gt = [square(0, 0, 4)]
+    dets = [square(0, 0, 4, score=0.9), square(0, 0, 4, score=0.8)]
+    report = evaluate(dets, gt, iou_threshold=0.5)
+    assert report.counts == {"class_0": (1, 1, 0)}
+    assert len(calls) == 1
 
 
 # --- average_precision --------------------------------------------------------------
