@@ -155,7 +155,7 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
     return [future.result() for future in futures]
 
 
-_IMAGE_ERRORS = (MidlinesError, ValueError, MemoryError)
+_IMAGE_ERRORS = (MidlinesError, ValueError, OverflowError, MemoryError)
 
 
 def _map_images(
@@ -164,9 +164,10 @@ def _map_images(
     """fn over every image, in input order, keeping the outputs that worked.
 
     An image whose fn raises MidlinesError, ValueError for geometry its
-    values cannot hold (an edge midpoint that overflows), or MemoryError for
-    maps too large to allocate, is logged as image=<id> error=... with exit
-    1, and the other images still run.
+    values cannot hold (an edge midpoint that overflows), OverflowError for
+    a stride past float range, or MemoryError for maps too large to
+    allocate, is logged as image=<id> error=... with exit 1, and the other
+    images still run.
     """
     def guarded(img: AnnotatedImage):
         try:
@@ -319,8 +320,10 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
 
     try:
         outputs = _parallel_map(process, containers, args.jobs)
-    except (OSError, ValueError, MidlinesError) as err:
+    except (OSError, ValueError, OverflowError, MemoryError, MidlinesError) as err:
         # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
+        # OverflowError: a stride past float range. MemoryError: a manifest
+        # whose sparse tensors claim more cells than can be allocated.
         result.fail(IO_ERROR, error=err)
         return result
     records = [rec for recs, _ in outputs for rec in recs]

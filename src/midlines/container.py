@@ -1,8 +1,18 @@
 """On-disk container for encoded maps.
 
-A container directory holds manifest.json plus one raw little-endian
-float32 file per tensor, row-major [channel][row][col]. Branch 1 is the
-horizontal branch, branch 2 the oriented one.
+A container directory holds manifest.json plus one little-endian file per
+tensor. A tensor's cells are numbered by their row-major [channel][row][col]
+flat index. Branch 1 is the horizontal branch, branch 2 the oriented one.
+Each tensor's manifest entry names its layout:
+
+- "dense": every cell as a float32, in flat-index order. An entry with no
+  layout is dense, as every tensor was before layouts existed.
+- "sparse": the entry's count K, and a file of K strictly increasing uint32
+  flat indices followed by their K float32 values; every other cell is 0.
+
+write_maps stores a tensor sparse when fewer than 1/16 of its cells are
+non-zero, so target maps, which light a few cells per object, shrink, and
+dense prediction maps are written as before.
 """
 
 from __future__ import annotations
@@ -21,6 +31,11 @@ TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
 _MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image_h")
 _MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
+# A tensor is stored sparse when 16 x its non-zero cells is below its cell
+# count, and its cells fit uint32 indices.
+_SPARSE_RATIO = 16
+_MAX_SPARSE_CELLS = 1 << 32
+
 
 def is_plain_file_name(name: str) -> bool:
     """Whether name stays inside its directory: not "", "." or "..", no "/" or NUL."""
@@ -33,9 +48,28 @@ def _tensor_views(maps: TargetMaps) -> dict[str, np.ndarray]:
         "hm_b2": maps.heatmap[1],
         "reg_b1": maps.regression[0],
         "reg_b2": maps.regression[1],
-        "mask_b1": maps.reg_mask[0].astype(np.float64),
-        "mask_b2": maps.reg_mask[1].astype(np.float64),
+        "mask_b1": maps.reg_mask[0],
+        "mask_b2": maps.reg_mask[1],
     }
+
+
+def _write_tensor(path: Path, array: np.ndarray) -> dict:
+    """Write one tensor file in the layout its non-zero cells call for.
+
+    Cells are non-zero by bit pattern, so a -0.0 or NaN cell is stored as
+    the dense file would store it. Returns the entry's layout fields.
+    """
+    flat = np.ascontiguousarray(array).reshape(-1)
+    lit = flat.view(f"u{flat.itemsize}") != 0
+    count = int(np.count_nonzero(lit))
+    if _SPARSE_RATIO * count >= flat.size or flat.size > _MAX_SPARSE_CELLS:
+        flat.astype("<f4").tofile(path)
+        return {"layout": "dense"}
+    cells = np.flatnonzero(lit)
+    with open(path, "wb") as f:
+        cells.astype("<u4").tofile(f)
+        flat[cells].astype("<f4").tofile(f)
+    return {"layout": "sparse", "count": count}
 
 
 def write_maps(
@@ -53,10 +87,10 @@ def write_maps(
     out.mkdir(parents=True, exist_ok=True)
     tensors = []
     for name, array in _tensor_views(maps).items():
-        data = np.ascontiguousarray(array, dtype="<f4")
-        data.tofile(out / f"{name}.f32")
+        file = f"{name}.f32"
+        layout = _write_tensor(out / file, array)
         tensors.append(
-            {"name": name, "file": f"{name}.f32", "shape": list(array.shape), "dtype": "<f4"}
+            {"name": name, "file": file, "shape": list(array.shape), "dtype": "<f4", **layout}
         )
     manifest = {
         "stride": maps.stride,
@@ -89,10 +123,13 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     type (the six sizes are integers of at least 1), when class_names is
     not num_classes strings, when a tensor's file is not a plain file name
     inside the container (empty, "." or "..", or holding "/" or NUL), when a
-    tensor file's size disagrees with its manifest shape or required tensors
-    are missing, and MidlinesError when a tensor holds NaN or infinity or a
-    heatmap holds a value outside [0, 1]; missing files surface as
-    FileNotFoundError.
+    tensor's dtype is not "<f4" or its layout neither "dense" nor "sparse",
+    when a sparse tensor's count is not an integer of at least 0, when a
+    tensor file's size disagrees with its manifest shape (dense) or count
+    (sparse), when a sparse tensor's indices are not strictly increasing or
+    reach past its cells, or when required tensors are missing, and
+    MidlinesError when a tensor holds NaN or infinity or a heatmap holds a
+    value outside [0, 1]; missing files surface as FileNotFoundError.
     """
     root = Path(container_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -131,28 +168,43 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         if not is_plain_file_name(file):
             raise ShapeMismatch(f"tensor {name}: file must be a plain file name, got {file!r}")
         shape = tuple(_count(s, f"tensor {name} shape entry", 0) for s in entry["shape"])
+        if entry.get("dtype") != "<f4":
+            raise ShapeMismatch(f"tensor {name}: dtype must be '<f4', got {entry.get('dtype')!r}")
+        layout = entry.get("layout", "dense")
+        if layout not in ("dense", "sparse"):
+            raise ShapeMismatch(f"tensor {name}: layout must be 'dense' or 'sparse', got {layout!r}")
+        cells = math.prod(shape)
+        sparse = layout == "sparse"
+        count = _count(entry.get("count"), f"tensor {name} count", 0) if sparse else cells
         path = root / file
-        size, needed = path.stat().st_size, 4 * math.prod(shape)
+        size, needed = path.stat().st_size, (8 if sparse else 4) * count
         if size != needed:  # np.fromfile would drop 1-3 trailing bytes unseen
+            what = f"count {count}" if sparse else f"shape {shape}"
             raise ShapeMismatch(
-                f"tensor {name}: file holds {size} bytes, manifest shape {shape} needs {needed}"
+                f"tensor {name}: file holds {size} bytes, manifest {what} needs {needed}"
             )
         raw = np.fromfile(path, dtype="<f4")
         kind, branch = name.split("_")
         if shape != expected[kind]:
             raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")
-        if not np.isfinite(raw).all():
+        at, values = slice(None), raw  # a dense file holds every cell in order
+        if sparse:
+            at, values = raw[:count].view("<u4"), raw[count:]
+            if (at[1:] <= at[:-1]).any():
+                raise ShapeMismatch(f"tensor {name}: indices not strictly increasing")
+            if count and at[-1] >= cells:
+                raise ShapeMismatch(f"tensor {name}: index {at[-1]} at or past its {cells} cells")
+        if not np.isfinite(values).all():
             raise MidlinesError(f"tensor {name}: non-finite values")
-        if kind == "hm" and ((raw < 0.0) | (raw > 1.0)).any():
+        if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
-        # Allocated once a file has shown that the manifest's sizes are real.
+        # Zeroed, so the pages of cells that no file writes are never backed.
+        # A dense file has shown that the manifest's sizes are real; a sparse
+        # one has not, and a shape too large to allocate raises MemoryError.
         if kind not in stacks:
-            stacks[kind] = np.empty((2, *shape), dtype=bool if kind == "mask" else np.float64)
-        slot = stacks[kind][int(branch[-1]) - 1]
-        if kind == "mask":
-            np.greater(raw.reshape(shape), 0.5, out=slot)
-        else:
-            slot[...] = raw.reshape(shape)
+            stacks[kind] = np.zeros((2, *shape), dtype=bool if kind == "mask" else np.float64)
+        slot = stacks[kind][int(branch[-1]) - 1].reshape(-1)
+        slot[at] = values > 0.5 if kind == "mask" else values
 
     maps = TargetMaps(
         stride=sizes["stride"],

@@ -63,8 +63,12 @@ class TargetMaps:
 
 
 def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
-    """The input point of each cell, repeated for the four endpoints: (K, 8), or (8,) for one."""
-    return np.tile(np.stack((cols, rows), axis=-1) * stride, 4)
+    """The input point of each cell, repeated for the four endpoints: (K, 8), or (8,) for one.
+
+    In float64, so no stride wraps: the points are exact for strides below
+    2**53 and round, or overflow to inf, past that.
+    """
+    return np.tile(np.stack((cols, rows), axis=-1) * float(stride), 4)
 
 
 def _drift_radii(centre: np.ndarray, lengths: np.ndarray, stride: int, r: float):

@@ -110,11 +110,9 @@ def average_precision(
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, np.finfo(np.float64).eps)
     if mode == "11-point":
-        ap = 0.0
-        for r in np.arange(0.0, 1.1, 0.1):
-            hits = precision[recall >= r]
-            ap += (hits.max() if hits.size else 0.0) / 11.0
-        return float(ap)
+        # Summed before the one division, so eleven maxima of 1.0 give exactly 1.0.
+        hits = (precision[recall >= r] for r in np.arange(0.0, 1.1, 0.1))
+        return float(sum(h.max() if h.size else 0.0 for h in hits) / 11.0)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
     for i in range(mpre.size - 1, 0, -1):

@@ -189,7 +189,57 @@ def make_gt(tmp_path, objects, image_id="img", width=256, height=256, name="gt.j
 PLANE = {"class": "plane", "corners": [100, 80, 160, 80, 160, 120, 100, 120], "difficult": False}
 
 
+# An oriented box next to PLANE, so both branches light cells.
+SHIP = {"class": "ship", "corners": [150, 150, 230, 180, 210, 234, 130, 204], "difficult": False}
+
+
+def encode_scene(tmp_path, capsys, layout):
+    """PLANE and SHIP encoded by the CLI into tmp_path/maps/img, every tensor in one layout.
+
+    A stride of 256 makes the 256 x 256 image one cell, which both objects
+    light, so every tensor is dense; the default stride lights a few cells
+    of a 64 x 64 grid per branch, so every tensor is sparse.
+    """
+    stride = 256 if layout == "dense" else 4
+    code, _ = run(
+        capsys, "encode", "--gt", make_gt(tmp_path, [PLANE, SHIP]), "--out", tmp_path / "maps",
+        "--stride", stride,
+    )
+    assert code == 0
+    container = tmp_path / "maps" / "img"
+    manifest = json.loads((container / "manifest.json").read_text())
+    assert {t["layout"] for t in manifest["tensors"]} == {layout}
+    return container
+
+
+def value_slot(container, tensor):
+    """A tensor file as float32 words, and the position of a value word in its middle."""
+    entry = next(
+        t for t in json.loads((container / "manifest.json").read_text())["tensors"]
+        if t["name"] == tensor
+    )
+    data = np.fromfile(container / entry["file"], dtype="<f4")
+    if entry["layout"] == "dense":
+        return data, len(data) // 2
+    count = entry["count"]  # count indices come first, then count values
+    return data, count + count // 2
+
+
 def test_encode_writes_container_with_provenance(tmp_path, capsys):
+    container = encode_scene(tmp_path, capsys, "dense")
+    manifest = json.loads((container / "manifest.json").read_text())
+    assert manifest["provenance"]["stride"] == 256
+    assert manifest["num_classes"] == 15  # DOTA vocabulary inferred
+    plane, ship = (manifest["class_names"].index(c) for c in ("plane", "ship"))
+    hm1 = np.fromfile(container / "hm_b1.f32", dtype="<f4").reshape(15, 1, 1)
+    hm2 = np.fromfile(container / "hm_b2.f32", dtype="<f4").reshape(15, 1, 1)
+    assert hm1[plane].max() == 1.0  # plane channel, horizontal branch
+    assert np.delete(hm1, plane, axis=0).max() == 0.0
+    assert hm2[ship].max() == 1.0  # ship channel, oriented branch
+    assert np.delete(hm2, ship, axis=0).max() == 0.0
+
+
+def test_encode_writes_container_with_provenance_sparse(tmp_path, capsys):
     gt = make_gt(tmp_path, [PLANE])
     code, out = run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps", "--stride", 4)
     assert code == 0
@@ -197,11 +247,15 @@ def test_encode_writes_container_with_provenance(tmp_path, capsys):
     manifest = json.loads((container / "manifest.json").read_text())
     assert manifest["provenance"]["stride"] == 4
     assert manifest["num_classes"] == 15  # DOTA vocabulary inferred
-    hm1 = np.fromfile(container / "hm_b1.f32", dtype="<f4").reshape(15, 64, 64)
-    hm2 = np.fromfile(container / "hm_b2.f32", dtype="<f4")
-    assert hm1[0].max() == 1.0  # plane channel, horizontal branch
-    assert hm1[1:].max() == 0.0
-    assert hm2.max() == 0.0
+    entries = {t["name"]: t for t in manifest["tensors"]}
+    assert {t["layout"] for t in entries.values()} == {"sparse"}
+    count = entries["hm_b1"]["count"]
+    raw = (container / "hm_b1.f32").read_bytes()
+    cells = np.frombuffer(raw[: 4 * count], dtype="<u4")
+    assert count > 0 and (cells < 64 * 64).all()  # plane channel, horizontal branch
+    assert (np.frombuffer(raw[4 * count :], dtype="<f4") == 1.0).all()
+    assert entries["hm_b2"]["count"] == 0
+    assert (container / "hm_b2.f32").stat().st_size == 0
 
 
 def test_encode_zero_objects_gives_zero_tensors(tmp_path, capsys):
@@ -212,7 +266,11 @@ def test_encode_zero_objects_gives_zero_tensors(tmp_path, capsys):
     manifest = json.loads((container / "manifest.json").read_text())
     assert (manifest["width"], manifest["height"]) == (16, 8)
     for entry in manifest["tensors"]:
-        assert np.fromfile(container / entry["file"], dtype="<f4").max() == 0.0
+        assert (entry["layout"], entry["count"]) == ("sparse", 0)
+        assert (container / entry["file"]).stat().st_size == 0
+    maps, _ = read_maps(container)
+    for array in (maps.heatmap, maps.regression, maps.reg_mask):
+        assert not array.any()
 
 
 @pytest.mark.parametrize("command", ["encode", "roundtrip"])
@@ -539,38 +597,43 @@ def test_decode_merge_iou_is_honoured(tmp_path, capsys):
     assert counts == [1, 2]
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("tensor", TENSOR_NAMES)
-def test_decode_rejects_non_finite_tensor(tmp_path, capsys, tensor, value):
-    gt = make_gt(tmp_path, [PLANE])
-    run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")
-    container = tmp_path / "maps" / "img"
-    path = container / f"{tensor}.f32"
-    data = np.fromfile(path, dtype="<f4")
-    data[len(data) // 2] = value
-    data.tofile(path)
-    with pytest.raises(MidlinesError, match=tensor):
+def corrupt_and_decode(tmp_path, capsys, container, tensor, value, message):
+    data, at = value_slot(container, tensor)
+    data[at] = value
+    data.tofile(container / f"{tensor}.f32")
+    with pytest.raises(MidlinesError, match=message):
         read_maps(container)
     code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
     assert code == 2
     assert out.startswith("error=") and tensor in out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("tensor", TENSOR_NAMES)
+def test_decode_rejects_non_finite_tensor(tmp_path, capsys, tensor, value):
+    container = encode_scene(tmp_path, capsys, "dense")
+    corrupt_and_decode(tmp_path, capsys, container, tensor, value, tensor)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("tensor", TENSOR_NAMES)
+def test_decode_rejects_non_finite_sparse_tensor(tmp_path, capsys, tensor, value):
+    container = encode_scene(tmp_path, capsys, "sparse")
+    corrupt_and_decode(tmp_path, capsys, container, tensor, value, f"{tensor}: non-finite")
 
 
 @pytest.mark.parametrize("value", [1.5, -0.5])
 @pytest.mark.parametrize("tensor", ["hm_b1", "hm_b2"])
 def test_decode_rejects_heatmap_outside_unit_interval(tmp_path, capsys, tensor, value):
-    gt = make_gt(tmp_path, [PLANE])
-    run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")
-    container = tmp_path / "maps" / "img"
-    path = container / f"{tensor}.f32"
-    data = np.fromfile(path, dtype="<f4")
-    data[len(data) // 2] = value
-    data.tofile(path)
-    with pytest.raises(MidlinesError, match=f"{tensor}: values outside"):
-        read_maps(container)
-    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
-    assert code == 2
-    assert out.startswith("error=") and tensor in out
+    container = encode_scene(tmp_path, capsys, "dense")
+    corrupt_and_decode(tmp_path, capsys, container, tensor, value, f"{tensor}: values outside")
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5])
+@pytest.mark.parametrize("tensor", ["hm_b1", "hm_b2"])
+def test_decode_rejects_sparse_heatmap_outside_unit_interval(tmp_path, capsys, tensor, value):
+    container = encode_scene(tmp_path, capsys, "sparse")
+    corrupt_and_decode(tmp_path, capsys, container, tensor, value, f"{tensor}: values outside")
 
 
 def test_decode_drops_near_parallel_midlines(tmp_path, capsys):
@@ -592,6 +655,70 @@ def test_decode_drops_near_parallel_midlines(tmp_path, capsys):
     assert code == 0
     assert "detections=0 dropped_degenerate=1" in out
     assert json.loads((tmp_path / "d.json").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "stride", [2**62, 2**63, 10**30, 10**400], ids=["2**62", "2**63", "10**30", "10**400"]
+)
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "decode"])
+def test_huge_stride_ends_in_an_exit_code(tmp_path, capsys, command, stride):
+    # A stride past float range (10**400) is an error line; the others hold.
+    if command == "decode":
+        container = encode_plane(tmp_path, capsys)
+        manifest = json.loads((container / "manifest.json").read_text())
+        manifest["stride"] = stride
+        (container / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["decode", "--maps", container, "--out", tmp_path / "d.json"]
+    else:
+        argv = [command, "--gt", make_gt(tmp_path, [PLANE]), "--stride", stride]
+        argv += ["--out", tmp_path / "maps"] if command == "encode" else []
+    code, out = run(capsys, *argv)
+    lines = out.splitlines()
+    assert lines and all(re.match(r"\w+=", line) for line in lines), out
+    if stride > 10**308:
+        assert code == (2 if command == "decode" else 1)
+        assert "error=" in out and "too large to convert to float" in out
+    else:
+        assert code == 0, out
+
+
+def test_decode_anchors_at_a_huge_stride_do_not_wrap(tmp_path, capsys):
+    # One lit cell at column 2 with offsets large enough to survive float64
+    # rounding at its input point x = 2 * 2**62 = 2**63, which int64 wraps to
+    # -2**63.
+    maps = TargetMaps(
+        stride=2**62, num_classes=1, width=4, height=1, image_w=2**64, image_h=2**62,
+        heatmap=np.zeros((2, 1, 1, 4)), regression=np.zeros((2, 8, 1, 4)),
+        reg_mask=np.zeros((2, 1, 4), dtype=bool), n_objects=1,
+    )
+    maps.heatmap[0, 0, 0, 2] = 0.9
+    maps.regression[0, :, 0, 2] = [-2.0**60, 0, 2.0**60, 0, 0, -2.0**59, 0, 2.0**59]
+    maps.reg_mask[0, 0, 2] = True
+    write_maps(maps, tmp_path / "c", ["plane"])
+    code, out = run(capsys, "decode", "--maps", tmp_path / "c", "--out", tmp_path / "d.json")
+    assert code == 0
+    assert "detections=1 dropped_degenerate=0" in out
+    (det,) = json.loads((tmp_path / "d.json").read_text())
+    xs, ys = det["corners"][0::2], det["corners"][1::2]
+    assert sorted(xs) == [2.0**63 - 2.0**60] * 2 + [2.0**63 + 2.0**60] * 2
+    assert sorted(ys) == [-(2.0**59)] * 2 + [2.0**59] * 2
+
+
+def test_decode_too_large_sparse_shape_is_io_error(tmp_path, capsys):
+    # Empty sparse files can claim any shape; 2 x 15 x 2**26 x 2**26 float64
+    # cells is 2**60 bytes, past any address space, so allocating it fails.
+    container = encode_plane(tmp_path, capsys)
+    path = container / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["width"] = manifest["height"] = 2**26
+    for entry in manifest["tensors"]:
+        entry["shape"][-2:] = [2**26, 2**26]
+        entry["count"] = 0
+        (container / entry["file"]).write_bytes(b"")
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 2
+    assert out.startswith("error=Unable to allocate")
 
 
 def encode_plane(tmp_path, capsys):
@@ -619,6 +746,18 @@ def set_file(m, v):
     m["tensors"][0]["file"] = v
 
 
+def set_dtype(m, v):
+    m["tensors"][0]["dtype"] = v
+
+
+def set_layout(m, v):
+    m["tensors"][0]["layout"] = v
+
+
+def set_count(m, v):
+    m["tensors"][0]["count"] = v
+
+
 def drop_tensor_key(key):
     def edit(m, v):
         del m["tensors"][2][key]
@@ -644,11 +783,20 @@ def drop_tensor_key(key):
     (set_file, "sub/hm_b1.f32", "tensor hm_b1: file must be a plain file name"),
     (set_file, "..", "tensor hm_b1: file must be a plain file name"),
     (set_file, "", "tensor hm_b1: file must be a plain file name"),
+    (set_dtype, "<f8", "tensor hm_b1: dtype must be '<f4', got '<f8'"),
+    (set_dtype, None, "tensor hm_b1: dtype must be '<f4', got None"),
+    (set_layout, "csr", "tensor hm_b1: layout must be 'dense' or 'sparse', got 'csr'"),
+    (set_layout, None, "tensor hm_b1: layout must be 'dense' or 'sparse', got None"),
+    (set_count, -1, "tensor hm_b1 count must be an integer >= 0, got -1"),
+    (set_count, 1.5, "tensor hm_b1 count must be an integer >= 0, got 1.5"),
+    (drop_tensor_key("count"), None, "tensor reg_b1 count must be an integer >= 0, got None"),
 ], ids=[
     "zero-stride", "negative-stride", "string-stride", "fractional-stride", "null-stride",
     "string-shape", "fractional-shape", "tensor-without-name", "tensor-without-file",
     "tensors-an-object", "tensors-a-string", "short-class_names", "class_names-a-string",
     "relative-file", "absolute-file", "subdirectory-file", "parent-dir-file", "empty-file",
+    "f8-dtype", "null-dtype", "unknown-layout", "null-layout", "negative-count",
+    "fractional-count", "sparse-without-count",
 ])
 def test_decode_rejects_malformed_manifest(tmp_path, capsys, edit, value, message):
     container = encode_plane(tmp_path, capsys)

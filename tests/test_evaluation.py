@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midlines import evaluation
 from midlines.errors import UnknownClass
@@ -259,6 +260,23 @@ def test_ap_eleven_point_mode():
     assert average_precision([False, True], [0.9, 0.8], 1, mode="11-point") == pytest.approx(0.5)
     with pytest.raises(ValueError):
         average_precision([True], [0.9], 1, mode="7-point")
+
+
+def test_ap_eleven_point_perfect_ranking_is_exactly_one():
+    # Eleven additions of 1 / 11 sum to 1.0000000000000002.
+    assert average_precision([True], [0.9], 1, mode="11-point") == 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), max_size=30),
+    st.integers(0, 5),
+    st.sampled_from(["all-point", "11-point"]),
+)
+def test_ap_stays_in_unit_interval(ranked, missed, mode):
+    flags = [hit for hit, _ in ranked]
+    ap = average_precision(flags, [score for _, score in ranked], sum(flags) + missed, mode)
+    assert ap is None or 0.0 <= ap <= 1.0
 
 
 def test_ap_partial_recall():

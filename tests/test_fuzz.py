@@ -3,7 +3,8 @@
 Each example replaces one to three values inside a valid ground-truth JSON,
 detections JSON or container manifest (the whole document included) with
 null, a string, a list, a negative number or a short list, damages the
-bytes of one tensor file in a valid container, or writes DOTA and ICDAR
+bytes of one tensor file in a valid dense or sparse container or the
+indices of a sparse one, or writes DOTA and ICDAR
 label lines with huge, non-finite or missing coordinates, then runs the
 CLI in-process on the result.
 """
@@ -14,14 +15,18 @@ import io
 import json
 import math
 import re
+import shutil
 import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from midlines.cli import main
 from midlines.container import TENSOR_NAMES
+
+from test_container import DENSE_CONTAINER
 
 BOX = [8, 8, 40, 8, 40, 24, 8, 24]
 GT = [{
@@ -134,12 +139,46 @@ def test_malformed_manifest_never_raises(changes):
 
 
 # How one tensor file is damaged: cut short, extended by a few bytes, or one
-# float32 value overwritten with NaN, an infinity or a heatmap value outside [0, 1].
+# float32 word overwritten with NaN, an infinity or a heatmap value outside
+# [0, 1]. In a sparse file the word may be an index: each of those bit
+# patterns is an index past the tensor's cells.
 DAMAGE = st.one_of(
     st.tuples(st.just("truncate"), st.integers(1, 4096)),
     st.tuples(st.just("extend"), st.integers(1, 7)),
     st.tuples(st.just("overwrite"), st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 1.5])),
 )
+
+# How the indices of one sparse tensor are damaged, the file size kept right
+# except for "count": one index moved to or past the tensor's cell count, an
+# index repeated, two neighbours swapped, or the manifest count off by some.
+INDEX_DAMAGE = st.one_of(
+    st.tuples(st.just("past-end"), st.integers(0, 2**32)),
+    st.tuples(st.just("repeat"), st.just(0)),
+    st.tuples(st.just("swap"), st.just(0)),
+    st.tuples(st.just("count"), st.sampled_from([-2, -1, 1, 3])),
+)
+
+# GT plus an oriented box, so each branch lights cells and every sparse
+# tensor file holds at least two indices to damage.
+SCENE = [{
+    **GT[0],
+    "objects": GT[0]["objects"] + [
+        {"class": "ship", "corners": [30, 30, 56, 40, 50, 56, 24, 46], "difficult": False},
+    ],
+}]
+
+
+def container(tmp, layout):
+    """tmp/maps/img holding every tensor in one layout: the checked-in dense
+    container, or SCENE encoded by the CLI, which writes it sparse."""
+    img = tmp / "maps" / "img"
+    if layout == "dense":
+        shutil.copytree(DENSE_CONTAINER, img)
+    else:
+        assert run_cli("encode", "--gt", write_json(tmp / "gt.json", SCENE), "--out", tmp / "maps") == 0
+    manifest = json.loads((img / "manifest.json").read_text())
+    assert {t.get("layout", "dense") for t in manifest["tensors"]} == {layout}
+    return img, manifest
 
 
 def damaged(data, damage, position):
@@ -153,16 +192,42 @@ def damaged(data, damage, position):
 
 
 @FUZZ
-@given(st.sampled_from(TENSOR_NAMES), DAMAGE, st.integers(0, 2**20))
-def test_damaged_tensor_bytes_never_raise(name, damage, position):
+@given(st.sampled_from(TENSOR_NAMES), st.sampled_from(["dense", "sparse"]), DAMAGE,
+       st.integers(0, 2**20))
+def test_damaged_tensor_bytes_never_raise(name, layout, damage, position):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        run_cli("encode", "--gt", write_json(tmp / "gt.json", GT), "--out", tmp / "maps")
-        tensor = tmp / "maps" / "img" / f"{name}.f32"
+        img, _ = container(tmp, layout)
+        tensor = img / f"{name}.f32"
         tensor.write_bytes(damaged(tensor.read_bytes(), damage, position))
         code = run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
         if damage[0] != "overwrite" or not math.isfinite(damage[1]) or name.startswith("hm"):
-            assert code == 2  # a size, a non-finite value or a heatmap outside [0, 1]
+            assert code == 2  # a size, a non-finite value, a heatmap outside [0, 1] or an index
+
+
+@FUZZ
+@given(st.sampled_from(TENSOR_NAMES), INDEX_DAMAGE, st.integers(0, 2**20))
+def test_damaged_sparse_indices_never_raise(name, damage, position):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        img, manifest = container(tmp, "sparse")
+        entry = next(t for t in manifest["tensors"] if t["name"] == name)
+        count, cells = entry["count"], math.prod(entry["shape"])
+        data = (img / entry["file"]).read_bytes()
+        indices = np.frombuffer(data[:4 * count], "<u4").copy()
+        kind, arg = damage
+        i = position % (count - 1)  # a neighbour pair (i, i + 1) for repeat and swap
+        if kind == "past-end":
+            indices[position % count] = min(cells + arg, 2**32 - 1)
+        elif kind == "repeat":
+            indices[i + 1] = indices[i]
+        elif kind == "swap":
+            indices[[i, i + 1]] = indices[[i + 1, i]]
+        else:
+            entry["count"] = count + arg
+        (img / entry["file"]).write_bytes(indices.tobytes() + data[4 * count:])
+        write_json(img / "manifest.json", manifest)
+        assert run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json") == 2
 
 
 # Label coordinates: ordinary ones (at most five windows per axis), and
