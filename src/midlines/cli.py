@@ -320,10 +320,9 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
 
     try:
         outputs = _parallel_map(process, containers, args.jobs)
-    except (OSError, ValueError, OverflowError, MemoryError, MidlinesError) as err:
+    except (OSError, ValueError, OverflowError, MidlinesError) as err:
         # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
-        # OverflowError: a stride past float range. MemoryError: a manifest
-        # whose sparse tensors claim more cells than can be allocated.
+        # OverflowError: a stride past float range.
         result.fail(IO_ERROR, error=err)
         return result
     records = [rec for recs, _ in outputs for rec in recs]

@@ -10,9 +10,11 @@ Each tensor's manifest entry names its layout:
 - "sparse": the entry's count K, and a file of K strictly increasing uint32
   flat indices followed by their K float32 values; every other cell is 0.
 
-write_maps stores a tensor sparse when fewer than 1/16 of its cells are
-non-zero, so target maps, which light a few cells per object, shrink, and
-dense prediction maps are written as before.
+write_maps stores a tensor sparse when that file is the smaller one: 8
+bytes per non-zero cell against 4 per cell, so when fewer than half its
+cells are non-zero. Target maps light a few cells per object, so theirs
+shrink; a map with every cell non-zero is written as before. A sparse
+tensor has at most MAX_SPARSE_CELLS cells, and a larger one is dense.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
 _MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image_h")
 _MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
-# A tensor is stored sparse when 16 x its non-zero cells is below its cell
-# count, and its cells fit uint32 indices.
-_SPARSE_RATIO = 16
-_MAX_SPARSE_CELLS = 1 << 32
+# The most cells a sparse tensor may have. A dense file's size shows that
+# its cells are real; a sparse file's does not, yet read_maps zeroes and
+# decode scans every cell the manifest claims. 2**24 holds the largest DOTA
+# image (4000 x 4000 px) at the default stride 4: 15 classes x 1000**2 cells.
+MAX_SPARSE_CELLS = 1 << 24
 
 
 def is_plain_file_name(name: str) -> bool:
@@ -54,7 +57,7 @@ def _tensor_views(maps: TargetMaps) -> dict[str, np.ndarray]:
 
 
 def _write_tensor(path: Path, array: np.ndarray) -> dict:
-    """Write one tensor file in the layout its non-zero cells call for.
+    """Write one tensor file in the smaller layout, dense on a tie.
 
     Cells are non-zero by bit pattern, so a -0.0 or NaN cell is stored as
     the dense file would store it. Returns the entry's layout fields.
@@ -62,7 +65,7 @@ def _write_tensor(path: Path, array: np.ndarray) -> dict:
     flat = np.ascontiguousarray(array).reshape(-1)
     lit = flat.view(f"u{flat.itemsize}") != 0
     count = int(np.count_nonzero(lit))
-    if _SPARSE_RATIO * count >= flat.size or flat.size > _MAX_SPARSE_CELLS:
+    if 2 * count >= flat.size or flat.size > MAX_SPARSE_CELLS:
         flat.astype("<f4").tofile(path)
         return {"layout": "dense"}
     cells = np.flatnonzero(lit)
@@ -124,10 +127,11 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     not num_classes strings, when a tensor's file is not a plain file name
     inside the container (empty, "." or "..", or holding "/" or NUL), when a
     tensor's dtype is not "<f4" or its layout neither "dense" nor "sparse",
-    when a sparse tensor's count is not an integer of at least 0, when a
-    tensor file's size disagrees with its manifest shape (dense) or count
-    (sparse), when a sparse tensor's indices are not strictly increasing or
-    reach past its cells, or when required tensors are missing, and
+    when a sparse tensor has more than MAX_SPARSE_CELLS cells or a count
+    that is not an integer of at least 0, when a tensor file's size
+    disagrees with its manifest shape (dense) or count (sparse), when a
+    sparse tensor's indices are not strictly increasing or reach past its
+    cells, or when required tensors are missing, and
     MidlinesError when a tensor holds NaN or infinity or a heatmap holds a
     value outside [0, 1]; missing files surface as FileNotFoundError.
     """
@@ -175,6 +179,10 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
             raise ShapeMismatch(f"tensor {name}: layout must be 'dense' or 'sparse', got {layout!r}")
         cells = math.prod(shape)
         sparse = layout == "sparse"
+        if sparse and cells > MAX_SPARSE_CELLS:
+            raise ShapeMismatch(
+                f"tensor {name}: sparse shape {shape} has {cells} cells, more than {MAX_SPARSE_CELLS}"
+            )
         count = _count(entry.get("count"), f"tensor {name} count", 0) if sparse else cells
         path = root / file
         size, needed = path.stat().st_size, (8 if sparse else 4) * count
@@ -199,8 +207,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
         # Zeroed, so the pages of cells that no file writes are never backed.
-        # A dense file has shown that the manifest's sizes are real; a sparse
-        # one has not, and a shape too large to allocate raises MemoryError.
+        # A dense file has shown that its cells are real, and a sparse
+        # tensor has at most MAX_SPARSE_CELLS.
         if kind not in stacks:
             stacks[kind] = np.zeros((2, *shape), dtype=bool if kind == "mask" else np.float64)
         slot = stacks[kind][int(branch[-1]) - 1].reshape(-1)

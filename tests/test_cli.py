@@ -15,6 +15,7 @@ from midlines.decoder import decode
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError, ShapeMismatch
 from midlines.geometry import OrientedBox, Point2
+from midlines.ingest import DOTA_CLASS_NAMES
 
 from test_gradcheck import bias_every_loss
 
@@ -193,16 +194,24 @@ PLANE = {"class": "plane", "corners": [100, 80, 160, 80, 160, 120, 100, 120], "d
 SHIP = {"class": "ship", "corners": [150, 150, 230, 180, 210, 234, 130, 204], "difficult": False}
 
 
-def encode_scene(tmp_path, capsys, layout):
-    """PLANE and SHIP encoded by the CLI into tmp_path/maps/img, every tensor in one layout.
+# PLANE's box in the first eight DOTA classes, SHIP's in the last eight, so
+# each branch lights eight of its 15 heatmap channels at a cell.
+HORIZONTAL_CLASSES, ORIENTED_CLASSES = DOTA_CLASS_NAMES[:8], DOTA_CLASS_NAMES[7:]
+CROWD = [dict(PLANE, **{"class": c}) for c in HORIZONTAL_CLASSES]
+CROWD += [dict(SHIP, **{"class": c}) for c in ORIENTED_CLASSES]
 
-    A stride of 256 makes the 256 x 256 image one cell, which both objects
-    light, so every tensor is dense; the default stride lights a few cells
-    of a 64 x 64 grid per branch, so every tensor is sparse.
+
+def encode_scene(tmp_path, capsys, layout):
+    """A scene encoded by the CLI into tmp_path/maps/img, every tensor in one layout.
+
+    Dense: CROWD at a stride of 256, which makes the 256 x 256 image one
+    cell, so at least half of every tensor's cells are non-zero. Sparse:
+    PLANE and SHIP at the default stride light a few cells of a 64 x 64
+    grid per branch.
     """
-    stride = 256 if layout == "dense" else 4
+    objects, stride = (CROWD, 256) if layout == "dense" else ([PLANE, SHIP], 4)
     code, _ = run(
-        capsys, "encode", "--gt", make_gt(tmp_path, [PLANE, SHIP]), "--out", tmp_path / "maps",
+        capsys, "encode", "--gt", make_gt(tmp_path, objects), "--out", tmp_path / "maps",
         "--stride", stride,
     )
     assert code == 0
@@ -230,13 +239,11 @@ def test_encode_writes_container_with_provenance(tmp_path, capsys):
     manifest = json.loads((container / "manifest.json").read_text())
     assert manifest["provenance"]["stride"] == 256
     assert manifest["num_classes"] == 15  # DOTA vocabulary inferred
-    plane, ship = (manifest["class_names"].index(c) for c in ("plane", "ship"))
-    hm1 = np.fromfile(container / "hm_b1.f32", dtype="<f4").reshape(15, 1, 1)
-    hm2 = np.fromfile(container / "hm_b2.f32", dtype="<f4").reshape(15, 1, 1)
-    assert hm1[plane].max() == 1.0  # plane channel, horizontal branch
-    assert np.delete(hm1, plane, axis=0).max() == 0.0
-    assert hm2[ship].max() == 1.0  # ship channel, oriented branch
-    assert np.delete(hm2, ship, axis=0).max() == 0.0
+    for tensor, classes in (("hm_b1", HORIZONTAL_CLASSES), ("hm_b2", ORIENTED_CLASSES)):
+        channels = [manifest["class_names"].index(c) for c in classes]
+        heatmap = np.fromfile(container / f"{tensor}.f32", dtype="<f4").reshape(15, 1, 1)
+        assert (heatmap[channels] == 1.0).all()  # the branch's own classes
+        assert np.delete(heatmap, channels, axis=0).max() == 0.0
 
 
 def test_encode_writes_container_with_provenance_sparse(tmp_path, capsys):
@@ -704,21 +711,25 @@ def test_decode_anchors_at_a_huge_stride_do_not_wrap(tmp_path, capsys):
     assert sorted(ys) == [-(2.0**59)] * 2 + [2.0**59] * 2
 
 
-def test_decode_too_large_sparse_shape_is_io_error(tmp_path, capsys):
-    # Empty sparse files can claim any shape; 2 x 15 x 2**26 x 2**26 float64
-    # cells is 2**60 bytes, past any address space, so allocating it fails.
+@pytest.mark.parametrize("side", [8192, 2**26])
+def test_decode_sparse_grid_past_the_cell_cap_is_io_error(tmp_path, capsys, side):
+    # Empty sparse files can claim any grid: 15 x 8192**2 heatmap cells is
+    # 16 GB of float64 the OS would grant lazily, and decode would scan it;
+    # 2**26 on a side is past any address space. Both stop before allocating.
     container = encode_plane(tmp_path, capsys)
     path = container / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["width"] = manifest["height"] = 2**26
+    manifest["width"] = manifest["height"] = side
     for entry in manifest["tensors"]:
-        entry["shape"][-2:] = [2**26, 2**26]
+        entry["shape"][-2:] = [side, side]
         entry["count"] = 0
         (container / entry["file"]).write_bytes(b"")
     path.write_text(json.dumps(manifest), encoding="utf-8")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
     assert code == 2
-    assert out.startswith("error=Unable to allocate")
+    assert out.startswith("error=") and "hm_b1: sparse shape" in out and "more than" in out
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 100_000  # KiB
 
 
 def encode_plane(tmp_path, capsys):

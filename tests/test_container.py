@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midlines.container import TENSOR_NAMES, read_maps, write_maps
+from midlines.container import MAX_SPARSE_CELLS, TENSOR_NAMES, read_maps, write_maps
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import ShapeMismatch
 from midlines.geometry import rectangle
@@ -113,7 +113,7 @@ def test_manifest_fields_and_tensor_list_sparse(tmp_path):
         array = views[kind][int(branch[-1]) - 1]
         assert t["dtype"] == "<f4" and t["layout"] == "sparse"
         assert t["shape"] == list(array.shape)
-        assert 0 < t["count"] == np.count_nonzero(array) < array.size / 16
+        assert 0 < t["count"] == np.count_nonzero(array) < array.size / 2
         assert (tmp_path / t["file"]).stat().st_size == 8 * t["count"]
 
 
@@ -160,14 +160,15 @@ def test_round_trip_is_bit_identical(tmp_path, make):
     assert np.signbit(back.regression[0, 2, 10, 11]) and np.signbit(back.heatmap[1, 0, 7, 9])
 
 
-def test_sparse_below_one_sixteenth_of_cells(tmp_path):
+def test_sparse_when_smaller_than_dense(tmp_path):
+    # Sparse takes 8 bytes per non-zero cell, dense 4 per cell; a tie stays dense.
     maps = tiny_dense_maps()  # 30 cells per heatmap, 120 per regression, 15 per mask
     maps.heatmap[...] = 0.0
-    maps.heatmap[0].reshape(-1)[:1] = 1.0  # 16 x 1 < 30: sparse
-    maps.heatmap[1].reshape(-1)[:2] = 1.0  # 16 x 2 >= 30: dense
+    maps.heatmap[0].reshape(-1)[:14] = 1.0  # 8 x 14 < 4 x 30: sparse
+    maps.heatmap[1].reshape(-1)[:15] = 1.0  # 8 x 15 == 4 x 30: dense
     maps.regression[...] = 0.0
-    maps.regression[0].reshape(-1)[:7] = 2.0  # 16 x 7 < 120
-    maps.regression[1].reshape(-1)[:8] = 2.0  # 16 x 8 >= 120
+    maps.regression[0].reshape(-1)[:59] = 2.0  # 8 x 59 < 4 x 120
+    maps.regression[1].reshape(-1)[:60] = 2.0  # 8 x 60 == 4 x 120
     maps.reg_mask[0] = False  # no cell at all: sparse, an empty file
     write_maps(maps, tmp_path, ["a", "b"])
     layouts = {name: t["layout"] for name, t in entries(tmp_path).items()}
@@ -175,9 +176,48 @@ def test_sparse_below_one_sixteenth_of_cells(tmp_path):
         "hm_b1": "sparse", "hm_b2": "dense", "reg_b1": "sparse", "reg_b2": "dense",
         "mask_b1": "sparse", "mask_b2": "dense",
     }
+    assert (tmp_path / "hm_b1.f32").stat().st_size == 8 * 14
     assert (tmp_path / "mask_b1.f32").stat().st_size == 0
     back, _ = read_maps(tmp_path)
     assert_reads_as_written(back, maps)
+
+
+def test_tensor_past_the_sparse_cell_cap_is_written_dense(tmp_path, monkeypatch):
+    monkeypatch.setattr("midlines.container.MAX_SPARSE_CELLS", 30)
+    maps = tiny_dense_maps()  # 30 cells per heatmap, 120 per regression, 15 per mask
+    maps.heatmap[...] = 0.0
+    maps.regression[...] = 0.0
+    maps.reg_mask[...] = False
+    write_maps(maps, tmp_path, ["a", "b"])
+    layouts = {name: t["layout"] for name, t in entries(tmp_path).items()}
+    assert layouts == {
+        "hm_b1": "sparse", "hm_b2": "sparse", "reg_b1": "dense", "reg_b2": "dense",
+        "mask_b1": "sparse", "mask_b2": "sparse",
+    }
+    back, _ = read_maps(tmp_path)
+    assert_reads_as_written(back, maps)
+
+
+def claim_grid(path, height, width):
+    """Make path's container claim a height x width grid, every tensor sparse and empty."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["height"], manifest["width"] = height, width
+    for entry in manifest["tensors"]:
+        entry["shape"][-2:] = [height, width]
+        entry.update(layout="sparse", count=0)
+        (path / entry["file"]).write_bytes(b"")
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_sparse_tensor_past_the_cell_cap_raises_before_allocating(tmp_path):
+    write_maps(sample_maps(), tmp_path, ["a", "b"])
+    # 8 regression channels make reg_b1 the first tensor to reach the cap.
+    claim_grid(tmp_path, 1024, MAX_SPARSE_CELLS // 8 // 1024)
+    back, _ = read_maps(tmp_path)
+    assert back.regression.shape == (2, 8, 1024, MAX_SPARSE_CELLS // 8 // 1024)
+    claim_grid(tmp_path, 1024, MAX_SPARSE_CELLS // 8 // 1024 + 1)
+    with pytest.raises(ShapeMismatch, match=r"^tensor reg_b1: sparse shape .* more than 16777216$"):
+        read_maps(tmp_path)
 
 
 def test_container_written_before_layouts_still_reads():
