@@ -8,7 +8,7 @@ pieces from the command line.
 """
 
 from midlines.decoder import Detection, Detections, decode, reconstruct_at_cell
-from midlines.encoder import TargetMaps, drift_radius, encode_image
+from midlines.encoder import Cells, TargetMaps, drift_radius, encode_image
 from midlines.errors import (
     AllLinesMalformed,
     DegenerateBox,
@@ -49,6 +49,7 @@ __all__ = [
     "AllLinesMalformed",
     "AnnotatedImage",
     "BranchId",
+    "Cells",
     "DegenerateBox",
     "Detection",
     "Detections",

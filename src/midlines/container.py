@@ -10,11 +10,18 @@ Each tensor's manifest entry names its layout:
 - "sparse": the entry's count K, and a file of K strictly increasing uint32
   flat indices followed by their K float32 values; every other cell is 0.
 
-write_maps stores a tensor sparse when that file is the smaller one: 8
-bytes per non-zero cell against 4 per cell, so when fewer than half its
-cells are non-zero. Target maps light a few cells per object, so theirs
-shrink; a map with every cell non-zero is written as before. A sparse
-tensor has at most MAX_SPARSE_CELLS cells, and a larger one is dense.
+A file is written from the map's Cells (encoder.Cells: the cells that are
+not zero by bit pattern), which encode_image gives ready-made and a dense
+array gives by one scan. write_maps stores a tensor sparse when that file
+is the smaller one: 8 bytes per cell against 4 per grid cell, so when
+fewer than half its cells are stored. Target maps light a few cells per
+object, so theirs shrink; a map with every cell non-zero is written as
+before. A sparse tensor has at most MAX_SPARSE_CELLS cells, and a larger
+one is dense.
+
+read_maps gives every tensor back as Cells, whatever its layout, and makes
+no grid; a dense array is made only when the maps' heatmap, regression or
+reg_mask is read.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import TargetMaps
+from .encoder import Cells, TargetMaps
 from .errors import MidlinesError, ShapeMismatch
 
 TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
@@ -34,8 +41,8 @@ _MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image
 _MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
 # The most cells a sparse tensor may have. A dense file's size shows that
-# its cells are real; a sparse file's does not, yet read_maps zeroes and
-# decode scans every cell the manifest claims. 2**24 holds the largest DOTA
+# its cells are real; a sparse file's does not, yet reading the maps' dense
+# arrays makes every cell the manifest claims. 2**24 holds the largest DOTA
 # image (4000 x 4000 px) at the default stride 4: 15 classes x 1000**2 cells.
 MAX_SPARSE_CELLS = 1 << 24
 
@@ -45,34 +52,26 @@ def is_plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and "/" not in name and "\0" not in name
 
 
-def _tensor_views(maps: TargetMaps) -> dict[str, np.ndarray]:
-    return {
-        "hm_b1": maps.heatmap[0],
-        "hm_b2": maps.heatmap[1],
-        "reg_b1": maps.regression[0],
-        "reg_b2": maps.regression[1],
-        "mask_b1": maps.reg_mask[0],
-        "mask_b2": maps.reg_mask[1],
-    }
+def _branch_cells(maps: TargetMaps):
+    """(name, shape, index, value) of each tensor file: the branch halves of each map's Cells."""
+    for kind, field in (("hm", "heatmap"), ("reg", "regression"), ("mask", "reg_mask")):
+        kept = maps.kept(field)
+        cells = kept if isinstance(kept, Cells) else Cells.scan(kept)
+        shape = cells.shape[1:]
+        size = math.prod(shape)
+        cut = np.searchsorted(cells.index, size)
+        yield f"{kind}_b1", shape, cells.index[:cut], cells.value[:cut]
+        yield f"{kind}_b2", shape, cells.index[cut:] - size, cells.value[cut:]
 
 
-def _write_tensor(path: Path, array: np.ndarray) -> dict:
-    """Write one tensor file in the smaller layout, dense on a tie.
-
-    Cells are non-zero by bit pattern, so a -0.0 or NaN cell is stored as
-    the dense file would store it. Returns the entry's layout fields.
-    """
-    flat = np.ascontiguousarray(array).reshape(-1)
-    lit = flat.view(f"u{flat.itemsize}") != 0
-    count = int(np.count_nonzero(lit))
-    if 2 * count >= flat.size or flat.size > MAX_SPARSE_CELLS:
-        flat.astype("<f4").tofile(path)
-        return {"layout": "dense"}
-    cells = np.flatnonzero(lit)
-    with open(path, "wb") as f:
-        cells.astype("<u4").tofile(f)
-        flat[cells].astype("<f4").tofile(f)
-    return {"layout": "sparse", "count": count}
+def _payload(shape: tuple[int, ...], index: np.ndarray, value: np.ndarray) -> tuple[list, dict]:
+    """One tensor file's arrays in the smaller layout, dense on a tie, and its layout fields."""
+    size = math.prod(shape)
+    if 2 * len(index) >= size or size > MAX_SPARSE_CELLS:
+        dense = np.zeros(size, dtype="<f4")
+        dense[index] = value
+        return [dense], {"layout": "dense"}
+    return [index.astype("<u4"), value.astype("<f4")], {"layout": "sparse", "count": len(index)}
 
 
 def write_maps(
@@ -86,15 +85,21 @@ def write_maps(
         raise ShapeMismatch(
             f"{len(class_names)} class names for {maps.num_classes} channels"
         )
+    # Every file is made before the directory, so a tensor that cannot be
+    # made (a dense one too large to allocate) leaves no container behind.
+    files, tensors = [], []
+    for name, shape, index, value in _branch_cells(maps):
+        arrays, layout = _payload(shape, index, value)
+        files.append((f"{name}.f32", arrays))
+        tensors.append(
+            {"name": name, "file": f"{name}.f32", "shape": list(shape), "dtype": "<f4", **layout}
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tensors = []
-    for name, array in _tensor_views(maps).items():
-        file = f"{name}.f32"
-        layout = _write_tensor(out / file, array)
-        tensors.append(
-            {"name": name, "file": file, "shape": list(array.shape), "dtype": "<f4", **layout}
-        )
+    for file, arrays in files:
+        with open(out / file, "wb") as f:
+            for array in arrays:
+                array.tofile(f)
     manifest = {
         "stride": maps.stride,
         "num_classes": maps.num_classes,
@@ -162,7 +167,7 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         raise ShapeMismatch(f"manifest missing tensors {missing}")
 
     expected = {"hm": (num_classes, height, width), "reg": (8, height, width), "mask": (height, width)}
-    stacks: dict[str, np.ndarray] = {}
+    parts: dict[str, list] = {"hm": [], "reg": [], "mask": []}
     for name in TENSOR_NAMES:
         entry = by_name[name]
         file = entry.get("file")
@@ -195,24 +200,26 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         kind, branch = name.split("_")
         if shape != expected[kind]:
             raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")
-        at, values = slice(None), raw  # a dense file holds every cell in order
         if sparse:
             at, values = raw[:count].view("<u4"), raw[count:]
             if (at[1:] <= at[:-1]).any():
                 raise ShapeMismatch(f"tensor {name}: indices not strictly increasing")
             if count and at[-1] >= cells:
                 raise ShapeMismatch(f"tensor {name}: index {at[-1]} at or past its {cells} cells")
+        else:  # a dense file holds every cell in order; a +0.0 one is no cell
+            at = np.flatnonzero(raw.view("<u4"))
+            values = raw[at]
         if not np.isfinite(values).all():
             raise MidlinesError(f"tensor {name}: non-finite values")
         if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
-        # Zeroed, so the pages of cells that no file writes are never backed.
-        # A dense file has shown that its cells are real, and a sparse
-        # tensor has at most MAX_SPARSE_CELLS.
-        if kind not in stacks:
-            stacks[kind] = np.zeros((2, *shape), dtype=bool if kind == "mask" else np.float64)
-        slot = stacks[kind][int(branch[-1]) - 1].reshape(-1)
-        slot[at] = values > 0.5 if kind == "mask" else values
+        stored = values > 0.5 if kind == "mask" else values.view("<u4") != 0
+        offset = (int(branch[-1]) - 1) * cells
+        parts[kind].append((at[stored].astype(np.int64) + offset, values[stored]))
+
+    def stack(kind: str, dtype) -> Cells:
+        index, value = (np.concatenate(a) for a in zip(*parts[kind]))
+        return Cells((2, *expected[kind]), index, value.astype(dtype))
 
     maps = TargetMaps(
         stride=sizes["stride"],
@@ -221,9 +228,9 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         height=height,
         image_w=sizes["image_w"],
         image_h=sizes["image_h"],
-        heatmap=stacks["hm"],
-        regression=stacks["reg"],
-        reg_mask=stacks["mask"],
+        heatmap=stack("hm", np.float64),
+        regression=stack("reg", np.float64),
+        reg_mask=stack("mask", bool),
         n_objects=0,
     )
     return maps, class_names

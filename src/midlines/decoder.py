@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import TargetMaps, _cell_anchors
+from .encoder import Cells, TargetMaps, _cell_anchors
 from .errors import ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
@@ -92,13 +92,17 @@ def _jump(parent: np.ndarray) -> np.ndarray:
 
 
 def extract_components(
-    heatmap: np.ndarray,
+    heatmap: np.ndarray | Cells,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Connected domains of cells strictly above threshold, in one labelling.
 
-    `heatmap` is (2, C, H, W); cells join 8-connected inside one channel, never
-    across. Returns the flat indices of the lit cells into the heatmap, in
+    `heatmap` is (2, C, H, W), a dense array or Cells; cells join
+    8-connected inside one channel, never across. A dense heatmap is
+    scanned once for its lit cells, and Cells are lit by their stored
+    values alone, unless the threshold is below 0: that lights every
+    unstored +0.0 cell too, so the Cells are made dense and scanned.
+    Returns the flat indices of the lit cells into the heatmap, in
     increasing order, and the component k of each; a (K, 3) int array of each
     component's flat channel b * C + c and its lookup cell (centroid rounded
     half up); and the K scores (highest cell value). Components are numbered
@@ -112,10 +116,15 @@ def extract_components(
     rounds grow with the logarithm of the run count, not with the length of
     a component.
     """
-    stack = heatmap.reshape(-1, *heatmap.shape[-2:])
-    height, width = stack.shape[1:]
-    values = stack.ravel()
-    flat = np.flatnonzero(values > threshold)
+    height, width = heatmap.shape[-2:]
+    if isinstance(heatmap, Cells) and not threshold < 0.0:
+        lit = heatmap.value > threshold
+        flat, values = heatmap.index[lit], heatmap.value[lit]
+    else:
+        grid = heatmap.dense() if isinstance(heatmap, Cells) else heatmap
+        values = grid.ravel()
+        flat = np.flatnonzero(values > threshold)
+        values = values[flat]
     if not flat.size:
         return flat, flat, np.zeros((0, 3), dtype=int), np.zeros(0)
 
@@ -169,7 +178,7 @@ def extract_components(
     ])
     owner = np.repeat(component, length)  # the component of each lit cell
     scores = np.full(len(lookup), -np.inf)
-    np.maximum.at(scores, owner, values[flat])
+    np.maximum.at(scores, owner, values)
     return flat, owner, lookup, scores
 
 
@@ -219,8 +228,11 @@ def decode(
 ) -> Detections:
     """All detections in one image's maps, cross-branch merged, unsorted.
 
-    The offsets at every component's lookup cell are read with one index,
-    all boxes are rebuilt at once by geometry.midline_boxes, and
+    The maps are read as they are kept (TargetMaps.kept): a dense heatmap
+    by one threshold scan, Cells by their stored values, and a lookup cell
+    that regression Cells do not store reads +0.0 offsets, as its dense
+    array would. The offsets at every component's lookup cell are read with
+    one index, all boxes are rebuilt at once by geometry.midline_boxes, and
     geometry.quad_rule runs once on the columns of their corners. A row that
     passes the midline rules and the quad rule is a detection, in component
     order, with its corners flipped to (0, 3, 2, 1) when its area is
@@ -231,19 +243,24 @@ def decode(
     first such component, and a score outside [0, 1] the ValueError
     OrientedBox raises for the first kept one.
     """
-    if maps.regression.ndim != 4 or maps.regression.shape[:2] != (2, 8):
-        raise ShapeMismatch(f"regression shape {maps.regression.shape}")
-    if maps.heatmap.shape != (2, maps.num_classes, *maps.regression.shape[2:]):
+    heatmap, regression = maps.kept("heatmap"), maps.kept("regression")
+    if len(regression.shape) != 4 or regression.shape[:2] != (2, 8):
+        raise ShapeMismatch(f"regression shape {regression.shape}")
+    if heatmap.shape != (2, maps.num_classes, *regression.shape[2:]):
         raise ShapeMismatch(
-            f"heatmap {maps.heatmap.shape} vs regression {maps.regression.shape}"
+            f"heatmap {heatmap.shape} vs regression {regression.shape}"
             f" and {maps.num_classes} classes"
         )
-    *_, lookup, scores = extract_components(maps.heatmap, threshold)
+    *_, lookup, scores = extract_components(heatmap, threshold)
     branch, class_id = np.divmod(lookup[:, 0], maps.num_classes)
     rows, cols = lookup[:, 1], lookup[:, 2]
-    rebuilt = midline_boxes(
-        maps.regression[branch, :, rows, cols] + _cell_anchors(rows, cols, maps.stride)
-    )
+    if isinstance(regression, Cells):
+        height, width = regression.shape[2:]
+        at = ((branch[:, None] * 8 + np.arange(8)) * height + rows[:, None]) * width + cols[:, None]
+        offsets = regression.at(at.ravel()).reshape(-1, 8)
+    else:
+        offsets = regression[branch, :, rows, cols]
+    rebuilt = midline_boxes(offsets + _cell_anchors(rows, cols, maps.stride))
     overflow = rebuilt.fault == NON_FINITE
     if overflow.any():
         raise rebuilt.error(int(np.argmax(overflow)))

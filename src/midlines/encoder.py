@@ -1,9 +1,13 @@
-"""Dense training targets: per-branch heatmaps and midline-offset maps.
+"""Training targets: per-branch heatmaps and midline-offset maps, kept as their cells.
 
 Feature cell (row, col) corresponds to input point (col * stride, row * stride).
 Every cell of an object's drift region is a heatmap positive at value 1.0 and
 regresses the offsets from its own input point to the four midline endpoints,
 so the box can be recovered from any cell of the region.
+
+A target lights a few cells per object, so encode_image keeps each map as
+Cells, the cells that are not zero by bit pattern; a dense array is made
+only when one is read.
 """
 
 from __future__ import annotations
@@ -39,6 +43,63 @@ _CENTER_SLACK = 1e-6
 _STENCIL_CELLS = 1 << 18
 
 
+@dataclass(frozen=True)
+class Cells:
+    """A tensor as its cells that are not zero by bit pattern; every other cell is +0.0.
+
+    shape: the tensor's shape
+    index: (K,) int64 row-major flat indices into it, strictly increasing
+    value: (K,) float64, or bool (all true) for a mask
+    """
+
+    shape: tuple[int, ...]
+    index: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def scan(cls, array: np.ndarray) -> Cells:
+        """The cells of a dense array, found by their bits: -0.0 and NaN are kept."""
+        flat = np.ascontiguousarray(array).reshape(-1)
+        index = np.flatnonzero(flat.view(f"u{flat.itemsize}"))
+        return cls(array.shape, index, flat[index])
+
+    def dense(self) -> np.ndarray:
+        array = np.zeros(self.shape, dtype=self.value.dtype)
+        array.reshape(-1)[self.index] = self.value
+        return array
+
+    def at(self, index: np.ndarray) -> np.ndarray:
+        """The values at flat indices, +0.0 where no value is stored."""
+        pos = np.searchsorted(self.index, index)
+        found = pos < len(self.index)
+        found[found] = self.index[pos[found]] == index[found]
+        values = np.zeros(len(index), dtype=self.value.dtype)
+        values[found] = self.value[pos[found]]
+        return values
+
+
+class _Tensor:
+    """A TargetMaps tensor field: holds a dense array or Cells, and reads dense.
+
+    Cells are made dense on the first read, and that array is kept, so a
+    caller that writes into it changes the maps for every later reader.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, maps, owner=None) -> np.ndarray:
+        if maps is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        kept = maps.__dict__[self.name]
+        if isinstance(kept, Cells):
+            kept = maps.__dict__[self.name] = kept.dense()
+        return kept
+
+    def __set__(self, maps, value: np.ndarray | Cells) -> None:
+        maps.__dict__[self.name] = value
+
+
 @dataclass
 class TargetMaps:
     """Encoded maps for one image.
@@ -48,6 +109,11 @@ class TargetMaps:
                 (dx1, dy1, dx2, dy2) for l1 then the same for l2
     reg_mask:   [2][height][width] bool, true where regression is defined
     n_objects:  encoded (non-degenerate) annotation count, the loss normalizer
+
+    Each of the three tensors is given as a dense array or as Cells, and
+    reads as a dense array, made from its Cells on the first read. kept()
+    gives a tensor as it is held, which is how the container and decode
+    use Cells without making a grid.
     """
 
     stride: int
@@ -56,10 +122,14 @@ class TargetMaps:
     height: int
     image_w: int
     image_h: int
-    heatmap: np.ndarray
-    regression: np.ndarray
-    reg_mask: np.ndarray
+    heatmap: np.ndarray = _Tensor()
+    regression: np.ndarray = _Tensor()
+    reg_mask: np.ndarray = _Tensor()
     n_objects: int
+
+    def kept(self, name: str) -> np.ndarray | Cells:
+        """Tensor `name` as held: its dense array once one exists, else its Cells."""
+        return self.__dict__[name]
 
 
 def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
@@ -146,7 +216,7 @@ def encode_image(
     branch_low: float = BRANCH_LOW_DEG,
     branch_high: float = BRANCH_HIGH_DEG,
 ) -> TargetMaps:
-    """Rasterize annotations into heatmap, regression, and mask grids.
+    """Rasterize annotations into heatmap, regression, and mask cells.
 
     Heatmap positives are written for every object into its own class
     channel. A cell contested within one branch takes its regression
@@ -162,9 +232,6 @@ def encode_image(
         raise ValueError(f"num_classes must be positive, got {num_classes}")
     width = math.ceil(image_w / stride)
     height = math.ceil(image_h / stride)
-    heatmap = np.zeros((2, num_classes, height, width), dtype=np.float64)
-    regression = np.zeros((2, 8, height, width), dtype=np.float64)
-    reg_mask = np.zeros((2, height, width), dtype=bool)
 
     corners = box_corners(annotations)
     classes = np.array([box.class_id for box in annotations], dtype=np.int64)
@@ -187,18 +254,23 @@ def encode_image(
     centre, radius = _drift_radii(lines.centre[keep], lines.lengths[keep], stride, r)
     obj, rows, cols = _disc_cells(centre, radius, width, height)
     b = branch[obj]
-    heatmap[b, classes[keep][obj], rows, cols] = 1.0
+    lit = np.unique(((b * num_classes + classes[keep][obj]) * height + rows) * width + cols)
     # The smallest area owns a contested cell, the earlier index a tie: sort
-    # by (cell, area, index) and keep the first entry of each cell.
+    # by (cell, area, index) and keep the first entry of each cell, so the
+    # winners come in increasing cell order.
     cell = (b * height + rows) * width + cols
     areas = np.abs(quad_area(*corners[keep].reshape(-1, 8).T))
     order = np.lexsort((obj, areas[obj], cell))
     first = np.ones(len(order), dtype=bool)
     first[1:] = cell[order[1:]] != cell[order[:-1]]
     win = order[first]
-    obj, rows, cols, b = obj[win], rows[win], cols[win], b[win]
-    np.moveaxis(regression, 1, -1)[b, rows, cols] = ends[obj] - _cell_anchors(rows, cols, stride)
-    reg_mask[b, rows, cols] = True
+    obj, rows, cols, b, cell = obj[win], rows[win], cols[win], b[win], cell[win]
+    offsets = (ends[obj] - _cell_anchors(rows, cols, stride)).ravel()
+    plane = height * width
+    at = ((b[:, None] * 8 + np.arange(8)) * plane + (rows * width + cols)[:, None]).ravel()
+    order = np.argsort(at)
+    at, offsets = at[order], offsets[order]
+    stored = offsets.view(np.uint64) != 0
 
     return TargetMaps(
         stride=stride,
@@ -207,8 +279,8 @@ def encode_image(
         height=height,
         image_w=image_w,
         image_h=image_h,
-        heatmap=heatmap,
-        regression=regression,
-        reg_mask=reg_mask,
+        heatmap=Cells((2, num_classes, height, width), lit, np.ones(len(lit))),
+        regression=Cells((2, 8, height, width), at[stored], offsets[stored]),
+        reg_mask=Cells((2, height, width), cell, np.ones(len(cell), dtype=bool)),
         n_objects=len(keep),
     )

@@ -351,24 +351,34 @@ def test_overflowing_edge_midpoint_is_reported_and_others_still_run(tmp_path, ca
         assert "objects=1" in out and "fraction=1.000000" in out
 
 
-@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+@pytest.mark.parametrize("command", ["encode"])
 def test_maps_too_large_to_allocate_are_reported_and_others_still_run(tmp_path, capsys, command):
-    # The maps of a 1e8 x 1e8 image exceed the address space, so numpy refuses
-    # them with MemoryError before touching a page.
+    # The dense tensor files of a 1e8 x 1e8 image's container exceed the
+    # address space, so numpy refuses them with MemoryError before touching
+    # a page, and before the container's directory is made.
     gt = tmp_path / "gt.json"
     gt.write_text(json.dumps([
         {"image_id": "vast", "width": 100_000_000, "height": 100_000_000, "objects": [PLANE]},
         {"image_id": "good", "width": 256, "height": 256, "objects": [PLANE]},
     ]), encoding="utf-8")
-    out_flag = ["--out", tmp_path / "maps"] if command == "encode" else []
-    code, out = run(capsys, command, "--gt", gt, *out_flag, "--jobs", 2)
+    code, out = run(capsys, command, "--gt", gt, "--out", tmp_path / "maps", "--jobs", 2)
     assert code == 1
     assert out.splitlines()[0].startswith("image=vast error='Unable to allocate"), out
-    if command == "encode":
-        assert (tmp_path / "maps" / "good" / "manifest.json").is_file()
-        assert not (tmp_path / "maps" / "vast").exists()
-    else:
-        assert "objects=1" in out and "fraction=1.000000" in out
+    assert (tmp_path / "maps" / "good" / "manifest.json").is_file()
+    assert not (tmp_path / "maps" / "vast").exists()
+
+
+def test_roundtrip_of_maps_too_large_to_allocate_makes_no_grid(tmp_path, capsys):
+    # Roundtrip keeps the maps of a 1e8 x 1e8 image as their cells, whose
+    # dense arrays would exceed the address space, and decodes those cells.
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([
+        {"image_id": "vast", "width": 100_000_000, "height": 100_000_000, "objects": [PLANE]},
+        {"image_id": "good", "width": 256, "height": 256, "objects": [PLANE]},
+    ]), encoding="utf-8")
+    code, out = run(capsys, "roundtrip", "--gt", gt, "--jobs", 2)
+    assert code == 0, out
+    assert "images=2 objects=2" in out and "fraction=1.000000" in out
 
 
 @pytest.mark.parametrize("command", ["encode", "eval"])
@@ -877,6 +887,15 @@ def test_roundtrip_reports_sub_resolution_separately(tmp_path, capsys):
     assert code == 0
     assert "sub_resolution=1" in out
     assert "objects=1" in out  # the bar only sees the well-resolved one
+
+
+def test_roundtrip_where_every_image_failed_is_no_pass(tmp_path, capsys):
+    code, out = run(capsys, "roundtrip", "--gt", make_gt(tmp_path, [PLANE]), "--stride", 10**400)
+    assert code == 1
+    assert out.splitlines() == [
+        "image=img error='int too large to convert to float'",
+        "images=1 objects=0 sub_resolution=0 status=fail note=no_image_ran",
+    ]
 
 
 def test_roundtrip_vacuous_pass_on_empty_input(tmp_path, capsys):
