@@ -19,9 +19,10 @@ object, so theirs shrink; a map with every cell non-zero is written as
 before. A sparse tensor has at most MAX_SPARSE_CELLS cells, and a larger
 one is dense.
 
-read_maps gives every tensor back as Cells, whatever its layout, and makes
-no grid; a dense array is made only when the maps' heatmap, regression or
-reg_mask is read.
+read_maps gives a map whose two branch files are sparse back as Cells and
+makes no grid for it; a dense array is made only when the maps' heatmap,
+regression or reg_mask is read. A map with a dense file, such as a
+network's prediction, comes back as a dense array.
 """
 
 from __future__ import annotations
@@ -200,26 +201,37 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         kind, branch = name.split("_")
         if shape != expected[kind]:
             raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")
+        at, values = slice(None), raw  # a dense file holds every cell in order
         if sparse:
             at, values = raw[:count].view("<u4"), raw[count:]
             if (at[1:] <= at[:-1]).any():
                 raise ShapeMismatch(f"tensor {name}: indices not strictly increasing")
             if count and at[-1] >= cells:
                 raise ShapeMismatch(f"tensor {name}: index {at[-1]} at or past its {cells} cells")
-        else:  # a dense file holds every cell in order; a +0.0 one is no cell
-            at = np.flatnonzero(raw.view("<u4"))
-            values = raw[at]
         if not np.isfinite(values).all():
             raise MidlinesError(f"tensor {name}: non-finite values")
         if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
             raise MidlinesError(f"tensor {name}: values outside [0, 1]")
-        stored = values > 0.5 if kind == "mask" else values.view("<u4") != 0
-        offset = (int(branch[-1]) - 1) * cells
-        parts[kind].append((at[stored].astype(np.int64) + offset, values[stored]))
+        if kind == "mask":
+            values = values > 0.5
+        if sparse:  # Cells hold the values with bits: -0.0 is one, +0.0 or false is none
+            stored = values if kind == "mask" else values.view("<u4") != 0
+            at, values = at[stored].astype(np.int64), values[stored]
+        parts[kind].append((at, values))
 
-    def stack(kind: str, dtype) -> Cells:
-        index, value = (np.concatenate(a) for a in zip(*parts[kind]))
-        return Cells((2, *expected[kind]), index, value.astype(dtype))
+    def stack(kind: str, dtype) -> Cells | np.ndarray:
+        """One map from its two branch files: Cells when both are sparse, else a dense array."""
+        (at1, values1), (at2, values2) = parts[kind]
+        shape = (2, *expected[kind])
+        if isinstance(at1, slice) or isinstance(at2, slice):
+            # Zeroed, so the pages of cells that no file writes are never
+            # backed. A dense file has shown that its cells are real, and a
+            # sparse tensor has at most MAX_SPARSE_CELLS.
+            grid = np.zeros(shape, dtype=dtype)
+            grid[0].reshape(-1)[at1], grid[1].reshape(-1)[at2] = values1, values2
+            return grid
+        index = np.concatenate((at1, at2 + math.prod(shape[1:])))
+        return Cells(shape, index, np.concatenate((values1, values2)).astype(dtype))
 
     maps = TargetMaps(
         stride=sizes["stride"],

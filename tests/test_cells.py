@@ -22,13 +22,16 @@ FIELDS = ("heatmap", "regression", "reg_mask")
 NAMES = ["a", "b", "c"]
 
 
+def cell_fields(maps):
+    return [f for f in FIELDS if isinstance(maps.kept(f), Cells)]
+
+
 def dense_copy(maps):
     """The same maps with every tensor a dense array, made without touching maps' own."""
-    assert all(isinstance(maps.kept(f), Cells) for f in FIELDS)
     return TargetMaps(
         stride=maps.stride, num_classes=maps.num_classes, width=maps.width, height=maps.height,
         image_w=maps.image_w, image_h=maps.image_h, n_objects=maps.n_objects,
-        **{f: maps.kept(f).dense() for f in FIELDS},
+        **{f: maps.kept(f).dense() if f in cell_fields(maps) else maps.kept(f).copy() for f in FIELDS},
     )
 
 
@@ -63,11 +66,12 @@ def assert_same_detections(a, b):
 
 def assert_decodes_same(maps, threshold=0.3):
     stats, dense_stats = {}, {}
+    held = cell_fields(maps)
     got = decode(maps, threshold=threshold, stats=stats)
     want = decode(dense_copy(maps), threshold=threshold, stats=dense_stats)
     assert_same_detections(got, want)
     assert stats == dense_stats
-    assert all(isinstance(maps.kept(f), Cells) for f in FIELDS)  # decode made no grid
+    assert cell_fields(maps) == held  # decode made no grid
     return got
 
 
@@ -108,6 +112,7 @@ def scenes(draw):
 def test_cells_write_and_decode_as_their_dense_arrays(tmp_path_factory, scene, threshold):
     boxes, image_w, image_h, stride = scene
     maps = encode_image(boxes, image_w, image_h, 3, stride=stride)
+    assert cell_fields(maps) == list(FIELDS)
     tmp_path = tmp_path_factory.mktemp("scene")
     assert_writes_same_bytes(maps, dense_copy(maps), tmp_path)
     assert_decodes_same(maps, threshold)
@@ -167,6 +172,16 @@ def test_dense_array_read_from_cells_then_changed_is_what_is_written(tmp_path):
     back, _ = read_maps(tmp_path / "cells")
     assert back.heatmap[1, 2, 3, 4] == 0.5
     assert_same_detections(decode(maps), decode(expected))
+
+
+def test_map_with_a_dense_file_reads_back_dense(tmp_path):
+    maps = plane_maps()
+    maps.heatmap[1] = 0.25  # every cell of hm_b2: written dense
+    write_maps(maps, tmp_path, NAMES)
+    back, _ = read_maps(tmp_path)
+    assert cell_fields(back) == ["regression", "reg_mask"]
+    np.testing.assert_array_equal(back.heatmap, maps.heatmap)
+    assert_decodes_same(back)
 
 
 def dota_like_scene(n=300, side=800, classes=15, seed=0):
