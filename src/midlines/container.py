@@ -11,13 +11,13 @@ Each tensor's manifest entry names its layout:
   flat indices followed by their K float32 values; every other cell is 0.
 
 A file is written from the map's Cells (encoder.Cells: the cells that are
-not zero by bit pattern), which encode_image gives ready-made and a dense
-array gives by one scan. write_maps stores a tensor sparse when that file
-is the smaller one: 8 bytes per cell against 4 per grid cell, so when
-fewer than half its cells are stored. Target maps light a few cells per
-object, so theirs shrink; a map with every cell non-zero is written as
-before. A sparse tensor has at most MAX_SPARSE_CELLS cells, and a larger
-one is dense.
+not zero by bit pattern), which encode_image gives ready-made, or from its
+dense array, whose cells one scan finds. write_maps stores a tensor sparse
+when that file is the smaller one: 8 bytes per cell against 4 per grid
+cell, so when fewer than half its cells are stored. Target maps light a
+few cells per object, so theirs shrink; a map with every cell non-zero is
+written as before. A sparse tensor has at most MAX_SPARSE_CELLS cells, and
+a larger one is dense.
 
 read_maps gives a map whose two branch files are sparse back as Cells and
 makes no grid for it; a dense array is made only when the maps' heatmap,
@@ -53,26 +53,51 @@ def is_plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and "/" not in name and "\0" not in name
 
 
-def _branch_cells(maps: TargetMaps):
-    """(name, shape, index, value) of each tensor file: the branch halves of each map's Cells."""
+def _branch_tensors(maps: TargetMaps):
+    """(name, tensor) of each tensor file: one branch of a map's dense array or of its Cells."""
     for kind, field in (("hm", "heatmap"), ("reg", "regression"), ("mask", "reg_mask")):
         kept = maps.kept(field)
-        cells = kept if isinstance(kept, Cells) else Cells.scan(kept)
-        shape = cells.shape[1:]
-        size = math.prod(shape)
-        cut = np.searchsorted(cells.index, size)
-        yield f"{kind}_b1", shape, cells.index[:cut], cells.value[:cut]
-        yield f"{kind}_b2", shape, cells.index[cut:] - size, cells.value[cut:]
+        if isinstance(kept, Cells):
+            size = math.prod(kept.shape[1:])
+            cut = np.searchsorted(kept.index, size)
+            yield f"{kind}_b1", Cells(kept.shape[1:], kept.index[:cut], kept.value[:cut])
+            yield f"{kind}_b2", Cells(kept.shape[1:], kept.index[cut:] - size, kept.value[cut:])
+        else:
+            yield f"{kind}_b1", kept[0]
+            yield f"{kind}_b2", kept[1]
 
 
-def _payload(shape: tuple[int, ...], index: np.ndarray, value: np.ndarray) -> tuple[list, dict]:
-    """One tensor file's arrays in the smaller layout, dense on a tie, and its layout fields."""
-    size = math.prod(shape)
-    if 2 * len(index) >= size or size > MAX_SPARSE_CELLS:
-        dense = np.zeros(size, dtype="<f4")
-        dense[index] = value
+def _is_dense(count: int, cells: int) -> bool:
+    """Whether a tensor of `cells` cells, `count` of them stored, is written dense."""
+    return 2 * count >= cells or cells > MAX_SPARSE_CELLS
+
+
+def _payload(tensor: np.ndarray | Cells) -> tuple[list, dict]:
+    """One tensor file's arrays in the smaller layout, dense on a tie, and its layout fields.
+
+    A dense array's cells are those whose bits are not zero, as Cells keep
+    them, so a -0.0 or NaN cell is stored as the dense file would store it;
+    a dense array written dense is not scanned for them.
+    """
+    if not isinstance(tensor, Cells):
+        flat = np.ascontiguousarray(tensor).reshape(-1)
+        lit = flat.view(f"u{flat.itemsize}") != 0
+        if _is_dense(int(np.count_nonzero(lit)), flat.size):
+            return [flat.astype("<f4")], {"layout": "dense"}
+        index = np.flatnonzero(lit)
+        tensor = Cells(tensor.shape, index, flat[index])
+    count = len(tensor.index)
+    if _is_dense(count, math.prod(tensor.shape)):
+        dense = np.zeros(math.prod(tensor.shape), dtype="<f4")
+        dense[tensor.index] = tensor.value
         return [dense], {"layout": "dense"}
-    return [index.astype("<u4"), value.astype("<f4")], {"layout": "sparse", "count": len(index)}
+    return [tensor.index.astype("<u4"), tensor.value.astype("<f4")], {"layout": "sparse", "count": count}
+
+
+def _write_file(path: Path, arrays: list) -> None:
+    with open(path, "wb") as f:
+        for array in arrays:
+            array.tofile(f)
 
 
 def write_maps(
@@ -86,21 +111,20 @@ def write_maps(
         raise ShapeMismatch(
             f"{len(class_names)} class names for {maps.num_classes} channels"
         )
-    # Every file is made before the directory, so a tensor that cannot be
-    # made (a dense one too large to allocate) leaves no container behind.
-    files, tensors = [], []
-    for name, shape, index, value in _branch_cells(maps):
-        arrays, layout = _payload(shape, index, value)
-        files.append((f"{name}.f32", arrays))
-        tensors.append(
-            {"name": name, "file": f"{name}.f32", "shape": list(shape), "dtype": "<f4", **layout}
-        )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for file, arrays in files:
-        with open(out / file, "wb") as f:
-            for array in arrays:
-                array.tofile(f)
+    tensors = []
+    for name, tensor in _branch_tensors(maps):
+        arrays, layout = _payload(tensor)
+        if not tensors:
+            # Made once the first file's arrays exist, so maps whose first
+            # dense file is too large to allocate leave no directory behind.
+            out.mkdir(parents=True, exist_ok=True)
+        file = f"{name}.f32"
+        _write_file(out / file, arrays)
+        del arrays  # so the next file's arrays are made after these are freed
+        tensors.append(
+            {"name": name, "file": file, "shape": list(tensor.shape), "dtype": "<f4", **layout}
+        )
     manifest = {
         "stride": maps.stride,
         "num_classes": maps.num_classes,
@@ -123,6 +147,20 @@ def _count(value, what: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ShapeMismatch(f"manifest {what} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def _stack(parts: list, shape: tuple[int, ...], dtype) -> Cells | np.ndarray:
+    """One map from its two branch files' (at, values): Cells when both are sparse, else dense."""
+    (at1, values1), (at2, values2) = parts
+    if isinstance(at1, slice) or isinstance(at2, slice):
+        # Zeroed, so the pages of cells that no file writes are never backed.
+        # A dense file has shown that its cells are real, and a sparse
+        # tensor has at most MAX_SPARSE_CELLS.
+        grid = np.zeros(shape, dtype=dtype)
+        grid[0].reshape(-1)[at1], grid[1].reshape(-1)[at2] = values1, values2
+        return grid
+    index = np.concatenate((at1, at2 + math.prod(shape[1:])))
+    return Cells(shape, index, np.concatenate((values1, values2)).astype(dtype))
 
 
 def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
@@ -168,7 +206,8 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         raise ShapeMismatch(f"manifest missing tensors {missing}")
 
     expected = {"hm": (num_classes, height, width), "reg": (8, height, width), "mask": (height, width)}
-    parts: dict[str, list] = {"hm": [], "reg": [], "mask": []}
+    stacks: dict[str, Cells | np.ndarray] = {}
+    parts: list = []
     for name in TENSOR_NAMES:
         entry = by_name[name]
         file = entry.get("file")
@@ -217,21 +256,11 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         if sparse:  # Cells hold the values with bits: -0.0 is one, +0.0 or false is none
             stored = values if kind == "mask" else values.view("<u4") != 0
             at, values = at[stored].astype(np.int64), values[stored]
-        parts[kind].append((at, values))
-
-    def stack(kind: str, dtype) -> Cells | np.ndarray:
-        """One map from its two branch files: Cells when both are sparse, else a dense array."""
-        (at1, values1), (at2, values2) = parts[kind]
-        shape = (2, *expected[kind])
-        if isinstance(at1, slice) or isinstance(at2, slice):
-            # Zeroed, so the pages of cells that no file writes are never
-            # backed. A dense file has shown that its cells are real, and a
-            # sparse tensor has at most MAX_SPARSE_CELLS.
-            grid = np.zeros(shape, dtype=dtype)
-            grid[0].reshape(-1)[at1], grid[1].reshape(-1)[at2] = values1, values2
-            return grid
-        index = np.concatenate((at1, at2 + math.prod(shape[1:])))
-        return Cells(shape, index, np.concatenate((values1, values2)).astype(dtype))
+        parts.append((at, values))
+        if branch == "b2":  # TENSOR_NAMES lists b1 then b2 of each map
+            dtype = bool if kind == "mask" else np.float64
+            stacks[kind] = _stack(parts, (2, *expected[kind]), dtype)
+            parts = []
 
     maps = TargetMaps(
         stride=sizes["stride"],
@@ -240,9 +269,9 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         height=height,
         image_w=sizes["image_w"],
         image_h=sizes["image_h"],
-        heatmap=stack("hm", np.float64),
-        regression=stack("reg", np.float64),
-        reg_mask=stack("mask", bool),
+        heatmap=stacks["hm"],
+        regression=stacks["reg"],
+        reg_mask=stacks["mask"],
         n_objects=0,
     )
     return maps, class_names

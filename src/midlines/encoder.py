@@ -56,13 +56,6 @@ class Cells:
     index: np.ndarray
     value: np.ndarray
 
-    @classmethod
-    def scan(cls, array: np.ndarray) -> Cells:
-        """The cells of a dense array, found by their bits: -0.0 and NaN are kept."""
-        flat = np.ascontiguousarray(array).reshape(-1)
-        index = np.flatnonzero(flat.view(f"u{flat.itemsize}"))
-        return cls(array.shape, index, flat[index])
-
     def dense(self) -> np.ndarray:
         array = np.zeros(self.shape, dtype=self.value.dtype)
         array.reshape(-1)[self.index] = self.value
