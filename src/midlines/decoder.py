@@ -212,11 +212,15 @@ def merge_branches(
     oriented = np.flatnonzero(detections.branch == BranchId.ORIENTED.index)
     h, o = (detections.take(rows) for rows in (horizontal, oriented))
     pairs = np.nonzero(may_overlap(h.corners, h.class_id, o.corners, o.class_id))
-    corners, score = detections.corners.tolist(), detections.score.tolist()
+    rows_h, rows_o = horizontal[pairs[0]], oriented[pairs[1]]
+    corners, score = detections.corners, detections.score
     keep = np.ones(len(detections), dtype=bool)
-    for i, j in zip(horizontal[pairs[0]].tolist(), oriented[pairs[1]].tolist()):
-        if rotated_iou(corners[i], corners[j]) > iou_threshold:
-            keep[i if score[j] > score[i] else j] = False
+    for i, j, corners_i, corners_j, score_i, score_j in zip(
+        rows_h.tolist(), rows_o.tolist(), corners[rows_h].tolist(), corners[rows_o].tolist(),
+        score[rows_h].tolist(), score[rows_o].tolist(),
+    ):
+        if rotated_iou(corners_i, corners_j) > iou_threshold:
+            keep[i if score_j > score_i else j] = False
     return detections.take(keep)
 
 

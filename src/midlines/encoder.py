@@ -13,7 +13,7 @@ only when one is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +93,7 @@ class _Tensor:
         maps.__dict__[self.name] = value
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class TargetMaps:
     """Encoded maps for one image.
 
@@ -105,8 +105,9 @@ class TargetMaps:
 
     Each of the three tensors is given as a dense array or as Cells, and
     reads as a dense array, made from its Cells on the first read. kept()
-    gives a tensor as it is held, which is how the container and decode
-    use Cells without making a grid.
+    gives a tensor as it is held, which is how the container, decode and
+    total_loss use Cells without making a grid. repr shows each tensor as
+    held, and == is identity, so neither makes a grid either.
     """
 
     stride: int
@@ -123,6 +124,17 @@ class TargetMaps:
     def kept(self, name: str) -> np.ndarray | Cells:
         """Tensor `name` as held: its dense array once one exists, else its Cells."""
         return self.__dict__[name]
+
+    def __repr__(self) -> str:
+        def show(value) -> str:
+            if isinstance(value, Cells):
+                return f"Cells(shape={value.shape}, stored={len(value.index)})"
+            if isinstance(value, np.ndarray):
+                return f"array(shape={value.shape}, dtype={value.dtype})"
+            return repr(value)
+
+        shown = (f"{f.name}={show(self.__dict__[f.name])}" for f in fields(self))
+        return f"TargetMaps({', '.join(shown)})"
 
 
 def _cell_anchors(rows, cols, stride: int) -> np.ndarray:

@@ -18,32 +18,31 @@ def _clip_by_edge(points: list[tuple[float, float]], a, b) -> list[tuple[float, 
     ax, ay = a
     bx, by = b
     ex, ey = bx - ax, by - ay
-
-    def inside(p):
-        return ex * (p[1] - ay) - ey * (p[0] - ax) >= 0.0
-
-    def crossing(p, q):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        denom = ex * dy - ey * dx
-        if denom == 0.0:
-            # pq is parallel to the clip line, so the side test split it
-            # only by rounding; the whole segment lies on the line.
-            return q
-        t = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
-        # Near-parallel edges can push t outside the segment by rounding.
-        t = min(max(t, 0.0), 1.0)
-        return (p[0] + t * dx, p[1] + t * dy)
-
+    inside = [ex * (y - ay) - ey * (x - ax) >= 0.0 for x, y in points]
     out: list[tuple[float, float]] = []
     for i, p in enumerate(points):
-        q = points[(i + 1) % len(points)]
-        if inside(p):
+        j = i + 1 if i + 1 < len(points) else 0
+        if inside[i]:
             out.append(p)
-            if not inside(q):
-                out.append(crossing(p, q))
-        elif inside(q):
-            out.append(crossing(p, q))
+            if not inside[j]:
+                out.append(_crossing(p, points[j], ax, ay, ex, ey))
+        elif inside[j]:
+            out.append(_crossing(p, points[j], ax, ay, ex, ey))
     return out
+
+
+def _crossing(p, q, ax, ay, ex, ey) -> tuple[float, float]:
+    """Where segment pq crosses the line through (ax, ay) along (ex, ey)."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    denom = ex * dy - ey * dx
+    if denom == 0.0:
+        # pq is parallel to the clip line, so the side test split it
+        # only by rounding; the whole segment lies on the line.
+        return q
+    t = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
+    # Near-parallel edges can push t outside the segment by rounding.
+    t = min(max(t, 0.0), 1.0)
+    return (p[0] + t * dx, p[1] + t * dy)
 
 
 def _xy(box) -> Sequence[Sequence[float]]:

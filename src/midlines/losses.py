@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import TargetMaps
+from .encoder import Cells, TargetMaps
 from .errors import NonBinaryGroundTruth, ShapeMismatch
 
 CLAMP_EPS = 1e-7
@@ -76,8 +76,8 @@ def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-# Cells per block of focal_ip_loss: a block's float64 scratch (256 KiB per
-# array) stays in cache across the dozen passes of the formula.
+# Cells per leaf of focal_ip_loss's sum: a leaf's float64 scratch (256 KiB
+# per array) stays in cache across the dozen passes of the formula.
 _FOCAL_BLOCK = 1 << 15
 
 
@@ -108,6 +108,81 @@ def _zero_clamped(p: np.ndarray, grad: np.ndarray) -> None:
     grad[clamped] *= 0.0
 
 
+def _lit(tensor: np.ndarray | Cells) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat indices and values of the cells of a tensor that may be non-zero.
+
+    Cells give the cells they store; a dense array is scanned once for its
+    non-zero cells.
+    """
+    if isinstance(tensor, Cells):
+        return tensor.index, tensor.value
+    flat = tensor.reshape(-1)
+    index = np.flatnonzero(flat)
+    return index, flat[index]
+
+
+def _positives(pred_hm: np.ndarray, gt_hm: np.ndarray | Cells) -> np.ndarray:
+    """Sorted flat indices of a heatmap target's 1.0 cells; every other cell must be +-0.0."""
+    if pred_hm.shape != gt_hm.shape:
+        raise ShapeMismatch(f"pred {pred_hm.shape} vs gt {gt_hm.shape}")
+    index, values = _lit(gt_hm)
+    hit = values == 1.0
+    if np.count_nonzero(values) != np.count_nonzero(hit):
+        raise NonBinaryGroundTruth("heatmap targets must be exactly 0 or 1")
+    return index[hit]
+
+
+def _focal_sum(p, grad, start, stop, hits, hit_terms, a, n_objects, scratch):
+    """Sum of the focal terms of cells start:stop; their gradient goes to grad.
+
+    Every cell is taken as a negative, then the terms of the positives
+    among them (sorted flat indices hits, terms hit_terms) are put in. The
+    cells are split as numpy's pairwise sum splits an array, down to leaves
+    of at most _FOCAL_BLOCK cells, and the leaf sums are added back up the
+    tree, so the total is the one term.sum() gives over all cells, bit for
+    bit, with no array of every cell's term. scratch holds three arrays of
+    a leaf's size.
+    """
+    n = stop - start
+    if n > _FOCAL_BLOCK:
+        half = n // 2
+        mid = start + half - half % 8  # numpy's split: pairwise_sum in loops_utils.h
+        return (_focal_sum(p, grad, start, mid, hits, hit_terms, a, n_objects, scratch)
+                + _focal_sum(p, grad, mid, stop, hits, hit_terms, a, n_objects, scratch))
+    block = slice(start, stop)
+    p_b, g = p[block], grad[block]
+    q, aux, term = (array[:n] for array in scratch)
+    # As a negative: q = 1 - clip(p), miss = clip(p).
+    np.clip(p_b, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
+    np.subtract(1.0, g, out=q)
+    _focal_terms(g, q, a, term, aux)
+    _zero_clamped(p_b, g)
+    g /= n_objects
+    lo, hi = np.searchsorted(hits, (start, stop))
+    term[hits[lo:hi] - start] = hit_terms[lo:hi]
+    return term.sum()
+
+
+def _focal(p: np.ndarray, hits: np.ndarray, n_objects: int, a: float) -> tuple[float, np.ndarray]:
+    """focal_ip_loss of flat predictions p whose positives are the sorted flat indices hits."""
+    # The positives first: q = clip(p), miss = 1 - q.
+    p_hit = p[hits]
+    q = np.clip(p_hit, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    g, t = 1.0 - q, np.empty_like(q)
+    _focal_terms(g, q, a, t, np.empty_like(q))
+    # The loss is -term / N. At a positive q = p, so its slope by p is the
+    # negated slope by q; at a negative q = 1 - p, and the two signs cancel.
+    np.negative(g, out=g)
+    _zero_clamped(p_hit, g)
+    g /= n_objects
+    dtype = np.result_type(p.dtype, CLAMP_EPS)
+    grad = np.empty(p.shape, dtype)
+    scratch = [np.empty(min(p.size, _FOCAL_BLOCK), dtype) for _ in range(3)]
+    total = _focal_sum(p, grad, 0, p.size, hits, t, a, n_objects, scratch)
+    grad[hits] = g
+    return -float(total) / n_objects, grad
+
+
 def focal_ip_loss(
     pred_hm: np.ndarray,
     gt_hm: np.ndarray,
@@ -121,48 +196,16 @@ def focal_ip_loss(
     1 - p at negatives. Predictions are clamped to [eps, 1 - eps] before the
     log; where the clamp is active the gradient is zero.
 
-    Every cell is first taken as a negative, one cache-sized block at a
-    time, then the few positives are redone with q = p. The result is the
-    one a single dense pass over the heatmap gives, bit for bit: the same
-    operations per cell, and the per-cell terms summed once at the end.
+    The few positives are evaluated first. Then every cell is taken as a
+    negative, one cache-sized block at a time, with the positives' terms
+    put back in before the block is summed. The result is the one a single
+    dense pass over the heatmap gives, bit for bit: the same operations per
+    cell, and the per-cell terms summed in numpy's order.
     """
-    if pred_hm.shape != gt_hm.shape:
-        raise ShapeMismatch(f"pred {pred_hm.shape} vs gt {gt_hm.shape}")
-    hits = np.flatnonzero(gt_hm == 1.0)
-    if np.count_nonzero(gt_hm != 0.0) != hits.size:
-        raise NonBinaryGroundTruth("heatmap targets must be exactly 0 or 1")
+    hits = _positives(pred_hm, gt_hm)
     if n_objects < 1:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
-    a = alpha_focal
-    p = pred_hm.reshape(-1)
-    dtype = np.result_type(p.dtype, CLAMP_EPS)
-    grad = np.empty(p.shape, dtype)
-    term = np.empty(p.shape, dtype)
-    q_buf = np.empty(min(p.size, _FOCAL_BLOCK), dtype)
-    scratch_buf = np.empty_like(q_buf)
-    # Every cell as a negative first: q = 1 - clip(p), miss = clip(p).
-    for start in range(0, p.size, _FOCAL_BLOCK):
-        block = slice(start, start + _FOCAL_BLOCK)
-        p_b, g = p[block], grad[block]
-        q, scratch = q_buf[: p_b.size], scratch_buf[: p_b.size]
-        np.clip(p_b, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
-        np.subtract(1.0, g, out=q)
-        _focal_terms(g, q, a, term[block], scratch)
-        _zero_clamped(p_b, g)
-        g /= n_objects
-    # Then the positives again: q = clip(p), miss = 1 - q.
-    p_hit = p[hits]
-    q = np.clip(p_hit, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    g, t = 1.0 - q, np.empty_like(q)
-    _focal_terms(g, q, a, t, np.empty_like(q))
-    # The loss is -term / N. At a positive q = p, so its slope by p is the
-    # negated slope by q; at a negative q = 1 - p, and the two signs cancel.
-    np.negative(g, out=g)
-    _zero_clamped(p_hit, g)
-    g /= n_objects
-    grad[hits] = g
-    term[hits] = t
-    value = -float(term.sum()) / n_objects
+    value, grad = _focal(pred_hm.reshape(-1), hits, n_objects, alpha_focal)
     return value, grad.reshape(pred_hm.shape)
 
 
@@ -215,6 +258,58 @@ def vertical_loss(pred: np.ndarray, n_objects: int) -> tuple[float, np.ndarray]:
     return float(value.sum() / n_objects), grad
 
 
+def _rows(reg: np.ndarray | Cells, lead: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """(8, K) offsets of (..., 8, H, W) maps at K cells (lead, cell of H * W).
+
+    The transpose of C-ordered (K, 8) rows, the layout a boolean-mask
+    gather gives, so every sum over them runs in that order.
+    """
+    plane = math.prod(reg.shape[-2:])
+    if isinstance(reg, Cells):
+        at = (lead[:, None] * 8 + np.arange(8)) * plane + cell[:, None]
+        return reg.at(at.ravel()).reshape(-1, 8).T
+    return reg.reshape(math.prod(reg.shape[:-3]), 8, plane)[lead, :, cell].T
+
+
+def _line(
+    pred_reg: np.ndarray,
+    target_reg: np.ndarray | Cells,
+    mask: np.ndarray | Cells,
+    n_objects: int,
+    weights: LossWeights,
+    scale: float,
+) -> LossValue:
+    """line_loss of a target and mask held as dense arrays or Cells.
+
+    The gradient rows are multiplied by scale before they are scattered
+    into the gradient map.
+    """
+    shape = pred_reg.shape
+    if target_reg.shape != shape or shape[-3:-2] != (8,) or mask.shape != shape[:-3] + shape[-2:]:
+        raise ShapeMismatch(f"pred {shape}, target {target_reg.shape}, mask {mask.shape}")
+    index, values = _lit(mask)
+    lead, cell = np.divmod(index[values.astype(bool, copy=False)], math.prod(shape[-2:]))
+    # Of the row arrays only the gradient rows outlive _line_rows, so the
+    # gradient map is made next to them alone.
+    l1, l2, l3, total, rows = _line_rows(
+        _rows(pred_reg, lead, cell), _rows(target_reg, lead, cell), max(n_objects, 1), weights
+    )
+    rows = rows.astype(pred_reg.dtype, copy=False)
+    rows *= scale
+    grad = np.zeros(shape, pred_reg.dtype)
+    grad.reshape(math.prod(shape[:-3]), 8, math.prod(shape[-2:]))[lead, :, cell] = rows.T
+    return LossValue(total=total, ip=0.0, l1=l1, l2=l2, l3=l3, gradients={"regression": grad})
+
+
+def _line_rows(pred: np.ndarray, target: np.ndarray, n: int, weights: LossWeights):
+    """l1, l2, l3, the weighted total and the (8, K) gradient rows of (8, K) offsets."""
+    v1, g1 = endpoint_loss(pred, target, n)
+    v2, g2 = collinear_loss(pred, n)
+    v3, g3 = vertical_loss(pred, n)
+    beta = 0.0 if weights.text_mode else weights.beta
+    return v1, v2, v3, v1 + weights.alpha * v2 + beta * v3, g1 + weights.alpha * g2 + beta * g3
+
+
 def line_loss(
     pred_reg: np.ndarray,
     target_reg: np.ndarray,
@@ -230,21 +325,7 @@ def line_loss(
     perpendicularity term is shielded: its value is still reported, but it
     contributes nothing to total or gradient.
     """
-    shape, mask = pred_reg.shape, np.asarray(mask, dtype=bool)
-    if target_reg.shape != shape or shape[-3:-2] != (8,) or mask.shape != shape[:-3] + shape[-2:]:
-        raise ShapeMismatch(f"pred {shape}, target {target_reg.shape}, mask {mask.shape}")
-    n = max(n_objects, 1)
-    pred = np.moveaxis(pred_reg, -3, 0)[:, mask]
-    v1, g1 = endpoint_loss(pred, np.moveaxis(target_reg, -3, 0)[:, mask], n)
-    v2, g2 = collinear_loss(pred, n)
-    v3, g3 = vertical_loss(pred, n)
-    beta = 0.0 if weights.text_mode else weights.beta
-    grad = np.zeros_like(pred_reg)
-    np.moveaxis(grad, -3, 0)[:, mask] = g1 + weights.alpha * g2 + beta * g3
-    total = v1 + weights.alpha * v2 + beta * v3
-    return LossValue(
-        total=total, ip=0.0, l1=v1, l2=v2, l3=v3, gradients={"regression": grad}
-    )
+    return _line(pred_reg, target_reg, np.asarray(mask, dtype=bool), n_objects, weights, 1.0)
 
 
 def total_loss(
@@ -257,14 +338,24 @@ def total_loss(
     The normalizer N is max(target.n_objects, 1) and is shared by every
     term. Gradients come back under keys "heatmap" and "regression" in the
     prediction's shapes.
+
+    The target is read as it is held (TargetMaps.kept): Cells give the
+    heatmap positives, the masked cells and their offsets as they are
+    stored, and are never made dense; a dense target is scanned once for
+    its positives and once for its masked cells.
     """
     n = max(target.n_objects, 1)
-    ip, hm_grad = focal_ip_loss(pred.heatmap, target.heatmap, n, weights.alpha_focal)
-    line = line_loss(pred.regression, target.regression, target.reg_mask, n, weights)
-    reg_grad = line.gradients["regression"]
-    reg_grad *= weights.gamma
+    pred_hm = pred.heatmap
+    hits = _positives(pred_hm, target.kept("heatmap"))
+    ip, hm_grad = _focal(pred_hm.reshape(-1), hits, n, weights.alpha_focal)
+    line = _line(
+        pred.regression, target.kept("regression"), target.kept("reg_mask"), n, weights, weights.gamma
+    )
     return LossValue(
         total=ip + weights.gamma * line.total,
         ip=ip, l1=line.l1, l2=line.l2, l3=line.l3,
-        gradients={"heatmap": hm_grad, "regression": reg_grad},
+        gradients={
+            "heatmap": hm_grad.reshape(pred_hm.shape),
+            "regression": line.gradients["regression"],
+        },
     )

@@ -1,9 +1,9 @@
 """Maps kept as their cells behave as their dense arrays do.
 
-encode_image and read_maps give each tensor as Cells; write_maps and decode
-read those without making a grid. Written bytes and decoded detections must
-equal what the same maps give as dense arrays, and neither path may allocate
-a dense map.
+encode_image and read_maps give each tensor as Cells; write_maps, decode and
+total_loss read those without making a grid. Written bytes, decoded
+detections and loss values and gradients must equal what the same maps give
+as dense arrays, and none of these paths may allocate a dense map.
 """
 
 import json
@@ -11,12 +11,15 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from midlines.container import read_maps, write_maps
 from midlines.decoder import decode
 from midlines.encoder import Cells, TargetMaps, encode_image
+from midlines.errors import NonBinaryGroundTruth
 from midlines.geometry import OrientedBox, Point2, rectangle
+from midlines.losses import LossWeights, focal_ip_loss, total_loss
 
 FIELDS = ("heatmap", "regression", "reg_mask")
 NAMES = ["a", "b", "c"]
@@ -229,3 +232,100 @@ def test_encode_write_read_decode_allocate_no_dense_map(tmp_path):
     assert peak < dense_heatmap / 3, peak
     peak = traced_peak(lambda: read_decode(tmp_path / "scene"))
     assert peak < dense_heatmap / 3, peak
+
+
+def prediction(target, seed=0):
+    """Dense random predictions in the target's shapes, made without reading its tensors."""
+    rng = np.random.default_rng(seed)
+    return TargetMaps(
+        stride=target.stride, num_classes=target.num_classes, width=target.width,
+        height=target.height, image_w=target.image_w, image_h=target.image_h,
+        heatmap=rng.uniform(0.01, 0.99, target.kept("heatmap").shape),
+        regression=rng.uniform(-30, 30, target.kept("regression").shape),
+        reg_mask=target.kept("reg_mask").dense(), n_objects=target.n_objects,
+    )
+
+
+def assert_same_loss(a, b):
+    """Equal loss values and gradients, bit for bit."""
+    for key in ("total", "ip", "l1", "l2", "l3"):
+        assert np.float64(getattr(a, key)).tobytes() == np.float64(getattr(b, key)).tobytes(), key
+    assert a.gradients.keys() == b.gradients.keys()
+    for key, x in a.gradients.items():
+        y = b.gradients[key]
+        assert x.dtype == y.dtype and x.shape == y.shape, key
+        assert x.tobytes() == y.tobytes(), key
+
+
+def assert_loss_same_as_dense(target, pred, weights=LossWeights()):
+    held = cell_fields(target)
+    out = total_loss(pred, target, weights)
+    assert_same_loss(out, total_loss(pred, dense_copy(target), weights))
+    assert cell_fields(target) == held  # total_loss made no grid
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scene=scenes(), text_mode=st.booleans(), seed=st.integers(0, 2**16))
+def test_total_loss_on_cells_is_the_dense_loss_bit_for_bit(scene, text_mode, seed):
+    boxes, image_w, image_h, stride = scene
+    target = encode_image(boxes, image_w, image_h, 3, stride=stride)
+    weights = LossWeights(alpha=0.3, beta=2.0, gamma=0.25, text_mode=text_mode)
+    assert_loss_same_as_dense(target, prediction(target, seed), weights)
+
+
+@pytest.mark.parametrize("text_mode", [False, True])
+def test_total_loss_on_cells_of_an_empty_target_is_the_dense_loss(text_mode):
+    target = encode_image([], 64, 48, 2)
+    assert target.n_objects == 0 and cell_fields(target) == list(FIELDS)
+    out = assert_loss_same_as_dense(target, prediction(target), LossWeights(text_mode=text_mode))
+    assert (out.l1, out.l2, out.l3) == (0.0, 0.0, 0.0)
+    assert not out.gradients["regression"].any()
+
+
+@pytest.mark.parametrize("value", [1.0, -0.0])
+def test_stored_one_or_negative_zero_is_read_as_the_dense_cell(value):
+    # A cell away from the plane's region, so it is not already lit.
+    target = with_cell(plane_maps(), "heatmap", 5, value)
+    pred = prediction(target, seed=1)
+    assert_loss_same_as_dense(target, pred)
+    if value == 0.0:  # -0.0 is a negative, as the dense +0.0 there
+        assert_same_loss(total_loss(pred, target), total_loss(pred, plane_maps()))
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan])
+def test_stored_non_binary_heatmap_value_raises_as_dense(value):
+    target = with_cell(plane_maps(), "heatmap", 5, value)
+    pred = prediction(target)
+    with pytest.raises(NonBinaryGroundTruth):
+        total_loss(pred, dense_copy(target))
+    with pytest.raises(NonBinaryGroundTruth):
+        focal_ip_loss(pred.heatmap, dense_copy(target).heatmap, 1)
+    with pytest.raises(NonBinaryGroundTruth):
+        total_loss(pred, target)
+    assert cell_fields(target) == list(FIELDS)
+
+
+def test_total_loss_on_cells_allocates_only_its_gradients():
+    # The two gradients of this 15-class 800 px scene are 9.6 MB (heatmap)
+    # and 5.1 MB (regression); nothing else of a full map's size is made.
+    target = encode_image(dota_like_scene(), 800, 800, 15)
+    pred = prediction(target)
+    total_loss(prediction(plane_maps()), plane_maps())  # warm numpy's lazy imports
+    out = {}
+    peak = traced_peak(lambda: out.update(loss=total_loss(pred, target)))
+    gradients = sum(g.nbytes for g in out["loss"].gradients.values())
+    assert gradients == (2 * 15 + 2 * 8) * 200 * 200 * 8
+    assert peak <= 1.1 * gradients, peak / gradients
+    assert cell_fields(target) == list(FIELDS)
+
+
+def test_repr_and_equality_make_no_grid():
+    maps, same = encode_image(dota_like_scene(), 800, 800, 15), encode_image(dota_like_scene(), 800, 800, 15)
+    text = repr(maps)
+    stored = len(maps.kept("heatmap").index)
+    assert f"heatmap=Cells(shape=(2, 15, 200, 200), stored={stored})" in text
+    assert maps == maps and maps != same
+    assert cell_fields(maps) == list(FIELDS)
+    maps.reg_mask  # read dense: shown as the array it now holds
+    assert "reg_mask=array(shape=(2, 200, 200), dtype=bool)" in repr(maps)

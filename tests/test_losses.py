@@ -158,9 +158,9 @@ EDGE_PREDICTIONS = [CLAMP_EPS, 1.0 - CLAMP_EPS, 0.0, 1.0, -0.25, 1.25, -np.inf, 
 @pytest.mark.parametrize("alpha_focal", [0.0, 0.5, 1.0, 2.0, 3.5])
 @pytest.mark.parametrize("shape", [
     (1,), (3, 5, 7), (_FOCAL_BLOCK - 1,), (_FOCAL_BLOCK,), (2, 15, 40, 40),
-    (3 * _FOCAL_BLOCK - 5,), (0,), (2, 0, 4),
+    (3 * _FOCAL_BLOCK - 5,), (0,), (2, 0, 4), (2, 15, 200, 200),
 ], ids=["one-cell", "below-a-block", "block-less-one", "one-block", "ragged-4d",
-        "ragged-three-blocks", "empty", "empty-4d"])
+        "ragged-three-blocks", "empty", "empty-4d", "training-tile"])
 def test_focal_matches_the_dense_statement_bit_for_bit(shape, alpha_focal):
     rng = np.random.default_rng(len(shape) * 1000 + int(np.prod(shape)))
     pred = rng.uniform(0.0, 1.0, shape)
@@ -183,6 +183,20 @@ def test_focal_matches_the_dense_statement_bit_for_bit(shape, alpha_focal):
     np.testing.assert_array_equal(grad, expected_grad)
     finite = ~np.isnan(expected_grad)
     np.testing.assert_array_equal(np.signbit(grad[finite]), np.signbit(expected_grad[finite]))
+
+
+@pytest.mark.parametrize("size", [3 * _FOCAL_BLOCK - 5, 5 * _FOCAL_BLOCK + 12])
+def test_focal_sum_follows_numpys_pairwise_order(size):
+    # Predictions spread over seven decades give terms whose sum rounds
+    # differently in about half of the draws when the cells are split
+    # other than where numpy splits them (these sizes split off the
+    # halfway point), so twelve draws make a wrong order show.
+    rng = np.random.default_rng(size)
+    for _ in range(12):
+        pred = 10.0 ** -rng.uniform(0.0, 7.0, size)
+        gt = (rng.random(size) < 0.01).astype(float)
+        value, _ = focal_ip_loss(pred, gt, 1)
+        assert value == dense_focal(pred, gt, 1, 2.0)[0]
 
 
 def test_focal_peak_memory_stays_near_the_gradient():
