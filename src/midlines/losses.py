@@ -76,7 +76,7 @@ def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-# Cells per leaf of focal_ip_loss's sum: a leaf's float64 scratch (256 KiB
+# Most cells per block of the focal loss: a block's float64 scratch (256 KiB
 # per array) stays in cache across the dozen passes of the formula.
 _FOCAL_BLOCK = 1 << 15
 

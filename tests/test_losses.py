@@ -201,6 +201,8 @@ def test_focal_sum_follows_numpys_pairwise_order(size):
 
 def test_focal_peak_memory_stays_near_the_gradient():
     # A training tile: 2 branches x 15 classes x 200 x 200 cells, 0.3% positive.
+    # The gradient and a block's scratch; an array of every cell's term
+    # would double the peak.
     rng = np.random.default_rng(0)
     gt = (rng.random((2, 15, 200, 200)) < 0.003).astype(float)
     pred = gt * 0.8 + rng.uniform(0.02, 0.15, gt.shape)
@@ -210,7 +212,7 @@ def test_focal_peak_memory_stays_near_the_gradient():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * gt.nbytes, peak / gt.nbytes
+    assert peak <= 1.2 * gt.nbytes, peak / gt.nbytes
 
 
 # --- endpoint_loss ---------------------------------------------------------------
