@@ -235,7 +235,7 @@ def test_encode_write_read_decode_allocate_no_dense_map(tmp_path):
 
 
 def prediction(target, seed=0):
-    """Dense random predictions in the target's shapes, made without reading its tensors."""
+    """Dense random predictions in the target's shapes; the target's own tensors stay as held."""
     rng = np.random.default_rng(seed)
     return TargetMaps(
         stride=target.stride, num_classes=target.num_classes, width=target.width,
