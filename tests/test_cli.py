@@ -419,6 +419,27 @@ def test_gt_box_shape_error_names_its_image_and_object(tmp_path, capsys, command
     assert not (tmp_path / "maps").exists()
 
 
+@pytest.mark.parametrize("objects, message", [
+    # A JSON integer is shown as written, not as the float it is held as.
+    ([dict(PLANE, corners=[100, 80, 160, 80, 160, 120, 100, float("nan")])],
+     "image 'z' object 0: non-finite point (100, nan)"),
+    ([PLANE, dict(PLANE, corners=[1e308, 0, -1e308, 0, 0, 1, 0, 2])], "image 'z' object 1: non-finite area"),
+    ([dict(PLANE, corners=BAD_SHAPES["non-convex quad"]), PLANE], "image 'z' object 0: non-convex quad"),
+], ids=["nan-corner", "area-overflows", "first-bad-object"])
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_gt_object_error_names_the_first_bad_object(tmp_path, capsys, command, objects, message):
+    gt = make_gt(tmp_path, objects, image_id="z")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == f"error={message}\n"
+    assert not (tmp_path / "maps").exists()
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"image_id": "z", "width": 0, "height": 10, "objects": []}, "image 'z': width 0 below 1"),
     ({"image_id": "z", "width": 10, "height": -3, "objects": []}, "image 'z': height -3 below 1"),
@@ -1075,6 +1096,28 @@ def test_eval_detection_shape_error_names_its_record(tmp_path, capsys, shape):
     code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
     assert code == 1
     assert out == f"error=detection #3: {shape}\n"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"score": 1.5}], "detection #0: score 1.5 outside [0, 1]"),
+    ([{"score": NAN}], "detection #0: score nan outside [0, 1]"),
+    # A non-finite point is reported before the score.
+    ([{"score": NAN, "corners": [100, 80, 160, 80, 160, 120, 100, INF]}], "detection #0: non-finite point (100, inf)"),
+    # Every record's class is checked before any record's shape.
+    ([{"corners": BAD_SHAPES["non-convex quad"]}, {"class": "zebra"}],
+     "detection classes not in vocabulary: ['zebra']"),
+    ([{}, {"score": 2}, {"score": -0.5}], "detection #1: score 2.0 outside [0, 1]"),
+], ids=["score-above-one", "nan-score", "inf-corner-before-nan-score", "class-before-shape", "second-record"])
+def test_eval_detection_error_names_the_first_bad_record(tmp_path, capsys, records, message):
+    record = {"class": "plane", "score": 1.0, "corners": PLANE["corners"]}
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps([dict(record, **change) for change in records]), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
+    assert code == 1
+    assert out == f"error={message}\n"
 
 
 @pytest.mark.parametrize("records", [7, None, "plane"])
