@@ -48,10 +48,10 @@ maps = encode_image(
     tile.objects, tile.width, tile.height,
     num_classes=len(tile.class_names),
 )
+# Ground truth (tile.objects, a Boxes table) and detections (a Detections
+# table) both go to evaluate as they are, column by column.
 dets = decode(maps)
-report = evaluate(
-    [d.box for d in dets], tile.objects, class_names=tile.class_names
-)
+report = evaluate(dets, tile.objects, class_names=tile.class_names)
 print(f"decoded {len(dets)} detections, mAP over present classes "
       f"{report.map_score:.4f}")
 

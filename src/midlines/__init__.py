@@ -22,6 +22,7 @@ from midlines.errors import (
 )
 from midlines.evaluation import EvalReport, evaluate, rotated_iou
 from midlines.geometry import (
+    Boxes,
     BranchId,
     MidlinePair,
     OrientedBox,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllLinesMalformed",
     "AnnotatedImage",
+    "Boxes",
     "BranchId",
     "Cells",
     "DegenerateBox",

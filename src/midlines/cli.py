@@ -34,8 +34,7 @@ from .evaluation import evaluate, may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps cli.box_to_midlines
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
-    OrientedBox,
-    box_corners,
+    Boxes,
     box_to_midlines,
     midline_arrays,
 )
@@ -43,9 +42,9 @@ from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_gradchecks
 from .ingest import (
     AnnotatedImage,
     TileSpec,
+    boxes_from_json,
     image_to_json,
     images_from_json,
-    json_box,
     parse_dota,
     parse_icdar,
     require_fields,
@@ -352,10 +351,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
 
     def process(img: AnnotatedImage):
         dets = decode(_encode(img, args), threshold=args.threshold)
-        corners = box_corners(img.objects)
-        candidates = may_overlap(
-            corners, [box.class_id for box in img.objects], dets.corners, dets.class_id
-        )
+        corners = img.objects.corners
+        candidates = may_overlap(corners, img.objects.class_id, dets.corners, dets.class_id)
         lines = midline_arrays(corners, args.branch_low, args.branch_high)
         lines.check()
         subres = lines.lengths.min(axis=1) < 2.0 * args.stride
@@ -423,22 +420,19 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
 # --- eval -------------------------------------------------------------------------
 
 
-def _detections_by_image(
-    records: list, class_names: Sequence[str]
-) -> dict[str, list[OrientedBox]]:
+def _detections_by_image(records: list, class_names: Sequence[str]) -> dict[str, Boxes]:
+    """The detection records of each image_id ("" where a record has none) as one table, in record order."""
     if not isinstance(records, list):
         raise ValueError("detections JSON must be an array of records")
+    grouped: dict[str, list[int]] = {}
     for n, r in enumerate(records):
         require_fields(r, ("class", "corners", "score"), f"detection #{n}")
-    index = {name: i for i, name in enumerate(class_names)}
-    unknown = sorted({r["class"] for r in records} - set(index))
+        grouped.setdefault(str(r.get("image_id", "")), []).append(n)
+    unknown = sorted({r["class"] for r in records} - set(class_names))
     if unknown:
         raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
-    grouped: dict[str, list[OrientedBox]] = {}
-    for n, r in enumerate(records):
-        box = json_box(r, index[r["class"]], f"detection #{n}", score=float(r["score"]))
-        grouped.setdefault(str(r.get("image_id", "")), []).append(box)
-    return grouped
+    boxes = boxes_from_json(records, class_names, "detection #", score=[float(r["score"]) for r in records])
+    return {image_id: boxes.take(rows) for image_id, rows in grouped.items()}
 
 
 def cmd_eval(args: argparse.Namespace) -> CommandResult:

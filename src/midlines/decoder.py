@@ -17,13 +17,14 @@ from .errors import ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
     NON_FINITE,
+    Boxes,
     BranchId,
     OrientedBox,
-    Point2,
+    Table,
     _BRANCHES,
     midline_boxes,
     midlines_to_box,
-    quad_rule,
+    oriented_quads,
 )
 
 DEFAULT_THRESHOLD = 0.3
@@ -45,8 +46,8 @@ class Detection:
         return self.box.class_id
 
 
-@dataclass(frozen=True)
-class Detections:
+@dataclass(frozen=True, eq=False)
+class Detections(Table):
     """The detections of one image as columns, row k for detection k.
 
     corners:  (K, 4, 2) float64, in the order OrientedBox keeps them
@@ -55,8 +56,8 @@ class Detections:
     class_id: (K,) int
     branch:   (K,) BranchId.index
 
-    Iterating or indexing gives each row as a Detection, made from the
-    columns in one tolist pass; len is K.
+    No detection is difficult. Iterating gives each row as a Detection,
+    made from the columns in one tolist pass. == is identity.
     """
 
     corners: np.ndarray
@@ -64,22 +65,14 @@ class Detections:
     class_id: np.ndarray
     branch: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.score)
+    @property
+    def difficult(self) -> np.ndarray:
+        return np.zeros(len(self), dtype=bool)
 
     def __iter__(self):
-        columns = (self.corners.tolist(), self.score.tolist(), self.class_id.tolist(), self.branch.tolist())
-        for corners, score, class_id, branch in zip(*columns):
-            box = OrientedBox._accepted(tuple(Point2(x, y) for x, y in corners), class_id, score)
+        boxes = Boxes(self.corners, self.class_id, self.score, self.difficult)
+        for box, branch in zip(boxes, self.branch.tolist()):
             yield Detection(box=box, branch=_BRANCHES[branch])
-
-    def __getitem__(self, k: int) -> Detection:
-        (row,) = self.take(np.array([k]))
-        return row
-
-    def take(self, rows: np.ndarray) -> Detections:
-        """The table of the given rows: indices, or a (K,) bool mask."""
-        return Detections(self.corners[rows], self.score[rows], self.class_id[rows], self.branch[rows])
 
 
 def _jump(parent: np.ndarray) -> np.ndarray:
@@ -272,11 +265,8 @@ def decode(
     bad_score = ~((scores[keep] >= 0.0) & (scores[keep] <= 1.0))
     if bad_score.any():
         raise ValueError(f"score {scores[keep][np.argmax(bad_score)].item()} outside [0, 1]")
-    corners = rebuilt.corners[keep]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, area = quad_rule(*corners.reshape(-1, 8).T)
+    code, corners = oriented_quads(rebuilt.corners[keep])
     good = code == 0
-    corners = np.where((area < 0.0)[:, None, None], corners[:, [0, 3, 2, 1]], corners)
     keep = keep[good]
     table = Detections(corners[good], scores[keep], class_id[keep], branch[keep])
     if stats is not None:

@@ -22,10 +22,10 @@ from .errors import OutOfBounds
 from .geometry import (
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
+    Boxes,
     MidlinePair,
     OrientedBox,
     _map,
-    box_corners,
     box_to_midlines,
     intersection_point,
     midline_arrays,
@@ -43,13 +43,15 @@ _CENTER_SLACK = 1e-6
 _STENCIL_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cells:
     """A tensor as its cells that are not zero by bit pattern; every other cell is +0.0.
 
     shape: the tensor's shape
     index: (K,) int64 row-major flat indices into it, strictly increasing
     value: (K,) float64, or bool (all true) for a mask
+
+    == is identity: comparing the arrays would need a verdict per cell.
     """
 
     shape: tuple[int, ...]
@@ -212,7 +214,7 @@ def _disc_cells(
 
 
 def encode_image(
-    annotations: Sequence[OrientedBox],
+    annotations: Boxes | Sequence[OrientedBox],
     image_w: int,
     image_h: int,
     num_classes: int,
@@ -238,8 +240,8 @@ def encode_image(
     width = math.ceil(image_w / stride)
     height = math.ceil(image_h / stride)
 
-    corners = box_corners(annotations)
-    classes = np.array([box.class_id for box in annotations], dtype=np.int64)
+    boxes = annotations if isinstance(annotations, Boxes) else Boxes.of(annotations)
+    corners, classes = boxes.corners, boxes.class_id
     lines = midline_arrays(corners, branch_low, branch_high)
     live = ~(lines.degenerate | lines.non_finite)
     x, y = lines.centre[:, 0], lines.centre[:, 1]
@@ -249,9 +251,9 @@ def encode_image(
     if fault.any():
         i = int(np.argmax(fault))
         if bad_class[i]:
-            raise ValueError(f"class id {annotations[i].class_id} outside [0, {num_classes})")
+            raise ValueError(f"class id {classes[i]} outside [0, {num_classes})")
         # An overflowing midline or center raises its ValueError here.
-        ip = intersection_point(box_to_midlines(annotations[i], branch_low, branch_high))
+        ip = intersection_point(box_to_midlines(boxes[i], branch_low, branch_high))
         raise OutOfBounds(f"annotation {i} center ({ip.x}, {ip.y}) outside {image_w}x{image_h}")
 
     keep = np.flatnonzero(live)

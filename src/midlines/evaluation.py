@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise, starmap
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import OrientedBox, box_corners, signed_area
+from .geometry import Boxes, OrientedBox, Table, signed_area
 
 _MIN_INTERSECTION = 1e-9
 
@@ -178,29 +177,21 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _columns(by_image: Mapping[str, Sequence], image_ids: Sequence[str]) -> tuple[list, ...]:
-    """Boxes, class ids, scores and difficult flags of the items of every
-    image in image_ids, image after image, then each image's item count.
-    An item is an OrientedBox or a row carrying one under .box."""
-    images = [by_image.get(image_id, ()) for image_id in image_ids]
-    boxes = [item if isinstance(item, OrientedBox) else item.box for image in images for item in image]
-    return (boxes, [box.class_id for box in boxes], [box.score for box in boxes],
-            [box.difficult for box in boxes], [len(image) for image in images])
+def _table(items):
+    """One image's boxes as a table: a table as it is, OrientedBoxes or rows with .box as one Boxes."""
+    if isinstance(items, Table):
+        return items
+    return Boxes.of([item if isinstance(item, OrientedBox) else item.box for item in items])
 
 
-def _greedy_matches(dets, gts, iou_threshold: float) -> Iterator[tuple[int, float, bool]]:
+def _greedy_matches(images, iou_threshold: float) -> Iterator[tuple[int, float, bool]]:
     """Class id, score and hit of each detection, image by image and best first
-    within one; a detection that claims difficult ground truth is left out."""
-    det_boxes, det_classes, det_scores, _, det_counts = dets
-    gt_boxes, gt_classes, _, gt_difficult, gt_counts = gts
-    det_spans = starmap(slice, pairwise(accumulate(det_counts, initial=0)))
-    gt_spans = starmap(slice, pairwise(accumulate(gt_counts, initial=0)))
-    for d, g in zip(det_spans, gt_spans):
-        # One image's corners at a time: kept for all images, they outweigh the boxes.
-        det_corners, gt_corners = box_corners(det_boxes[d]), box_corners(gt_boxes[g])
-        classes, scores, difficult = det_classes[d], det_scores[d], gt_difficult[g]
-        candidates = may_overlap(det_corners, classes, gt_corners, gt_classes[g])
-        det_xy, gt_xy = det_corners.tolist(), gt_corners.tolist()
+    within one; a detection that claims difficult ground truth is left out.
+    images holds a (detections, ground truth) pair of tables per image."""
+    for dets, gts in images:
+        candidates = may_overlap(dets.corners, dets.class_id, gts.corners, gts.class_id)
+        det_xy, gt_xy = dets.corners.tolist(), gts.corners.tolist()
+        classes, scores, difficult = dets.class_id.tolist(), dets.score.tolist(), gts.difficult.tolist()
         taken = [False] * len(gt_xy)
         for i in sorted(range(len(det_xy)), key=lambda i: -scores[i]):
             best_iou, best_j = 0.0, -1
@@ -226,9 +217,10 @@ def evaluate(
 ) -> EvalReport:
     """Score detections against ground truth.
 
-    dets and gts are either flat sequences (one image) or mappings from
-    image id to sequences; an image missing on one side is empty there.
-    Each item is an OrientedBox or a row carrying one under .box.
+    dets and gts are either one image's boxes or mappings from image id
+    to them; an image missing on one side is empty there. Boxes come as a
+    Boxes or Detections table, read by column, or as OrientedBoxes or rows
+    carrying one under .box, which are made one Boxes table.
     mode "map" reports per-class interpolated AP and their mean; mode
     "text" reports micro-averaged precision/recall/F1 at the IoU threshold.
 
@@ -241,13 +233,13 @@ def evaluate(
     """
     if mode not in ("map", "text"):
         raise ValueError(f"unknown eval mode {mode!r}")
-    dets_by_image = dets if isinstance(dets, Mapping) else {"": list(dets)}
-    gts_by_image = gts if isinstance(gts, Mapping) else {"": list(gts)}
-    image_ids = sorted(set(dets_by_image) | set(gts_by_image))
-    det_columns = _columns(dets_by_image, image_ids)
-    gt_columns = _columns(gts_by_image, image_ids)
-    _, gt_classes, _, gt_difficult, _ = gt_columns
-    highest = max((*det_columns[1], *gt_classes), default=-1)
+    dets_by_image = dets if isinstance(dets, Mapping) else {"": dets}
+    gts_by_image = gts if isinstance(gts, Mapping) else {"": gts}
+    images = [
+        (_table(dets_by_image.get(image_id, ())), _table(gts_by_image.get(image_id, ())))
+        for image_id in sorted(set(dets_by_image) | set(gts_by_image))
+    ]
+    highest = max((int(t.class_id.max()) for image in images for t in image if len(t)), default=-1)
     if class_names is None:
         class_names = [f"class_{i}" for i in range(highest + 1)]
     if highest >= len(class_names):
@@ -256,12 +248,13 @@ def evaluate(
         )
 
     n_gt = [0] * len(class_names)
-    for class_id, difficult in zip(gt_classes, gt_difficult):
-        n_gt[class_id] += not difficult
+    for _, gt in images:
+        for class_id in gt.class_id[~gt.difficult].tolist():
+            n_gt[class_id] += 1
     # Per class, in image order and then descending score, as AP breaks ties.
     flags: list[list[bool]] = [[] for _ in class_names]
     scores: list[list[float]] = [[] for _ in class_names]
-    for class_id, score, hit in _greedy_matches(det_columns, gt_columns, iou_threshold):
+    for class_id, score, hit in _greedy_matches(images, iou_threshold):
         flags[class_id].append(hit)
         scores[class_id].append(score)
 

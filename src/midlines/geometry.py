@@ -6,13 +6,14 @@ information as the box, and they are what the dense maps actually regress.
 The midlines of many boxes are computed at once on arrays by
 midline_arrays, and box_to_midlines is a one-row call of it. Whether four
 corners make a box is quad_rule, which runs unchanged on Python floats for
-one box and on numpy columns for many.
+one box and on numpy columns for many. Many boxes are held as one Boxes
+table of columns, whose rows read as OrientedBox.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -89,7 +90,7 @@ def signed_area(points: Sequence[tuple[float, float]]) -> float:
 
 # Why four corners make no box: the code quad_rule gives, 0 for a box.
 ZERO_AREA, NON_FINITE_AREA, NON_CONVEX = 1, 2, 3
-_QUAD_MESSAGES = {ZERO_AREA: "zero-area box", NON_FINITE_AREA: "non-finite area", NON_CONVEX: "non-convex quad"}
+QUAD_MESSAGES = {ZERO_AREA: "zero-area box", NON_FINITE_AREA: "non-finite area", NON_CONVEX: "non-convex quad"}
 
 
 def quad_area(x0, y0, x1, y1, x2, y2, x3, y3):
@@ -156,21 +157,20 @@ class OrientedBox:
         p0, p1, p2, p3 = corners
         code, area = quad_rule(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
         if code:
-            raise _ShapeError(_QUAD_MESSAGES[code])
+            raise _ShapeError(QUAD_MESSAGES[code])
         if area < 0.0:
             corners = (p0, p3, p2, p1)
         object.__setattr__(self, "corners", corners)
 
     @classmethod
-    def _accepted(cls, corners: tuple[Point2, Point2, Point2, Point2], class_id: int, score: float):
+    def _accepted(cls, corners: tuple[Point2, Point2, Point2, Point2], class_id: int, score: float, difficult: bool):
         """A box whose corners quad_rule accepted with a positive area, made without checks.
 
         For rows that an array caller already ran the rule on and flipped.
         Checking the flipped order again could round its area differently.
         """
         box = object.__new__(cls)
-        for name, value in (("corners", corners), ("class_id", class_id), ("score", score), ("difficult", False)):
-            object.__setattr__(box, name, value)
+        vars(box).update(corners=corners, class_id=class_id, score=score, difficult=difficult)
         return box
 
     @property
@@ -179,10 +179,7 @@ class OrientedBox:
 
     def corner_array(self) -> list[float]:
         """Corners flattened to [x0, y0, x1, y1, x2, y2, x3, y3]."""
-        out: list[float] = []
-        for p in self.corners:
-            out.extend((p.x, p.y))
-        return out
+        return [v for p in self.corners for v in (p.x, p.y)]
 
 
 @dataclass(frozen=True)
@@ -247,10 +244,62 @@ class MidlineArrays:
             raise DegenerateBox("zero-length midline")
 
 
-def box_corners(boxes: Sequence[OrientedBox]) -> np.ndarray:
-    """Corners of each box as an (N, 4, 2) float64 array."""
-    xy = [(p.x, p.y) for box in boxes for p in box.corners]
-    return np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2)
+def oriented_quads(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quad_rule's code for each of N (N, 4, 2) quads, and the corners as OrientedBox
+    keeps them: (0, 3, 2, 1) where the area is negative. A faulty row's are meaningless."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, area = quad_rule(*corners.reshape(-1, 8).T)
+    return code, np.where((area < 0.0)[:, None, None], corners[:, [0, 3, 2, 1]], corners)
+
+
+class Table:
+    """Rows of a frozen dataclass of equal-length columns, corners among them."""
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def __getitem__(self, k: int):
+        (row,) = self.take(np.array([k]))
+        return row
+
+    def take(self, rows):
+        """The table of the given rows: indices, a bool mask or a slice."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class Boxes(Table):
+    """N boxes as columns, row i for box i; every row is a box quad_rule accepts.
+
+    corners:   (N, 4, 2) float64, in the order OrientedBox keeps them
+    class_id:  (N,) int64
+    score:     (N,) float64
+    difficult: (N,) bool
+
+    Iterating gives each row as an OrientedBox, made from the columns in one
+    tolist pass. == is identity.
+    """
+
+    corners: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+    difficult: np.ndarray
+
+    @classmethod
+    def of(cls, boxes: Sequence[OrientedBox]) -> Boxes:
+        """The table of a sequence of OrientedBox, in its order: the one conversion from rows."""
+        xy = [v for box in boxes for p in box.corners for v in (p.x, p.y)]
+        return cls(
+            np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2),
+            np.array([box.class_id for box in boxes], dtype=np.int64),
+            np.array([box.score for box in boxes], dtype=np.float64),
+            np.array([box.difficult for box in boxes], dtype=bool),
+        )
+
+    def __iter__(self):
+        columns = (self.corners.tolist(), self.class_id.tolist(), self.score.tolist(), self.difficult.tolist())
+        for corners, class_id, score, difficult in zip(*columns):
+            yield OrientedBox._accepted(tuple(Point2(x, y) for x, y in corners), class_id, score, difficult)
 
 
 _NEXT = np.array([1, 2, 3, 0])  # the corner after each corner of a quad
@@ -357,7 +406,7 @@ def box_to_midlines(
     oriented branch l1 is the longer one. Ties pick candidate A (the line
     through the midpoints of edges p0p1 and p2p3).
     """
-    lines = midline_arrays(box_corners([box]), low_deg, high_deg)
+    lines = midline_arrays(Boxes.of([box]).corners, low_deg, high_deg)
     lines.check()
     x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
     return MidlinePair(

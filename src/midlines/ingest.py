@@ -2,6 +2,7 @@
 
 Parsers never throw on a bad line; they skip it and report why in the
 returned warning list. Structural failure of a whole file does raise.
+An image holds its objects as one geometry.Boxes table of columns.
 """
 
 from __future__ import annotations
@@ -10,13 +11,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .container import is_plain_file_name
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
-from .geometry import OrientedBox, Point2
+from .geometry import QUAD_MESSAGES, Boxes, OrientedBox, Point2, oriented_quads, quad_rule
 
 DOTA_CLASS_NAMES = (
     "plane", "baseball-diamond", "bridge", "ground-track-field", "small-vehicle",
@@ -32,11 +35,17 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class AnnotatedImage:
+    """An image's size and objects; a sequence of OrientedBox given for objects becomes one Boxes."""
+
     image_id: str
     width: int
     height: int
-    objects: list[OrientedBox] = field(default_factory=list)
+    objects: Boxes | Sequence[OrientedBox] = ()
     class_names: tuple[str, ...] = DOTA_CLASS_NAMES
+
+    def __post_init__(self):
+        if not isinstance(self.objects, Boxes):
+            self.objects = Boxes.of(self.objects)
 
 
 @dataclass(frozen=True)
@@ -57,28 +66,17 @@ class TileSpec:
         return self.window * (1.0 - self.overlap)
 
 
-def _clamped_box(
-    coords: Sequence[float],
-    width: int | None,
-    height: int | None,
-    class_id: int,
-    difficult: bool,
-) -> OrientedBox:
-    points = []
-    for i in range(4):
-        x, y = coords[2 * i], coords[2 * i + 1]
-        if width is not None:
-            x = min(max(x, 0.0), float(width))
-        if height is not None:
-            y = min(max(y, 0.0), float(height))
-        points.append(Point2(x, y))
-    return OrientedBox(tuple(points), class_id=class_id, difficult=difficult)
-
-
-def _extent(objects: Sequence[OrientedBox]) -> tuple[int, int]:
-    max_x = max((p.x for box in objects for p in box.corners), default=1.0)
-    max_y = max((p.y for box in objects for p in box.corners), default=1.0)
-    return max(1, math.ceil(max_x)), max(1, math.ceil(max_y))
+def _clamped_row(coords: Sequence[float], width: int | None, height: int | None, class_id: int, difficult: bool):
+    """A line's corners x0 y0 .. x3 y3, each clamped to the image when its size is known,
+    in the order OrientedBox keeps them, with its class id and difficult flag.
+    Corners OrientedBox rejects raise its ValueError."""
+    xs = [x if width is None else min(max(x, 0.0), float(width)) for x in coords[0::2]]
+    ys = [y if height is None else min(max(y, 0.0), float(height)) for y in coords[1::2]]
+    code, area = quad_rule(*(v for point in zip(xs, ys) for v in point))  # a non-finite point has a code
+    if code:
+        OrientedBox(tuple(map(Point2, xs, ys)))  # raises the box rule's error for these corners
+    order = (0, 3, 2, 1) if area < 0.0 else range(4)
+    return [v for i in order for v in (xs[i], ys[i])], class_id, difficult
 
 
 class _Malformed(Exception):
@@ -94,7 +92,7 @@ def _coords(fields: Sequence[str]) -> list[float]:
 
 def _parse_lines(
     text: str,
-    parse_line: Callable[[str, int | None, int | None], OrientedBox],
+    parse_line: Callable[[str, int | None, int | None], tuple],
     class_names: tuple[str, ...],
     image_id: str,
     width: int | None,
@@ -104,13 +102,13 @@ def _parse_lines(
 ) -> tuple[AnnotatedImage, list[str]]:
     """The line loop both parsers share.
 
-    parse_line turns one stripped line into a box. It raises _Malformed for
+    parse_line turns one stripped line into a row. It raises _Malformed for
     a line that counts toward AllLinesMalformed, and ValueError for a line
     that is skipped with a warning only. Lines starting with one of headers
     (case-insensitive) are skipped silently.
     """
     warnings: list[str] = []
-    objects: list[OrientedBox] = []
+    rows = []
     content_lines = 0
     malformed = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,7 +117,7 @@ def _parse_lines(
             continue
         content_lines += 1
         try:
-            objects.append(parse_line(line, width, height))
+            rows.append(parse_line(line, width, height))
         except _Malformed as err:
             warnings.append(f"line {lineno}: {err}")
             malformed += 1
@@ -130,14 +128,17 @@ def _parse_lines(
             raise EmptyFile(f"{image_id or 'input'}: no annotation lines")
     elif malformed == content_lines:
         raise AllLinesMalformed(f"{image_id or 'input'}: none of {malformed} lines parse")
-    if width is None or height is None:
-        ext_w, ext_h = _extent(objects)
-        width = width if width is not None else ext_w
-        height = height if height is not None else ext_h
+    corners, class_id, difficult = zip(*rows) if rows else ((), (), ())
+    corners = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
+    objects = Boxes(corners, np.array(class_id, dtype=np.int64), np.ones(len(rows)), np.array(difficult, dtype=bool))
+    # A size not given is the extent of the parsed corners.
+    max_x, max_y = corners.reshape(-1, 2).max(axis=0).tolist() if rows else (1.0, 1.0)
+    width = max(1, math.ceil(max_x)) if width is None else width
+    height = max(1, math.ceil(max_y)) if height is None else height
     return AnnotatedImage(image_id, width, height, objects, class_names), warnings
 
 
-def _dota_box(line: str, width: int | None, height: int | None) -> OrientedBox:
+def _dota_row(line: str, width: int | None, height: int | None) -> tuple:
     tokens = line.split()
     if len(tokens) != 10:
         raise _Malformed(f"expected 10 fields, got {len(tokens)}")
@@ -147,22 +148,16 @@ def _dota_box(line: str, width: int | None, height: int | None) -> OrientedBox:
         raise _Malformed("difficult flag must be 0 or 1")
     if category not in DOTA_CLASS_NAMES:
         raise ValueError(f"unknown category {category!r}, skipped")
-    return _clamped_box(
-        coords, width, height,
-        class_id=DOTA_CLASS_NAMES.index(category),
-        difficult=difficult == "1",
-    )
+    return _clamped_row(coords, width, height, DOTA_CLASS_NAMES.index(category), difficult == "1")
 
 
-def _icdar_box(line: str, width: int | None, height: int | None) -> OrientedBox:
+def _icdar_row(line: str, width: int | None, height: int | None) -> tuple:
     parts = line.split(",")
     if len(parts) < 9:
         raise _Malformed("expected 8 coordinates plus text")
     coords = _coords(parts[:8])
     transcription = ",".join(parts[8:]).strip()
-    return _clamped_box(
-        coords, width, height, class_id=0, difficult=transcription == "###"
-    )
+    return _clamped_row(coords, width, height, 0, transcription == "###")
 
 
 def parse_dota(
@@ -178,7 +173,7 @@ def parse_dota(
     image dimensions the extent of the parsed corners is used.
     """
     return _parse_lines(
-        text, _dota_box, DOTA_CLASS_NAMES, image_id, width, height, strict,
+        text, _dota_row, DOTA_CLASS_NAMES, image_id, width, height, strict,
         headers=_DOTA_HEADERS,
     )
 
@@ -196,7 +191,7 @@ def parse_icdar(
     region.
     """
     return _parse_lines(
-        text, _icdar_box, ICDAR_CLASS_NAMES, image_id, width, height, strict
+        text, _icdar_row, ICDAR_CLASS_NAMES, image_id, width, height, strict
     )
 
 
@@ -244,11 +239,13 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     """Cut an image into overlapping window tiles and split its objects.
 
     An object belongs to every tile whose half-open window contains its
-    corner centroid; in the overlap band that can be more than one tile.
-    Translated corners are clamped to the tile; a box that clamping leaves
-    zero-area or non-convex is dropped with a warning. An axis that needs
-    more than MAX_AXIS_WINDOWS windows, or an image that needs more than
-    MAX_TILES tiles, raises ValueError before any tile is built.
+    corner centroid, (((x0 + x1) + x2) + x3) / 4 and the same in y; in the
+    overlap band that can be more than one tile. Translated corners v - o
+    are clamped to the tile as min(max(v - o, 0.0), size); a box that
+    clamping leaves zero-area or non-convex is dropped with a warning, tile
+    by tile and box by box. An axis that needs more than MAX_AXIS_WINDOWS
+    windows, or an image that needs more than MAX_TILES tiles, raises
+    ValueError before any tile is built.
     """
     xs = _axis_origins(img.width, spec.window, spec.step, "x")
     ys = _axis_origins(img.height, spec.window, spec.step, "y")
@@ -256,46 +253,25 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
         raise ValueError(
             f"{len(xs)} x {len(ys)} windows make {len(xs) * len(ys)} tiles, more than {MAX_TILES}"
         )
+    corners = img.objects.corners
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx, cy = ((((corners[:, 0] + corners[:, 1]) + corners[:, 2]) + corners[:, 3]) / 4.0).T
     tiles = []
     for oy in ys:
         for ox in xs:
-            tile_w = int(round(min(spec.window, img.width - ox)))
-            tile_h = int(round(min(spec.window, img.height - oy)))
-            tile = AnnotatedImage(
-                image_id=f"{img.image_id}__{_fmt_origin(ox)}_{_fmt_origin(oy)}",
-                width=tile_w,
-                height=tile_h,
-                objects=[],
-                class_names=img.class_names,
-            )
-            for box in img.objects:
-                cx = sum(p.x for p in box.corners) / 4.0
-                cy = sum(p.y for p in box.corners) / 4.0
-                if not (ox <= cx < ox + spec.window and oy <= cy < oy + spec.window):
-                    continue
-                moved = [
-                    (
-                        min(max(p.x - ox, 0.0), float(tile_w)),
-                        min(max(p.y - oy, 0.0), float(tile_h)),
-                    )
-                    for p in box.corners
-                ]
-                try:
-                    tile.objects.append(
-                        OrientedBox(
-                            tuple(Point2(x, y) for x, y in moved),
-                            class_id=box.class_id,
-                            score=box.score,
-                            difficult=box.difficult,
-                        )
-                    )
-                except ValueError as err:
-                    log.warning(
-                        "tile=%s dropped a box that clamping left invalid: %s",
-                        tile.image_id, err,
-                    )
-                    continue
-            tiles.append(tile)
+            image_id = f"{img.image_id}__{_fmt_origin(ox)}_{_fmt_origin(oy)}"
+            size = (int(round(min(spec.window, img.width - ox))), int(round(min(spec.window, img.height - oy))))
+            boxes = img.objects.take((ox <= cx) & (cx < ox + spec.window) & (oy <= cy) & (cy < oy + spec.window))
+            with np.errstate(over="ignore", invalid="ignore"):
+                moved = boxes.corners - np.array((ox, oy), dtype=np.float64)
+            moved = np.where(0.0 > moved, 0.0, moved)  # max(d, 0.0) is d unless 0.0 is larger
+            limit = np.array(size, dtype=np.float64)
+            code, moved = oriented_quads(np.where(limit < moved, limit, moved))  # and min(d, size) likewise
+            for c in code[code != 0].tolist():
+                log.warning("tile=%s dropped a box that clamping left invalid: %s", image_id, QUAD_MESSAGES[c])
+            kept = code == 0
+            boxes = Boxes(moved[kept], boxes.class_id[kept], boxes.score[kept], boxes.difficult[kept])
+            tiles.append(AnnotatedImage(image_id, *size, boxes, img.class_names))
     return tiles
 
 
@@ -303,18 +279,11 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
 
 
 def image_to_json(img: AnnotatedImage) -> dict:
+    boxes = img.objects
+    rows = zip(boxes.class_id.tolist(), boxes.corners.reshape(-1, 8).tolist(), boxes.difficult.tolist())
     return {
-        "image_id": img.image_id,
-        "width": img.width,
-        "height": img.height,
-        "objects": [
-            {
-                "class": img.class_names[box.class_id],
-                "corners": box.corner_array(),
-                "difficult": box.difficult,
-            }
-            for box in img.objects
-        ],
+        "image_id": img.image_id, "width": img.width, "height": img.height,
+        "objects": [{"class": img.class_names[c], "corners": xy, "difficult": d} for c, xy, d in rows],
     }
 
 
@@ -368,17 +337,31 @@ def require_fields(record, fields: Sequence[str], where: str) -> None:
             raise ValueError(f"{where}: {name} must be {kind}, got {record[name]!r}")
 
 
-def json_box(record: dict, class_id: int, where: str, **fields) -> OrientedBox:
-    """The box of a GT object or detection record whose `corners` passed
-    require_fields: x0 y0 ... x3 y3. A shape the box rule rejects raises
-    ValueError naming `where`."""
-    c = record["corners"]
-    try:
-        return OrientedBox(
-            tuple(Point2(c[i], c[i + 1]) for i in range(0, 8, 2)), class_id=class_id, **fields
-        )
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from None
+def boxes_from_json(
+    records: Sequence[dict], class_names: Sequence[str], where: str, score: Sequence[float] | None = None
+) -> Boxes:
+    """The boxes of GT objects or detection records whose fields passed
+    require_fields, held as float64; a missing score is 1.0, a missing
+    difficult flag false. The first faulty record raises: a class outside
+    class_names (UnknownClass), else the ValueError OrientedBox raises for
+    it, named as `where` and the record's index, a point as written."""
+    index = {name: i for i, name in enumerate(class_names)}
+    raw = np.array([r["corners"] for r in records], dtype=np.float64).reshape(-1, 4, 2)
+    class_id = np.array([index.get(r["class"], -1) for r in records], dtype=np.int64)
+    score = np.ones(len(records)) if score is None else np.array(score, dtype=np.float64)
+    code, corners = oriented_quads(raw)  # a non-finite point has a code
+    fault = (class_id < 0) | ~((score >= 0.0) & (score <= 1.0)) | (code != 0)
+    if fault.any():
+        k = int(np.argmax(fault))
+        if class_id[k] < 0:
+            raise UnknownClass(f"class {records[k]['class']!r} not in vocabulary {list(class_names)}")
+        c = records[k]["corners"]
+        try:
+            list(map(Point2, c[0::2], c[1::2]))  # a non-finite point shows as written
+            OrientedBox(tuple(Point2(x, y) for x, y in raw[k].tolist()), score=score[k].item())
+        except ValueError as err:
+            raise ValueError(f"{where}{k}: {err}") from None
+    return Boxes(corners, class_id, score, np.array([bool(r.get("difficult", False)) for r in records], dtype=bool))
 
 
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
@@ -386,7 +369,7 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
 
     A missing field, a field of the wrong type, a size below 1, an image_id
     an earlier image already has or a box the box rule rejects raises
-    ValueError naming the image (and the object).
+    ValueError naming the image (and the object); see boxes_from_json.
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
@@ -407,27 +390,12 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
     if class_names is None:
         seen = {obj["class"] for img in data for obj in img.get("objects", ())}
         class_names = infer_vocabulary(seen)
-    index = {name: i for i, name in enumerate(class_names)}
     images = []
     for entry in data:
-        objects = []
-        for k, obj in enumerate(entry.get("objects", ())):
-            name = obj["class"]
-            if name not in index:
-                raise UnknownClass(f"class {name!r} not in vocabulary {list(class_names)}")
-            objects.append(json_box(
-                obj, index[name], f"image {entry['image_id']!r} object {k}",
-                difficult=bool(obj.get("difficult", False)),
-            ))
-        images.append(
-            AnnotatedImage(
-                image_id=str(entry["image_id"]),
-                width=int(entry["width"]),
-                height=int(entry["height"]),
-                objects=objects,
-                class_names=tuple(class_names),
-            )
-        )
+        boxes = boxes_from_json(entry.get("objects", []), class_names, f"image {entry['image_id']!r} object ")
+        images.append(AnnotatedImage(
+            str(entry["image_id"]), int(entry["width"]), int(entry["height"]), boxes, tuple(class_names)
+        ))
     return images
 
 

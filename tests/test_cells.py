@@ -329,3 +329,11 @@ def test_repr_and_equality_make_no_grid():
     assert cell_fields(maps) == list(FIELDS)
     maps.reg_mask  # read dense: shown as the array it now holds
     assert "reg_mask=array(shape=(2, 200, 200), dtype=bool)" in repr(maps)
+
+
+def test_cells_compare_by_identity_and_hash():
+    # Two cells make the generated field-by-field == ask numpy for one verdict.
+    a = Cells((2, 4), np.array([1, 6]), np.array([0.5, 1.0]))
+    b = Cells((2, 4), np.array([1, 6]), np.array([0.5, 1.0]))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -440,6 +440,21 @@ def test_gt_object_error_names_the_first_bad_object(tmp_path, capsys, command, o
     assert not (tmp_path / "maps").exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_gt_corners_written_as_huge_integers_are_held_as_floats(tmp_path, capsys, command):
+    # Exact integer arithmetic gave an area of 10**400, which no float holds.
+    huge = dict(PLANE, corners=[0, 0, 10**200, 0, 10**200, 10**200, 0, 10**200])
+    gt = make_gt(tmp_path, [PLANE, huge], image_id="z")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == "error=image 'z' object 1: non-finite area\n"
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"image_id": "z", "width": 0, "height": 10, "objects": []}, "image 'z': width 0 below 1"),
     ({"image_id": "z", "width": 10, "height": -3, "objects": []}, "image 'z': height -3 below 1"),
@@ -1215,6 +1230,29 @@ def test_pipeline_closure(tmp_path, capsys):
     code, out = run(capsys, "eval", "--gt", tiles, "--dets", dets, "--out", report)
     assert code == 0
     assert json.loads(report.read_text())["map"] >= 0.99
+
+
+def test_chain_on_a_scene_without_errors_makes_no_point2(tmp_path, capsys, monkeypatch, caplog):
+    # Boxes stay columns from the label text to every output; only a row
+    # asked for, or an error to report, makes Point2s.
+    made = []
+    monkeypatch.setattr(Point2, "__post_init__", lambda point: made.append(point))
+    labels = write_labels(tmp_path)
+    tiles, maps, dets = tmp_path / "tiles", tmp_path / "maps", tmp_path / "dets.json"
+    for argv in (
+        ["tile", "--input", labels, "--out", tiles],
+        ["encode", "--gt", tiles, "--out", maps],
+        ["decode", "--maps", maps, "--out", dets],
+        ["eval", "--gt", tiles, "--dets", dets],
+        ["eval", "--gt", tiles, "--dets", dets, "--mode", "text"],
+        ["roundtrip", "--gt", tiles, "--bar", 0],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0 and "warning=" not in out and "error=" not in out, out
+    assert not caplog.records
+    assert made == []
+    Point2(1.0, 2.0)
+    assert len(made) == 1  # the patch sees every Point2 made
 
 
 def test_pipeline_is_byte_deterministic(tmp_path, capsys):

@@ -14,7 +14,7 @@ from midlines.decoder import (
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import DegenerateBox, ShapeMismatch
 from midlines.evaluation import rotated_iou
-from midlines.geometry import BranchId, OrientedBox, Point2, box_corners, rectangle
+from midlines.geometry import Boxes, BranchId, OrientedBox, Point2, rectangle
 
 from oracles import flood_components
 
@@ -46,7 +46,7 @@ def corner_set(box):
 def table(dets):
     """A Detections table holding the given Detections, in order."""
     return Detections(
-        corners=box_corners([d.box for d in dets]),
+        corners=Boxes.of([d.box for d in dets]).corners,
         score=np.array([d.score for d in dets]),
         class_id=np.array([d.class_id for d in dets], dtype=int),
         branch=np.array([d.branch.index for d in dets], dtype=int),
@@ -591,3 +591,16 @@ def test_overflow_raises_what_the_per_component_rules_raise(offsets):
     with pytest.raises(ValueError) as err:
         reconstruct_at_cell(maps.regression[0], 6, 6, 4, BranchId.HORIZONTAL)
     assert str(err.value) == str(expected.value)
+
+
+def test_detections_compare_by_identity_and_hash():
+    boxes = [rectangle(10, 10, 8, 4, score=0.9), rectangle(30, 10, 8, 4, score=0.8)]
+    a, b = (table([Detection(box=box, branch=BranchId.ORIENTED) for box in boxes]) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_detections_read_as_not_difficult():
+    dets = table([Detection(box=rectangle(10, 10, 8, 4), branch=BranchId.ORIENTED)] * 3)
+    assert dets.difficult.tolist() == [False] * 3
+    assert [d.box.difficult for d in dets] == [False] * 3

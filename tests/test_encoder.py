@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from midlines.encoder import drift_radius, encode_image
 from midlines.errors import DegenerateBox, OutOfBounds
 from midlines.geometry import (
+    Boxes,
     BranchId,
     OrientedBox,
     Point2,
-    box_corners,
     box_to_midlines,
     intersection_point,
     midline_arrays,
@@ -347,7 +347,7 @@ def test_branch_bounds_are_open_in_encode(angle):
     # about 88 or 92 degrees. With that angle itself as the bound the box is
     # ORIENTED; with the bound one step further out it is HORIZONTAL.
     box = rectangle(100, 100, 60, 30, angle_deg=angle)
-    theta = float(midline_arrays(box_corners([box])).theta[0])
+    theta = float(midline_arrays(Boxes.of([box]).corners).theta[0])
     assert abs(theta - (90.0 + angle)) < 1e-9
     outward = math.nextafter(theta, 0.0 if angle < 0 else 180.0)
     for bound, branch in ((theta, BranchId.ORIENTED), (outward, BranchId.HORIZONTAL)):

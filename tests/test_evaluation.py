@@ -15,9 +15,9 @@ from midlines.evaluation import (
     rotated_iou,
 )
 from midlines.geometry import (
+    Boxes,
     OrientedBox,
     Point2,
-    box_corners,
     box_to_midlines,
     midlines_to_box,
     rectangle,
@@ -89,7 +89,7 @@ def test_iou_symmetry_and_bounds():
 def overlap(a, b):
     """may_overlap on two lists of boxes."""
     return may_overlap(
-        box_corners(a), [box.class_id for box in a], box_corners(b), [box.class_id for box in b]
+        Boxes.of(a).corners, [box.class_id for box in a], Boxes.of(b).corners, [box.class_id for box in b]
     )
 
 
@@ -124,7 +124,7 @@ def test_iou_of_corner_pairs_is_the_iou_of_their_boxes():
     rng = np.random.default_rng(13)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        xy_a, xy_b = (box_corners([box])[0].tolist() for box in (a, b))
+        xy_a, xy_b = (Boxes.of([box]).corners[0].tolist() for box in (a, b))
         expected = rotated_iou(a, b)
         assert rotated_iou(xy_a, xy_b) == rotated_iou(a, xy_b) == rotated_iou(xy_a, b) == expected
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from midlines.errors import DegenerateBox
 from midlines.geometry import (
+    Boxes,
     BranchId,
     MidlinePair,
     OrientedBox,
     Point2,
     Segment,
-    box_corners,
     box_to_midlines,
     intersection_point,
     midline_arrays,
@@ -63,7 +63,7 @@ def assert_vertex_sets_close(a, b, tol=1e-9):
 
 def branch_of(box, low_deg=88.0, high_deg=92.0):
     """The branch midline_arrays gives one box."""
-    return BranchId(int(midline_arrays(box_corners([box]), low_deg, high_deg).branch[0]) + 1)
+    return BranchId(int(midline_arrays(Boxes.of([box]).corners, low_deg, high_deg).branch[0]) + 1)
 
 
 def test_axis_aligned_rect_is_horizontal():
@@ -210,7 +210,7 @@ def test_midline_arrays_match_the_scalar_rule_row_by_row(boxes):
         if angle is not None:
             box = rectangle(box.corners[0].x, box.corners[0].y, 30.0, 30.0 if square else 12.0, angle)
         shapes.append(box)
-    lines = midline_arrays(box_corners(shapes))
+    lines = midline_arrays(Boxes.of(shapes).corners)
     assert not (lines.degenerate | lines.non_finite).any()
     for i, box in enumerate(shapes):
         ends, branch, theta = scalar_midlines(box)
@@ -560,3 +560,41 @@ def test_quad_rule_cases_by_hand():
         got, area = quad_rule(*[float(v) for p in corners for v in p])
         assert got == code == stated_rule(corners)[0]
         assert code == 2 or math.isfinite(area)
+
+
+# --- Boxes ------------------------------------------------------------------------
+
+
+def test_boxes_rows_are_the_boxes_they_were_made_from():
+    rows = [
+        rectangle(10, 20, 8, 4, 30, class_id=2, score=0.5),
+        OrientedBox((Point2(0, 0), Point2(0, 3), Point2(4, 3), Point2(4, 0)), class_id=1, difficult=True),
+        rectangle(-5.5, 1e6, 3, 2, 91),
+    ]
+    boxes = Boxes.of(rows)
+    assert len(boxes) == 3
+    assert boxes.corners.shape == (3, 4, 2) and boxes.corners.dtype == np.float64
+    assert (boxes.class_id.dtype, boxes.score.dtype, boxes.difficult.dtype) == (np.int64, np.float64, bool)
+    assert list(boxes) == rows
+    assert boxes[1] == rows[1] and boxes[-1] == rows[-1]
+    assert list(boxes.take(np.array([False, True, True]))) == rows[1:]
+    assert list(boxes.take(slice(0, 1))) == rows[:1]
+    empty = Boxes.of([])
+    assert len(empty) == 0 and empty.corners.shape == (0, 4, 2) and list(empty) == []
+
+
+def test_boxes_compare_by_identity_and_hash():
+    rows = [rectangle(10, 20, 8, 4), rectangle(30, 20, 8, 4)]
+    a, b = Boxes.of(rows), Boxes.of(rows)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_annotated_image_holds_its_objects_as_one_table():
+    from midlines.ingest import AnnotatedImage
+
+    rows = [rectangle(10, 20, 8, 4, class_id=3)]
+    img = AnnotatedImage("a", 64, 64, rows)
+    assert isinstance(img.objects, Boxes) and list(img.objects) == rows
+    assert AnnotatedImage("b", 64, 64, img.objects).objects is img.objects
+    assert len(AnnotatedImage("c", 64, 64).objects) == 0

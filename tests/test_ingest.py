@@ -1,10 +1,14 @@
+import functools
 import json
 import logging
+import operator
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midlines.errors import AllLinesMalformed, EmptyFile, UnknownClass
-from midlines.geometry import rectangle
+from midlines.geometry import OrientedBox, Point2, rectangle
 from midlines.ingest import (
     DOTA_CLASS_NAMES,
     ICDAR_CLASS_NAMES,
@@ -70,7 +74,7 @@ def test_dota_bad_coordinate_and_flag_warn():
 def test_dota_unknown_category_is_skipped_not_structural():
     text = DOTA_LINE.replace("plane", "zeppelin")
     img, warnings = parse_dota(text)  # must not raise AllLinesMalformed
-    assert img.objects == []
+    assert len(img.objects) == 0
     assert "zeppelin" in warnings[0]
 
 
@@ -84,7 +88,7 @@ def test_dota_all_lines_malformed_raises():
 
 def test_dota_empty_file_strict_only():
     img, warnings = parse_dota("imagesource:x\n\n")
-    assert img.objects == [] and warnings == []
+    assert len(img.objects) == 0 and warnings == []
     with pytest.raises(EmptyFile):
         parse_dota("", strict=True)
 
@@ -134,7 +138,7 @@ def test_icdar_byte_order_mark_tolerated():
 
 def test_icdar_non_convex_quad_skipped():
     img, warnings = parse_icdar("0,0,10,1,3,2,10,10,word")
-    assert img.objects == []
+    assert len(img.objects) == 0
     assert "non-convex" in warnings[0]
 
 
@@ -146,7 +150,7 @@ def test_icdar_structural_failures():
     with pytest.raises(EmptyFile):
         parse_icdar("\n\n", strict=True)
     img, _ = parse_icdar("")
-    assert img.objects == []
+    assert len(img.objects) == 0
 
 
 # --- tiling -----------------------------------------------------------------------
@@ -222,8 +226,91 @@ def test_box_collapsed_by_clamping_is_dropped(caplog):
     img = AnnotatedImage("P1", 700, 700, [rectangle(725, 100, 30, 20)])
     with caplog.at_level(logging.WARNING, logger="midlines.ingest"):
         (tile,) = tile_image(img, TileSpec(window=800, overlap=0.25))
-    assert tile.objects == []
+    assert len(tile.objects) == 0
     assert "clamping" in caplog.text
+
+
+def scalar_tiles(img, objects, spec):
+    """Each tile's boxes and its count of dropped boxes, box by box: the rule
+    tile_image states, written out for one OrientedBox at a time."""
+    out = []
+    for oy in _axis_origins(img.height, spec.window, spec.step):
+        for ox in _axis_origins(img.width, spec.window, spec.step):
+            tile_w = int(round(min(spec.window, img.width - ox)))
+            tile_h = int(round(min(spec.window, img.height - oy)))
+            kept, dropped = [], 0
+            for box in objects:
+                # Python's sum before 3.12: left to right, from 0.
+                cx = functools.reduce(operator.add, (p.x for p in box.corners), 0) / 4.0
+                cy = functools.reduce(operator.add, (p.y for p in box.corners), 0) / 4.0
+                if not (ox <= cx < ox + spec.window and oy <= cy < oy + spec.window):
+                    continue
+                moved = [
+                    Point2(min(max(p.x - ox, 0.0), float(tile_w)), min(max(p.y - oy, 0.0), float(tile_h)))
+                    for p in box.corners
+                ]
+                try:
+                    kept.append(OrientedBox(tuple(moved), box.class_id, box.score, box.difficult))
+                except ValueError:
+                    dropped += 1
+            out.append(((tile_w, tile_h), kept, dropped))
+    return out
+
+
+# Coordinates on a coarse grid hit window edges, image edges and -0.0 exactly.
+COORD = st.one_of(
+    st.sampled_from([-0.0, 0.0]), st.integers(-30, 230).map(float), st.floats(-30.0, 230.0),
+)
+
+
+@st.composite
+def tiling_scene(draw):
+    boxes = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            (x0, x1), (y0, y1) = sorted(draw(st.tuples(COORD, COORD))), sorted(draw(st.tuples(COORD, COORD)))
+            corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+            if draw(st.booleans()):
+                corners.reverse()  # clockwise: OrientedBox reorders it
+            try:
+                box = OrientedBox(tuple(Point2(x, y) for x, y in corners), class_id=draw(st.integers(0, 14)))
+            except ValueError:
+                continue
+        else:
+            box = rectangle(
+                draw(COORD), draw(COORD), draw(st.floats(0.5, 80.0)), draw(st.floats(0.5, 80.0)),
+                draw(st.floats(0.0, 180.0)), class_id=draw(st.integers(0, 14)),
+                score=draw(st.floats(0.0, 1.0)), difficult=draw(st.booleans()),
+            )
+        boxes.append(box)
+    return draw(st.integers(1, 200)), draw(st.integers(1, 200)), boxes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(tiling_scene(), st.integers(16, 120), st.sampled_from([0.0, 0.25, 0.5]))
+def test_tiles_hold_the_boxes_the_scalar_rule_gives(scene, window, overlap):
+    width, height, boxes = scene
+    img = AnnotatedImage("s", width, height, boxes)
+    spec = TileSpec(window, overlap)
+    handler = logging.Handler()
+    warned = []
+    handler.emit = warned.append
+    logger = logging.getLogger("midlines.ingest")
+    logger.addHandler(handler)
+    try:
+        tiles = tile_image(img, spec)
+    finally:
+        logger.removeHandler(handler)
+    expected = scalar_tiles(img, boxes, spec)
+    assert len(tiles) == len(expected)
+    for tile, ((tile_w, tile_h), kept, _) in zip(tiles, expected):
+        assert (tile.width, tile.height) == (tile_w, tile_h)
+        corners = np.array([[(p.x, p.y) for p in box.corners] for box in kept]).reshape(-1, 4, 2)
+        assert tile.objects.corners.tobytes() == corners.tobytes()  # bit for bit, -0.0 included
+        assert [(b.class_id, b.score, b.difficult) for b in tile.objects] == [
+            (b.class_id, b.score, b.difficult) for b in kept
+        ]
+    assert len(warned) == sum(dropped for *_, dropped in expected)
 
 
 def test_tile_spec_validation():
