@@ -162,17 +162,6 @@ class OrientedBox:
             corners = (p0, p3, p2, p1)
         object.__setattr__(self, "corners", corners)
 
-    @classmethod
-    def _accepted(cls, corners: tuple[Point2, Point2, Point2, Point2], class_id: int, score: float, difficult: bool):
-        """A box whose corners quad_rule accepted with a positive area, made without checks.
-
-        For rows that an array caller already ran the rule on and flipped.
-        Checking the flipped order again could round its area differently.
-        """
-        box = object.__new__(cls)
-        vars(box).update(corners=corners, class_id=class_id, score=score, difficult=difficult)
-        return box
-
     @property
     def area(self) -> float:
         return abs(signed_area([(p.x, p.y) for p in self.corners]))
@@ -299,7 +288,12 @@ class Boxes(Table):
     def __iter__(self):
         columns = (self.corners.tolist(), self.class_id.tolist(), self.score.tolist(), self.difficult.tolist())
         for corners, class_id, score, difficult in zip(*columns):
-            yield OrientedBox._accepted(tuple(Point2(x, y) for x, y in corners), class_id, score, difficult)
+            # A row passed quad_rule and was flipped as a column, so it skips
+            # OrientedBox's checks: a flipped row's area could round differently.
+            box = object.__new__(OrientedBox)
+            corners = tuple(Point2(x, y) for x, y in corners)
+            vars(box).update(corners=corners, class_id=class_id, score=score, difficult=difficult)
+            yield box
 
 
 _NEXT = np.array([1, 2, 3, 0])  # the corner after each corner of a quad

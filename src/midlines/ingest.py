@@ -256,21 +256,23 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     corners = img.objects.corners
     with np.errstate(over="ignore", invalid="ignore"):
         cx, cy = ((((corners[:, 0] + corners[:, 1]) + corners[:, 2]) + corners[:, 3]) / 4.0).T
-    tiles = []
+    tiles, empty = [], img.objects.take(slice(0, 0))
     for oy in ys:
+        row = np.flatnonzero((oy <= cy) & (cy < oy + spec.window))  # a row of empty tiles does no array work
         for ox in xs:
             image_id = f"{img.image_id}__{_fmt_origin(ox)}_{_fmt_origin(oy)}"
             size = (int(round(min(spec.window, img.width - ox))), int(round(min(spec.window, img.height - oy))))
-            boxes = img.objects.take((ox <= cx) & (cx < ox + spec.window) & (oy <= cy) & (cy < oy + spec.window))
-            with np.errstate(over="ignore", invalid="ignore"):
-                moved = boxes.corners - np.array((ox, oy), dtype=np.float64)
-            moved = np.where(0.0 > moved, 0.0, moved)  # max(d, 0.0) is d unless 0.0 is larger
-            limit = np.array(size, dtype=np.float64)
-            code, moved = oriented_quads(np.where(limit < moved, limit, moved))  # and min(d, size) likewise
-            for c in code[code != 0].tolist():
-                log.warning("tile=%s dropped a box that clamping left invalid: %s", image_id, QUAD_MESSAGES[c])
-            kept = code == 0
-            boxes = Boxes(moved[kept], boxes.class_id[kept], boxes.score[kept], boxes.difficult[kept])
+            boxes = img.objects.take(row[(ox <= cx[row]) & (cx[row] < ox + spec.window)]) if len(row) else empty
+            if len(boxes):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    moved = boxes.corners - np.array((ox, oy), dtype=np.float64)
+                moved = np.where(0.0 > moved, 0.0, moved)  # max(d, 0.0) is d unless 0.0 is larger
+                limit = np.array(size, dtype=np.float64)
+                code, moved = oriented_quads(np.where(limit < moved, limit, moved))  # and min(d, size) likewise
+                for c in code[code != 0].tolist():
+                    log.warning("tile=%s dropped a box that clamping left invalid: %s", image_id, QUAD_MESSAGES[c])
+                kept = code == 0
+                boxes = Boxes(moved[kept], boxes.class_id[kept], boxes.score[kept], boxes.difficult[kept])
             tiles.append(AnnotatedImage(image_id, *size, boxes, img.class_names))
     return tiles
 
