@@ -168,7 +168,10 @@ class OrientedBox:
 
     def corner_array(self) -> list[float]:
         """Corners flattened to [x0, y0, x1, y1, x2, y2, x3, y3]."""
-        return [v for p in self.corners for v in (p.x, p.y)]
+        out: list[float] = []
+        for p in self.corners:
+            out.extend((p.x, p.y))
+        return out
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,8 @@ def oriented_quads(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Table:
-    """Rows of a frozen dataclass of equal-length columns, corners among them."""
+    """Rows of a frozen dataclass whose fields are equal-length column arrays,
+    corners among them: len counts rows, and table[k] is iteration's row k."""
 
     def __len__(self) -> int:
         return len(self.corners)
