@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -184,27 +185,25 @@ def _table(items):
     return Boxes.of([item if isinstance(item, OrientedBox) else item.box for item in items])
 
 
-def _greedy_matches(images, iou_threshold: float) -> Iterator[tuple[int, float, bool]]:
-    """Class id, score and hit of each detection, image by image and best first
-    within one; a detection that claims difficult ground truth is left out.
-    images holds a (detections, ground truth) pair of tables per image."""
-    for dets, gts in images:
-        candidates = may_overlap(dets.corners, dets.class_id, gts.corners, gts.class_id)
-        det_xy, gt_xy = dets.corners.tolist(), gts.corners.tolist()
-        classes, scores, difficult = dets.class_id.tolist(), dets.score.tolist(), gts.difficult.tolist()
-        taken = [False] * len(gt_xy)
-        for i in sorted(range(len(det_xy)), key=lambda i: -scores[i]):
-            best_iou, best_j = 0.0, -1
-            for j in np.flatnonzero(candidates[i]):
-                if not taken[j]:
-                    iou = rotated_iou(det_xy[i], gt_xy[j])
-                    if iou > best_iou:
-                        best_iou, best_j = iou, j
-            hit = best_j >= 0 and best_iou >= iou_threshold
-            if hit:
-                taken[best_j] = True
-            if not (hit and difficult[best_j]):
-                yield classes[i], scores[i], hit
+def _greedy_matches(dets, gts, iou_threshold: float) -> Iterator[tuple[int, float, bool]]:
+    """Class id, score and hit of each detection of one image's tables, best
+    first; a detection that claims difficult ground truth is left out."""
+    candidates = may_overlap(dets.corners, dets.class_id, gts.corners, gts.class_id)
+    det_xy, gt_xy = dets.corners.tolist(), gts.corners.tolist()
+    classes, scores, difficult = dets.class_id.tolist(), dets.score.tolist(), gts.difficult.tolist()
+    taken = [False] * len(gt_xy)
+    for i in sorted(range(len(det_xy)), key=lambda i: -scores[i]):
+        best_iou, best_j = 0.0, -1
+        for j in np.flatnonzero(candidates[i]):
+            if not taken[j]:
+                iou = rotated_iou(det_xy[i], gt_xy[j])
+                if iou > best_iou:
+                    best_iou, best_j = iou, j
+        hit = best_j >= 0 and best_iou >= iou_threshold
+        if hit:
+            taken[best_j] = True
+        if not (hit and difficult[best_j]):
+            yield classes[i], scores[i], hit
 
 
 def evaluate(
@@ -235,11 +234,18 @@ def evaluate(
         raise ValueError(f"unknown eval mode {mode!r}")
     dets_by_image = dets if isinstance(dets, Mapping) else {"": dets}
     gts_by_image = gts if isinstance(gts, Mapping) else {"": gts}
-    images = [
-        (_table(dets_by_image.get(image_id, ())), _table(gts_by_image.get(image_id, ())))
-        for image_id in sorted(set(dets_by_image) | set(gts_by_image))
-    ]
-    highest = max((int(t.class_id.max()) for image in images for t in image if len(t)), default=-1)
+    highest, n_gt = -1, Counter()
+    # Per class, in image order and then descending score, as AP breaks ties.
+    flags: defaultdict[int, list[bool]] = defaultdict(list)
+    scores: defaultdict[int, list[float]] = defaultdict(list)
+    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
+        # One image's tables at a time: kept for every image, their arrays outweigh the boxes.
+        det, gt = (_table(by_image.get(image_id, ())) for by_image in (dets_by_image, gts_by_image))
+        highest = max([highest, *det.class_id.tolist(), *gt.class_id.tolist()])
+        n_gt.update(gt.class_id[~gt.difficult].tolist())
+        for class_id, score, hit in _greedy_matches(det, gt, iou_threshold):
+            flags[class_id].append(hit)
+            scores[class_id].append(score)
     if class_names is None:
         class_names = [f"class_{i}" for i in range(highest + 1)]
     if highest >= len(class_names):
@@ -247,27 +253,17 @@ def evaluate(
             f"class id {highest} outside vocabulary of {len(class_names)} names"
         )
 
-    n_gt = [0] * len(class_names)
-    for _, gt in images:
-        for class_id in gt.class_id[~gt.difficult].tolist():
-            n_gt[class_id] += 1
-    # Per class, in image order and then descending score, as AP breaks ties.
-    flags: list[list[bool]] = [[] for _ in class_names]
-    scores: list[list[float]] = [[] for _ in class_names]
-    for class_id, score, hit in _greedy_matches(images, iou_threshold):
-        flags[class_id].append(hit)
-        scores[class_id].append(score)
-
     per_class_ap: dict[str, float | None] = {}
     counts: dict[str, tuple[int, int, int]] = {}
-    for name, class_flags, class_scores, counted in zip(class_names, flags, scores, n_gt):
+    for class_id, name in enumerate(class_names):
+        class_flags, class_scores, counted = flags[class_id], scores[class_id], n_gt[class_id]
         tp = sum(class_flags)
         # A true positive uses up exactly one non-difficult box of its class.
         counts[name] = (tp, len(class_flags) - tp, counted - tp)
         per_class_ap[name] = average_precision(class_flags, class_scores, counted, ap_mode)
-    total_tp = sum(map(sum, flags))
-    total_fp = sum(map(len, flags)) - total_tp
-    total_fn = sum(n_gt) - total_tp
+    total_tp = sum(map(sum, flags.values()))
+    total_fp = sum(map(len, flags.values())) - total_tp
+    total_fn = sum(n_gt.values()) - total_tp
 
     if mode == "map":
         defined = [ap for ap in per_class_ap.values() if ap is not None]

@@ -419,3 +419,9 @@ def test_report_table_and_json():
     text_report = evaluate(dets, gts, mode="text", class_names=["ship", "plane"])
     assert "F1=" in text_report.format_table()
     assert "f1" in text_report.to_json_dict()
+
+
+def test_images_empty_on_both_sides_score_nothing():
+    report = evaluate({"a": [], "b": []}, {"b": []}, class_names=["x"])
+    assert report.counts == {"x": (0, 0, 0)} and report.map_score == 0.0
+    assert evaluate([], []).counts == {}
