@@ -295,8 +295,9 @@ class Boxes(Table):
             # A row passed quad_rule and was flipped as a column, so it skips
             # OrientedBox's checks: a flipped row's area could round differently.
             box = object.__new__(OrientedBox)
-            corners = tuple(Point2(x, y) for x, y in corners)
-            vars(box).update(corners=corners, class_id=class_id, score=score, difficult=difficult)
+            values = (tuple(Point2(x, y) for x, y in corners), class_id, score, difficult)
+            for name, value in zip(("corners", "class_id", "score", "difficult"), values):
+                object.__setattr__(box, name, value)
             yield box
 
 
