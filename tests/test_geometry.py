@@ -21,6 +21,7 @@ from midlines.geometry import (
     quad_rule,
     rectangle,
 )
+from midlines.ingest import AnnotatedImage
 
 RECT = OrientedBox((Point2(70, 80), Point2(130, 80), Point2(130, 120), Point2(70, 120)))
 SQUARE_45 = OrientedBox((Point2(100, 60), Point2(140, 100), Point2(100, 140), Point2(60, 100)))
@@ -591,8 +592,6 @@ def test_boxes_compare_by_identity_and_hash():
 
 
 def test_annotated_image_holds_its_objects_as_one_table():
-    from midlines.ingest import AnnotatedImage
-
     rows = [rectangle(10, 20, 8, 4, class_id=3)]
     img = AnnotatedImage("a", 64, 64, rows)
     assert isinstance(img.objects, Boxes) and list(img.objects) == rows
