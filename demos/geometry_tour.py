@@ -7,34 +7,43 @@ ordered pair of middle lines plus a branch flag, and the mapping runs both
 ways without loss.
 """
 
+import math
+
 import numpy as np
 
 from midlines.geometry import (
+    BranchId,
     box_to_midlines,
-    intersection_point,
     midlines_to_box,
     rectangle,
 )
 
 
-def fmt(p):
-    return f"({p.x:.2f}, {p.y:.2f})"
+def fmt(x, y):
+    return f"({x:.2f}, {y:.2f})"
+
+
+def vertex_error(box, rebuilt):
+    """Worst distance from a corner of box to the nearest corner of rebuilt."""
+    return max(
+        min(math.hypot(c.x - r.x, c.y - r.y) for r in rebuilt.corners) for c in box.corners
+    )
 
 
 def show(title, box):
-    pair = box_to_midlines(box)
-    ip = intersection_point(pair)
+    # The midlines of a box are one row: 8 endpoint values (l1's two
+    # endpoints, then l2's, as x, y), a branch index, lengths and the centre.
+    lines = box_to_midlines(box)
+    x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
+    len1, len2 = lines.lengths[0].tolist()
     print(f"--- {title}")
     print(f"corners      {[(round(p.x, 2), round(p.y, 2)) for p in box.corners]}")
-    print(f"branch       {pair.branch.name}")
-    print(f"l1           {fmt(pair.l1.ep1)} -> {fmt(pair.l1.ep2)}  (length {pair.l1.length:.2f})")
-    print(f"l2           {fmt(pair.l2.ep1)} -> {fmt(pair.l2.ep2)}  (length {pair.l2.length:.2f})")
-    print(f"intersection ({ip.x:.2f}, {ip.y:.2f})")
-    rebuilt = midlines_to_box(pair)
-    err = max(
-        min((c - r).norm() for r in rebuilt.corners) for c in box.corners
-    )
-    print(f"round-trip vertex error {err:.2e}")
+    print(f"branch       {BranchId(int(lines.branch[0]) + 1).name}")
+    print(f"l1           {fmt(x1, y1)} -> {fmt(x2, y2)}  (length {len1:.2f})")
+    print(f"l2           {fmt(x3, y3)} -> {fmt(x4, y4)}  (length {len2:.2f})")
+    print(f"intersection {fmt(*lines.centre[0].tolist())}")
+    rebuilt = midlines_to_box(lines.ends)
+    print(f"round-trip vertex error {vertex_error(box, rebuilt):.2e}")
     print()
 
 
@@ -63,8 +72,5 @@ for _ in range(2000):
         rng.uniform(-100, 100), rng.uniform(-100, 100),
         rng.uniform(1, 80), rng.uniform(1, 80), rng.uniform(0, 360),
     )
-    rebuilt = midlines_to_box(box_to_midlines(box))
-    worst = max(worst, max(
-        min((c - r).norm() for r in rebuilt.corners) for c in box.corners
-    ))
+    worst = max(worst, vertex_error(box, midlines_to_box(box_to_midlines(box).ends)))
 print(f"2000 random rectangles, worst round-trip vertex error: {worst:.2e}")

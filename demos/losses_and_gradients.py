@@ -62,7 +62,7 @@ report("same, text mode", pred, target, LossWeights(text_mode=True))
 # Restrict the targets to the exact center cell of the first box, whose
 # cell point is its intersection point: there the offsets run along the
 # two middle lines and every geometric penalty vanishes at ground truth.
-b = box_to_midlines(scene[0]).branch.index
+b = int(box_to_midlines(scene[0]).branch[0])
 only_center = np.zeros_like(target.reg_mask)
 only_center[b, 10, 10] = True
 narrow_target = predict_like(target)

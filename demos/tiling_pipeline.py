@@ -24,13 +24,12 @@ gsd:0.5
 200 1200 280 1200 280 1240 200 1240 large-vehicle 1
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="pipeline_"))
-label_file = workdir / "P0001.txt"
-label_file.write_text(LABELS)
-
-image, warnings = parse_dota(
-    label_file.read_text(), image_id="P0001", width=1400, height=1400
-)
+with tempfile.TemporaryDirectory(prefix="pipeline_") as workdir:
+    label_file = Path(workdir) / "P0001.txt"
+    label_file.write_text(LABELS)
+    image, warnings = parse_dota(
+        label_file.read_text(), image_id="P0001", width=1400, height=1400
+    )
 print(f"parsed {len(image.objects)} objects from {label_file.name}, "
       f"{len(warnings)} warnings")
 
@@ -60,4 +59,3 @@ print(f"decoded {len(dets)} detections, mAP over present classes "
 #   midlines encode --gt tiles/ --out maps/
 #   midlines decode --maps maps/ --out dets.json
 #   midlines eval --gt tiles/ --dets dets.json
-print(f"\nscratch dir: {workdir}")

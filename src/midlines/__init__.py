@@ -7,8 +7,8 @@ clipping-based rotated IoU. The `midlines` console script drives the same
 pieces from the command line.
 """
 
-from midlines.decoder import Detection, Detections, decode, reconstruct_at_cell
-from midlines.encoder import Cells, TargetMaps, drift_radius, encode_image
+from midlines.decoder import Detection, Detections, decode
+from midlines.encoder import Cells, TargetMaps, encode_image
 from midlines.errors import (
     AllLinesMalformed,
     DegenerateBox,
@@ -24,12 +24,9 @@ from midlines.evaluation import EvalReport, evaluate, rotated_iou
 from midlines.geometry import (
     Boxes,
     BranchId,
-    MidlinePair,
     OrientedBox,
     Point2,
-    Segment,
     box_to_midlines,
-    intersection_point,
     midlines_to_box,
     rectangle,
 )
@@ -60,28 +57,23 @@ __all__ = [
     "KinkProximity",
     "LossValue",
     "LossWeights",
-    "MidlinePair",
     "MidlinesError",
     "NonBinaryGroundTruth",
     "OrientedBox",
     "OutOfBounds",
     "Point2",
-    "Segment",
     "ShapeMismatch",
     "TargetMaps",
     "TileSpec",
     "UnknownClass",
     "box_to_midlines",
     "decode",
-    "drift_radius",
     "encode_image",
     "evaluate",
-    "intersection_point",
     "load_ground_truth",
     "midlines_to_box",
     "parse_dota",
     "parse_icdar",
-    "reconstruct_at_cell",
     "rectangle",
     "rotated_iou",
     "run_gradchecks",

@@ -175,20 +175,6 @@ def extract_components(
     return flat, owner, lookup, scores
 
 
-def reconstruct_at_cell(
-    reg: np.ndarray,
-    row: int,
-    col: int,
-    stride: int,
-    branch: BranchId,
-    class_id: int = 0,
-    score: float = 1.0,
-) -> Detection:
-    """Rebuild the box stored in the offset channels of one cell: one row of decode's rebuild."""
-    rebuilt = midline_boxes(reg[:, row, col] + _cell_anchors(row, col, stride))
-    return Detection(box=rebuilt.box(0, class_id=class_id, score=score), branch=branch)
-
-
 def merge_branches(
     detections: Detections,
     iou_threshold: float = DEFAULT_MERGE_IOU,

@@ -19,15 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OutOfBounds
-from .geometry import (
+from .geometry import (  # noqa: F401 - perfbench's trace mode wraps encoder.box_to_midlines
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
     Boxes,
-    MidlinePair,
     OrientedBox,
     _map,
     box_to_midlines,
-    intersection_point,
     midline_arrays,
     quad_area,
 )
@@ -149,26 +147,17 @@ def _cell_anchors(rows, cols, stride: int) -> np.ndarray:
 
 
 def _drift_radii(centre: np.ndarray, lengths: np.ndarray, stride: int, r: float):
-    """Centres in cells and drift radii of N objects; see drift_radius."""
+    """Centres in cells and drift region radii in cells of N objects.
+
+    The base rule is min(r / stride, shorter midline length / (2 * stride)).
+    Very thin objects can push that below one cell, so a radius is raised
+    just far enough that the rounded center cell always stays inside.
+    """
     c = centre / stride
     base = np.minimum(r / stride, lengths.min(axis=1) / (2.0 * stride))
     gap = np.floor(c + 0.5) - c
     to_center_cell = _map(math.hypot, gap[:, 1], gap[:, 0])
     return c, np.maximum(base, to_center_cell + _CENTER_SLACK)
-
-
-def drift_radius(pair: MidlinePair, stride: int = DEFAULT_STRIDE, r: float = DEFAULT_DRIFT_R) -> float:
-    """Radius in cells of the drift region for one object.
-
-    The base rule is min(r / stride, shorter midline length / (2 * stride)).
-    Very thin objects can push that below one cell, so the result is raised
-    just far enough that the rounded center cell always stays inside.
-    """
-    ip = intersection_point(pair)
-    _, radius = _drift_radii(
-        np.array([[ip.x, ip.y]]), np.array([[pair.l1.length, pair.l2.length]]), stride, r
-    )
-    return float(radius[0])
 
 
 def _disc_cells(
@@ -252,9 +241,10 @@ def encode_image(
         i = int(np.argmax(fault))
         if bad_class[i]:
             raise ValueError(f"class id {classes[i]} outside [0, {num_classes})")
-        # An overflowing midline or center raises its ValueError here.
-        ip = intersection_point(box_to_midlines(boxes[i], branch_low, branch_high))
-        raise OutOfBounds(f"annotation {i} center ({ip.x}, {ip.y}) outside {image_w}x{image_h}")
+        if lines.non_finite[i]:
+            raise lines.error(i)
+        x, y = lines.centre[i].tolist()
+        raise OutOfBounds(f"annotation {i} center ({x}, {y}) outside {image_w}x{image_h}")
 
     keep = np.flatnonzero(live)
     ends, branch = lines.ends[keep], lines.branch[keep]

@@ -3,11 +3,13 @@
 A box is stored as four corners. Its two midlines connect the midpoints of
 opposite edges; together with an ordering convention they carry the same
 information as the box, and they are what the dense maps actually regress.
-The midlines of many boxes are computed at once on arrays by
-midline_arrays, and box_to_midlines is a one-row call of it. Whether four
-corners make a box is quad_rule, which runs unchanged on Python floats for
-one box and on numpy columns for many. Many boxes are held as one Boxes
-table of columns, whose rows read as OrientedBox.
+A midline pair is only ever held as a row of 8 endpoint values: the
+midlines of N boxes are one MidlineArrays from midline_arrays, and N pairs
+are rebuilt into boxes at once by midline_boxes. box_to_midlines and
+midlines_to_box are one-row calls of these two. Whether four corners make
+a box is quad_rule, which runs unchanged on Python floats for one box and
+on numpy columns for many. Many boxes are held as one Boxes table of
+columns, whose rows read as OrientedBox.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class BranchId(Enum):
         return self.value - 1
 
 
+def _non_finite_point(x: float, y: float) -> ValueError:
+    return ValueError(f"non-finite point ({x}, {y})")
+
+
 @dataclass(frozen=True)
 class Point2:
     """Immutable 2D point in image coordinates (x right, y down)."""
@@ -48,31 +54,7 @@ class Point2:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def __add__(self, other: Point2) -> Point2:
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Point2) -> Point2:
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, factor: float) -> Point2:
-        return Point2(self.x * factor, self.y * factor)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Directed segment from ep1 to ep2."""
-
-    ep1: Point2
-    ep2: Point2
-
-    @property
-    def length(self) -> float:
-        return (self.ep1 - self.ep2).norm()
+            raise _non_finite_point(self.x, self.y)
 
 
 class _ShapeError(ValueError):
@@ -174,43 +156,30 @@ class OrientedBox:
         return out
 
 
-@dataclass(frozen=True)
-class MidlinePair:
-    """The two ordered midlines of a box plus its branch assignment.
-
-    Endpoint order is canonical: l1 runs from the larger-x endpoint to the
-    smaller (ties broken by smaller y first), l2 from the smaller-y endpoint
-    to the larger (ties broken by larger x first). Both lines must have
-    strictly positive length.
-    """
-
-    l1: Segment
-    l2: Segment
-    branch: BranchId
-
-    def __post_init__(self):
-        if self.l1.length == 0.0 or self.l2.length == 0.0:
-            raise DegenerateBox("zero-length midline")
-        a, b = self.l1.ep1, self.l1.ep2
-        if (a.x, -a.y) < (b.x, -b.y):
-            raise ValueError("l1 endpoints out of order")
-        c, d = self.l2.ep1, self.l2.ep2
-        if (c.y, -c.x) > (d.y, -d.x):
-            raise ValueError("l2 endpoints out of order")
+# Why a midline pair makes or rebuilds no box: MidlineBoxes.fault, 0 for a
+# pair that passes every midline rule.
+ZERO_LENGTH, PARALLEL, NON_FINITE = 1, 2, 3
+_FAULT_MESSAGES = {
+    ZERO_LENGTH: "zero-length midline",
+    PARALLEL: "parallel midlines span no area",
+}
 
 
 @dataclass(frozen=True)
 class MidlineArrays:
     """The midlines of N boxes, row i for box i.
 
-    ends:       (N, 8) canonical endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y
+    ends:       (N, 8) endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y, in
+                order_midline_ends' order
     branch:     (N,) BranchId.index
     theta:      (N,) folded angle in degrees of the more vertical candidate,
                 the value the branch window is tested on
     lengths:    (N, 2) lengths of l1 and l2
-    centre:     (N, 2) endpoint mean, summed in intersection_point's order
+    centre:     (N, 2) endpoint mean (((e1 + e2) + e3) + e4) * 0.25, where
+                the two midlines cross
     degenerate: (N,) a midline has zero length
-    non_finite: (N,) a midpoint or a midline direction overflows
+    non_finite: (N,) a midpoint, a midline direction or the endpoint sum
+                overflows
     bad_point:  (N, 2) on a non-finite row, the first point that overflows
 
     The other fields of a degenerate or non-finite row are meaningless.
@@ -225,15 +194,17 @@ class MidlineArrays:
     non_finite: np.ndarray
     bad_point: np.ndarray
 
+    def error(self, i: int) -> Exception | None:
+        """What box_to_midlines raises for row i; None for a row without fault."""
+        if self.non_finite[i]:
+            return _non_finite_point(*self.bad_point[i].tolist())
+        return DegenerateBox(_FAULT_MESSAGES[ZERO_LENGTH]) if self.degenerate[i] else None
+
     def check(self) -> None:
-        """Raise what box_to_midlines raises for the first faulty row."""
+        """Raise the error of the first faulty row."""
         faulty = self.degenerate | self.non_finite
         if faulty.any():
-            i = int(np.argmax(faulty))
-            if self.non_finite[i]:
-                x, y = self.bad_point[i].tolist()
-                raise ValueError(f"non-finite point ({x}, {y})")
-            raise DegenerateBox("zero-length midline")
+            raise self.error(int(np.argmax(faulty)))
 
 
 def oriented_quads(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +283,12 @@ _ORDER_KEYS = np.array([[0, 5], [2, 7], [1, 4], [3, 6]])
 
 
 def order_midline_ends(ends: np.ndarray) -> np.ndarray:
-    """N rows of endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y, in MidlinePair's order.
+    """N rows of endpoints l1.ep1, l1.ep2, l2.ep1, l2.ep2 as x, y, in the package's order.
 
     l1 runs from the larger x, ties broken by the smaller y; l2 from the
-    smaller y, ties broken by the larger x. Returns a new (N, 8) array; a
-    row already in order comes back unchanged.
+    smaller y, ties broken by the larger x. This is the only statement of
+    that order. Returns a new (N, 8) array; a row already in order comes
+    back unchanged.
     """
     flat = np.asarray(ends, dtype=np.float64).reshape(-1, 8)
     key1, key2, tie1, tie2 = (flat * _KEY_SIGNS)[:, _ORDER_KEYS].transpose(1, 0, 2)
@@ -349,8 +321,8 @@ def midline_arrays(
     of the more vertical candidate lies strictly inside (low_deg, high_deg),
     and ORIENTED otherwise, boundary included; A is the more vertical one
     on a tie. On the horizontal branch l1 is the more horizontal candidate,
-    on the oriented branch the longer one; ties pick A. Endpoint order is
-    MidlinePair's.
+    on the oriented branch the longer one; ties pick A. Endpoints are put
+    in order by order_midline_ends.
     """
     p = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,17 +331,6 @@ def midline_arrays(
         d = cand[:, :, 0] - cand[:, :, 1]
     length = _map(math.hypot, d[..., 0], d[..., 1])
     angle = np.degrees(_map(math.atan2, d[..., 1], d[..., 0])) % 180.0
-    # The scalar rule builds the midpoints of A and B, then A's direction,
-    # A's length, B's direction and B's length, and stops at the first
-    # point that overflows or length that is zero.
-    rows = np.arange(len(p))
-    zero = length == 0.0
-    points = np.concatenate((mids[:, [0, 2, 1, 3]], d), axis=1)
-    overflow = ~np.isfinite(points).all(axis=-1)
-    overflow[:, 5] &= ~zero[:, 0]
-    non_finite = overflow.any(axis=1)
-    degenerate = ~non_finite & zero.any(axis=1)
-
     off = np.abs(angle - 90.0)
     a_vertical = off[:, 0] <= off[:, 1]
     theta = np.where(a_vertical, angle[:, 0], angle[:, 1])
@@ -378,14 +339,25 @@ def midline_arrays(
     lengths = np.where(a_first[:, None], length, length[:, ::-1])
     ends = order_midline_ends(np.where(a_first[:, None, None, None], cand, cand[:, ::-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = np.add.accumulate(ends.reshape(-1, 4, 2), axis=1)[:, 3] * 0.25  # left to right
+        sums = np.add.accumulate(ends.reshape(-1, 4, 2), axis=1)  # left to right: e1, e1+e2, ...
+
+    # The scalar rule builds the midpoints of A and B, then A's direction,
+    # A's length, B's direction, B's length and the running endpoint sum,
+    # and stops at the first point that overflows or length that is zero.
+    rows = np.arange(len(p))
+    zero = length == 0.0
+    points = np.concatenate((mids[:, [0, 2, 1, 3]], d, sums[:, 1:]), axis=1)
+    overflow = ~np.isfinite(points).all(axis=-1)
+    overflow[:, 5] &= ~zero[:, 0]
+    overflow[:, 6:] &= ~zero.any(axis=1, keepdims=True)
+    non_finite = overflow.any(axis=1)
     return MidlineArrays(
         ends=ends,
         branch=np.where(horizontal, BranchId.HORIZONTAL.index, BranchId.ORIENTED.index),
         theta=theta,
         lengths=lengths,
-        centre=centre,
-        degenerate=degenerate,
+        centre=sums[:, 3] * 0.25,
+        degenerate=~non_finite & zero.any(axis=1),
         non_finite=non_finite,
         bad_point=points[rows, np.argmax(overflow, axis=1)],
     )
@@ -398,36 +370,14 @@ def box_to_midlines(
     box: OrientedBox,
     low_deg: float = BRANCH_LOW_DEG,
     high_deg: float = BRANCH_HIGH_DEG,
-) -> MidlinePair:
-    """Split a box into its two ordered midlines.
+) -> MidlineArrays:
+    """A box's midlines: the one-row MidlineArrays of midline_arrays.
 
-    On the horizontal branch l1 is the more horizontal candidate; on the
-    oriented branch l1 is the longer one. Ties pick candidate A (the line
-    through the midpoints of edges p0p1 and p2p3).
+    Raises the row's error, so the row returned has no fault.
     """
     lines = midline_arrays(Boxes.of([box]).corners, low_deg, high_deg)
     lines.check()
-    x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
-    return MidlinePair(
-        l1=Segment(Point2(x1, y1), Point2(x2, y2)),
-        l2=Segment(Point2(x3, y3), Point2(x4, y4)),
-        branch=_BRANCHES[lines.branch[0]],
-    )
-
-
-def intersection_point(pair: MidlinePair) -> Point2:
-    """Mean of the four endpoints; for midlines of a box this is its center."""
-    s = pair.l1.ep1 + pair.l1.ep2 + pair.l2.ep1 + pair.l2.ep2
-    return s.scaled(0.25)
-
-
-# Why a midline pair rebuilds no box: MidlineBoxes.fault, 0 for a pair that
-# passes every midline rule.
-ZERO_LENGTH, PARALLEL, NON_FINITE = 1, 2, 3
-_FAULT_MESSAGES = {
-    ZERO_LENGTH: "zero-length midline",
-    PARALLEL: "parallel midlines span no area",
-}
+    return lines
 
 
 @dataclass(frozen=True)
@@ -443,8 +393,8 @@ class MidlineBoxes:
              the point that overflows
 
     The corners of a faulty row are meaningless. Whether the corners of a
-    row with fault 0 make a box is OrientedBox's shape rule, which box
-    applies.
+    row with fault 0 make a box is OrientedBox's shape rule, which
+    midlines_to_box applies.
     """
 
     corners: np.ndarray
@@ -456,26 +406,8 @@ class MidlineBoxes:
         fault = int(self.fault[i])
         if fault == NON_FINITE:
             points = self.points[i]
-            x, y = points[np.argmax(~np.isfinite(points).all(axis=1))].tolist()
-            return ValueError(f"non-finite point ({x}, {y})")
+            return _non_finite_point(*points[np.argmax(~np.isfinite(points).all(axis=1))].tolist())
         return DegenerateBox(_FAULT_MESSAGES[fault]) if fault else None
-
-    def box(
-        self, i: int, class_id: int = 0, score: float = 1.0, difficult: bool = False
-    ) -> OrientedBox:
-        """Row i as an OrientedBox.
-
-        A faulty row raises its error; corners that fail OrientedBox's shape
-        rule raise DegenerateBox("rebuilt corners: <reason>").
-        """
-        err = self.error(i)
-        if err is not None:
-            raise err
-        corners = tuple(Point2(x, y) for x, y in self.corners[i].tolist())
-        try:
-            return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
-        except _ShapeError as shape:
-            raise DegenerateBox(f"rebuilt corners: {shape}") from shape
 
 
 # The checks midline_boxes makes, in the order the scalar steps make them,
@@ -506,7 +438,7 @@ def midline_boxes(ends: np.ndarray) -> MidlineBoxes:
     """Rebuild N boxes from midline endpoints given as (N, 8) rows.
 
     Row i holds both endpoints of l1, then both of l2, as x, y, in either
-    order along each line; order_midline_ends puts them in MidlinePair's
+    order along each line; order_midline_ends puts them in the package's
     order. With c the endpoint mean (((e1 + e2) + e3) + e4) * 0.25, u half
     of l1's directed extent and v half of l2's, the corners are (c+u)+v,
     (c+u)-v, (c-u)-v and (c-u)+v. The checks run in this order, and each
@@ -545,20 +477,28 @@ def midline_boxes(ends: np.ndarray) -> MidlineBoxes:
 
 
 def midlines_to_box(
-    pair: MidlinePair,
+    ends,
     class_id: int = 0,
     score: float = 1.0,
     difficult: bool = False,
 ) -> OrientedBox:
-    """Rebuild the box spanned by a midline pair: one row of midline_boxes.
+    """Rebuild a box from one midline pair's 8 endpoint values: one row of midline_boxes.
 
-    Raises DegenerateBox when either half-extent vanishes, the two lines
-    are parallel, or they are so close to parallel that the rounded
-    corners fail OrientedBox's shape rule.
+    The values are l1's endpoints, then l2's, as x, y, in either order along
+    each line, as box_to_midlines(box).ends holds them. A row the midline
+    rules reject raises its MidlineBoxes.error, and rebuilt corners that
+    fail OrientedBox's shape rule, as near-parallel lines can give, raise
+    DegenerateBox("rebuilt corners: <reason>").
     """
-    ends = [pair.l1.ep1, pair.l1.ep2, pair.l2.ep1, pair.l2.ep2]
-    rebuilt = midline_boxes(np.array([[(p.x, p.y) for p in ends]]))
-    return rebuilt.box(0, class_id=class_id, score=score, difficult=difficult)
+    rebuilt = midline_boxes(np.asarray(ends, dtype=np.float64).reshape(1, 8))
+    err = rebuilt.error(0)
+    if err is not None:
+        raise err
+    corners = tuple(Point2(x, y) for x, y in rebuilt.corners[0].tolist())
+    try:
+        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+    except _ShapeError as shape:
+        raise DegenerateBox(f"rebuilt corners: {shape}") from shape
 
 
 def rectangle(

@@ -60,6 +60,8 @@ class TileSpec:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
+        if not self.window <= sys.float_info.max:  # an int past float range, inf or NaN: no finite step
+            raise ValueError(f"window must give a finite step, got {self.window}")
 
     @property
     def step(self) -> float:

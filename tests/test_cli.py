@@ -75,6 +75,16 @@ def test_tile_rejects_bad_overlap(tmp_path, capsys):
     assert "overlap" in out
 
 
+def test_tile_rejects_a_window_past_float_range_before_reading(tmp_path, capsys):
+    # 10**400 px with 0.25 overlap gives a step no float holds.
+    labels = write_labels(tmp_path)
+    window = "1" + "0" * 400
+    code, out = run(capsys, "tile", "--input", labels, "--out", tmp_path / "t", "--window", window)
+    assert code == 1
+    assert out == f"error=window must give a finite step, got {window}\n"
+    assert not (tmp_path / "t").exists()
+
+
 def test_tile_unreadable_input_is_io_error(tmp_path, capsys):
     code, out = run(capsys, "tile", "--input", tmp_path / "nope", "--out", tmp_path / "t")
     assert code == 2

@@ -9,12 +9,11 @@ from midlines.decoder import (
     decode,
     extract_components,
     merge_branches,
-    reconstruct_at_cell,
 )
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import DegenerateBox, ShapeMismatch
 from midlines.evaluation import rotated_iou
-from midlines.geometry import Boxes, BranchId, OrientedBox, Point2, rectangle
+from midlines.geometry import Boxes, BranchId, OrientedBox, Point2, midline_boxes, midlines_to_box, rectangle
 
 from oracles import flood_components
 
@@ -243,9 +242,10 @@ def test_components_meeting_diagonally_below_either_end_of_a_run(gap, expected):
 
 
 def test_reconstruct_reads_one_cell():
-    reg = np.zeros((8, 20, 20))
-    write_box_offsets(reg, 5, 7, stride=4, half_w=20, half_h=8)
-    det = reconstruct_at_cell(reg, 5, 7, stride=4, branch=BranchId.HORIZONTAL)
+    maps = make_maps(height=20, width=20)
+    maps.heatmap[0, 0, 5, 7] = 0.9
+    write_box_offsets(maps.regression[0], 5, 7, stride=4, half_w=20, half_h=8)
+    (det,) = decode(maps)
     expected = rectangle(28, 20, 40, 16)
     assert corner_set(det.box) == corner_set(expected)
     assert det.branch is BranchId.HORIZONTAL
@@ -557,18 +557,23 @@ def test_decode_matches_the_per_component_rules_bit_for_bit(seed):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_reconstruct_at_cell_is_one_row_of_the_rebuild(seed):
+def test_midline_boxes_is_the_reference_rebuild_on_every_lit_cell(seed):
     maps = random_maps(seed)
-    for b, class_id, row, col in np.argwhere(maps.heatmap > 0.3).tolist():
-        out = reference_rebuild(cell_ends(maps, b, row, col))
-        call = (maps.regression[b], row, col, maps.stride, BranchId(b + 1), class_id, 0.5)
-        if isinstance(out, str):
-            with pytest.raises(DegenerateBox) as err:
-                reconstruct_at_cell(*call)
-            assert str(err.value) == out
-        else:
-            box = OrientedBox(tuple(Point2(x, y) for x, y in out), class_id=class_id, score=0.5)
-            assert bits(reconstruct_at_cell(*call)) == bits(Detection(box, BranchId(b + 1)))
+    cells = np.argwhere(maps.heatmap > 0.3).tolist()
+    ends = [cell_ends(maps, b, row, col) for b, _, row, col in cells]
+    rebuilt = midline_boxes(np.array(ends))
+    for i, row_ends in enumerate(ends):
+        out = reference_rebuild(row_ends)
+        err = rebuilt.error(i)
+        if isinstance(out, list):
+            assert err is None
+            assert [float(v).hex() for v in rebuilt.corners[i].ravel()] == [v.hex() for p in out for v in p]
+        elif err is not None:
+            assert isinstance(err, DegenerateBox) and str(err) == out
+        else:  # the midline rules pass, and the rebuilt corners fail the shape rule
+            with pytest.raises(DegenerateBox) as shape:
+                midlines_to_box(row_ends)
+            assert str(shape.value) == out
 
 
 @pytest.mark.parametrize("offsets", [
@@ -589,7 +594,7 @@ def test_overflow_raises_what_the_per_component_rules_raise(offsets):
         decode(maps)
     assert str(err.value) == str(expected.value)
     with pytest.raises(ValueError) as err:
-        reconstruct_at_cell(maps.regression[0], 6, 6, 4, BranchId.HORIZONTAL)
+        midlines_to_box(cell_ends(maps, 0, 6, 6))
     assert str(err.value) == str(expected.value)
 
 

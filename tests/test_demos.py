@@ -12,10 +12,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(demo, tmp_path):
+    # A demo's temporary files go to its own TMPDIR, which must be empty again after it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlines.encoder import drift_radius, encode_image
+from midlines.encoder import _drift_radii, encode_image
 from midlines.errors import DegenerateBox, OutOfBounds
 from midlines.geometry import (
     Boxes,
@@ -13,7 +13,6 @@ from midlines.geometry import (
     OrientedBox,
     Point2,
     box_to_midlines,
-    intersection_point,
     midline_arrays,
     rectangle,
 )
@@ -31,17 +30,22 @@ def disc_oracle(cx, cy, radius, width, height):
     return out
 
 
-# --- drift_radius -------------------------------------------------------------
+# --- the drift radius -------------------------------------------------------------
+
+
+def drift_of(box, stride=4, r=16.0):
+    """One box's branch index, centre (x, y) in input pixels and drift radius in cells."""
+    lines = box_to_midlines(box)
+    _, radius = _drift_radii(lines.centre, lines.lengths, stride, r)
+    return int(lines.branch[0]), lines.centre[0].tolist(), float(radius[0])
 
 
 def test_drift_radius_caps_at_r_over_stride():
-    pair = box_to_midlines(rectangle(100, 100, 200, 100))
-    assert drift_radius(pair, stride=4, r=16.0) == 4.0
+    assert drift_of(rectangle(100, 100, 200, 100), stride=4, r=16.0)[2] == 4.0
 
 
 def test_drift_radius_square_midlines():
-    pair = box_to_midlines(rectangle(100, 100, 128, 128, angle_deg=10))
-    assert drift_radius(pair, stride=4, r=16.0) == 4.0
+    assert drift_of(rectangle(100, 100, 128, 128, angle_deg=10), stride=4, r=16.0)[2] == 4.0
 
 
 def test_drift_radius_thin_box_still_covers_center_cell():
@@ -49,13 +53,11 @@ def test_drift_radius_thin_box_still_covers_center_cell():
     # worst-case rounding distance; the region must still own its cell.
     for center in ((100.0, 100.0), (102.0, 103.0), (97.9, 101.3)):
         box = rectangle(center[0], center[1], 200, 4)
-        pair = box_to_midlines(box)
-        radius = drift_radius(pair, stride=4, r=16.0)
+        b, (x, y), radius = drift_of(box, stride=4, r=16.0)
         assert radius >= 0.5
-        ip = intersection_point(pair)
         maps = encode_image([box], 256, 256, num_classes=1)
-        center_cell = (math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5))
-        assert maps.heatmap[pair.branch.index, 0][center_cell] == 1.0
+        center_cell = (math.floor(y / 4 + 0.5), math.floor(x / 4 + 0.5))
+        assert maps.heatmap[b, 0][center_cell] == 1.0
 
 
 # --- the drift region, as encode_image writes it ---------------------------------
@@ -65,18 +67,17 @@ def region_and_oracle(cx, cy, side, size=50, stride=4, r=16.0):
     """encode_image's positives for a side x side square centred at (cx, cy) cells, and the oracle's.
 
     The oracle scans the whole grid for the disc at the centre and radius
-    that box_to_midlines and drift_radius give, plus the rounded centre cell
-    clamped into the grid.
+    that box_to_midlines and the drift radius rule give, plus the rounded
+    centre cell clamped into the grid.
     """
     box = rectangle(cx * stride, cy * stride, side, side)
     maps = encode_image([box], size * stride, size * stride, num_classes=1, stride=stride, r=r)
-    pair = box_to_midlines(box)
-    ip = intersection_point(pair)
-    x, y = ip.x / stride, ip.y / stride
-    want = disc_oracle(x, y, drift_radius(pair, stride, r), size, size)
+    b, (x, y), radius = drift_of(box, stride, r)
+    x, y = x / stride, y / stride
+    want = disc_oracle(x, y, radius, size, size)
     want.add((min(max(math.floor(y + 0.5), 0), size - 1), min(max(math.floor(x + 0.5), 0), size - 1)))
-    got = {tuple(c) for c in np.argwhere(maps.heatmap[pair.branch.index, 0] == 1.0)}
-    assert not maps.heatmap[1 - pair.branch.index].any()
+    got = {tuple(c) for c in np.argwhere(maps.heatmap[b, 0] == 1.0)}
+    assert not maps.heatmap[1 - b].any()
     return got, want
 
 
@@ -127,15 +128,10 @@ def test_rect_example_center_cell_offsets():
 
 def test_every_masked_cell_reproduces_the_endpoints():
     box = rectangle(101.5, 97.25, 80, 30, angle_deg=25)
-    pair = box_to_midlines(box)
+    lines = box_to_midlines(box)
     maps = encode_image([box], 256, 256, num_classes=1)
-    b = pair.branch.index
-    endpoints = np.array(
-        [
-            pair.l1.ep1.x, pair.l1.ep1.y, pair.l1.ep2.x, pair.l1.ep2.y,
-            pair.l2.ep1.x, pair.l2.ep1.y, pair.l2.ep2.x, pair.l2.ep2.y,
-        ]
-    )
+    b = int(lines.branch[0])
+    endpoints = lines.ends[0]
     cells = np.argwhere(maps.reg_mask[b])
     assert len(cells) > 1
     for row, col in cells:
@@ -156,15 +152,12 @@ def test_two_disjoint_objects_fill_their_own_class_channels():
     a = rectangle(60, 60, 40, 24, class_id=0)
     b = rectangle(180, 180, 48, 30, angle_deg=30, class_id=2)
     maps = encode_image([a, b], 256, 256, num_classes=3)
-    pa, pb = box_to_midlines(a), box_to_midlines(b)
-    for box, pair in ((a, pa), (b, pb)):
-        ip = intersection_point(pair)
-        want = disc_oracle(
-            ip.x / 4, ip.y / 4, drift_radius(pair), maps.width, maps.height
-        )
+    for box in (a, b):
+        branch, (x, y), radius = drift_of(box)
+        want = disc_oracle(x / 4, y / 4, radius, maps.width, maps.height)
         got = {
             tuple(c)
-            for c in np.argwhere(maps.heatmap[pair.branch.index, box.class_id] == 1.0)
+            for c in np.argwhere(maps.heatmap[branch, box.class_id] == 1.0)
         }
         assert got == want
     # Nothing leaked into the unused class channel or wrong branch cells.
@@ -186,19 +179,13 @@ def test_mask_true_exactly_where_some_class_is_positive():
 
 def center_cell_endpoints(maps, box):
     """Branch, center cell, stored endpoints there, and box's true endpoints."""
-    pair = box_to_midlines(box)
-    b = pair.branch.index
-    ip = intersection_point(pair)
-    row, col = math.floor(ip.y / 4 + 0.5), math.floor(ip.x / 4 + 0.5)
+    lines = box_to_midlines(box)
+    b = int(lines.branch[0])
+    x, y = lines.centre[0].tolist()
+    row, col = math.floor(y / 4 + 0.5), math.floor(x / 4 + 0.5)
     anchor = np.array([col, row] * 4, dtype=float) * maps.stride
     stored = maps.regression[b, :, row, col] + anchor
-    endpoints = np.array(
-        [
-            pair.l1.ep1.x, pair.l1.ep1.y, pair.l1.ep2.x, pair.l1.ep2.y,
-            pair.l2.ep1.x, pair.l2.ep1.y, pair.l2.ep2.x, pair.l2.ep2.y,
-        ]
-    )
-    return b, (row, col), stored, endpoints
+    return b, (row, col), stored, lines.ends[0]
 
 
 def test_overlap_regression_goes_to_smaller_area_object():
@@ -249,7 +236,7 @@ def test_single_object_touches_exactly_one_branch():
         maps = encode_image([box], 256, 256, num_classes=1)
         touched = [b for b in range(2) if maps.heatmap[b].sum() > 0]
         assert len(touched) == 1
-        assert touched[0] == box_to_midlines(box).branch.index
+        assert touched == box_to_midlines(box).branch.tolist()
 
 
 def test_center_outside_image_is_rejected():
@@ -387,6 +374,20 @@ def test_the_first_faulty_annotation_names_the_error():
         encode_image([fine, bad_class, outside], 256, 256, num_classes=3)
     with pytest.raises(OutOfBounds, match="annotation 1 center"):
         encode_image([fine, outside, bad_class], 256, 256, num_classes=3)
+
+
+def test_an_endpoint_sum_that_overflows_names_the_first_partial_sum():
+    # Finite midpoints near 1e308 whose running endpoint sum overflows at
+    # the third endpoint: the error names that partial sum, not a center.
+    wide = OrientedBox((Point2(0.7e308, 0.0), Point2(0.8e308, 0.0), Point2(0.8e308, 1.0), Point2(0.7e308, 1.0)))
+    corners = Boxes.of([wide]).corners
+    assert np.isfinite((corners + np.roll(corners, -1, axis=1)) / 2.0).all()
+    calls = (lambda: encode_image([rectangle(50, 50, 20, 10), wide], 100, 100, 1), lambda: box_to_midlines(wide))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "non-finite point (inf, 1.0)"
+        assert not isinstance(err.value, OutOfBounds)
 
 
 def test_degenerate_object_is_skipped_before_its_center_is_checked():

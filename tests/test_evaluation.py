@@ -168,7 +168,7 @@ def test_iou_survives_near_identical_boxes():
                 rng.uniform(100, 220), rng.uniform(100, 220),
                 rng.uniform(16, 120), rng.uniform(16, 120), rng.uniform(0, 360),
             )
-            rebuilt = midlines_to_box(box_to_midlines(box))
+            rebuilt = midlines_to_box(box_to_midlines(box).ends)
             assert rotated_iou(box, rebuilt) > 0.999
 
 

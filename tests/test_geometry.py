@@ -9,12 +9,9 @@ from midlines.errors import DegenerateBox
 from midlines.geometry import (
     Boxes,
     BranchId,
-    MidlinePair,
     OrientedBox,
     Point2,
-    Segment,
     box_to_midlines,
-    intersection_point,
     midline_arrays,
     midlines_to_box,
     order_midline_ends,
@@ -114,29 +111,25 @@ def test_branch_totality_matches_angle_window(angle):
 
 
 def test_rect_midlines_match_hand_values():
-    pair = box_to_midlines(RECT)
-    assert pair.branch is BranchId.HORIZONTAL
-    assert (pair.l1.ep1.x, pair.l1.ep1.y) == (130, 100)
-    assert (pair.l1.ep2.x, pair.l1.ep2.y) == (70, 100)
-    assert (pair.l2.ep1.x, pair.l2.ep1.y) == (100, 80)
-    assert (pair.l2.ep2.x, pair.l2.ep2.y) == (100, 120)
+    lines = box_to_midlines(RECT)
+    assert lines.branch.tolist() == [BranchId.HORIZONTAL.index]
+    # l1's two endpoints, then l2's, as x, y
+    assert lines.ends.tolist() == [[130, 100, 70, 100, 100, 80, 100, 120]]
 
 
 def test_square_45_tie_picks_first_candidate():
     # Both midlines have equal length; candidate A must become l1.
-    pair = box_to_midlines(SQUARE_45)
-    assert pair.branch is BranchId.ORIENTED
-    assert (pair.l1.ep1.x, pair.l1.ep1.y) == (120, 80)
-    assert (pair.l1.ep2.x, pair.l1.ep2.y) == (80, 120)
-    assert (pair.l2.ep1.x, pair.l2.ep1.y) == (80, 80)
-    assert (pair.l2.ep2.x, pair.l2.ep2.y) == (120, 120)
+    lines = box_to_midlines(SQUARE_45)
+    assert lines.branch.tolist() == [BranchId.ORIENTED.index]
+    assert lines.ends.tolist() == [[120, 80, 80, 120, 80, 80, 120, 120]]
 
 
 def test_oriented_branch_puts_longer_line_first():
     box = rectangle(0, 0, 80, 20, angle_deg=30)
-    pair = box_to_midlines(box)
-    assert pair.branch is BranchId.ORIENTED
-    assert pair.l1.length > pair.l2.length
+    lines = box_to_midlines(box)
+    assert lines.branch.tolist() == [BranchId.ORIENTED.index]
+    (l1, l2), = lines.lengths.tolist()
+    assert l1 > l2
 
 
 @st.composite
@@ -152,21 +145,21 @@ def random_rectangles(draw):
 @given(box=random_rectangles())
 @settings(max_examples=200)
 def test_endpoint_ordering_invariants(box):
-    pair = box_to_midlines(box)
-    assert pair.l1.ep1.x >= pair.l1.ep2.x
-    if pair.l1.ep1.x == pair.l1.ep2.x:
-        assert pair.l1.ep1.y <= pair.l1.ep2.y
-    assert pair.l2.ep1.y <= pair.l2.ep2.y
-    if pair.l2.ep1.y == pair.l2.ep2.y:
-        assert pair.l2.ep1.x >= pair.l2.ep2.x
-    assert pair.l1.length > 0
-    assert pair.l2.length > 0
+    lines = box_to_midlines(box)
+    x1, y1, x2, y2, x3, y3, x4, y4 = lines.ends[0].tolist()
+    assert x1 >= x2
+    if x1 == x2:
+        assert y1 <= y2
+    assert y3 <= y4
+    if y3 == y4:
+        assert x3 >= x4
+    assert (lines.lengths > 0).all()
 
 
 @given(box=random_rectangles())
 @settings(max_examples=200)
 def test_rectangle_round_trip_is_exact(box):
-    rebuilt = midlines_to_box(box_to_midlines(box))
+    rebuilt = midlines_to_box(box_to_midlines(box).ends)
     assert_vertex_sets_close(corners_xy(box), corners_xy(rebuilt), tol=1e-9)
 
 
@@ -218,20 +211,20 @@ def test_midline_arrays_match_the_scalar_rule_row_by_row(boxes):
         assert lines.ends[i].tolist() == ends
         assert lines.branch[i] == branch
         assert lines.theta[i] == theta  # bit for bit: branch choice compares it
-        pair = box_to_midlines(box)
-        assert [pair.l1.length, pair.l2.length] == lines.lengths[i].tolist()
-        ip = intersection_point(pair)
-        assert [ip.x, ip.y] == lines.centre[i].tolist()
-        assert pair.branch.index == branch == branch_of(box).index
+        x1, y1, x2, y2, x3, y3, x4, y4 = ends
+        assert lines.lengths[i].tolist() == [math.hypot(x1 - x2, y1 - y2), math.hypot(x3 - x4, y3 - y4)]
+        assert lines.centre[i].tolist() == [(((x1 + x2) + x3) + x4) * 0.25, (((y1 + y2) + y3) + y4) * 0.25]
+        one = box_to_midlines(box)
+        for name in ("ends", "branch", "theta", "lengths", "centre"):
+            assert getattr(one, name).tolist() == [getattr(lines, name)[i].tolist()]
 
 
-# --- intersection_point -------------------------------------------------------
+# --- the intersection point ------------------------------------------------------
 
 
-def solve_line_crossing(l1: Segment, l2: Segment) -> tuple[float, float]:
-    """Independent oracle: intersect the two infinite lines directly."""
-    x1, y1, x2, y2 = l1.ep1.x, l1.ep1.y, l1.ep2.x, l1.ep2.y
-    x3, y3, x4, y4 = l2.ep1.x, l2.ep1.y, l2.ep2.x, l2.ep2.y
+def solve_line_crossing(ends) -> tuple[float, float]:
+    """Independent oracle: intersect the two infinite lines through l1's and l2's endpoints."""
+    x1, y1, x2, y2, x3, y3, x4, y4 = ends
     den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
     px = ((x1 * y2 - y1 * x2) * (x3 - x4) - (x1 - x2) * (x3 * y4 - y3 * x4)) / den
     py = ((x1 * y2 - y1 * x2) * (y3 - y4) - (y1 - y2) * (x3 * y4 - y3 * x4)) / den
@@ -239,133 +232,96 @@ def solve_line_crossing(l1: Segment, l2: Segment) -> tuple[float, float]:
 
 
 def test_intersection_point_of_rect_midlines():
-    ip = intersection_point(box_to_midlines(RECT))
-    assert (ip.x, ip.y) == (100, 100)
+    assert box_to_midlines(RECT).centre.tolist() == [[100, 100]]
 
 
 def test_intersection_point_of_symmetric_endpoints_is_origin():
-    pair = MidlinePair(
-        Segment(Point2(10, 0), Point2(-10, 0)),
-        Segment(Point2(0, -5), Point2(0, 5)),
-        BranchId.HORIZONTAL,
-    )
-    ip = intersection_point(pair)
-    assert (ip.x, ip.y) == (0, 0)
+    box = OrientedBox((Point2(10, -5), Point2(10, 5), Point2(-10, 5), Point2(-10, -5)))
+    lines = box_to_midlines(box)
+    assert sorted(lines.ends[0].tolist()) == [-10, -5, 0, 0, 0, 0, 5, 10]
+    assert lines.centre.tolist() == [[0, 0]]
 
 
 @given(box=random_rectangles())
 @settings(max_examples=150)
 def test_intersection_point_lies_on_both_midlines(box):
-    pair = box_to_midlines(box)
-    ip = intersection_point(pair)
-    px, py = solve_line_crossing(pair.l1, pair.l2)
-    assert math.hypot(ip.x - px, ip.y - py) < 1e-9
+    lines = box_to_midlines(box)
+    (x, y), = lines.centre.tolist()
+    px, py = solve_line_crossing(lines.ends[0].tolist())
+    assert math.hypot(x - px, y - py) < 1e-9
 
 
 # --- midlines_to_box ----------------------------------------------------------
 
 
 def test_parallelogram_reconstruction_hand_values():
-    pair = MidlinePair(
-        Segment(Point2(10, 0), Point2(-10, 0)),
-        Segment(Point2(2, -5), Point2(-2, 5)),
-        BranchId.ORIENTED,
-    )
-    box = midlines_to_box(pair)
+    box = midlines_to_box([10, 0, -10, 0, 2, -5, -2, 5])
     assert_vertex_sets_close(
         corners_xy(box), [(12, -5), (8, 5), (-12, 5), (-8, -5)], tol=1e-12
     )
 
 
 def test_rect_reconstruction_hand_values():
-    box = midlines_to_box(box_to_midlines(RECT))
+    box = midlines_to_box(box_to_midlines(RECT).ends)
     assert_vertex_sets_close(
         corners_xy(box), [(130, 80), (130, 120), (70, 120), (70, 80)], tol=1e-12
     )
 
 
 def test_coincident_endpoints_are_rejected():
-    with pytest.raises(DegenerateBox):
-        MidlinePair(
-            Segment(Point2(5, 5), Point2(5, 5)),
-            Segment(Point2(5, 5), Point2(5, 5)),
-            BranchId.HORIZONTAL,
-        )
+    with pytest.raises(DegenerateBox, match="^zero-length midline$"):
+        midlines_to_box([5, 5] * 4)
 
 
 def test_parallel_midlines_are_rejected():
-    pair = MidlinePair(
-        Segment(Point2(10, 0), Point2(-10, 0)),
-        Segment(Point2(5, 0), Point2(-5, 0)),
-        BranchId.ORIENTED,
-    )
     with pytest.raises(DegenerateBox):
-        midlines_to_box(pair)
+        midlines_to_box([10, 0, -10, 0, 5, 0, -5, 0])
 
 
 def test_half_extent_that_underflows_is_zero_length():
     # l1 spans the smallest subnormal, so half of it rounds to 0: the
     # half-extent test fires before the parallel test.
-    pair = MidlinePair(
-        Segment(Point2(5e-324, 0), Point2(0, 0)),
-        Segment(Point2(0, -5), Point2(0, 5)),
-        BranchId.ORIENTED,
-    )
     with pytest.raises(DegenerateBox, match="^zero-length midline$"):
-        midlines_to_box(pair)
+        midlines_to_box([5e-324, 0, 0, 0, 0, -5, 0, 5])
 
 
-def test_misordered_endpoints_are_rejected():
+def test_endpoints_in_either_order_rebuild_one_box():
+    ends = [10, 0, -10, 0, 2, -5, -2, 5]
+    box = midlines_to_box(ends)
+    for swapped in ([-10, 0, 10, 0, 2, -5, -2, 5], [10, 0, -10, 0, -2, 5, 2, -5]):
+        assert midlines_to_box(swapped) == box
     with pytest.raises(ValueError):
-        MidlinePair(
-            Segment(Point2(-10, 0), Point2(10, 0)),
-            Segment(Point2(0, -5), Point2(0, 5)),
-            BranchId.HORIZONTAL,
-        )
-    with pytest.raises(ValueError):
-        MidlinePair(
-            Segment(Point2(10, 0), Point2(-10, 0)),
-            Segment(Point2(0, 5), Point2(0, -5)),
-            BranchId.HORIZONTAL,
-        )
+        midlines_to_box(ends + ends)  # one pair is 8 values
 
 
 @st.composite
 def random_midline_pairs(draw):
-    # Keep the two half-extents well separated in length and clearly
-    # non-parallel so branch assignment and ordering stay unambiguous, and
-    # keep the more vertical line away from the horizontal-branch window
-    # so the rebuilt box stays on the oriented branch.
+    """l1's endpoints, then l2's, in order, as x, y: 8 values.
+
+    Keep the two half-extents well separated in length and clearly
+    non-parallel so branch assignment and ordering stay unambiguous, and
+    keep the more vertical line away from the horizontal-branch window so
+    the rebuilt box stays on the oriented branch.
+    """
     a = draw(st.floats(min_value=20.0, max_value=100.0))
     b = draw(st.floats(min_value=2.0, max_value=15.0))
     t1 = draw(st.floats(min_value=0.0, max_value=math.pi))
     skew = draw(st.floats(min_value=0.35, max_value=math.pi - 0.35))
     t2 = t1 + skew
-    u = Point2(a * math.cos(t1), a * math.sin(t1))
-    v = Point2(b * math.cos(t2), b * math.sin(t2))
-    theta = min((folded_deg(u.x, u.y), folded_deg(v.x, v.y)), key=lambda t: abs(t - 90.0))
+    ux, uy = a * math.cos(t1), a * math.sin(t1)
+    vx, vy = b * math.cos(t2), b * math.sin(t2)
+    theta = min((folded_deg(ux, uy), folded_deg(vx, vy)), key=lambda t: abs(t - 90.0))
     assume(not 87.9 < theta < 92.1)
-    l1 = Segment(u, u.scaled(-1.0))
-    l2 = Segment(v, v.scaled(-1.0))
-    if (l1.ep1.x, -l1.ep1.y) < (l1.ep2.x, -l1.ep2.y):
-        l1 = Segment(l1.ep2, l1.ep1)
-    if (l2.ep1.y, -l2.ep1.x) > (l2.ep2.y, -l2.ep2.x):
-        l2 = Segment(l2.ep2, l2.ep1)
-    return MidlinePair(l1, l2, BranchId.ORIENTED)
+    return order_midline_ends([ux, uy, -ux, -uy, vx, vy, -vx, -vy])[0].tolist()
 
 
-@given(pair=random_midline_pairs())
+@given(ends=random_midline_pairs())
 @settings(max_examples=150)
-def test_pair_box_pair_round_trip(pair):
-    box = midlines_to_box(pair)
-    again = box_to_midlines(box)
-    got = [
-        (s.ep1.x, s.ep1.y, s.ep2.x, s.ep2.y) for s in (again.l1, again.l2)
-    ]
-    want = [
-        (s.ep1.x, s.ep1.y, s.ep2.x, s.ep2.y) for s in (pair.l1, pair.l2)
-    ]
-    for g, w in zip(sorted(got), sorted(want)):
+def test_pair_box_pair_round_trip(ends):
+    again = box_to_midlines(midlines_to_box(ends))
+    assert again.branch.tolist() == [BranchId.ORIENTED.index]
+    got, want = again.ends[0].tolist(), ends
+    for g, w in zip(sorted([got[:4], got[4:]]), sorted([want[:4], want[4:]])):
         for gv, wv in zip(g, w):
             assert abs(gv - wv) < 1e-9
 
@@ -446,16 +402,9 @@ def test_near_parallel_midlines_are_degenerate():
     # degenerate regression rather than a bad argument.
     u = (0.6419510841369629, -0.3967475891113281)
     v = (1.038698673248291, -0.6419510841369629)
-    base = Point2(84.0, 128.0)
-    ends = [base + Point2(*d) for d in (u, (-u[0], -u[1]), v, (-v[0], -v[1]))]
-    x1, y1, x2, y2, x3, y3, x4, y4 = order_midline_ends([[(p.x, p.y) for p in ends]])[0].tolist()
-    pair = MidlinePair(
-        Segment(Point2(x1, y1), Point2(x2, y2)),
-        Segment(Point2(x3, y3), Point2(x4, y4)),
-        BranchId.HORIZONTAL,
-    )
+    ends = [(84.0 + dx, 128.0 + dy) for dx, dy in (u, (-u[0], -u[1]), v, (-v[0], -v[1]))]
     with pytest.raises(DegenerateBox, match="zero-area"):
-        midlines_to_box(pair)
+        midlines_to_box(order_midline_ends([ends])[0])
 
 
 # --- the quad rule on floats and on columns -----------------------------------

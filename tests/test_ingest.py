@@ -1,6 +1,7 @@
 import functools
 import json
 import logging
+import math
 import operator
 
 import numpy as np
@@ -318,6 +319,9 @@ def test_tile_spec_validation():
         TileSpec(window=0)
     with pytest.raises(ValueError):
         TileSpec(overlap=1.0)
+    for window in (10**400, math.inf, math.nan):
+        with pytest.raises(ValueError, match="window must give a finite step"):
+            TileSpec(window=window)
     assert TileSpec(window=800, overlap=0.25).step == 600.0
 
 
