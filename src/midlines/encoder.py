@@ -221,11 +221,21 @@ def encode_image(
     count toward n_objects. A class id outside [0, num_classes), an
     overflowing midline or a center outside the image raises for the first
     such annotation in input order.
+
+    The configuration is checked first, with the CLI's rules and texts: the
+    branch window must satisfy branch_low < branch_high, stride must be an
+    integer >= 1 (not a bool) and r must be > 0; each raises ValueError.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"bad image size {image_w}x{image_h}")
     if num_classes <= 0:
         raise ValueError(f"num_classes must be positive, got {num_classes}")
+    if not branch_low < branch_high:
+        raise ValueError(f"branch window empty: [{branch_low}, {branch_high}]")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if not r > 0.0:
+        raise ValueError(f"drift_r must be > 0, got {r}")
     width = math.ceil(image_w / stride)
     height = math.ceil(image_h / stride)
 
@@ -251,7 +261,8 @@ def encode_image(
     centre, radius = _drift_radii(lines.centre[keep], lines.lengths[keep], stride, r)
     obj, rows, cols = _disc_cells(centre, radius, width, height)
     b = branch[obj]
-    lit = np.unique(((b * num_classes + classes[keep][obj]) * height + rows) * width + cols)
+    lit = np.sort(((b * num_classes + classes[keep][obj]) * height + rows) * width + cols)
+    lit = lit[np.diff(lit, prepend=-1) != 0]  # np.unique, without its hash table
     # The smallest area owns a contested cell, the earlier index a tie: sort
     # by (cell, area, index) and keep the first entry of each cell, so the
     # winners come in increasing cell order.
@@ -262,11 +273,14 @@ def encode_image(
     first[1:] = cell[order[1:]] != cell[order[:-1]]
     win = order[first]
     obj, rows, cols, b, cell = obj[win], rows[win], cols[win], b[win], cell[win]
-    offsets = (ends[obj] - _cell_anchors(rows, cols, stride)).ravel()
+    offsets = ends[obj] - _cell_anchors(rows, cols, stride)
     plane = height * width
-    at = ((b[:, None] * 8 + np.arange(8)) * plane + (rows * width + cols)[:, None]).ravel()
-    order = np.argsort(at)
-    at, offsets = at[order], offsets[order]
+    at = (b[:, None] * 8 + np.arange(8)) * plane + (rows * width + cols)[:, None]
+    # In cell order the winners run by branch, and by (row, col) within a
+    # branch, so each branch's (K_b, 8) rows transposed are its flat
+    # indices in increasing order.
+    split = np.searchsorted(b, 1)
+    at, offsets = (np.concatenate((x[:split].T.ravel(), x[split:].T.ravel())) for x in (at, offsets))
     stored = offsets.view(np.uint64) != 0
 
     return TargetMaps(

@@ -22,6 +22,11 @@ _L1_EP1_X, _L1_EP1_Y, _L1_EP2_X, _L1_EP2_Y = 0, 1, 2, 3
 _L2_EP1_X, _L2_EP1_Y, _L2_EP2_X, _L2_EP2_Y = 4, 5, 6, 7
 
 
+def _check_weight(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Loss configuration.
@@ -41,9 +46,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha_focal", "alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _check_weight(name, getattr(self, name))
 
 
 @dataclass
@@ -82,18 +85,24 @@ _FOCAL_BLOCK = 1 << 15
 
 
 def _focal_terms(
-    grad: np.ndarray, q: np.ndarray, a: float, term: np.ndarray, scratch: np.ndarray
+    miss: np.ndarray, q: np.ndarray, a: float, grad: np.ndarray, term: np.ndarray, scratch: np.ndarray
 ) -> None:
     """Per-cell focal term (1 - q)^a * log(q) of clamped label probabilities q.
 
-    grad holds miss = 1 - q on entry and the term's derivative by q,
-    miss^a / q - a * miss^(a-1) * log(q), on return; the term goes to term.
-    scratch is overwritten.
+    miss = 1 - q, and may be grad itself. The term goes to term and its
+    derivative by q, miss^a / q - a * miss^(a-1) * log(q), to grad; scratch
+    is overwritten. At a == 2, the default, both powers are products:
+    pow(x, 1.0) and pow(x, 2.0) are x and x * x to the bit, and a multiply
+    takes about a third of the time of either power call.
     """
     np.log(q, out=term)
-    np.power(grad, a - 1.0, out=scratch)
-    grad **= a
-    scratch *= a
+    if a == 2.0:
+        np.multiply(miss, a, out=scratch)
+        np.multiply(miss, miss, out=grad)
+    else:
+        np.power(miss, a - 1.0, out=scratch)
+        np.power(miss, a, out=grad)
+        scratch *= a
     scratch *= term
     term *= grad
     grad /= q
@@ -102,10 +111,7 @@ def _focal_terms(
 
 def _zero_clamped(p: np.ndarray, grad: np.ndarray) -> None:
     """Multiply grad by 0.0 where p is outside (eps, 1 - eps) or NaN."""
-    if p.size and p.min() > CLAMP_EPS and p.max() < 1.0 - CLAMP_EPS:
-        return
-    clamped = np.flatnonzero(~((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)))
-    grad[clamped] *= 0.0
+    grad[np.flatnonzero(~((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)))] *= 0.0
 
 
 def _lit(tensor: np.ndarray | Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +153,11 @@ def _focal_sum(p, grad, start, stop, hits, hit_terms, a, n_objects, scratch):
     tree, so the total is the one term.sum() gives over all cells, bit for
     bit, with no array of every cell's term. scratch holds three arrays of
     a leaf's size.
+
+    A leaf whose cells all lie in (eps, 1 - eps) reads p as it is: clip
+    would change no cell there and zero no slope. A leaf with a clamped,
+    infinite or NaN cell is clipped and has those slopes zeroed, so a
+    prediction below eps anywhere in a leaf makes that leaf pay the clip.
     """
     n = stop - start
     if n > _FOCAL_BLOCK:
@@ -158,10 +169,14 @@ def _focal_sum(p, grad, start, stop, hits, hit_terms, a, n_objects, scratch):
     p_b, g = p[block], grad[block]
     q, aux, term = (array[:n] for array in scratch)
     # As a negative: q = 1 - clip(p), miss = clip(p).
-    np.clip(p_b, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
-    np.subtract(1.0, g, out=q)
-    _focal_terms(g, q, a, term, aux)
-    _zero_clamped(p_b, g)
+    if n and p_b.min() > CLAMP_EPS and p_b.max() < 1.0 - CLAMP_EPS:
+        np.subtract(1.0, p_b, out=q)
+        _focal_terms(p_b, q, a, g, term, aux)
+    else:
+        np.clip(p_b, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
+        np.subtract(1.0, g, out=q)
+        _focal_terms(g, q, a, g, term, aux)
+        _zero_clamped(p_b, g)
     g /= n_objects
     lo, hi = np.searchsorted(hits, (start, stop))
     term[hits[lo:hi] - start] = hit_terms[lo:hi]
@@ -174,7 +189,7 @@ def _focal(p: np.ndarray, hits: np.ndarray, n_objects: int, a: float) -> tuple[f
     p_hit = p[hits]
     q = np.clip(p_hit, CLAMP_EPS, 1.0 - CLAMP_EPS)
     g, t = 1.0 - q, np.empty_like(q)
-    _focal_terms(g, q, a, t, np.empty_like(q))
+    _focal_terms(g, q, a, g, t, np.empty_like(q))
     # The loss is -term / N. At a positive q = p, so its slope by p is the
     # negated slope by q; at a negative q = 1 - p, and the two signs cancel.
     np.negative(g, out=g)
@@ -210,6 +225,7 @@ def focal_ip_loss(
     hits = _positives(pred_hm, gt_hm)
     if n_objects < 1:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
+    _check_weight("alpha_focal", alpha_focal)
     value, grad = _focal(pred_hm.reshape(-1), hits, n_objects, alpha_focal)
     return value, grad.reshape(pred_hm.shape)
 

@@ -399,3 +399,94 @@ def test_degenerate_object_is_skipped_before_its_center_is_checked():
         box_to_midlines(flat)
     maps = encode_image([flat, rectangle(50, 50, 20, 10)], 256, 256, num_classes=1)
     assert maps.n_objects == 1
+
+
+# --- the configuration ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"stride": -4}, "stride must be an integer >= 1, got -4"),
+    ({"stride": 0}, "stride must be an integer >= 1, got 0"),
+    ({"stride": 4.5}, "stride must be an integer >= 1, got 4.5"),
+    ({"stride": True}, "stride must be an integer >= 1, got True"),
+    ({"stride": "4"}, "stride must be an integer >= 1, got '4'"),
+    ({"r": 0.0}, "drift_r must be > 0, got 0.0"),
+    ({"r": -5.0}, "drift_r must be > 0, got -5.0"),
+    ({"r": math.nan}, "drift_r must be > 0, got nan"),
+    ({"branch_low": math.nan}, "branch window empty: [nan, 92.0]"),
+    ({"branch_high": math.nan}, "branch window empty: [88.0, nan]"),
+    ({"branch_low": 50, "branch_high": 10}, "branch window empty: [50, 10]"),
+    ({"branch_low": 92.0}, "branch window empty: [92.0, 92.0]"),
+    ({"stride": 0, "branch_low": 95.0}, "branch window empty: [95.0, 92.0]"),
+], ids=lambda v: ",".join(f"{k}={v[k]}" for k in v) if isinstance(v, dict) else "")
+def test_encode_rejects_the_configurations_the_cli_rejects(kw, message):
+    # These used to encode, or fail with an unrelated error: stride -4 gave
+    # maps of negative size, stride 0 divided by zero, stride 4.5 wrote a
+    # manifest that read_maps refuses, and r <= 0 or an empty branch window
+    # encoded silently.
+    with pytest.raises(ValueError) as err:
+        encode_image([RECT], 256, 256, num_classes=1, **kw)
+    assert str(err.value) == message
+
+
+def test_encode_takes_an_infinite_radius_and_a_numpy_stride():
+    maps = encode_image([RECT], 256, 256, num_classes=1, stride=np.int64(4), r=math.inf)
+    plain = encode_image([RECT], 256, 256, num_classes=1, stride=4, r=math.inf)
+    np.testing.assert_array_equal(maps.regression, plain.regression)
+    assert maps.reg_mask.sum() > 1
+
+
+# --- the cell layout --------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scene_kind=st.sampled_from(
+        ["both-branches", "only-branch-1", "only-branch-2", "no-boxes", "contested"]
+    ),
+    stride=st.sampled_from([1, 2, 4]),
+)
+def test_encoded_cells_are_laid_out_as_sorting_them_gives(seed, scene_kind, stride):
+    # Reference layout: every object's own cells, from encoding it alone, in
+    # shuffled order, then np.unique for the heatmap and an argsort of the
+    # flat indices for the regression offsets.
+    rng = np.random.default_rng(seed)
+    image_w, image_h = int(rng.integers(40, 160)), int(rng.integers(40, 160))
+    scene = random_scene(rng, image_w, image_h, int(rng.integers(1, 20)))
+    lines = midline_arrays(Boxes.of(scene).corners)
+    x, y = lines.centre.T
+    # An edge centre can round to just outside the image; such a box raises.
+    wanted = (0 <= x) & (x <= image_w) & (0 <= y) & (y <= image_h)
+    if scene_kind in ("only-branch-1", "only-branch-2"):
+        branch = BranchId.HORIZONTAL if scene_kind == "only-branch-1" else BranchId.ORIENTED
+        wanted &= lines.branch == branch.index
+    elif scene_kind == "no-boxes":
+        wanted[:] = False
+    centres = lines.centre[wanted].tolist()
+    scene = [box for box, keep in zip(scene, wanted) if keep]
+    if scene_kind == "contested":
+        scene += [OrientedBox(box.corners, class_id=(box.class_id + 1) % 3) for box in scene[:4]]
+        scene += [rectangle(x, y, 30.0, 20.0, class_id=0) for x, y in centres[:4]]
+    maps = encode_image(scene, image_w, image_h, 3, stride=stride)
+    _, regression, mask, _ = combine_single_encodes(scene, image_w, image_h, 3, stride=stride)
+
+    lit = np.concatenate([np.empty(0, np.int64)] + [
+        np.flatnonzero(encode_image([box], image_w, image_h, 3, stride=stride).heatmap) for box in scene
+    ])
+    rng.shuffle(lit)
+    np.testing.assert_array_equal(maps.kept("heatmap").index, np.unique(lit))
+
+    b, row, col = np.nonzero(mask)
+    shuffled = rng.permutation(len(b))
+    b, row, col = b[shuffled], row[shuffled], col[shuffled]
+    plane = maps.height * maps.width
+    at = ((b[:, None] * 8 + np.arange(8)) * plane + (row * maps.width + col)[:, None]).ravel()
+    offsets = regression[b, :, row, col].ravel()
+    order = np.argsort(at)
+    at, offsets = at[order], offsets[order]
+    stored = offsets.view(np.uint64) != 0
+    cells = maps.kept("regression")
+    np.testing.assert_array_equal(cells.index, at[stored])
+    np.testing.assert_array_equal(cells.value.view(np.uint64), offsets[stored].view(np.uint64))
+    np.testing.assert_array_equal(maps.kept("reg_mask").index, np.flatnonzero(mask))

@@ -215,6 +215,40 @@ def test_focal_peak_memory_stays_near_the_gradient():
     assert peak <= 1.2 * gt.nbytes, peak / gt.nbytes
 
 
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("alpha_focal", [2.0, 3.5])
+@pytest.mark.parametrize("bad", [0.0, CLAMP_EPS, 1.0 - CLAMP_EPS / 2, 1.0, -np.inf, np.inf, np.nan])
+def test_focal_in_range_and_clamped_blocks_in_one_call(bad, alpha_focal, dtype):
+    # 4 x 21,600 cells: numpy's pairwise sum cuts four leaves. Leaves 0 and 2
+    # lie wholly inside the clamps; leaf 1 holds one clamped, infinite or
+    # NaN cell at a negative mid-leaf, and leaf 3 the same at a positive.
+    leaf = 21_600
+    rng = np.random.default_rng(7)
+    pred = rng.uniform(0.01, 0.99, (2, 3, 120, 120)).astype(dtype)
+    gt = (rng.random(pred.shape) < 0.01).astype(float)
+    p, g = pred.reshape(-1), gt.reshape(-1)
+    for at, label in ((leaf + leaf // 2 + 3, 0.0), (3 * leaf + leaf // 2 + 5, 1.0)):
+        p[at], g[at] = bad, label
+    with np.errstate(all="ignore"):
+        value, grad = focal_ip_loss(pred, gt, 3, alpha_focal)
+        expected_value, expected_grad = dense_focal(pred, gt, 3, alpha_focal)
+    assert value == expected_value or (math.isnan(value) and math.isnan(expected_value))
+    assert grad.dtype == expected_grad.dtype
+    np.testing.assert_array_equal(grad, expected_grad)
+    finite = ~np.isnan(expected_grad)
+    np.testing.assert_array_equal(np.signbit(grad[finite]), np.signbit(expected_grad[finite]))
+
+
+@pytest.mark.parametrize("alpha_focal", [float("nan"), float("inf"), -1.0])
+def test_focal_rejects_the_exponents_loss_weights_rejects(alpha_focal):
+    # These used to give a NaN loss, a -0.0 loss with a non-finite gradient,
+    # or a value.
+    pred, gt = np.full((2, 3), 0.4), np.eye(2, 3)
+    with pytest.raises(ValueError) as err:
+        focal_ip_loss(pred, gt, 2, alpha_focal)
+    assert str(err.value) == f"alpha_focal must be finite and non-negative, got {alpha_focal}"
+
 # --- endpoint_loss ---------------------------------------------------------------
 
 
