@@ -93,7 +93,7 @@ def _focal_terms(
     derivative by q, miss^a / q - a * miss^(a-1) * log(q), to grad; scratch
     is overwritten. At a == 2, the default, both powers are products:
     pow(x, 1.0) and pow(x, 2.0) are x and x * x to the bit, and a multiply
-    takes about a third of the time of either power call.
+    takes about half the time of either power call.
     """
     np.log(q, out=term)
     if a == 2.0:
