@@ -67,6 +67,7 @@ FLAG_RANGES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("merge_iou",), lambda v: 0.0 <= v <= 1.0, "merge-iou must be in [0, 1], got {}"),
     (("bar",), lambda v: 0.0 <= v <= 1.0, "bar must be in [0, 1], got {}"),
     (("iou",), lambda v: 0.0 < v <= 1.0, "iou must be in (0, 1], got {}"),
+    (("jobs",), lambda v: v >= 1, "jobs must be >= 1, got {}"),
 )
 
 

@@ -2,8 +2,9 @@
 
 No non-maximum suppression and no top-K cut: every connected domain above
 threshold yields exactly one detection, and only the cross-branch merge can
-remove one. The detections of an image come back as one Detections table of
-arrays; a Detection object is made only when a row is asked for.
+remove one. The detections of an image come back as one Detections table:
+a geometry.Boxes of their corners, class ids and scores, never difficult,
+plus a branch column. A Detection row is made only when one is asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.mid
     Boxes,
     BranchId,
     OrientedBox,
-    Table,
     _BRANCHES,
     midline_boxes,
     midlines_to_box,
@@ -47,31 +47,20 @@ class Detection:
 
 
 @dataclass(frozen=True, eq=False)
-class Detections(Table):
-    """The detections of one image as columns, row k for detection k.
+class Detections(Boxes):
+    """The detections of one image: a Boxes table, row k for detection k,
+    whose difficult column is all false, plus one more column.
 
-    corners:  (K, 4, 2) float64, in the order OrientedBox keeps them
-              (positive shoelace area)
-    score:    (K,) float64
-    class_id: (K,) int
-    branch:   (K,) BranchId.index
+    branch: (K,) BranchId.index
 
-    No detection is difficult. Iterating gives each row as a Detection,
-    made from the columns in one tolist pass. == is identity.
+    Iterating gives each row as a Detection, made from the columns in one
+    tolist pass.
     """
 
-    corners: np.ndarray
-    score: np.ndarray
-    class_id: np.ndarray
     branch: np.ndarray
 
-    @property
-    def difficult(self) -> np.ndarray:
-        return np.zeros(len(self), dtype=bool)
-
     def __iter__(self):
-        boxes = Boxes(self.corners, self.class_id, self.score, self.difficult)
-        for box, branch in zip(boxes, self.branch.tolist()):
+        for box, branch in zip(super().__iter__(), self.branch.tolist()):
             yield Detection(box=box, branch=_BRANCHES[branch])
 
 
@@ -254,7 +243,7 @@ def decode(
     code, corners = oriented_quads(rebuilt.corners[keep])
     good = code == 0
     keep = keep[good]
-    table = Detections(corners[good], scores[keep], class_id[keep], branch[keep])
+    table = Detections(corners[good], class_id[keep], scores[keep], np.zeros(len(keep), dtype=bool), branch[keep])
     if stats is not None:
         stats["dropped_degenerate"] = len(lookup) - len(table)
     return merge_branches(table, merge_iou)

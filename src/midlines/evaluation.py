@@ -9,7 +9,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import Boxes, OrientedBox, Table, signed_area
+from .geometry import Boxes, OrientedBox, signed_area
 
 _MIN_INTERSECTION = 1e-9
 
@@ -45,10 +45,6 @@ def _crossing(p, q, ax, ay, ex, ey) -> tuple[float, float]:
     return (p[0] + t * dx, p[1] + t * dy)
 
 
-def _xy(box) -> Sequence[Sequence[float]]:
-    return [(p.x, p.y) for p in box.corners] if isinstance(box, OrientedBox) else box
-
-
 def rotated_iou(a, b) -> float:
     """Intersection over union of two boxes (convex by construction).
 
@@ -57,8 +53,8 @@ def rotated_iou(a, b) -> float:
     clipping one box by the other's edges; intersections below 1e-9 square
     pixels count as empty.
     """
-    subject = quad = _xy(a)
-    clip = _xy(b)
+    subject = quad = a.corners if isinstance(a, OrientedBox) else a
+    clip = b.corners if isinstance(b, OrientedBox) else b
     for i in range(4):
         subject = _clip_by_edge(subject, clip[i], clip[(i + 1) % 4])
         if not subject:
@@ -179,8 +175,8 @@ class EvalReport:
 
 
 def _table(items):
-    """One image's boxes as a table: a table as it is, OrientedBoxes or rows with .box as one Boxes."""
-    if isinstance(items, Table):
+    """One image's boxes as a table: a Boxes (or Detections) as it is, OrientedBoxes or rows with .box as one Boxes."""
+    if isinstance(items, Boxes):
         return items
     return Boxes.of([item if isinstance(item, OrientedBox) else item.box for item in items])
 

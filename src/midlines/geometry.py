@@ -8,8 +8,10 @@ midlines of N boxes are one MidlineArrays from midline_arrays, and N pairs
 are rebuilt into boxes at once by midline_boxes. box_to_midlines and
 midlines_to_box are one-row calls of these two. Whether four corners make
 a box is quad_rule, which runs unchanged on Python floats for one box and
-on numpy columns for many. Many boxes are held as one Boxes table of
-columns, whose rows read as OrientedBox.
+on numpy columns for many; OrientedBox is the one place a single box is
+checked, and it keeps its corners as Point2s, plain (x, y) named tuples.
+Many boxes are held as one Boxes table of columns, whose rows read as
+OrientedBox; decoder.Detections is a Boxes with one more column.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,16 +47,18 @@ def _non_finite_point(x: float, y: float) -> ValueError:
     return ValueError(f"non-finite point ({x}, {y})")
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Immutable 2D point in image coordinates (x right, y down)."""
+def check_finite(points: Iterable[tuple[float, float]]) -> None:
+    """Raise the ValueError of the first (x, y) point that is not finite."""
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _non_finite_point(x, y)
+
+
+class Point2(NamedTuple):
+    """A 2D point in image coordinates (x right, y down), as OrientedBox keeps its corners."""
 
     x: float
     y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise _non_finite_point(self.x, self.y)
 
 
 class _ShapeError(ValueError):
@@ -121,6 +125,10 @@ class OrientedBox:
     whose turns bend both ways (a dart or a crossed bowtie), so every box is
     convex; collinear corners are allowed. The rule is quad_rule, the
     package's only statement of it; decode applies it to whole columns.
+
+    The corners may be any four (x, y) pairs; they are kept as Point2s.
+    Faults are reported in this order: a non-finite corner, a corner count
+    other than 4, a negative class id, a score outside [0, 1], quad_rule's.
     """
 
     corners: tuple[Point2, Point2, Point2, Point2]
@@ -130,30 +138,31 @@ class OrientedBox:
 
     def __post_init__(self):
         corners = tuple(self.corners)
-        if len(corners) != 4:
-            raise ValueError(f"need 4 corners, got {len(corners)}")
+        try:
+            p0, p1, p2, p3 = corners
+        except ValueError:
+            check_finite(corners)
+            raise ValueError(f"need 4 corners, got {len(corners)}") from None
+        if not (type(p0) is type(p1) is type(p2) is type(p3) is Point2):
+            p0, p1, p2, p3 = map(Point2._make, corners)
+        code, area = quad_rule(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
+        if code:  # a non-finite corner gives a non-finite area, so it has a code
+            check_finite(corners)
         if self.class_id < 0:
             raise ValueError(f"negative class id {self.class_id}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
-        p0, p1, p2, p3 = corners
-        code, area = quad_rule(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
         if code:
             raise _ShapeError(QUAD_MESSAGES[code])
-        if area < 0.0:
-            corners = (p0, p3, p2, p1)
-        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "corners", (p0, p3, p2, p1) if area < 0.0 else (p0, p1, p2, p3))
 
     @property
     def area(self) -> float:
-        return abs(signed_area([(p.x, p.y) for p in self.corners]))
+        return abs(signed_area(self.corners))
 
     def corner_array(self) -> list[float]:
         """Corners flattened to [x0, y0, x1, y1, x2, y2, x3, y3]."""
-        out: list[float] = []
-        for p in self.corners:
-            out.extend((p.x, p.y))
-        return out
+        return [v for p in self.corners for v in p]
 
 
 # Why a midline pair makes or rebuilds no box: MidlineBoxes.fault, 0 for a
@@ -215,9 +224,35 @@ def oriented_quads(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code, np.where((area < 0.0)[:, None, None], corners[:, [0, 3, 2, 1]], corners)
 
 
-class Table:
-    """Rows of a frozen dataclass whose fields are equal-length column arrays,
-    corners among them: len counts rows, and table[k] is iteration's row k."""
+@dataclass(frozen=True, eq=False)
+class Boxes:
+    """N boxes as columns, row i for box i; every row is a box quad_rule accepts.
+
+    corners:   (N, 4, 2) float64, in the order OrientedBox keeps them
+    class_id:  (N,) int64
+    score:     (N,) float64
+    difficult: (N,) bool
+
+    len counts rows. Iterating gives each row as an OrientedBox, made from
+    the columns in one tolist pass, and table[k] is iteration's row k. A
+    subclass adds columns as fields after these four. == is identity.
+    """
+
+    corners: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+    difficult: np.ndarray
+
+    @classmethod
+    def of(cls, boxes: Sequence[OrientedBox]) -> Boxes:
+        """The table of a sequence of OrientedBox, in its order: the one conversion from rows."""
+        xy = [v for box in boxes for p in box.corners for v in p]
+        return cls(
+            np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2),
+            np.array([box.class_id for box in boxes], dtype=np.int64),
+            np.array([box.score for box in boxes], dtype=np.float64),
+            np.array([box.difficult for box in boxes], dtype=bool),
+        )
 
     def __len__(self) -> int:
         return len(self.corners)
@@ -230,45 +265,15 @@ class Table:
         """The table of the given rows: indices, a bool mask or a slice."""
         return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-
-@dataclass(frozen=True, eq=False)
-class Boxes(Table):
-    """N boxes as columns, row i for box i; every row is a box quad_rule accepts.
-
-    corners:   (N, 4, 2) float64, in the order OrientedBox keeps them
-    class_id:  (N,) int64
-    score:     (N,) float64
-    difficult: (N,) bool
-
-    Iterating gives each row as an OrientedBox, made from the columns in one
-    tolist pass. == is identity.
-    """
-
-    corners: np.ndarray
-    class_id: np.ndarray
-    score: np.ndarray
-    difficult: np.ndarray
-
-    @classmethod
-    def of(cls, boxes: Sequence[OrientedBox]) -> Boxes:
-        """The table of a sequence of OrientedBox, in its order: the one conversion from rows."""
-        xy = [v for box in boxes for p in box.corners for v in (p.x, p.y)]
-        return cls(
-            np.array(xy, dtype=np.float64).reshape(len(boxes), 4, 2),
-            np.array([box.class_id for box in boxes], dtype=np.int64),
-            np.array([box.score for box in boxes], dtype=np.float64),
-            np.array([box.difficult for box in boxes], dtype=bool),
-        )
-
     def __iter__(self):
         columns = (self.corners.tolist(), self.class_id.tolist(), self.score.tolist(), self.difficult.tolist())
         for corners, class_id, score, difficult in zip(*columns):
             # A row passed quad_rule and was flipped as a column, so it skips
             # OrientedBox's checks: a flipped row's area could round differently.
             box = object.__new__(OrientedBox)
-            values = (tuple(Point2(x, y) for x, y in corners), class_id, score, difficult)
-            for name, value in zip(("corners", "class_id", "score", "difficult"), values):
-                object.__setattr__(box, name, value)
+            vars(box).update(
+                corners=tuple(map(Point2._make, corners)), class_id=class_id, score=score, difficult=difficult
+            )
             yield box
 
 
@@ -494,9 +499,8 @@ def midlines_to_box(
     err = rebuilt.error(0)
     if err is not None:
         raise err
-    corners = tuple(Point2(x, y) for x, y in rebuilt.corners[0].tolist())
     try:
-        return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
+        return OrientedBox(rebuilt.corners[0].tolist(), class_id=class_id, score=score, difficult=difficult)
     except _ShapeError as shape:
         raise DegenerateBox(f"rebuilt corners: {shape}") from shape
 
@@ -514,9 +518,8 @@ def rectangle(
     """Axis-aligned width x height rectangle at (cx, cy), rotated by angle_deg."""
     ca = math.cos(math.radians(angle_deg))
     sa = math.sin(math.radians(angle_deg))
-    corners = []
-    for dx, dy in ((-width / 2, -height / 2), (width / 2, -height / 2),
-                   (width / 2, height / 2), (-width / 2, height / 2)):
-        corners.append(Point2(cx + dx * ca - dy * sa, cy + dx * sa + dy * ca))
-    return OrientedBox(tuple(corners), class_id=class_id, score=score, difficult=difficult)
+    hw, hh = width / 2, height / 2
+    offsets = ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+    corners = [(cx + dx * ca - dy * sa, cy + dx * sa + dy * ca) for dx, dy in offsets]
+    return OrientedBox(corners, class_id=class_id, score=score, difficult=difficult)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .container import is_plain_file_name
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
-from .geometry import QUAD_MESSAGES, Boxes, OrientedBox, Point2, oriented_quads, quad_rule
+from .geometry import QUAD_MESSAGES, Boxes, OrientedBox, check_finite, oriented_quads, quad_rule
 
 DOTA_CLASS_NAMES = (
     "plane", "baseball-diamond", "bridge", "ground-track-field", "small-vehicle",
@@ -76,7 +76,7 @@ def _clamped_row(coords: Sequence[float], width: int | None, height: int | None,
     ys = [y if height is None else min(max(y, 0.0), float(height)) for y in coords[1::2]]
     code, area = quad_rule(*(v for point in zip(xs, ys) for v in point))  # a non-finite point has a code
     if code:
-        OrientedBox(tuple(map(Point2, xs, ys)))  # raises the box rule's error for these corners
+        OrientedBox(tuple(zip(xs, ys)))  # raises the box rule's error for these corners
     order = (0, 3, 2, 1) if area < 0.0 else range(4)
     return [v for i in order for v in (xs[i], ys[i])], class_id, difficult
 
@@ -327,6 +327,7 @@ _FIELD_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
         lambda v: isinstance(v, list) and len(v) == 8 and all(map(_is_number, v)),
         "a list of 8 numbers",
     ),
+    "difficult": (lambda v: isinstance(v, bool), "a boolean"),
 }
 
 
@@ -361,8 +362,8 @@ def boxes_from_json(
             raise UnknownClass(f"class {records[k]['class']!r} not in vocabulary {list(class_names)}")
         c = records[k]["corners"]
         try:
-            list(map(Point2, c[0::2], c[1::2]))  # a non-finite point shows as written
-            OrientedBox(tuple(Point2(x, y) for x, y in raw[k].tolist()), score=score[k].item())
+            check_finite(zip(c[0::2], c[1::2]))  # a non-finite point shows as written
+            OrientedBox(raw[k].tolist(), score=score[k].item())  # the box rule runs on the float64 row
         except ValueError as err:
             raise ValueError(f"{where}{k}: {err}") from None
     return Boxes(corners, class_id, score, np.array([bool(r.get("difficult", False)) for r in records], dtype=bool))
@@ -371,7 +372,8 @@ def boxes_from_json(
 def images_from_json(data: list, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
     """Rebuild annotated images from the normalized JSON array.
 
-    A missing field, a field of the wrong type, a size below 1, an image_id
+    A missing field, a field of the wrong type (a difficult flag, which may
+    be left out, must be a JSON boolean), a size below 1, an image_id
     an earlier image already has or a box the box rule rejects raises
     ValueError naming the image (and the object); see boxes_from_json.
     """
@@ -391,6 +393,8 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
             raise ValueError(f"{where}: objects must be a list")
         for k, obj in enumerate(entry.get("objects", ())):
             require_fields(obj, ("class", "corners"), f"{where} object {k}")
+            if "difficult" in obj:  # optional, but a JSON boolean when given
+                require_fields(obj, ("difficult",), f"{where} object {k}")
     if class_names is None:
         seen = {obj["class"] for img in data for obj in img.get("objects", ())}
         class_names = infer_vocabulary(seen)

@@ -14,7 +14,7 @@ from midlines.container import TENSOR_NAMES, read_maps, write_maps
 from midlines.decoder import decode
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import MidlinesError, ShapeMismatch
-from midlines.geometry import OrientedBox, Point2
+from midlines.geometry import Boxes, OrientedBox, Point2, rectangle
 from midlines.ingest import DOTA_CLASS_NAMES
 
 from test_gradcheck import bias_every_loss
@@ -495,12 +495,15 @@ def test_gt_corners_written_as_huge_integers_are_held_as_floats(tmp_path, capsys
     ({"image_id": "", "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got ''"),
     ({"image_id": "a\x00b", "width": 10, "height": 10},
      "image #0: image_id must be a plain file name, got 'a\\x00b'"),
+    ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, difficult="false")]},
+     "image 'z' object 0: difficult must be a boolean, got 'false'"),
 ], ids=[
     "zero-width", "negative-height", "no-image_id", "no-width", "no-height",
     "object-without-corners", "object-without-class", "entry-not-an-object",
     "null-width", "list-height", "fractional-width", "string-width",
     "null-objects", "objects-not-a-list", "short-corners", "string-corners",
     "null-corners", "list-class", "image_id-leaves-out-dir", "empty-image_id", "nul-in-image_id",
+    "string-difficult",
 ])
 @pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
 def test_malformed_gt_entry_is_validation_error(tmp_path, capsys, command, entry, message):
@@ -1194,6 +1197,9 @@ def test_eval_validates_iou(tmp_path, capsys):
     (["encode", "--stride", "0", "--branch-low", "95"], "branch window empty: [95.0, 92.0]"),
     (["decode", "--merge-iou", "2", "--threshold", "0"], "threshold must be in (0, 1), got 0.0"),
     (["roundtrip", "--bar", "2", "--drift-r", "0"], "drift_r must be > 0, got 0.0"),
+    (["encode", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["decode", "--jobs", "-1"], "jobs must be >= 1, got -1"),
+    (["roundtrip", "--jobs", "-1", "--bar", "2"], "bar must be in [0, 1], got 2.0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_flag_out_of_range_is_one_error_line_and_writes_nothing(tmp_path, capsys, argv, message):
     gt = make_gt(tmp_path, [PLANE])
@@ -1242,11 +1248,19 @@ def test_pipeline_closure(tmp_path, capsys):
     assert json.loads(report.read_text())["map"] >= 0.99
 
 
-def test_chain_on_a_scene_without_errors_makes_no_point2(tmp_path, capsys, monkeypatch, caplog):
+def test_chain_on_a_scene_without_errors_makes_no_box_row(tmp_path, capsys, monkeypatch, caplog):
     # Boxes stay columns from the label text to every output; only a row
-    # asked for, or an error to report, makes Point2s.
+    # asked for, or an error to report, makes an OrientedBox and its Point2s.
     made = []
-    monkeypatch.setattr(Point2, "__post_init__", lambda point: made.append(point))
+    row_view, box_check = Boxes.__iter__, OrientedBox.__post_init__
+
+    def rows(table):
+        for row in row_view(table):
+            made.append(row)
+            yield row
+
+    monkeypatch.setattr(Boxes, "__iter__", rows)
+    monkeypatch.setattr(OrientedBox, "__post_init__", lambda box: made.append(box) or box_check(box))
     labels = write_labels(tmp_path)
     tiles, maps, dets = tmp_path / "tiles", tmp_path / "maps", tmp_path / "dets.json"
     for argv in (
@@ -1261,8 +1275,8 @@ def test_chain_on_a_scene_without_errors_makes_no_point2(tmp_path, capsys, monke
         assert code == 0 and "warning=" not in out and "error=" not in out, out
     assert not caplog.records
     assert made == []
-    Point2(1.0, 2.0)
-    assert len(made) == 1  # the patch sees every Point2 made
+    list(Boxes.of([rectangle(5.0, 5.0, 2.0, 2.0)]))
+    assert len(made) == 2  # the patches see every box made and every row read
 
 
 def test_pipeline_is_byte_deterministic(tmp_path, capsys):

@@ -12,7 +12,7 @@ from midlines.decoder import (
 )
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import DegenerateBox, ShapeMismatch
-from midlines.evaluation import rotated_iou
+from midlines.evaluation import evaluate, rotated_iou
 from midlines.geometry import Boxes, BranchId, OrientedBox, Point2, midline_boxes, midlines_to_box, rectangle
 
 from oracles import flood_components
@@ -43,11 +43,14 @@ def corner_set(box):
 
 
 def table(dets):
-    """A Detections table holding the given Detections, in order."""
+    """A Detections table holding the given Detections, in order: the Boxes
+    columns of their boxes plus their branch column."""
+    boxes = Boxes.of([d.box for d in dets])
     return Detections(
-        corners=Boxes.of([d.box for d in dets]).corners,
-        score=np.array([d.score for d in dets]),
-        class_id=np.array([d.class_id for d in dets], dtype=int),
+        corners=boxes.corners,
+        class_id=boxes.class_id,
+        score=boxes.score,
+        difficult=boxes.difficult,
         branch=np.array([d.branch.index for d in dets], dtype=int),
     )
 
@@ -609,3 +612,32 @@ def test_detections_read_as_not_difficult():
     dets = table([Detection(box=rectangle(10, 10, 8, 4), branch=BranchId.ORIENTED)] * 3)
     assert dets.difficult.tolist() == [False] * 3
     assert [d.box.difficult for d in dets] == [False] * 3
+    # decode fills the column: a detection is never difficult, even of a difficult object.
+    decoded = decode(encode_image([rectangle(40, 40, 24, 12, 30, difficult=True)], 96, 96, num_classes=1))
+    assert len(decoded) == 1 and decoded.difficult.dtype == bool and not decoded.difficult.any()
+
+
+BRANCHED = [
+    Detection(box=rectangle(10, 10, 8, 4, class_id=1, score=0.9), branch=BranchId.ORIENTED),
+    Detection(box=rectangle(40, 10, 8, 4, score=0.6), branch=BranchId.HORIZONTAL),
+    Detection(box=rectangle(70, 10, 8, 4, 30, score=0.3), branch=BranchId.ORIENTED),
+]
+
+
+def test_detections_are_boxes_with_a_branch_column():
+    dets = table(BRANCHED)
+    assert isinstance(dets, Boxes)
+    picked = dets.take(np.array([2, 1]))
+    assert type(picked) is Detections
+    assert picked.branch.tolist() == [BranchId.ORIENTED.index, BranchId.HORIZONTAL.index]
+    assert list(picked) == [BRANCHED[2], BRANCHED[1]]
+    assert list(dets.take(np.array([True, False, True]))) == BRANCHED[::2]
+    assert dets[0] == BRANCHED[0] and dets[-1] == BRANCHED[-1]
+    assert list(Boxes.__iter__(dets)) == [d.box for d in BRANCHED]
+
+
+def test_evaluate_reads_detections_by_column(monkeypatch):
+    dets, gts = table(BRANCHED), Boxes.of([d.box for d in BRANCHED])
+    monkeypatch.setattr(Boxes, "__iter__", lambda rows: pytest.fail("evaluate read a row"))
+    report = evaluate(dets, gts, class_names=["a", "b"])
+    assert report.map_score == 1.0 and report.counts == {"a": (2, 0, 0), "b": (1, 0, 0)}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,10 +361,27 @@ def test_score_and_class_are_validated():
 
 
 def test_non_finite_points_are_rejected():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, float("inf"))
+    square = [(0.0, 0.0), (10.0, 0.0), (10.0, 6.0), (0.0, 6.0)]
+    for k, point in ((1, (float("nan"), 0.0)), (3, (0.0, float("inf")))):
+        corners = [*square[:k], point, *square[k + 1:]]
+        message = re.escape(f"non-finite point {point}")
+        with pytest.raises(ValueError, match=message):
+            OrientedBox([Point2(*p) for p in corners])
+        # A non-finite corner is reported before every other fault.
+        with pytest.raises(ValueError, match=message):
+            OrientedBox(corners[:k + 1], class_id=-1, score=2.0)
+
+
+def test_corners_given_as_plain_pairs_are_kept_as_point2():
+    pairs = [(0, 0), [10.0, 0.0], (10, 6), np.array([0.0, 6.0])]
+    box = OrientedBox(pairs, class_id=1)
+    assert all(type(p) is Point2 for p in box.corners)
+    assert box.corners == ((0, 0), (10.0, 0.0), (10, 6), (0.0, 6.0))
+    assert box == OrientedBox((Point2(0, 0), Point2(10, 0), Point2(10, 6), Point2(0, 6)), class_id=1)
+    flipped = OrientedBox(pairs[::-1])
+    assert flipped.corners == ((0.0, 6.0), (0, 0), (10.0, 0.0), (10, 6))
+    assert all(type(p) is Point2 for p in flipped.corners)
+    assert box.corner_array() == [0, 0, 10.0, 0.0, 10, 6, 0.0, 6.0] and box.area == 60.0
 
 
 @pytest.mark.parametrize("corners", [
