@@ -9,8 +9,12 @@ file is read.
 
 Output is line-oriented key=value logging plus the JSON files each
 subcommand writes; given the same inputs and seed, every written file is
-byte-identical between runs. A --jobs flag parallelizes per-file work, but
-summaries and outputs always follow input order.
+byte-identical between runs. An OSError a handler does not catch, such as
+an output path that cannot be written, ends in one error= line and exit 2.
+Per-file work runs in input order in the calling thread: a --jobs 2 thread
+pool made the CLI chain a third slower (280 against 204 ms a pass on 2
+vCPUs), as its threads handed the GIL over at each short numpy call.
+--jobs is still parsed and range-checked, for existing command lines.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,29 +133,23 @@ def _load_gt_images(
     return None
 
 
-# One pool per --jobs value, kept for the life of the process. Commands run
-# one after another in one process (a test run, a notebook) reuse the same
-# worker threads instead of starting fresh ones per command: a fresh thread
-# that starts before the last command's workers have fully exited gets a new
-# malloc arena of its own, which keeps its freed maps resident and made peak
-# memory jump by one decode's working set at random.
-_POOLS: dict[int, ThreadPoolExecutor] = {}
+# perfbench's tracing_patches wraps this with a (work, items, jobs) wrapper.
+def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """fn over items in input order, in the calling thread; jobs is not read.
 
-
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
-    """fn over items in input order; with jobs > 1, on that many pool threads.
-
-    Every item has finished when this returns, also when one raised: the
-    first exception in input order is raised after the rest are done.
+    Every item runs, also when one raised: the first exception in input
+    order is raised after the rest have run.
     """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        pool = _POOLS.setdefault(jobs, ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="midlines"))
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures)
-    return [future.result() for future in futures]
+    outputs, first_error = [], None
+    for item in items:
+        try:
+            outputs.append(fn(item))
+        except Exception as err:
+            if first_error is None:
+                first_error = err
+    if first_error is not None:
+        raise first_error
+    return outputs
 
 
 _IMAGE_ERRORS = (MidlinesError, ValueError, OverflowError, MemoryError)
@@ -226,12 +223,7 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
         return img, warnings, tiles
 
     n_tiles = n_objects = n_warnings = 0
-    try:
-        outputs = _parallel_map(process, files, args.jobs)
-    except OSError as err:
-        result.fail(IO_ERROR, error=err)
-        return result
-    for path, (img, warnings, tiles) in zip(files, outputs):
+    for path, (img, warnings, tiles) in zip(files, _parallel_map(process, files, args.jobs)):
         if img is None:
             result.fail(VALIDATION_ERROR, file=path.name, error=f"{warnings[0]!r}")
             continue
@@ -272,11 +264,7 @@ def cmd_encode(args: argparse.Namespace) -> CommandResult:
         write_maps(maps, out / img.image_id, img.class_names, provenance=provenance)
         return maps.n_objects
 
-    try:
-        counts = _map_images(result, process, images, args.jobs)
-    except OSError as err:
-        result.fail(IO_ERROR, error=err)
-        return result
+    counts = _map_images(result, process, images, args.jobs)
     result.log(images=len(images), objects=sum(counts), out=out)
     return result
 
@@ -320,7 +308,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
 
     try:
         outputs = _parallel_map(process, containers, args.jobs)
-    except (OSError, ValueError, OverflowError, MidlinesError) as err:
+    except (ValueError, OverflowError, MidlinesError) as err:
         # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
         # OverflowError: a stride past float range.
         result.fail(IO_ERROR, error=err)
@@ -474,6 +462,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch-high", type=float, default=BRANCH_HIGH_DEG)
 
 
+_JOBS_HELP = (
+    "kept for existing command lines, at least 1; per-file work runs in input order in the"
+    " calling thread, since two threads made the CLI chain about a third slower"
+)
+
+
 def _class_list(text: str) -> list[str] | None:
     """--classes as a vocabulary; an empty value overrides nothing."""
     return text.split(",") if text else None
@@ -493,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=float, default=TileSpec.overlap)
     p.add_argument("--format", choices=("auto", "dota", "icdar"), default="auto")
     p.add_argument("--strict", action="store_true", help="reject empty label files")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(run=cmd_tile)
 
     p = sub.add_parser("encode", help="rasterize ground truth into map containers")
     p.add_argument("--gt", required=True, help="normalized ground-truth JSON file or directory")
     p.add_argument("--out", required=True, help="output directory, one container per image")
     p.add_argument("--classes", type=_class_list, help="comma-separated class vocabulary override")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_config_flags(p)
     p.set_defaults(run=cmd_encode)
 
@@ -509,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="detections JSON path")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--merge-iou", type=float, default=DEFAULT_MERGE_IOU)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(run=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode+decode self-test with IoU statistics")
@@ -518,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold", type=float, default=DEFAULT_THRESHOLD, help="decode heatmap threshold"
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_config_flags(p)
     p.set_defaults(run=cmd_roundtrip)
 
@@ -545,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     error = _range_error(args)
-    result = CommandResult(VALIDATION_ERROR, [f"error={error}"]) if error else args.run(args)
+    try:
+        result = CommandResult(VALIDATION_ERROR, [f"error={error}"]) if error else args.run(args)
+    except OSError as err:  # a file a handler could not read, or an output path it could not write
+        result = CommandResult(IO_ERROR, [f"error={err}"])
     for line in result.messages:
         print(line)
     return result.exit_code

@@ -1248,6 +1248,36 @@ def test_pipeline_closure(tmp_path, capsys):
     assert json.loads(report.read_text())["map"] >= 0.99
 
 
+@pytest.mark.parametrize("command, target", [
+    ("tile", "a_file"),
+    ("tile", "a_file/tiles"),
+    ("encode", "a_file"),
+    ("decode", "a_dir"),
+    ("decode", "a_file/dets.json"),
+    ("eval", "a_dir"),
+    ("eval", "a_file/report.json"),
+])
+def test_output_path_that_cannot_be_written_is_one_io_error_line(tmp_path, capsys, command, target):
+    labels = write_labels(tmp_path)
+    tiles, maps, dets = tmp_path / "tiles", tmp_path / "maps", tmp_path / "dets.json"
+    run(capsys, "tile", "--input", labels, "--out", tiles)
+    run(capsys, "encode", "--gt", tiles, "--out", maps)
+    run(capsys, "decode", "--maps", maps, "--out", dets)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("kept\n", encoding="utf-8")
+    inputs = {
+        "tile": ["--input", labels],
+        "encode": ["--gt", tiles],
+        "decode": ["--maps", maps],
+        "eval": ["--gt", tiles, "--dets", dets],
+    }
+    code, out = run(capsys, command, *inputs[command], "--out", tmp_path / target)
+    assert code == 2
+    assert re.fullmatch(r"error=\[Errno \d+\] [^\n]+\n", out), out
+    assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept\n"
+    assert not any((tmp_path / "a_dir").iterdir())
+
+
 def test_chain_on_a_scene_without_errors_makes_no_box_row(tmp_path, capsys, monkeypatch, caplog):
     # Boxes stay columns from the label text to every output; only a row
     # asked for, or an error to report, makes an OrientedBox and its Point2s.
@@ -1299,17 +1329,20 @@ def test_pipeline_is_byte_deterministic(tmp_path, capsys):
         assert (a / p).read_bytes() == (b / p).read_bytes(), p
 
 
-def test_commands_in_one_process_reuse_the_worker_threads(tmp_path, capsys):
-    # A fresh thread per command could land in a new malloc arena and hold
-    # another decode's worth of freed memory; one pool keeps the same threads.
+def test_jobs_flag_starts_no_thread(tmp_path, capsys):
+    # Per-file work runs in the calling thread whatever --jobs says.
     labels = write_labels(tmp_path)
-    seen = []
-    for run_dir in ("a", "b"):
-        base = tmp_path / run_dir
-        run(capsys, "tile", "--input", labels, "--out", base / "tiles", "--jobs", 2)
-        run(capsys, "encode", "--gt", base / "tiles", "--out", base / "maps", "--jobs", 2)
-        seen.append({t.ident for t in threading.enumerate() if t.name.startswith("midlines")})
-    assert seen[0] and seen[0] == seen[1]
+    before = threading.active_count()
+    for argv in (
+        ["tile", "--input", labels, "--out", tmp_path / "tiles"],
+        ["encode", "--gt", tmp_path / "tiles", "--out", tmp_path / "maps"],
+        ["decode", "--maps", tmp_path / "maps", "--out", tmp_path / "dets.json"],
+        ["roundtrip", "--gt", tmp_path / "tiles", "--bar", 0],
+    ):
+        code, out = run(capsys, *argv, "--jobs", 2)
+        assert code == 0, out
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("midlines")]
 
 
 def test_parallel_map_finishes_every_item_before_raising():

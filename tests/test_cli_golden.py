@@ -4,15 +4,17 @@ Two seeded DOTA label files of about 150 rotated boxes each go through
 tile -> encode -> decode -> eval (mAP at IoU 0.5, 11-point mAP, and text
 mode at IoU 0.3) -> roundtrip. One sha256 over every file the chain writes
 and everything it prints must equal the digest recorded when the chain was
-last known to be right. A change that means to keep every output byte the
-same keeps this test passing; one that means to change them records the
-new digest here, and says why, in the same change.
+last known to be right, with --jobs 1 and --jobs 2 alike. A change that
+means to keep every output byte the same keeps this test passing; one that
+means to change them records the new digest here, and says why, in the
+same change.
 """
 
 import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from midlines.cli import main
 from midlines.ingest import DOTA_CLASS_NAMES
@@ -47,7 +49,8 @@ def scene(rng, n_boxes=150, side=1400.0):
     return "\n".join(lines) + "\n"
 
 
-def test_cli_chain_bytes_match_the_recorded_digest(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_chain_bytes_match_the_recorded_digest(tmp_path, capsys, jobs):
     rng = np.random.default_rng(20261019)
     labels = tmp_path / "labels"
     labels.mkdir()
@@ -56,13 +59,13 @@ def test_cli_chain_bytes_match_the_recorded_digest(tmp_path, capsys):
     out = tmp_path / "out"
     tiles, maps, dets = out / "tiles", out / "maps", out / "dets.json"
     commands = [
-        ["tile", "--input", labels, "--out", tiles, "--jobs", 2],
-        ["encode", "--gt", tiles, "--out", maps, "--jobs", 2],
-        ["decode", "--maps", maps, "--out", dets, "--jobs", 2],
+        ["tile", "--input", labels, "--out", tiles, "--jobs", jobs],
+        ["encode", "--gt", tiles, "--out", maps, "--jobs", jobs],
+        ["decode", "--maps", maps, "--out", dets, "--jobs", jobs],
         ["eval", "--gt", tiles, "--dets", dets, "--out", out / "eval_map.json"],
         ["eval", "--gt", tiles, "--dets", dets, "--ap-mode", "11-point", "--out", out / "eval_11.json"],
         ["eval", "--gt", tiles, "--dets", dets, "--mode", "text", "--iou", 0.3, "--out", out / "eval_text.json"],
-        ["roundtrip", "--gt", tiles, "--jobs", 2],
+        ["roundtrip", "--gt", tiles, "--jobs", jobs],
     ]
     digest = hashlib.sha256()
     for argv in commands:
