@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .ingest import (
     boxes_from_json,
     image_to_json,
     images_from_json,
+    log as ingest_log,
     parse_dota,
     parse_icdar,
     require_fields,
@@ -216,7 +218,15 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
                 img, warnings = parse_icdar(text, image_id=image_id, strict=args.strict)
             else:
                 img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
-            tiles = tile_image(img, spec)
+            # tile_image logs each box its clamp drops; attached, this handler
+            # adds them to the file's warnings and keeps them off stderr.
+            dropped = logging.Handler(logging.WARNING)
+            dropped.emit = lambda record: warnings.append(record.getMessage())
+            ingest_log.addHandler(dropped)
+            try:
+                tiles = tile_image(img, spec)
+            finally:
+                ingest_log.removeHandler(dropped)
         except (MidlinesError, ValueError) as err:
             # ValueError: bytes that are not UTF-8, or more windows or tiles than allowed.
             return None, [str(err)], []

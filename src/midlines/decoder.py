@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Cells, TargetMaps, _cell_anchors
+from .encoder import Cells, TargetMaps, _cell_anchors, _offsets
 from .errors import ShapeMismatch
 from .evaluation import may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps decoder.midlines_to_box
@@ -201,14 +201,14 @@ def decode(
     """All detections in one image's maps, cross-branch merged, unsorted.
 
     The maps are read as they are kept (TargetMaps.kept): a dense heatmap
-    by one threshold scan, Cells by their stored values, and a lookup cell
-    that regression Cells do not store reads +0.0 offsets, as its dense
-    array would. The offsets at every component's lookup cell are read with
-    one index, all boxes are rebuilt at once by geometry.midline_boxes, and
-    geometry.quad_rule runs once on the columns of their corners. A row that
-    passes the midline rules and the quad rule is a detection, in component
-    order, with its corners flipped to (0, 3, 2, 1) when its area is
-    negative, as OrientedBox keeps them. Degenerate regressions (coincident,
+    by one threshold scan, Cells by their stored values. The offsets at
+    every component's lookup cell are read in one gather by
+    encoder._offsets, the reader the line loss uses too, all boxes are
+    rebuilt at once by geometry.midline_boxes, and geometry.quad_rule runs
+    once on the columns of their corners. A row that passes the midline
+    rules and the quad rule is a detection, in component order, with its
+    corners flipped to (0, 3, 2, 1) when its area is negative, as
+    OrientedBox keeps them. Degenerate regressions (coincident,
     parallel or near-parallel endpoint pairs) drop their component; the
     count lands in stats["dropped_degenerate"] when a stats dict is
     supplied. Offsets whose rebuild overflows raise the ValueError of the
@@ -226,12 +226,7 @@ def decode(
     *_, lookup, scores = extract_components(heatmap, threshold)
     branch, class_id = np.divmod(lookup[:, 0], maps.num_classes)
     rows, cols = lookup[:, 1], lookup[:, 2]
-    if isinstance(regression, Cells):
-        height, width = regression.shape[2:]
-        at = ((branch[:, None] * 8 + np.arange(8)) * height + rows[:, None]) * width + cols[:, None]
-        offsets = regression.at(at.ravel()).reshape(-1, 8)
-    else:
-        offsets = regression[branch, :, rows, cols]
+    offsets = _offsets(regression, branch, rows * regression.shape[3] + cols)
     rebuilt = midline_boxes(offsets + _cell_anchors(rows, cols, maps.stride))
     overflow = rebuilt.fault == NON_FINITE
     if overflow.any():

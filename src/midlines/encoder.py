@@ -71,6 +71,19 @@ class Cells:
         return values
 
 
+def _offsets(reg: np.ndarray | Cells, lead: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """(K, 8) offsets of (..., 8, H, W) maps, dense or Cells, at K cells (lead, cell of H * W).
+
+    The rows are C-ordered. A cell that Cells do not store reads +0.0, as
+    its dense array would.
+    """
+    plane = math.prod(reg.shape[-2:])
+    if isinstance(reg, Cells):
+        at = (lead[:, None] * 8 + np.arange(8)) * plane + cell[:, None]
+        return reg.at(at.ravel()).reshape(-1, 8)
+    return reg.reshape(math.prod(reg.shape[:-3]), 8, plane)[lead, :, cell]
+
+
 class _Tensor:
     """A TargetMaps tensor field: holds a dense array or Cells, and reads dense.
 

@@ -10,7 +10,7 @@ class DegenerateBox(MidlinesError):
 
 
 class OutOfBounds(MidlinesError):
-    """An intersection point lies outside the image."""
+    """An annotation's centre lies outside its image (raised by encode_image)."""
 
 
 class ShapeMismatch(MidlinesError):

@@ -109,9 +109,8 @@ def average_precision(
         hits = (precision[recall >= r] for r in np.arange(0.0, 1.1, 0.1))
         return float(sum(h.max() if h.size else 0.0 for h in hits) / 11.0)
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    # The precision envelope: the best precision at this recall or any higher.
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     changed = np.where(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]).sum())
 

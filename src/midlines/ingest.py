@@ -244,8 +244,8 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     corner centroid, (((x0 + x1) + x2) + x3) / 4 and the same in y; in the
     overlap band that can be more than one tile. Translated corners v - o
     are clamped to the tile as min(max(v - o, 0.0), size); a box that
-    clamping leaves zero-area or non-convex is dropped with a warning, tile
-    by tile and box by box. An axis that needs more than MAX_AXIS_WINDOWS
+    clamping leaves zero-area or non-convex is dropped with a warning on
+    this module's logger, tile by tile and box by box. An axis that needs more than MAX_AXIS_WINDOWS
     windows, or an image that needs more than MAX_TILES tiles, raises
     ValueError before any tile is built.
     """

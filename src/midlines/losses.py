@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import Cells, TargetMaps
+from .encoder import Cells, TargetMaps, _offsets
 from .errors import NonBinaryGroundTruth, ShapeMismatch
 
 CLAMP_EPS = 1e-7
@@ -70,13 +70,11 @@ class LossValue:
 def _smooth_l1_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smooth L1 of a difference array and its derivative: (values, dvalues/dx).
 
-    0.5 * x^2 inside |x| < 1, |x| - 0.5 outside.
+    0.5 * x^2 inside |x| < 1, |x| - 0.5 outside. The derivative, x inside
+    and sign(x) outside, is clip(x, -1, 1) to the bit, NaN and -0.0 included.
     """
     ax = np.abs(x)
-    quad = ax < 1.0
-    value = np.where(quad, 0.5 * x * x, ax - 0.5)
-    grad = np.where(quad, x, np.sign(x))
-    return value, grad
+    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5), np.clip(x, -1.0, 1.0)
 
 
 # Most cells per block of the focal loss: a block's float64 scratch (256 KiB
@@ -183,29 +181,9 @@ def _focal_sum(p, grad, start, stop, hits, hit_terms, a, n_objects, scratch):
     return term.sum()
 
 
-def _focal(p: np.ndarray, hits: np.ndarray, n_objects: int, a: float) -> tuple[float, np.ndarray]:
-    """focal_ip_loss of flat predictions p whose positives are the sorted flat indices hits."""
-    # The positives first: q = clip(p), miss = 1 - q.
-    p_hit = p[hits]
-    q = np.clip(p_hit, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    g, t = 1.0 - q, np.empty_like(q)
-    _focal_terms(g, q, a, g, t, np.empty_like(q))
-    # The loss is -term / N. At a positive q = p, so its slope by p is the
-    # negated slope by q; at a negative q = 1 - p, and the two signs cancel.
-    np.negative(g, out=g)
-    _zero_clamped(p_hit, g)
-    g /= n_objects
-    dtype = np.result_type(p.dtype, CLAMP_EPS)
-    grad = np.empty(p.shape, dtype)
-    scratch = [np.empty(min(p.size, _FOCAL_BLOCK), dtype) for _ in range(3)]
-    total = _focal_sum(p, grad, 0, p.size, hits, t, a, n_objects, scratch)
-    grad[hits] = g
-    return -float(total) / n_objects, grad
-
-
 def focal_ip_loss(
     pred_hm: np.ndarray,
-    gt_hm: np.ndarray,
+    gt_hm: np.ndarray | Cells,
     n_objects: int,
     alpha_focal: float = 2.0,
 ) -> tuple[float, np.ndarray]:
@@ -214,7 +192,8 @@ def focal_ip_loss(
     -(1/N) * sum over cells of (1 - q)^a * log(q), where q is the
     probability the prediction gives the cell's own label: p at positives,
     1 - p at negatives. Predictions are clamped to [eps, 1 - eps] before the
-    log; where the clamp is active the gradient is zero.
+    log; where the clamp is active the gradient is zero. The target may be
+    held dense or as Cells.
 
     The few positives are evaluated first. Then every cell is taken as a
     negative, one cache-sized block at a time, with the positives' terms
@@ -226,8 +205,23 @@ def focal_ip_loss(
     if n_objects < 1:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
     _check_weight("alpha_focal", alpha_focal)
-    value, grad = _focal(pred_hm.reshape(-1), hits, n_objects, alpha_focal)
-    return value, grad.reshape(pred_hm.shape)
+    p = pred_hm.reshape(-1)
+    # The positives first: q = clip(p), miss = 1 - q.
+    p_hit = p[hits]
+    q = np.clip(p_hit, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    g, t = 1.0 - q, np.empty_like(q)
+    _focal_terms(g, q, alpha_focal, g, t, np.empty_like(q))
+    # The loss is -term / N. At a positive q = p, so its slope by p is the
+    # negated slope by q; at a negative q = 1 - p, and the two signs cancel.
+    np.negative(g, out=g)
+    _zero_clamped(p_hit, g)
+    g /= n_objects
+    dtype = np.result_type(p.dtype, CLAMP_EPS)
+    grad = np.empty(p.shape, dtype)
+    scratch = [np.empty(min(p.size, _FOCAL_BLOCK), dtype) for _ in range(3)]
+    total = _focal_sum(p, grad, 0, p.size, hits, t, alpha_focal, n_objects, scratch)
+    grad[hits] = g
+    return -float(total) / n_objects, grad.reshape(pred_hm.shape)
 
 
 def endpoint_loss(
@@ -279,19 +273,6 @@ def vertical_loss(pred: np.ndarray, n_objects: int) -> tuple[float, np.ndarray]:
     return float(value.sum() / n_objects), grad
 
 
-def _rows(reg: np.ndarray | Cells, lead: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """(8, K) offsets of (..., 8, H, W) maps at K cells (lead, cell of H * W).
-
-    The transpose of C-ordered (K, 8) rows, the layout a boolean-mask
-    gather gives, so every sum over them runs in that order.
-    """
-    plane = math.prod(reg.shape[-2:])
-    if isinstance(reg, Cells):
-        at = (lead[:, None] * 8 + np.arange(8)) * plane + cell[:, None]
-        return reg.at(at.ravel()).reshape(-1, 8).T
-    return reg.reshape(math.prod(reg.shape[:-3]), 8, plane)[lead, :, cell].T
-
-
 def _line(
     pred_reg: np.ndarray,
     target_reg: np.ndarray | Cells,
@@ -310,10 +291,12 @@ def _line(
         raise ShapeMismatch(f"pred {shape}, target {target_reg.shape}, mask {mask.shape}")
     index, values = _lit(mask)
     lead, cell = np.divmod(index[values.astype(bool, copy=False)], math.prod(shape[-2:]))
+    # The rows go in as the (8, K) transposes of C-ordered (K, 8) rows, the
+    # layout a boolean-mask gather gives, so every sum runs in that order.
     # Of the row arrays only the gradient rows outlive _line_rows, so the
     # gradient map is made next to them alone.
     l1, l2, l3, total, rows = _line_rows(
-        _rows(pred_reg, lead, cell), _rows(target_reg, lead, cell), max(n_objects, 1), weights
+        _offsets(pred_reg, lead, cell).T, _offsets(target_reg, lead, cell).T, max(n_objects, 1), weights
     )
     rows = rows.astype(pred_reg.dtype, copy=False)
     rows *= scale
@@ -333,20 +316,23 @@ def _line_rows(pred: np.ndarray, target: np.ndarray, n: int, weights: LossWeight
 
 def line_loss(
     pred_reg: np.ndarray,
-    target_reg: np.ndarray,
-    mask: np.ndarray,
+    target_reg: np.ndarray | Cells,
+    mask: np.ndarray | Cells,
     n_objects: int,
     weights: LossWeights = LossWeights(),
 ) -> LossValue:
     """Endpoint + alpha * collinearity + beta * perpendicularity.
 
     pred_reg and target_reg are (..., 8, H, W) offset maps, mask is the
-    (..., H, W) regression mask; every term sums over the masked cells only,
-    and the gradient is zero at every other cell. In text mode the
-    perpendicularity term is shielded: its value is still reported, but it
-    contributes nothing to total or gradient.
+    (..., H, W) regression mask; the target and mask may be held dense or
+    as Cells. Every term sums over the masked cells only, and the gradient
+    is zero at every other cell. In text mode the perpendicularity term is
+    shielded: its value is still reported, but it contributes nothing to
+    total or gradient.
     """
-    return _line(pred_reg, target_reg, np.asarray(mask, dtype=bool), n_objects, weights, 1.0)
+    if not isinstance(mask, Cells):
+        mask = np.asarray(mask, dtype=bool)
+    return _line(pred_reg, target_reg, mask, n_objects, weights, 1.0)
 
 
 def total_loss(
@@ -366,17 +352,12 @@ def total_loss(
     its positives and once for its masked cells.
     """
     n = max(target.n_objects, 1)
-    pred_hm = pred.heatmap
-    hits = _positives(pred_hm, target.kept("heatmap"))
-    ip, hm_grad = _focal(pred_hm.reshape(-1), hits, n, weights.alpha_focal)
+    ip, hm_grad = focal_ip_loss(pred.heatmap, target.kept("heatmap"), n, weights.alpha_focal)
     line = _line(
         pred.regression, target.kept("regression"), target.kept("reg_mask"), n, weights, weights.gamma
     )
     return LossValue(
         total=ip + weights.gamma * line.total,
         ip=ip, l1=line.l1, l2=line.l2, l3=line.l3,
-        gradients={
-            "heatmap": hm_grad.reshape(pred_hm.shape),
-            "regression": line.gradients["regression"],
-        },
+        gradients={"heatmap": hm_grad, "regression": line.gradients["regression"]},
     )

@@ -19,7 +19,7 @@ from midlines.decoder import decode
 from midlines.encoder import Cells, TargetMaps, encode_image
 from midlines.errors import NonBinaryGroundTruth
 from midlines.geometry import OrientedBox, Point2, rectangle
-from midlines.losses import LossWeights, focal_ip_loss, total_loss
+from midlines.losses import LossWeights, focal_ip_loss, line_loss, total_loss
 
 FIELDS = ("heatmap", "regression", "reg_mask")
 NAMES = ["a", "b", "c"]
@@ -272,6 +272,21 @@ def test_total_loss_on_cells_is_the_dense_loss_bit_for_bit(scene, text_mode, see
     target = encode_image(boxes, image_w, image_h, 3, stride=stride)
     weights = LossWeights(alpha=0.3, beta=2.0, gamma=0.25, text_mode=text_mode)
     assert_loss_same_as_dense(target, prediction(target, seed), weights)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(scene=scenes(), text_mode=st.booleans(), seed=st.integers(0, 2**16))
+def test_line_loss_on_cells_is_the_dense_loss_bit_for_bit(scene, text_mode, seed):
+    # The regression and mask as encode_image gives them; a Cells mask used
+    # to read as a 0-d array and fail the shape check.
+    boxes, image_w, image_h, stride = scene
+    target = encode_image(boxes, image_w, image_h, 3, stride=stride)
+    pred = prediction(target, seed).regression
+    weights = LossWeights(alpha=0.3, beta=2.0, text_mode=text_mode)
+    dense = dense_copy(target)
+    out = line_loss(pred, target.kept("regression"), target.kept("reg_mask"), target.n_objects, weights)
+    assert_same_loss(out, line_loss(pred, dense.regression, dense.reg_mask, target.n_objects, weights))
+    assert cell_fields(target) == list(FIELDS)  # line_loss made no grid
 
 
 @pytest.mark.parametrize("text_mode", [False, True])

@@ -183,6 +183,34 @@ def test_tile_reports_an_image_with_too_many_tiles(tmp_path):
     assert [p.name for p in (tmp_path / "t").glob("*.json")] == ["B0000__0_0.json"]
 
 
+def test_tile_reports_each_box_its_clamp_drops_as_a_warning_line(tmp_path):
+    # In a subprocess: pytest's log capture would hide a drop that reaches
+    # only Python's last-resort handler on stderr. Both boxes of the first
+    # line clamp to non-convex quads; the drops follow the parse warning,
+    # in tile order, and warnings= counts them.
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "P1.txt").write_text(
+        "877.7 242.8 817.2 676.6 548.3 352.7 658.8 311.7 ship 0\n"
+        "1000 1000 1001 1000 1001 1001 1000 1001 ship 0\n"
+        "not a label\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "t"
+    proc = subprocess.run(
+        [sys.executable, "-m", "midlines.cli", "tile", "--input", str(labels), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    dropped = "dropped a box that clamping left invalid: non-convex quad"
+    assert proc.stdout.splitlines() == [
+        "file=P1.txt warning='line 3: expected 10 fields, got 3'",
+        f"file=P1.txt warning='tile=P1__0_0 {dropped}'",
+        f"file=P1.txt warning='tile=P1__0_201 {dropped}'",
+        f"images=1 tiles=4 objects=3 warnings=3 out={out}",
+    ]
+
+
 # --- encode -----------------------------------------------------------------------
 
 

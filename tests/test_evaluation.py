@@ -255,6 +255,30 @@ def test_ap_undefined_class_is_none():
     assert average_precision([], [], n_gt=0) is None
 
 
+def loop_envelope_ap(tp_flags, scores, n_gt):
+    """All-point AP with the precision envelope built by a reverse Python loop."""
+    order = sorted(range(len(tp_flags)), key=lambda i: -scores[i])
+    tp = np.cumsum([1.0 if tp_flags[i] else 0.0 for i in order])
+    fp = np.cumsum([0.0 if tp_flags[i] else 1.0 for i in order])
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, np.finfo(np.float64).eps)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 1, 0, -1):
+        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    changed = np.where(mrec[1:] != mrec[:-1])[0]
+    return float(((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]).sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0, 1)), max_size=40),
+       st.integers(1, 50))
+def test_all_point_ap_is_the_loop_envelope_ap_bit_for_bit(ranked, n_gt):
+    flags, scores = [f for f, _ in ranked], [s for _, s in ranked]
+    n_gt = max(n_gt, sum(flags))
+    assert average_precision(flags, scores, n_gt).hex() == loop_envelope_ap(flags, scores, n_gt).hex()
+
+
 def test_ap_eleven_point_mode():
     assert average_precision([True, False], [0.9, 0.8], 1, mode="11-point") == pytest.approx(1.0)
     assert average_precision([False, True], [0.9, 0.8], 1, mode="11-point") == pytest.approx(0.5)

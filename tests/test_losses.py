@@ -11,6 +11,7 @@ from midlines.errors import NonBinaryGroundTruth, ShapeMismatch
 from midlines.geometry import rectangle
 from midlines.losses import (
     _FOCAL_BLOCK,
+    _smooth_l1_arrays,
     CLAMP_EPS,
     LossWeights,
     collinear_loss,
@@ -70,6 +71,27 @@ def test_smooth_l1_non_negative_and_even(x):
     v_neg, _ = one_channel_endpoint(-x, 0.0)
     assert v_pos >= 0.0
     assert v_pos == v_neg
+
+
+def test_smooth_l1_matches_the_where_statement_bit_for_bit():
+    # The special values at and around the kink, zeros, infinities, NaNs
+    # with payloads and subnormals, then normal draws of several scales.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [
+        0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.inf, tiny, 2.2e-308, 0.5, 3.0,
+    ]
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001], dtype=np.uint64)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        special, np.negative(special), nans.view(np.float64), (nans | (1 << 63)).view(np.float64),
+        rng.normal(size=100_000) * rng.choice([1e-3, 1.0, 3.0, 1e6], size=100_000),
+    ])
+    with np.errstate(invalid="ignore"):  # the signalling NaN
+        value, grad = _smooth_l1_arrays(x)
+        ax = np.abs(x)
+        quad = ax < 1.0
+        assert value.tobytes() == np.where(quad, 0.5 * x * x, ax - 0.5).tobytes()
+        assert grad.tobytes() == np.where(quad, x, np.sign(x)).tobytes()
 
 
 # --- focal_ip_loss ---------------------------------------------------------------
