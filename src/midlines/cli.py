@@ -9,8 +9,15 @@ file is read.
 
 Output is line-oriented key=value logging plus the JSON files each
 subcommand writes; given the same inputs and seed, every written file is
-byte-identical between runs. An OSError a handler does not catch, such as
-an output path that cannot be written, ends in one error= line and exit 2.
+byte-identical between runs. Every JSON file holds the text that
+json.dumps(payload, indent=2, sort_keys=True) + "\\n" gives; tile and
+decode format theirs straight from table columns, since json's indented
+encoder runs in pure Python. Loaded ground truth and detections are
+type-checked in one pass over all their records (ingest.plain_records);
+only a file that fails it is scanned record by record, for the message
+naming the first bad one. eval exits 1 when a detection names an image
+the ground truth does not hold. An OSError a handler does not catch, such
+as an output path that cannot be written, ends in one error= line and exit 2.
 Per-file work runs in input order in the calling thread: a --jobs 2 thread
 pool made the CLI chain a third slower (280 against 204 ms a pass on 2
 vCPUs), as its threads handed the GIL over at each short numpy call.
@@ -25,6 +32,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -47,11 +55,13 @@ from .ingest import (
     AnnotatedImage,
     TileSpec,
     boxes_from_json,
-    image_to_json,
     images_from_json,
+    images_to_json,
+    json_array,
     log as ingest_log,
     parse_dota,
     parse_icdar,
+    plain_records,
     require_fields,
     tile_image,
 )
@@ -102,11 +112,13 @@ class CommandResult:
         self.log(**fields)
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path.write_text(text, encoding="utf-8")
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_gt_images(
@@ -240,7 +252,7 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
         for line in warnings:
             result.log(file=path.name, warning=f"{line!r}")
         for tile in tiles:
-            _write_json(out / f"{tile.image_id}.json", [image_to_json(tile)])
+            _write_text(out / f"{tile.image_id}.json", images_to_json([tile]))
         n_tiles += len(tiles)
         n_objects += sum(len(t.objects) for t in tiles)
         n_warnings += len(warnings)
@@ -282,15 +294,35 @@ def cmd_encode(args: argparse.Namespace) -> CommandResult:
 # --- decode -----------------------------------------------------------------------
 
 
-def _detection_records(dets: Detections, class_names: Sequence[str]) -> list[dict]:
-    """One record per row, read straight from the table's columns."""
+# One detection inside an array of detections, laid out as
+# json.dumps(indent=2, sort_keys=True) lays it out; CORNERS stands for
+# eight %r lines, and the %s before score is its image_id line or nothing.
+_DETECTION_JSON = """\
+  {
+    "branch": %d,
+    "class": %s,
+    "corners": [
+      CORNERS
+    ],
+%s    "score": %r
+  }""".replace("CORNERS", ",\n      ".join(["%r"] * 8))
+
+
+def _detections_json(dets: Detections, class_names: Sequence[str], image_id: str | None) -> list[str]:
+    """The JSON text of each detection row, read straight from the table's
+    columns, with an image_id line when one is given. A table holding a
+    non-finite value raises ValueError."""
+    if not (np.isfinite(dets.corners).all() and np.isfinite(dets.score).all()):
+        raise ValueError("a detection holds a non-finite value")
+    names = [encode_basestring_ascii(name) for name in class_names]
+    id_line = "" if image_id is None else f'    "image_id": {encode_basestring_ascii(image_id)},\n'
     columns = (
-        dets.class_id.tolist(), dets.score.tolist(),
-        dets.corners.reshape(-1, 8).tolist(), (dets.branch + 1).tolist(),
+        (dets.branch + 1).tolist(), dets.class_id.tolist(),
+        dets.corners.reshape(-1, 8).tolist(), dets.score.tolist(),
     )
     return [
-        {"class": class_names[c], "score": score, "corners": corners, "branch": branch}
-        for c, score, corners, branch in zip(*columns)
+        _DETECTION_JSON % (branch, names[c], *corners, id_line, score)
+        for branch, c, corners, score in zip(*columns)
     ]
 
 
@@ -310,10 +342,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
         maps, class_names = read_maps(container)
         stats: dict = {}
         dets = decode(maps, threshold=args.threshold, merge_iou=args.merge_iou, stats=stats)
-        records = _detection_records(dets, class_names)
-        if not single:
-            for record in records:
-                record["image_id"] = container.name
+        records = _detections_json(dets, class_names, None if single else container.name)
         return records, stats["dropped_degenerate"]
 
     try:
@@ -325,7 +354,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
         return result
     records = [rec for recs, _ in outputs for rec in recs]
     dropped = sum(d for _, d in outputs)
-    _write_json(Path(args.out), records)
+    _write_text(Path(args.out), json_array(records, "") + "\n")
     result.log(
         containers=len(containers), detections=len(records),
         dropped_degenerate=dropped, out=args.out,
@@ -420,13 +449,22 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
 
 
 def _detections_by_image(records: list, class_names: Sequence[str]) -> dict[str, Boxes]:
-    """The detection records of each image_id ("" where a record has none) as one table, in record order."""
+    """The detection records of each image_id ("" where a record has none) as one table, in record order.
+
+    The records are checked at once by plain_records; only when that fails
+    does each go through require_fields and the image_id test, so the first
+    bad record and its message are the same either way.
+    """
     if not isinstance(records, list):
         raise ValueError("detections JSON must be an array of records")
+    if not plain_records(records, {"score": float}, {"image_id": str}):
+        for n, r in enumerate(records):
+            require_fields(r, ("class", "corners", "score"), f"detection #{n}")
+            if not isinstance(r.get("image_id", ""), str):
+                raise ValueError(f"detection #{n}: image_id must be a string, got {r['image_id']!r}")
     grouped: dict[str, list[int]] = {}
     for n, r in enumerate(records):
-        require_fields(r, ("class", "corners", "score"), f"detection #{n}")
-        grouped.setdefault(str(r.get("image_id", "")), []).append(n)
+        grouped.setdefault(r.get("image_id", ""), []).append(n)
     unknown = sorted({r["class"] for r in records} - set(class_names))
     if unknown:
         raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
@@ -451,6 +489,10 @@ def cmd_eval(args: argparse.Namespace) -> CommandResult:
         result.fail(VALIDATION_ERROR, error=err)
         return result
     gts = {img.image_id: img.objects for img in images}
+    strays = sorted(set(dets) - set(gts))
+    if strays:
+        result.fail(VALIDATION_ERROR, error=f"detections name images not in the ground truth: {strays}")
+        return result
     report = evaluate(
         dets, gts, mode=args.mode, iou_threshold=args.iou,
         ap_mode=args.ap_mode, class_names=class_names,

@@ -12,6 +12,8 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -282,13 +284,53 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
 # --- normalized ground-truth JSON ----------------------------------------------
 
 
-def image_to_json(img: AnnotatedImage) -> dict:
+# One GT object and one image inside an array of images, laid out as
+# json.dumps(indent=2, sort_keys=True) lays them out; CORNERS stands for
+# eight %r lines.
+_OBJECT_JSON = """\
+      {
+        "class": %s,
+        "corners": [
+          CORNERS
+        ],
+        "difficult": %s
+      }""".replace("CORNERS", ",\n          ".join(["%r"] * 8))
+_IMAGE_JSON = """\
+  {
+    "height": %s,
+    "image_id": %s,
+    "objects": %s,
+    "width": %s
+  }"""
+
+
+def json_array(items: Sequence[str], indent: str) -> str:
+    """The JSON array of items already laid out as its indented elements,
+    closed at indent, as json.dumps(indent=2) writes it: [] when empty."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def images_to_json(images: Sequence[AnnotatedImage]) -> str:
+    """The normalized GT JSON file of images, formatted from each image's
+    columns: the text json.dumps(payload, indent=2, sort_keys=True) + "\\n"
+    gives for their records. Floats print by float.__repr__, strings by
+    json's ASCII escaping, and width and height as json prints the values
+    held. A table holding a non-finite corner raises ValueError."""
+    return json_array([_image_json(img) for img in images], "") + "\n"
+
+
+def _image_json(img: AnnotatedImage) -> str:
     boxes = img.objects
+    if not np.isfinite(boxes.corners).all():
+        raise ValueError(f"image {img.image_id!r}: a corner is not finite")
+    names = [encode_basestring_ascii(name) for name in img.class_names]
+    flags = ("false", "true")
     rows = zip(boxes.class_id.tolist(), boxes.corners.reshape(-1, 8).tolist(), boxes.difficult.tolist())
-    return {
-        "image_id": img.image_id, "width": img.width, "height": img.height,
-        "objects": [{"class": img.class_names[c], "corners": xy, "difficult": d} for c, xy, d in rows],
-    }
+    objects = [_OBJECT_JSON % (names[c], *xy, flags[d]) for c, xy, d in rows]
+    return _IMAGE_JSON % (
+        json.dumps(img.height), encode_basestring_ascii(img.image_id),
+        json_array(objects, "    "), json.dumps(img.width),
+    )
 
 
 def infer_vocabulary(class_strings: set[str]) -> list[str]:
@@ -318,7 +360,7 @@ def _is_integer(value) -> bool:
 # The type each checked field of the GT and detections JSON must hold.
 _FIELD_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
     # encode names a directory after it, so it may not leave --out.
-    "image_id": (lambda v: is_plain_file_name(str(v)), "a plain file name"),
+    "image_id": (lambda v: isinstance(v, str) and is_plain_file_name(v), "a plain file name"),
     "width": (_is_integer, "an integer"),
     "height": (_is_integer, "an integer"),
     "class": (lambda v: isinstance(v, str), "a string"),
@@ -340,6 +382,26 @@ def require_fields(record, fields: Sequence[str], where: str) -> None:
         is_type, kind = _FIELD_TYPES.get(name, (None, ""))
         if is_type is not None and not is_type(record[name]):
             raise ValueError(f"{where}: {name} must be {kind}, got {record[name]!r}")
+
+
+def plain_records(records: list, exact: dict[str, type], optional: dict[str, type]) -> bool:
+    """Whether every record passes require_fields on class, corners and the
+    names of exact, and on each name of optional it holds, judged by exact
+    types one field at a time over all records: each record is a dict, its
+    class a str, its corners a list of 8 floats, and every other field
+    exactly its type (so a bool is no int). False only means the records
+    need require_fields' scan: an int corner is a number too, but must
+    still pass the float-range test there."""
+    if not set(map(type, records)) <= {dict}:
+        return False
+    for name, kind in {"class": str, "corners": list, **exact}.items():
+        if not {type(r.get(name)) for r in records} <= {kind}:
+            return False
+    for name, kind in optional.items():
+        if not {type(r[name]) for r in records if name in r} <= {kind}:
+            return False
+    corners = [r["corners"] for r in records]
+    return set(map(len, corners)) <= {8} and set(map(type, chain.from_iterable(corners))) <= {float}
 
 
 def boxes_from_json(
@@ -376,22 +438,29 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
     be left out, must be a JSON boolean), a size below 1, an image_id
     an earlier image already has or a box the box rule rejects raises
     ValueError naming the image (and the object); see boxes_from_json.
+    The objects of all images are first checked at once by plain_records;
+    only when that fails does each object go through require_fields, so
+    the first bad object and its message are the same either way.
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
+    try:
+        plain = plain_records([obj for entry in data for obj in entry.get("objects", ())], {}, {"difficult": bool})
+    except (AttributeError, TypeError):  # an entry that is no dict, or objects that are no list
+        plain = False
     first: dict[str, int] = {}
     for n, entry in enumerate(data):
         require_fields(entry, ("image_id", "width", "height"), f"image #{n}")
-        image_id = str(entry["image_id"])
+        image_id = entry["image_id"]
         if first.setdefault(image_id, n) != n:
             raise ValueError(f"image #{n}: image_id {image_id!r} repeats image #{first[image_id]}")
-        where = f"image {entry['image_id']!r}"
+        where = f"image {image_id!r}"
         for name in ("width", "height"):
             if entry[name] < 1:
                 raise ValueError(f"{where}: {name} {entry[name]} below 1")
         if not isinstance(entry.get("objects", []), list):
             raise ValueError(f"{where}: objects must be a list")
-        for k, obj in enumerate(entry.get("objects", ())):
+        for k, obj in enumerate(() if plain else entry.get("objects", ())):
             require_fields(obj, ("class", "corners"), f"{where} object {k}")
             if "difficult" in obj:  # optional, but a JSON boolean when given
                 require_fields(obj, ("difficult",), f"{where} object {k}")
@@ -402,7 +471,7 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
     for entry in data:
         boxes = boxes_from_json(entry.get("objects", []), class_names, f"image {entry['image_id']!r} object ")
         images.append(AnnotatedImage(
-            str(entry["image_id"]), int(entry["width"]), int(entry["height"]), boxes, tuple(class_names)
+            entry["image_id"], int(entry["width"]), int(entry["height"]), boxes, tuple(class_names)
         ))
     return images
 

@@ -525,13 +525,19 @@ def test_gt_corners_written_as_huge_integers_are_held_as_floats(tmp_path, capsys
      "image #0: image_id must be a plain file name, got 'a\\x00b'"),
     ({"image_id": "z", "width": 10, "height": 10, "objects": [dict(PLANE, difficult="false")]},
      "image 'z' object 0: difficult must be a boolean, got 'false'"),
+    # A name that is not a string is not turned into one.
+    ({"image_id": None, "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got None"),
+    ({"image_id": 5, "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got 5"),
+    ({"image_id": True, "width": 10, "height": 10}, "image #0: image_id must be a plain file name, got True"),
+    ({"image_id": ["a"], "width": 10, "height": 10},
+     "image #0: image_id must be a plain file name, got ['a']"),
 ], ids=[
     "zero-width", "negative-height", "no-image_id", "no-width", "no-height",
     "object-without-corners", "object-without-class", "entry-not-an-object",
     "null-width", "list-height", "fractional-width", "string-width",
     "null-objects", "objects-not-a-list", "short-corners", "string-corners",
     "null-corners", "list-class", "image_id-leaves-out-dir", "empty-image_id", "nul-in-image_id",
-    "string-difficult",
+    "string-difficult", "null-image_id", "number-image_id", "boolean-image_id", "list-image_id",
 ])
 @pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
 def test_malformed_gt_entry_is_validation_error(tmp_path, capsys, command, entry, message):
@@ -1130,9 +1136,11 @@ def test_eval_detection_record_missing_a_field(tmp_path, capsys, field):
     ({"score": None}, "score must be a number, got None"),
     ({"score": "0.5"}, "score must be a number, got '0.5'"),
     ({"score": [1]}, "score must be a number, got [1]"),
+    ({"image_id": None}, "image_id must be a string, got None"),
+    ({"image_id": 5}, "image_id must be a string, got 5"),
 ], ids=[
     "short-corners", "null-corners", "string-corners", "list-class",
-    "null-score", "string-score", "list-score",
+    "null-score", "string-score", "list-score", "null-image_id", "number-image_id",
 ])
 def test_eval_detection_record_with_a_field_of_the_wrong_type(tmp_path, capsys, change, message):
     gt = make_gt(tmp_path, [PLANE])
@@ -1174,6 +1182,88 @@ def test_eval_detection_error_names_the_first_bad_record(tmp_path, capsys, recor
     code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
     assert code == 1
     assert out == f"error={message}\n"
+
+
+# Bad values that only the per-record scan names, each after many good
+# records: plain_records passes none of them, and the scan reports the
+# first, in the message it always gave. An integer corner is a number but
+# no float, so it too is scanned, and passes.
+LATE_FAULTS = [
+    ({"corners": [True, 80, 160, 80, 160, 120, 100, 120]},
+     "corners must be a list of 8 numbers, got [True, 80, 160, 80, 160, 120, 100, 120]"),
+    ({"corners": [100, 80, 10**400, 80, 160, 120, 100, 120]},
+     f"corners must be a list of 8 numbers, got [100, 80, {10**400}, 80, 160, 120, 100, 120]"),
+    ({"class": None}, "class must be a string, got None"),
+]
+GOOD_FLOATS = [float(v) for v in PLANE["corners"]]
+
+
+@pytest.mark.parametrize("change, message", LATE_FAULTS + [
+    ("no-class", "missing field 'class'"),
+], ids=["true-corner", "corner-past-float-range", "null-class", "no-class"])
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_gt_fault_after_many_good_objects_names_the_first(tmp_path, capsys, command, change, message):
+    good = dict(PLANE, corners=GOOD_FLOATS)
+    bad = {"corners": GOOD_FLOATS} if change == "no-class" else dict(good, **change)
+    objects = [good] * 300 + [dict(PLANE)] + [bad, dict(bad, corners=[None] * 8)] + [good] * 50
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([
+        {"image_id": "a", "width": 256, "height": 256, "objects": [good] * 200},
+        {"image_id": "z", "width": 256, "height": 256, "objects": objects},
+    ]), encoding="utf-8")
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == f"error=image 'z' object 301: {message}\n"
+    assert not (tmp_path / "maps").exists()
+
+
+@pytest.mark.parametrize("change, message", LATE_FAULTS + [
+    ({"score": False}, "score must be a number, got False"),
+    ({"score": 10**400}, f"score must be a number, got {10**400}"),
+    ({"image_id": 7}, "image_id must be a string, got 7"),
+], ids=["true-corner", "corner-past-float-range", "null-class", "false-score", "score-past-float-range",
+        "number-image_id"])
+def test_detection_fault_after_many_good_records_names_the_first(tmp_path, capsys, change, message):
+    good = {"class": "plane", "score": 0.5, "corners": GOOD_FLOATS, "image_id": "img"}
+    # An integer corner and score are scanned, and pass.
+    records = [good] * 400 + [dict(good, corners=PLANE["corners"], score=1), dict(good, **change)]
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps(records + [{}] + [good] * 20), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", bad)
+    assert code == 1
+    assert out == f"error=detection #401: {message}\n"
+
+
+def test_eval_of_detections_without_image_ids_exits_1(tmp_path, capsys):
+    # A single container decodes to records without image_id, by design.
+    # Scored against ground truth named by image, they matched no image
+    # and read mAP 0.0000 with exit 0.
+    gt = make_gt(tmp_path, [PLANE])
+    assert run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")[0] == 0
+    single, every = tmp_path / "single.json", tmp_path / "every.json"
+    assert run(capsys, "decode", "--maps", tmp_path / "maps" / "img", "--out", single)[0] == 0
+    assert run(capsys, "decode", "--maps", tmp_path / "maps", "--out", every)[0] == 0
+    code, out = run(capsys, "eval", "--gt", gt, "--dets", single, "--out", tmp_path / "report.json")
+    assert code == 1
+    assert out == "error=detections name images not in the ground truth: ['']\n"
+    assert not (tmp_path / "report.json").exists()
+    code, out = run(capsys, "eval", "--gt", gt, "--dets", every)
+    assert code == 0 and "1.0000" in out, out
+
+
+def test_eval_names_every_image_the_ground_truth_lacks(tmp_path, capsys):
+    record = {"class": "plane", "score": 1.0, "corners": PLANE["corners"]}
+    dets = tmp_path / "d.json"
+    dets.write_text(json.dumps([
+        dict(record, image_id="zz"), dict(record, image_id="img"), record, dict(record, image_id="b"),
+    ]), encoding="utf-8")
+    code, out = run(capsys, "eval", "--gt", make_gt(tmp_path, [PLANE]), "--dets", dets)
+    assert code == 1
+    assert out == "error=detections name images not in the ground truth: ['', 'b', 'zz']\n"
 
 
 @pytest.mark.parametrize("records", [7, None, "plane"])

@@ -17,8 +17,8 @@ from midlines.ingest import (
     AnnotatedImage,
     TileSpec,
     _axis_origins,
-    image_to_json,
     images_from_json,
+    images_to_json,
     infer_vocabulary,
     load_ground_truth,
     parse_dota,
@@ -351,9 +351,10 @@ def test_tile_image_refuses_an_axis_beyond_the_window_limit():
 
 def test_json_round_trip(tmp_path):
     img, _ = parse_dota(DOTA_LINE + "\n30 0 60 0 60 20 30 20 ship 1", image_id="P9")
-    payload = [image_to_json(t) for t in tile_image(img, TileSpec(800, 0.25))]
+    text = images_to_json(tile_image(img, TileSpec(800, 0.25)))
+    payload = json.loads(text)
     path = tmp_path / "gt.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     restored = load_ground_truth(path)
     assert [r.image_id for r in restored] == [t["image_id"] for t in payload]
     for entry, image in zip(payload, restored):
@@ -370,7 +371,7 @@ def test_json_round_trip(tmp_path):
 
 def test_json_schema_fields():
     img, _ = parse_icdar("10,10,50,12,49,30,9,28,###", image_id="t1")
-    payload = image_to_json(img)
+    (payload,) = json.loads(images_to_json([img]))
     assert payload == {
         "image_id": "t1",
         "width": 50,
@@ -406,6 +407,27 @@ def test_json_with_explicit_vocabulary():
     assert not img.objects[0].difficult
     with pytest.raises(UnknownClass):
         images_from_json(data, class_names=["bus"])
+
+
+def test_integer_corners_load_as_the_floats_they_round_to():
+    # Integer corners take the per-object scan rather than the bulk type
+    # check; they load to the same float64 columns: -0 is the integer 0,
+    # and 2**53 + 1 rounds to 2**53.
+    big = 2**53
+    written = [[-0, 0, big + 1, 0, big + 1, 4, -0, 4], [10, 10, 50, 12, 49, 30, 9, 28]]
+    held = [[0.0, 0.0, float(big), 0.0, float(big), 4.0, 0.0, 4.0], [10.0, 10.0, 50.0, 12.0, 49.0, 30.0, 9.0, 28.0]]
+    text = json.dumps([{"image_id": "a", "width": 100, "height": 100, "objects": [
+        {"class": "plane", "corners": xy, "difficult": d} for xy, d in zip(written, (False, True))
+    ]}]).replace("[0, 0,", "[-0, 0,").replace(", 0, 4]", ", -0, 4]")
+    assert "-0" in text
+    (img,) = images_from_json(json.loads(text))
+    (plain,) = images_from_json([{"image_id": "a", "width": 100, "height": 100, "objects": [
+        {"class": "plane", "corners": xy, "difficult": d} for xy, d in zip(held, (False, True))
+    ]}])
+    for column in ("corners", "class_id", "score", "difficult"):
+        assert getattr(img.objects, column).tobytes() == getattr(plain.objects, column).tobytes(), column
+    assert img.objects.corners.reshape(-1, 8).tolist() == held
+    assert not np.signbit(img.objects.corners).any()
 
 
 def test_json_must_be_an_array():
