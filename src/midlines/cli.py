@@ -12,12 +12,12 @@ subcommand writes; given the same inputs and seed, every written file is
 byte-identical between runs. Every JSON file holds the text that
 json.dumps(payload, indent=2, sort_keys=True) + "\\n" gives; tile and
 decode format theirs straight from table columns, since json's indented
-encoder runs in pure Python. Loaded ground truth and detections are
-type-checked in one pass over all their records (ingest.plain_records);
-only a file that fails it is scanned record by record, for the message
-naming the first bad one. eval exits 1 when a detection names an image
-the ground truth does not hold. An OSError a handler does not catch, such
-as an output path that cannot be written, ends in one error= line and exit 2.
+encoder runs in pure Python. Ground truth and detections load through
+ingest.images_from_json and ingest.detections_by_image, which type-check
+all records of a load in one pass and build one box table from them.
+eval exits 1 when a detection names an image the ground truth does not
+hold. An OSError a handler does not catch, such as an output path that
+cannot be written, ends in one error= line and exit 2.
 Per-file work runs in input order in the calling thread: a --jobs 2 thread
 pool made the CLI chain a third slower (280 against 204 ms a pass on 2
 vCPUs), as its threads handed the GIL over at each short numpy call.
@@ -46,7 +46,6 @@ from .evaluation import evaluate, may_overlap, rotated_iou
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps cli.box_to_midlines
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
-    Boxes,
     box_to_midlines,
     midline_arrays,
 )
@@ -54,15 +53,13 @@ from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_gradchecks
 from .ingest import (
     AnnotatedImage,
     TileSpec,
-    boxes_from_json,
+    detections_by_image,
     images_from_json,
     images_to_json,
     json_array,
     log as ingest_log,
     parse_dota,
     parse_icdar,
-    plain_records,
-    require_fields,
     tile_image,
 )
 
@@ -448,30 +445,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
 # --- eval -------------------------------------------------------------------------
 
 
-def _detections_by_image(records: list, class_names: Sequence[str]) -> dict[str, Boxes]:
-    """The detection records of each image_id ("" where a record has none) as one table, in record order.
-
-    The records are checked at once by plain_records; only when that fails
-    does each go through require_fields and the image_id test, so the first
-    bad record and its message are the same either way.
-    """
-    if not isinstance(records, list):
-        raise ValueError("detections JSON must be an array of records")
-    if not plain_records(records, {"score": float}, {"image_id": str}):
-        for n, r in enumerate(records):
-            require_fields(r, ("class", "corners", "score"), f"detection #{n}")
-            if not isinstance(r.get("image_id", ""), str):
-                raise ValueError(f"detection #{n}: image_id must be a string, got {r['image_id']!r}")
-    grouped: dict[str, list[int]] = {}
-    for n, r in enumerate(records):
-        grouped.setdefault(r.get("image_id", ""), []).append(n)
-    unknown = sorted({r["class"] for r in records} - set(class_names))
-    if unknown:
-        raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
-    boxes = boxes_from_json(records, class_names, "detection #", score=[float(r["score"]) for r in records])
-    return {image_id: boxes.take(rows) for image_id, rows in grouped.items()}
-
-
 def cmd_eval(args: argparse.Namespace) -> CommandResult:
     """Score a detections file against ground truth; print the table."""
     result = CommandResult()
@@ -481,7 +454,7 @@ def cmd_eval(args: argparse.Namespace) -> CommandResult:
     class_names = images[0].class_names if images else tuple(args.classes or ())
     try:
         records = json.loads(Path(args.dets).read_text(encoding="utf-8"))
-        dets = _detections_by_image(records, class_names)
+        dets = detections_by_image(records, class_names)
     except (OSError, json.JSONDecodeError) as err:
         result.fail(IO_ERROR, error=err)
         return result

@@ -175,7 +175,7 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     that is not an integer of at least 0, when a tensor file's size
     disagrees with its manifest shape (dense) or count (sparse), when a
     sparse tensor's indices are not strictly increasing or reach past its
-    cells, or when required tensors are missing, and
+    cells, or when required tensors are missing or a tensor is named twice, and
     MidlinesError when a tensor holds NaN or infinity or a heatmap holds a
     value outside [0, 1]; missing files surface as FileNotFoundError.
     """
@@ -200,7 +200,10 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         isinstance(t, dict) and isinstance(t.get("name"), str) for t in entries
     ):
         raise ShapeMismatch("manifest tensors must be a list of objects with a name")
-    by_name = {t["name"]: t for t in entries}
+    by_name: dict[str, dict] = {}
+    for t in entries:
+        if by_name.setdefault(t["name"], t) is not t:
+            raise ShapeMismatch(f"manifest names tensor {t['name']!r} more than once")
     missing = [n for n in TENSOR_NAMES if n not in by_name]
     if missing:
         raise ShapeMismatch(f"manifest missing tensors {missing}")

@@ -2,7 +2,9 @@
 
 Parsers never throw on a bad line; they skip it and report why in the
 returned warning list. Structural failure of a whole file does raise.
-An image holds its objects as one geometry.Boxes table of columns.
+An image holds its objects as one geometry.Boxes table of columns. Each
+table is built in one column pass over a whole file or load; a GT image
+holds a slice of its load's table.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import json
 import logging
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,7 +24,7 @@ import numpy as np
 
 from .container import is_plain_file_name
 from .errors import AllLinesMalformed, EmptyFile, UnknownClass
-from .geometry import QUAD_MESSAGES, Boxes, OrientedBox, check_finite, oriented_quads, quad_rule
+from .geometry import QUAD_MESSAGES, Boxes, OrientedBox, check_finite, oriented_quads
 
 DOTA_CLASS_NAMES = (
     "plane", "baseball-diamond", "bridge", "ground-track-field", "small-vehicle",
@@ -70,20 +73,14 @@ class TileSpec:
         return self.window * (1.0 - self.overlap)
 
 
-def _clamped_row(coords: Sequence[float], width: int | None, height: int | None, class_id: int, difficult: bool):
-    """A line's corners x0 y0 .. x3 y3, each clamped to the image when its size is known,
-    in the order OrientedBox keeps them, with its class id and difficult flag.
-    Corners OrientedBox rejects raise its ValueError."""
-    xs = [x if width is None else min(max(x, 0.0), float(width)) for x in coords[0::2]]
-    ys = [y if height is None else min(max(y, 0.0), float(height)) for y in coords[1::2]]
-    code, area = quad_rule(*(v for point in zip(xs, ys) for v in point))  # a non-finite point has a code
-    if code:
-        OrientedBox(tuple(zip(xs, ys)))  # raises the box rule's error for these corners
-    order = (0, 3, 2, 1) if area < 0.0 else range(4)
-    return [v for i in order for v in (xs[i], ys[i])], class_id, difficult
+def _clamp(v: np.ndarray, size) -> np.ndarray:
+    """min(max(v, 0.0), size) elementwise, with the answer Python's min and max
+    give: v on a tie and where it is NaN, so -0.0 and NaN stay as they are."""
+    v = np.where(0.0 > v, 0.0, v)
+    return np.where(size < v, size, v)
 
 
-class _Malformed(Exception):
+class _Malformed(ValueError):
     """A content line that does not have its format's fields at all."""
 
 
@@ -95,54 +92,57 @@ def _coords(fields: Sequence[str]) -> list[float]:
 
 
 def _parse_lines(
-    text: str,
-    parse_line: Callable[[str, int | None, int | None], tuple],
-    class_names: tuple[str, ...],
-    image_id: str,
-    width: int | None,
-    height: int | None,
-    strict: bool,
-    headers: tuple[str, ...] = (),
+    text: str, parse_line: Callable[[str], tuple[list[float], int, bool]], class_names: tuple[str, ...],
+    image_id: str, width: int | None, height: int | None, strict: bool, headers: tuple[str, ...] = (),
 ) -> tuple[AnnotatedImage, list[str]]:
-    """The line loop both parsers share.
+    """The line loop both parsers share, then one pass over the rows' columns.
 
-    parse_line turns one stripped line into a row. It raises _Malformed for
-    a line that counts toward AllLinesMalformed, and ValueError for a line
-    that is skipped with a warning only. Lines starting with one of headers
-    (case-insensitive) are skipped silently.
+    parse_line turns one stripped line into its coordinates, class id and
+    difficult flag. It raises _Malformed for a line that counts toward
+    AllLinesMalformed, and ValueError for a line that is skipped with a
+    warning only. Lines starting with one of headers (case-insensitive) are
+    skipped silently. A row whose clamped corners make no box is skipped
+    too, warned with the error OrientedBox raises for them.
     """
-    warnings: list[str] = []
-    rows = []
-    content_lines = 0
-    malformed = 0
+    rows, notes = [], []  # notes: (line number, warning)
+    content_lines = malformed = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip().lstrip("\ufeff")
         if not line or line.lower().startswith(headers):
             continue
         content_lines += 1
         try:
-            rows.append(parse_line(line, width, height))
-        except _Malformed as err:
-            warnings.append(f"line {lineno}: {err}")
-            malformed += 1
+            rows.append((lineno, *parse_line(line)))
         except ValueError as err:
-            warnings.append(f"line {lineno}: {err}")
+            notes.append((lineno, str(err)))
+            malformed += isinstance(err, _Malformed)
     if content_lines == 0:
         if strict:
             raise EmptyFile(f"{image_id or 'input'}: no annotation lines")
     elif malformed == content_lines:
         raise AllLinesMalformed(f"{image_id or 'input'}: none of {malformed} lines parse")
-    corners, class_id, difficult = zip(*rows) if rows else ((), (), ())
-    corners = np.array(corners, dtype=np.float64).reshape(-1, 4, 2)
+    linenos, coords, class_id, difficult = zip(*rows) if rows else ((), (), (), ())
+    clamped = np.array(coords, dtype=np.float64).reshape(-1, 4, 2)
+    for axis, size in enumerate((width, height)):
+        if size is not None:
+            clamped[:, :, axis] = _clamp(clamped[:, :, axis], float(size))
+    code, corners = oriented_quads(clamped)  # a non-finite point has a code
+    for k in np.flatnonzero(code).tolist():
+        try:
+            OrientedBox(clamped[k].tolist())  # raises the box rule's error for these corners
+        except ValueError as err:
+            notes.append((linenos[k], str(err)))
     objects = Boxes(corners, np.array(class_id, dtype=np.int64), np.ones(len(rows)), np.array(difficult, dtype=bool))
-    # A size not given is the extent of the parsed corners.
-    max_x, max_y = corners.reshape(-1, 2).max(axis=0).tolist() if rows else (1.0, 1.0)
+    objects = objects.take(code == 0)
+    # A size not given is the extent of the kept corners.
+    max_x, max_y = objects.corners.reshape(-1, 2).max(axis=0).tolist() if len(objects) else (1.0, 1.0)
     width = max(1, math.ceil(max_x)) if width is None else width
     height = max(1, math.ceil(max_y)) if height is None else height
+    warnings = [f"line {lineno}: {note}" for lineno, note in sorted(notes)]  # in line order
     return AnnotatedImage(image_id, width, height, objects, class_names), warnings
 
 
-def _dota_row(line: str, width: int | None, height: int | None) -> tuple:
+def _dota_row(line: str) -> tuple[list[float], int, bool]:
     tokens = line.split()
     if len(tokens) != 10:
         raise _Malformed(f"expected 10 fields, got {len(tokens)}")
@@ -152,16 +152,16 @@ def _dota_row(line: str, width: int | None, height: int | None) -> tuple:
         raise _Malformed("difficult flag must be 0 or 1")
     if category not in DOTA_CLASS_NAMES:
         raise ValueError(f"unknown category {category!r}, skipped")
-    return _clamped_row(coords, width, height, DOTA_CLASS_NAMES.index(category), difficult == "1")
+    return coords, DOTA_CLASS_NAMES.index(category), difficult == "1"
 
 
-def _icdar_row(line: str, width: int | None, height: int | None) -> tuple:
+def _icdar_row(line: str) -> tuple[list[float], int, bool]:
     parts = line.split(",")
     if len(parts) < 9:
         raise _Malformed("expected 8 coordinates plus text")
     coords = _coords(parts[:8])
     transcription = ",".join(parts[8:]).strip()
-    return _clamped_row(coords, width, height, 0, transcription == "###")
+    return coords, 0, transcription == "###"
 
 
 def parse_dota(
@@ -176,10 +176,7 @@ def parse_dota(
     Header lines (imagesource, gsd) are skipped silently. Without explicit
     image dimensions the extent of the parsed corners is used.
     """
-    return _parse_lines(
-        text, _dota_row, DOTA_CLASS_NAMES, image_id, width, height, strict,
-        headers=_DOTA_HEADERS,
-    )
+    return _parse_lines(text, _dota_row, DOTA_CLASS_NAMES, image_id, width, height, strict, _DOTA_HEADERS)
 
 
 def parse_icdar(
@@ -194,9 +191,7 @@ def parse_icdar(
     The transcription may itself contain commas; "###" marks a difficult
     region.
     """
-    return _parse_lines(
-        text, _icdar_row, ICDAR_CLASS_NAMES, image_id, width, height, strict
-    )
+    return _parse_lines(text, _icdar_row, ICDAR_CLASS_NAMES, image_id, width, height, strict)
 
 
 # Most windows tile_image lays along one axis. A coordinate near the float
@@ -235,8 +230,18 @@ def _axis_origins(dim: int, window: int, step: float, axis: str = "x") -> list[f
         o += step
 
 
-def _fmt_origin(v: float) -> str:
-    return str(int(v)) if v == int(v) else f"{v:g}"
+def _origin_names(origins: list[float], axis: str) -> list[str]:
+    """How each origin reads in a tile id: an integer as one, anything else by %g.
+
+    %g keeps 6 significant digits, so two origins past 100,000 can read the
+    same; that raises ValueError naming both, as their tiles would share an id.
+    """
+    names: dict[str, float] = {}
+    for v in origins:
+        name = str(int(v)) if v == int(v) else f"{v:g}"
+        if names.setdefault(name, v) != v:
+            raise ValueError(f"{axis} origins {names[name]!r} and {v!r} would both name tiles {name}")
+    return list(names)
 
 
 def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[AnnotatedImage]:
@@ -248,8 +253,9 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
     are clamped to the tile as min(max(v - o, 0.0), size); a box that
     clamping leaves zero-area or non-convex is dropped with a warning on
     this module's logger, tile by tile and box by box. An axis that needs more than MAX_AXIS_WINDOWS
-    windows, or an image that needs more than MAX_TILES tiles, raises
-    ValueError before any tile is built.
+    windows, an image that needs more than MAX_TILES tiles, or two origins
+    that would give two tiles one id (see _origin_names) raise ValueError
+    before any tile is built.
     """
     xs = _axis_origins(img.width, spec.window, spec.step, "x")
     ys = _axis_origins(img.height, spec.window, spec.step, "y")
@@ -257,22 +263,21 @@ def tile_image(img: AnnotatedImage, spec: TileSpec = TileSpec()) -> list[Annotat
         raise ValueError(
             f"{len(xs)} x {len(ys)} windows make {len(xs) * len(ys)} tiles, more than {MAX_TILES}"
         )
+    x_names, y_names = _origin_names(xs, "x"), _origin_names(ys, "y")
     corners = img.objects.corners
     with np.errstate(over="ignore", invalid="ignore"):
         cx, cy = ((((corners[:, 0] + corners[:, 1]) + corners[:, 2]) + corners[:, 3]) / 4.0).T
     tiles, empty = [], img.objects.take(slice(0, 0))
-    for oy in ys:
+    for oy, y_name in zip(ys, y_names):
         row = np.flatnonzero((oy <= cy) & (cy < oy + spec.window))  # a row of empty tiles does no array work
-        for ox in xs:
-            image_id = f"{img.image_id}__{_fmt_origin(ox)}_{_fmt_origin(oy)}"
+        for ox, x_name in zip(xs, x_names):
+            image_id = f"{img.image_id}__{x_name}_{y_name}"
             size = (int(round(min(spec.window, img.width - ox))), int(round(min(spec.window, img.height - oy))))
             boxes = img.objects.take(row[(ox <= cx[row]) & (cx[row] < ox + spec.window)]) if len(row) else empty
             if len(boxes):
                 with np.errstate(over="ignore", invalid="ignore"):
                     moved = boxes.corners - np.array((ox, oy), dtype=np.float64)
-                moved = np.where(0.0 > moved, 0.0, moved)  # max(d, 0.0) is d unless 0.0 is larger
-                limit = np.array(size, dtype=np.float64)
-                code, moved = oriented_quads(np.where(limit < moved, limit, moved))  # and min(d, size) likewise
+                code, moved = oriented_quads(_clamp(moved, np.array(size, dtype=np.float64)))
                 for c in code[code != 0].tolist():
                     log.warning("tile=%s dropped a box that clamping left invalid: %s", image_id, QUAD_MESSAGES[c])
                 kept = code == 0
@@ -405,13 +410,14 @@ def plain_records(records: list, exact: dict[str, type], optional: dict[str, typ
 
 
 def boxes_from_json(
-    records: Sequence[dict], class_names: Sequence[str], where: str, score: Sequence[float] | None = None
+    records: Sequence[dict], class_names: Sequence[str], where: Callable[[int], str],
+    score: Sequence[float] | None = None,
 ) -> Boxes:
     """The boxes of GT objects or detection records whose fields passed
     require_fields, held as float64; a missing score is 1.0, a missing
     difficult flag false. The first faulty record raises: a class outside
     class_names (UnknownClass), else the ValueError OrientedBox raises for
-    it, named as `where` and the record's index, a point as written."""
+    it, named as where(k) for the record's index k, a point as written."""
     index = {name: i for i, name in enumerate(class_names)}
     raw = np.array([r["corners"] for r in records], dtype=np.float64).reshape(-1, 4, 2)
     class_id = np.array([index.get(r["class"], -1) for r in records], dtype=np.int64)
@@ -427,7 +433,7 @@ def boxes_from_json(
             check_finite(zip(c[0::2], c[1::2]))  # a non-finite point shows as written
             OrientedBox(raw[k].tolist(), score=score[k].item())  # the box rule runs on the float64 row
         except ValueError as err:
-            raise ValueError(f"{where}{k}: {err}") from None
+            raise ValueError(f"{where(k)}: {err}") from None
     return Boxes(corners, class_id, score, np.array([bool(r.get("difficult", False)) for r in records], dtype=bool))
 
 
@@ -437,17 +443,19 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
     A missing field, a field of the wrong type (a difficult flag, which may
     be left out, must be a JSON boolean), a size below 1, an image_id
     an earlier image already has or a box the box rule rejects raises
-    ValueError naming the image (and the object); see boxes_from_json.
-    The objects of all images are first checked at once by plain_records;
-    only when that fails does each object go through require_fields, so
-    the first bad object and its message are the same either way.
+    ValueError naming the image (and the object, counted within its image);
+    see boxes_from_json. The objects of all images are first checked at
+    once by plain_records; only when that fails does each object go through
+    require_fields, so the first bad object and its message are the same
+    either way. Each image holds its rows of one table of all objects.
     """
     if not isinstance(data, list):
         raise ValueError("ground-truth JSON must be an array of images")
     try:
-        plain = plain_records([obj for entry in data for obj in entry.get("objects", ())], {}, {"difficult": bool})
-    except (AttributeError, TypeError):  # an entry that is no dict, or objects that are no list
-        plain = False
+        records = [obj for entry in data for obj in entry.get("objects", ())]
+        plain = plain_records(records, {}, {"difficult": bool})
+    except (AttributeError, TypeError):  # an entry that is no dict, or objects that are no list: raised below
+        records, plain = [], False
     first: dict[str, int] = {}
     for n, entry in enumerate(data):
         require_fields(entry, ("image_id", "width", "height"), f"image #{n}")
@@ -465,15 +473,42 @@ def images_from_json(data: list, class_names: Sequence[str] | None = None) -> li
             if "difficult" in obj:  # optional, but a JSON boolean when given
                 require_fields(obj, ("difficult",), f"{where} object {k}")
     if class_names is None:
-        seen = {obj["class"] for img in data for obj in img.get("objects", ())}
-        class_names = infer_vocabulary(seen)
-    images = []
-    for entry in data:
-        boxes = boxes_from_json(entry.get("objects", []), class_names, f"image {entry['image_id']!r} object ")
-        images.append(AnnotatedImage(
-            entry["image_id"], int(entry["width"]), int(entry["height"]), boxes, tuple(class_names)
-        ))
-    return images
+        class_names = infer_vocabulary({obj["class"] for obj in records})
+    starts = list(accumulate((len(entry.get("objects", [])) for entry in data), initial=0))
+
+    def object_name(k: int) -> str:
+        n = bisect_right(starts, k) - 1  # the last image whose objects start at or before k
+        return f"image {data[n]['image_id']!r} object {k - starts[n]}"
+
+    boxes, names = boxes_from_json(records, class_names, object_name), tuple(class_names)
+    return [
+        AnnotatedImage(e["image_id"], int(e["width"]), int(e["height"]), boxes.take(slice(a, b)), names)
+        for e, a, b in zip(data, starts, starts[1:])
+    ]
+
+
+def detections_by_image(records: list, class_names: Sequence[str]) -> dict[str, Boxes]:
+    """The detection records of each image_id ("" where a record has none) as one table, in record order.
+
+    The records are checked at once by plain_records; only when that fails
+    does each go through require_fields and the image_id test, so the first
+    bad record and its message are the same either way.
+    """
+    if not isinstance(records, list):
+        raise ValueError("detections JSON must be an array of records")
+    if not plain_records(records, {"score": float}, {"image_id": str}):
+        for n, r in enumerate(records):
+            require_fields(r, ("class", "corners", "score"), f"detection #{n}")
+            if not isinstance(r.get("image_id", ""), str):
+                raise ValueError(f"detection #{n}: image_id must be a string, got {r['image_id']!r}")
+    grouped: dict[str, list[int]] = {}
+    for n, r in enumerate(records):
+        grouped.setdefault(r.get("image_id", ""), []).append(n)
+    unknown = sorted({r["class"] for r in records} - set(class_names))
+    if unknown:
+        raise UnknownClass(f"detection classes not in vocabulary: {unknown}")
+    boxes = boxes_from_json(records, class_names, lambda k: f"detection #{k}", [float(r["score"]) for r in records])
+    return {image_id: boxes.take(rows) for image_id, rows in grouped.items()}
 
 
 def load_ground_truth(path: str | Path, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:

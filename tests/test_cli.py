@@ -478,6 +478,61 @@ def test_gt_object_error_names_the_first_bad_object(tmp_path, capsys, command, o
     assert not (tmp_path / "maps").exists()
 
 
+def write_two_images(tmp_path, objects_b, layout):
+    """Ground truth of image 'a' holding PLANE, then image 'b' holding objects_b:
+    one file, or a directory of one file per image."""
+    entries = [
+        {"image_id": "a", "width": 256, "height": 256, "objects": [PLANE]},
+        {"image_id": "b", "width": 256, "height": 256, "objects": objects_b},
+    ]
+    if layout == "file":
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(entries), encoding="utf-8")
+        return gt
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    for entry in entries:
+        (gt / f"{entry['image_id']}.json").write_text(json.dumps([entry]), encoding="utf-8")
+    return gt
+
+
+@pytest.mark.parametrize("layout", ["file", "directory"])
+@pytest.mark.parametrize("objects, message", [
+    ([PLANE, SHIP, dict(PLANE, corners=BAD_SHAPES["non-convex quad"])], "image 'b' object 2: non-convex quad"),
+    ([SHIP, dict(PLANE, corners=[100, 80, 160, 80, 160, float("inf"), 100, 120])],
+     "image 'b' object 1: non-finite point (160, inf)"),
+], ids=["shape", "non-finite-point"])
+@pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
+def test_gt_fault_in_a_later_image_names_that_image_and_its_own_object(
+    tmp_path, capsys, command, objects, message, layout
+):
+    gt = write_two_images(tmp_path, objects, layout)
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "roundtrip": [],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra)
+    assert code == 1
+    assert out == f"error={message}\n"
+    assert not (tmp_path / "maps").exists()
+
+
+@pytest.mark.parametrize("layout", ["file", "directory"])
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_gt_unknown_class_in_a_later_image_is_validation_error(tmp_path, capsys, command, layout):
+    # roundtrip takes no --classes: its vocabulary holds every class the GT names.
+    gt = write_two_images(tmp_path, [SHIP, dict(PLANE, **{"class": "zeppelin"})], layout)
+    extra = {
+        "encode": ["--out", tmp_path / "maps"],
+        "eval": ["--dets", dets_from_gt(make_gt(tmp_path, [PLANE], name="ok.json"), tmp_path / "d.json")],
+    }[command]
+    code, out = run(capsys, command, "--gt", gt, *extra, "--classes", "plane,ship")
+    assert code == 1
+    assert out == "error=class 'zeppelin' not in vocabulary ['plane', 'ship']\n"
+    assert not (tmp_path / "maps").exists()
+
+
 @pytest.mark.parametrize("command", ["encode", "roundtrip", "eval"])
 def test_gt_corners_written_as_huge_integers_are_held_as_floats(tmp_path, capsys, command):
     # Exact integer arithmetic gave an area of 10**400, which no float holds.

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from midlines.cli import main
 from midlines.container import MAX_SPARSE_CELLS, TENSOR_NAMES, read_maps, write_maps
 from midlines.encoder import TargetMaps, encode_image
 from midlines.errors import ShapeMismatch
@@ -376,6 +377,21 @@ def test_manifest_missing_tensor_entry_raises(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ShapeMismatch):
         read_maps(tmp_path)
+
+
+def test_tensor_named_twice_raises_shape_mismatch(tmp_path, capsys):
+    # A second hm_b1 entry for an empty sparse file: read by name, the last
+    # entry would stand, and decode would find nothing in the maps.
+    container = tmp_path / "maps"
+    write_maps(sample_maps(), container, ["a", "b"])
+    manifest = json.loads((container / "manifest.json").read_text())
+    manifest["tensors"].append(dict(entries(container)["hm_b1"], file="empty.f32", layout="sparse", count=0))
+    (container / "manifest.json").write_text(json.dumps(manifest))
+    (container / "empty.f32").write_bytes(b"")
+    with pytest.raises(ShapeMismatch, match="^manifest names tensor 'hm_b1' more than once$"):
+        read_maps(container)
+    assert main(["decode", "--maps", str(container), "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().out == "error=manifest names tensor 'hm_b1' more than once\n"
 
 
 def test_class_name_count_must_match_channels(tmp_path):

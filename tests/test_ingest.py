@@ -154,6 +154,151 @@ def test_icdar_structural_failures():
     assert len(img.objects) == 0
 
 
+# --- parsing against the per-line rule ----------------------------------------------
+
+
+def per_line_parse(text, layout, width=None, height=None, strict=False):
+    """What parse_dota or parse_icdar gives, worked out one line at a time:
+    each axis clamped by Python's min(max(v, 0.0), size) when its size is
+    given, and a line whose clamped corners OrientedBox rejects skipped with
+    that error. Returns (corners (K, 4, 2), class ids, difficult flags,
+    warnings, width, height), or raises as the parser does."""
+    names = DOTA_CLASS_NAMES if layout == "dota" else ICDAR_CLASS_NAMES
+    headers = ("imagesource", "gsd") if layout == "dota" else ()
+    boxes, warnings = [], []
+    content = malformed = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip().lstrip("\ufeff")
+        if not line or line.lower().startswith(headers):
+            continue
+        content += 1
+        fields = line.split() if layout == "dota" else line.split(",")
+        if layout == "dota" and len(fields) != 10:
+            problem = f"expected 10 fields, got {len(fields)}"
+        elif layout == "icdar" and len(fields) < 9:
+            problem = "expected 8 coordinates plus text"
+        else:
+            try:
+                coords = [float(t) for t in fields[:8]]
+                problem = None
+            except ValueError:
+                problem = "unparseable coordinates"
+        if problem is None and layout == "dota" and fields[9] not in ("0", "1"):
+            problem = "difficult flag must be 0 or 1"
+        if problem is not None:
+            warnings.append(f"line {lineno}: {problem}")
+            malformed += 1
+            continue
+        if layout == "dota" and fields[8] not in names:
+            warnings.append(f"line {lineno}: unknown category {fields[8]!r}, skipped")
+            continue
+        class_id = names.index(fields[8]) if layout == "dota" else 0
+        difficult = fields[9] == "1" if layout == "dota" else ",".join(fields[8:]).strip() == "###"
+        xs = [x if width is None else min(max(x, 0.0), float(width)) for x in coords[0::2]]
+        ys = [y if height is None else min(max(y, 0.0), float(height)) for y in coords[1::2]]
+        try:
+            boxes.append(OrientedBox(tuple(zip(xs, ys)), class_id, difficult=difficult))
+        except ValueError as err:
+            warnings.append(f"line {lineno}: {err}")
+    if content == 0:
+        if strict:
+            raise EmptyFile
+    elif malformed == content:
+        raise AllLinesMalformed
+    corners = np.array([[tuple(p) for p in box.corners] for box in boxes], dtype=np.float64).reshape(-1, 4, 2)
+    max_x, max_y = corners.reshape(-1, 2).max(axis=0).tolist() if boxes else (1.0, 1.0)
+    return (
+        corners, [box.class_id for box in boxes], [box.difficult for box in boxes], warnings,
+        max(1, math.ceil(max_x)) if width is None else width,
+        max(1, math.ceil(max_y)) if height is None else height,
+    )
+
+
+# Values a label file may hold: on and past the image edges, signed zeros,
+# non-finite and overflowing values, and anything else a float holds.
+LABEL_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 40.0, 150.0, 300.0, -7.5, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(-40.0, 340.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def label_corners(draw):
+    """Eight coordinates: a box either way round, a dart, a bowtie, a
+    zero-area quad or any eight values, one of them sometimes replaced."""
+    x, y = draw(st.floats(-40.0, 300.0)), draw(st.floats(-40.0, 300.0))
+    w, h = draw(st.floats(0.0, 120.0)), draw(st.floats(0.0, 120.0))
+    shape = draw(st.sampled_from(["box", "clockwise", "dart", "bowtie", "zero-area", "any"]))
+    points = {
+        "box": [(x, y), (x + w, y), (x + w, y + h), (x, y + h)],
+        "clockwise": [(x, y), (x, y + h), (x + w, y + h), (x + w, y)],
+        "dart": [(x, y), (x + w, y + h / 2), (x, y + h), (x + w / 4, y + h / 2)],
+        "bowtie": [(x, y), (x + w, y + h), (x + w, y), (x, y + h)],
+        "zero-area": [(x, y), (x + w, y), (x + 2 * w, y), (x + w, y)],
+    }.get(shape)
+    coords = [v for p in points for v in p] if points else draw(st.lists(LABEL_VALUE, min_size=8, max_size=8))
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, 7))] = draw(LABEL_VALUE)
+    return coords
+
+
+@st.composite
+def label_line(draw, layout):
+    kind = draw(st.sampled_from(["object"] * 6 + ["blank", "header", "short", "unparseable", "unknown", "flag"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    coords = [repr(v) for v in draw(label_corners())]
+    if kind == "unparseable":
+        coords[draw(st.integers(0, 7))] = draw(st.sampled_from(["x", "1,5", "", "--1"]))
+    if layout == "dota":
+        if kind == "header":
+            return draw(st.sampled_from(["imagesource:GoogleEarth", "gsd:0.146", "GSD:null"]))
+        category = draw(st.sampled_from(["zeppelin", "Plane"] if kind == "unknown" else ["plane", "ship", "harbor"]))
+        flag = draw(st.sampled_from(["2", "true"] if kind == "flag" else ["0", "1"]))
+        fields = coords + [category, flag]
+        if kind == "short":
+            fields = fields[:draw(st.integers(1, 9))] if draw(st.booleans()) else fields + ["extra"]
+        return " ".join(fields)
+    text = draw(st.sampled_from(["word", "###", "one, two", " ### ", "#"]))
+    fields = coords + [text]
+    if kind in ("short", "header"):
+        fields = fields[:draw(st.integers(1, 8))]
+    return ",".join(fields)
+
+
+@st.composite
+def label_file(draw, layout):
+    lines = draw(st.lists(label_line(layout), max_size=12))
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@pytest.mark.parametrize("layout", ["dota", "icdar"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parsing_matches_the_per_line_rule(layout, data):
+    text = data.draw(label_file(layout))
+    size = st.one_of(st.none(), st.integers(1, 300))
+    width, height, strict = data.draw(size), data.draw(size), data.draw(st.booleans())
+    parse = parse_dota if layout == "dota" else parse_icdar
+    try:
+        expected = per_line_parse(text, layout, width, height, strict)
+    except (AllLinesMalformed, EmptyFile) as err:
+        with pytest.raises(type(err)):
+            parse(text, width=width, height=height, strict=strict)
+        return
+    img, warnings = parse(text, width=width, height=height, strict=strict)
+    corners, class_ids, difficult, expected_warnings, expected_w, expected_h = expected
+    assert img.objects.corners.tobytes() == corners.tobytes()  # bit for bit, -0.0 included
+    assert img.objects.class_id.tolist() == class_ids
+    assert img.objects.difficult.tolist() == difficult
+    assert warnings == expected_warnings
+    assert (img.width, img.height) == (expected_w, expected_h)
+
+
 # --- tiling -----------------------------------------------------------------------
 
 
@@ -346,6 +491,20 @@ def test_tile_image_refuses_an_axis_beyond_the_window_limit():
         tile_image(img, TileSpec(800, 0.25))
 
 
+def test_tile_image_refuses_origins_that_would_share_a_tile_id():
+    # 1 px windows at overlap 0.4 step 0.6 px. Past 100,000 px, %g keeps 6
+    # significant digits, so 166,670 origins would give 166,669 names, and one
+    # tile's file would overwrite another's.
+    img = AnnotatedImage("wide", 100_002, 1)
+    with pytest.raises(ValueError, match=r"^x origins 100000\.8\d* and 100001 would both name tiles 100001$"):
+        tile_image(img, TileSpec(1, 0.4))
+
+
+def test_tile_ids_print_integer_origins_as_integers_and_others_by_g():
+    tiles = tile_image(AnnotatedImage("P", 10, 3), TileSpec(4, 0.375))
+    assert [t.image_id for t in tiles] == ["P__0_0", "P__2.5_0", "P__5_0", "P__6_0"]
+
+
 # --- normalized JSON --------------------------------------------------------------
 
 
@@ -428,6 +587,25 @@ def test_integer_corners_load_as_the_floats_they_round_to():
         assert getattr(img.objects, column).tobytes() == getattr(plain.objects, column).tobytes(), column
     assert img.objects.corners.reshape(-1, 8).tolist() == held
     assert not np.signbit(img.objects.corners).any()
+
+
+def test_gt_images_hold_their_own_objects_and_count_faults_within_themselves():
+    plane = {"class": "plane", "corners": [0, 0, 10, 0, 10, 5, 0, 5]}
+    ship = {"class": "ship", "corners": [20, 20, 20, 30, 40, 30, 40, 20], "difficult": True}
+    data = [
+        {"image_id": "a", "width": 50, "height": 50, "objects": [plane, ship]},
+        {"image_id": "empty", "width": 50, "height": 50, "objects": []},
+        {"image_id": "none", "width": 50, "height": 50},
+        {"image_id": "b", "width": 50, "height": 50, "objects": [ship]},
+    ]
+    images = images_from_json(data)
+    assert [[(b.class_id, b.difficult) for b in img.objects] for img in images] == [
+        [(0, False), (6, True)], [], [], [(6, True)],
+    ]
+    assert images[3].objects.corners.tolist() == [[[20, 20], [40, 20], [40, 30], [20, 30]]]
+    data[3]["objects"] = [ship, dict(plane, corners=[0, 0, 10, 0, 10, 0, 0, 0])]
+    with pytest.raises(ValueError, match="^image 'b' object 1: zero-area box$"):
+        images_from_json(data)
 
 
 def test_json_must_be_an_array():
