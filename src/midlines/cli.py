@@ -22,6 +22,9 @@ Per-file work runs in input order in the calling thread: a --jobs 2 thread
 pool made the CLI chain a third slower (280 against 204 ms a pass on 2
 vCPUs), as its threads handed the GIL over at each short numpy call.
 --jobs is still parsed and range-checked, for existing command lines.
+tile, encode and roundtrip log a file or image that fails as file=<name>
+or image=<id> error=... and go on with the others; an error no handler
+catches stops the command at that file, after the files before it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -60,6 +62,7 @@ from .ingest import (
     log as ingest_log,
     parse_dota,
     parse_icdar,
+    read_ground_truth,
     tile_image,
 )
 
@@ -127,16 +130,7 @@ def _load_gt_images(
     1 for content outside the vocabulary or layout) and None comes back.
     """
     try:
-        if path.is_dir():
-            data: list = []
-            for child in sorted(path.glob("*.json")):
-                part = json.loads(child.read_text(encoding="utf-8"))
-                if not isinstance(part, list):
-                    raise ValueError(f"{child.name}: ground-truth JSON must be an array of images")
-                data.extend(part)
-        else:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        return images_from_json(data, class_names)
+        return images_from_json(read_ground_truth(path), class_names)
     except (OSError, json.JSONDecodeError) as err:
         result.fail(IO_ERROR, error=err)
     except (UnknownClass, ValueError) as err:
@@ -146,50 +140,34 @@ def _load_gt_images(
 
 # perfbench's tracing_patches wraps this with a (work, items, jobs) wrapper.
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """fn over items in input order, in the calling thread; jobs is not read.
-
-    Every item runs, also when one raised: the first exception in input
-    order is raised after the rest have run.
-    """
-    outputs, first_error = [], None
-    for item in items:
-        try:
-            outputs.append(fn(item))
-        except Exception as err:
-            if first_error is None:
-                first_error = err
-    if first_error is not None:
-        raise first_error
-    return outputs
+    """fn over items in input order, in the calling thread; jobs is not read."""
+    return [fn(item) for item in items]
 
 
 _IMAGE_ERRORS = (MidlinesError, ValueError, OverflowError, MemoryError)
 
 
 def _map_images(
-    result: CommandResult, fn: Callable, images: Sequence[AnnotatedImage], jobs: int
+    result: CommandResult, fn: Callable, items: Sequence, jobs: int, key: str = "image"
 ) -> list:
-    """fn over every image, in input order, keeping the outputs that worked.
+    """fn over every image (or label file, for key "file"), in input order,
+    keeping the outputs that worked; fn returns no None.
 
-    An image whose fn raises MidlinesError, ValueError for geometry its
+    An item whose fn raises MidlinesError, ValueError for geometry its
     values cannot hold (an edge midpoint that overflows), OverflowError for
     a stride past float range, or MemoryError for maps too large to
-    allocate, is logged as image=<id> error=... with exit 1, and the other
-    images still run.
+    allocate, is logged as image=<id> (or file=<name>) error=... with exit
+    1, and the other items still run.
     """
-    def guarded(img: AnnotatedImage):
+    def guarded(item):
         try:
-            return fn(img)
+            return fn(item)
         except _IMAGE_ERRORS as err:
-            return err
+            name = item.name if key == "file" else item.image_id
+            result.fail(VALIDATION_ERROR, **{key: name}, error=f"{str(err)!r}")
+            return None
 
-    outputs = []
-    for img, out in zip(images, _parallel_map(guarded, images, jobs)):
-        if isinstance(out, _IMAGE_ERRORS):
-            result.fail(VALIDATION_ERROR, image=img.image_id, error=f"{str(out)!r}")
-        else:
-            outputs.append(out)
-    return outputs
+    return [out for out in _parallel_map(guarded, items, jobs) if out is not None]
 
 
 def _encode(img: AnnotatedImage, args: argparse.Namespace) -> TargetMaps:
@@ -218,41 +196,38 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = sorted(root.glob("*.txt"))
+    owners: dict[str, str] = {}  # tile id -> the label file that wrote it
 
-    def process(path: Path):
+    def process(path: Path) -> tuple[int, int, int]:
+        text = path.read_text(encoding="utf-8")
+        if args.format == "icdar" or (args.format == "auto" and path.name.startswith("gt_")):
+            image_id = path.stem.removeprefix("gt_")
+            img, warnings = parse_icdar(text, image_id=image_id, strict=args.strict)
+        else:
+            img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
+        # tile_image logs each box its clamp drops; attached, this handler
+        # adds them to the file's warnings and keeps them off stderr.
+        dropped = logging.Handler(logging.WARNING)
+        dropped.emit = lambda record: warnings.append(record.getMessage())
+        ingest_log.addHandler(dropped)
         try:
-            text = path.read_text(encoding="utf-8")
-            if args.format == "icdar" or (args.format == "auto" and path.name.startswith("gt_")):
-                image_id = path.stem.removeprefix("gt_")
-                img, warnings = parse_icdar(text, image_id=image_id, strict=args.strict)
-            else:
-                img, warnings = parse_dota(text, image_id=path.stem, strict=args.strict)
-            # tile_image logs each box its clamp drops; attached, this handler
-            # adds them to the file's warnings and keeps them off stderr.
-            dropped = logging.Handler(logging.WARNING)
-            dropped.emit = lambda record: warnings.append(record.getMessage())
-            ingest_log.addHandler(dropped)
-            try:
-                tiles = tile_image(img, spec)
-            finally:
-                ingest_log.removeHandler(dropped)
-        except (MidlinesError, ValueError) as err:
-            # ValueError: bytes that are not UTF-8, or more windows or tiles than allowed.
-            return None, [str(err)], []
-        return img, warnings, tiles
-
-    n_tiles = n_objects = n_warnings = 0
-    for path, (img, warnings, tiles) in zip(files, _parallel_map(process, files, args.jobs)):
-        if img is None:
-            result.fail(VALIDATION_ERROR, file=path.name, error=f"{warnings[0]!r}")
-            continue
+            tiles = tile_image(img, spec)
+        finally:
+            ingest_log.removeHandler(dropped)
+        # img.txt and gt_img.txt both name image img: the second may not overwrite its tiles.
+        clash = next((t.image_id for t in tiles if t.image_id in owners), None)
+        if clash is not None:
+            raise ValueError(f"tile {clash} is already a tile of {owners[clash]}")
         for line in warnings:
             result.log(file=path.name, warning=f"{line!r}")
         for tile in tiles:
+            owners[tile.image_id] = path.name
             _write_text(out / f"{tile.image_id}.json", images_to_json([tile]))
-        n_tiles += len(tiles)
-        n_objects += sum(len(t.objects) for t in tiles)
-        n_warnings += len(warnings)
+        return len(tiles), sum(len(t.objects) for t in tiles), len(warnings)
+
+    # A ValueError may also be bytes that are not UTF-8, or more windows or tiles than allowed.
+    counts = _map_images(result, process, files, args.jobs, key="file")
+    n_tiles, n_objects, n_warnings = map(sum, zip((0, 0, 0), *counts))
     result.log(
         images=len(files), tiles=n_tiles, objects=n_objects,
         warnings=n_warnings, out=out,
@@ -422,7 +397,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
     result = CommandResult()
     try:
         reports = run_gradchecks(
-            seed=int(os.environ.get("O2_SEED", args.seed)), samples=args.samples,
+            seed=args.seed, samples=args.samples,
             step=args.step, tolerance=args.tolerance,
         )
     except (ValueError, MidlinesError) as err:
@@ -542,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_roundtrip)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every loss gradient")
-    p.add_argument("--seed", type=int, default=0, help="overridden by O2_SEED when set")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)

@@ -415,9 +415,9 @@ def boxes_from_json(
 ) -> Boxes:
     """The boxes of GT objects or detection records whose fields passed
     require_fields, held as float64; a missing score is 1.0, a missing
-    difficult flag false. The first faulty record raises: a class outside
-    class_names (UnknownClass), else the ValueError OrientedBox raises for
-    it, named as where(k) for the record's index k, a point as written."""
+    difficult flag false. The first faulty record raises, named as where(k)
+    for its index k: a class outside class_names (UnknownClass), else the
+    ValueError OrientedBox raises for it, a point as written."""
     index = {name: i for i, name in enumerate(class_names)}
     raw = np.array([r["corners"] for r in records], dtype=np.float64).reshape(-1, 4, 2)
     class_id = np.array([index.get(r["class"], -1) for r in records], dtype=np.int64)
@@ -427,7 +427,7 @@ def boxes_from_json(
     if fault.any():
         k = int(np.argmax(fault))
         if class_id[k] < 0:
-            raise UnknownClass(f"class {records[k]['class']!r} not in vocabulary {list(class_names)}")
+            raise UnknownClass(f"{where(k)}: class {records[k]['class']!r} not in vocabulary {list(class_names)}")
         c = records[k]["corners"]
         try:
             check_finite(zip(c[0::2], c[1::2]))  # a non-finite point shows as written
@@ -511,6 +511,22 @@ def detections_by_image(records: list, class_names: Sequence[str]) -> dict[str, 
     return {image_id: boxes.take(rows) for image_id, rows in grouped.items()}
 
 
+def read_ground_truth(path: str | Path) -> list:
+    """The normalized ground-truth JSON of one file, or the arrays of a
+    directory's *.json files joined in name order. A directory file that
+    holds no array raises ValueError naming it."""
+    path = Path(path)
+    if not path.is_dir():
+        return json.loads(path.read_text(encoding="utf-8"))
+    data: list = []
+    for child in sorted(path.glob("*.json")):
+        part = json.loads(child.read_text(encoding="utf-8"))
+        if not isinstance(part, list):
+            raise ValueError(f"{child.name}: ground-truth JSON must be an array of images")
+        data.extend(part)
+    return data
+
+
 def load_ground_truth(path: str | Path, class_names: Sequence[str] | None = None) -> list[AnnotatedImage]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return images_from_json(data, class_names)
+    """The images of a ground-truth file or directory; see read_ground_truth and images_from_json."""
+    return images_from_json(read_ground_truth(path), class_names)

@@ -112,6 +112,59 @@ def test_tile_reports_a_label_file_that_is_not_utf8(tmp_path, capsys):
     assert (tmp_path / "t" / "P0001__0_0.json").is_file()
 
 
+def test_tile_logs_each_file_in_order_and_writes_the_tiles_of_those_that_work(tmp_path, capsys):
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    plane = DOTA_SCENE.splitlines(True)[2]
+    (labels / "A.txt").write_text(plane + "not a label\n", encoding="utf-8")
+    (labels / "B.txt").write_text("not a label line\n", encoding="utf-8")
+    (labels / "C.txt").write_text(plane.replace("plane", "zeppelin") + plane, encoding="utf-8")
+    out = tmp_path / "t"
+    code, stdout = run(capsys, "tile", "--input", labels, "--out", out)
+    assert code == 1
+    assert stdout.splitlines() == [
+        "file=A.txt warning='line 2: expected 10 fields, got 3'",
+        "file=B.txt error='B: none of 1 lines parse'",
+        "file=C.txt warning=\"line 1: unknown category 'zeppelin', skipped\"",
+        f"images=3 tiles=2 objects=2 warnings=2 out={out}",
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["A__0_0.json", "C__0_0.json"]
+
+
+def test_tile_refuses_a_second_file_that_names_the_same_image(tmp_path, capsys):
+    # gt_img.txt (ICDAR) and img.txt (DOTA) both name image img; img.txt,
+    # second in sorted order, would overwrite img__0_0.json.
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "gt_img.txt").write_text("10,10,60,12,59,40,9,38,word\n", encoding="utf-8")
+    (labels / "img.txt").write_text(DOTA_SCENE.splitlines(True)[2], encoding="utf-8")
+    (labels / "z.txt").write_text(DOTA_SCENE.splitlines(True)[2], encoding="utf-8")
+    out = tmp_path / "t"
+    code, stdout = run(capsys, "tile", "--input", labels, "--out", out)
+    assert code == 1
+    assert stdout.splitlines() == [
+        "file=img.txt error='tile img__0_0 is already a tile of gt_img.txt'",
+        f"images=3 tiles=2 objects=2 warnings=0 out={out}",
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["img__0_0.json", "z__0_0.json"]
+    (tile,) = json.loads((out / "img__0_0.json").read_text())
+    assert [obj["class"] for obj in tile["objects"]] == ["text"]
+
+
+def test_tile_stops_at_a_file_it_cannot_read_after_writing_the_files_before(tmp_path, capsys):
+    labels = write_labels(tmp_path)
+    (labels / "Q.txt").mkdir()  # reading it raises IsADirectoryError, an OSError
+    (labels / "R.txt").write_text(DOTA_SCENE, encoding="utf-8")
+    out = tmp_path / "t"
+    code, stdout = run(capsys, "tile", "--input", labels, "--out", out)
+    assert code == 2
+    assert stdout.startswith("error=[Errno 21] Is a directory:") and "Q.txt" in stdout
+    assert len(stdout.splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "P0001__0_0.json", "P0001__0_600.json", "P0001__600_0.json", "P0001__600_600.json",
+    ]
+
+
 # A dart: its corners turn both ways, but no two of its edges cross.
 DART_LINE = "200 200 260 210 220 220 260 260 plane 0\n"
 
@@ -529,7 +582,7 @@ def test_gt_unknown_class_in_a_later_image_is_validation_error(tmp_path, capsys,
     }[command]
     code, out = run(capsys, command, "--gt", gt, *extra, "--classes", "plane,ship")
     assert code == 1
-    assert out == "error=class 'zeppelin' not in vocabulary ['plane', 'ship']\n"
+    assert out == "error=image 'b' object 1: class 'zeppelin' not in vocabulary ['plane', 'ship']\n"
     assert not (tmp_path / "maps").exists()
 
 
@@ -1101,11 +1154,12 @@ def test_gradcheck_step_too_large_for_every_point_is_validation_error(capsys):
     assert out.startswith("error=focal_ip: point is")
 
 
-def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
-    code, baseline = run(capsys, "gradcheck", "--samples", 1, "--seed", 3)
-    monkeypatch.setenv("O2_SEED", "3")
-    code, overridden = run(capsys, "gradcheck", "--samples", 1, "--seed", 99)
-    assert overridden == baseline
+def test_gradcheck_output_depends_on_the_seed_flag_alone(capsys, monkeypatch):
+    _, seed3 = run(capsys, "gradcheck", "--samples", 1, "--seed", 3)
+    _, seed99 = run(capsys, "gradcheck", "--samples", 1, "--seed", 99)
+    assert seed3 != seed99
+    monkeypatch.setenv("O2_SEED", "3")  # the environment variable of an earlier release
+    assert run(capsys, "gradcheck", "--samples", 1, "--seed", 99)[1] == seed99
 
 
 # --- eval -------------------------------------------------------------------------
@@ -1518,19 +1572,18 @@ def test_jobs_flag_starts_no_thread(tmp_path, capsys):
     assert not [t.name for t in threading.enumerate() if t.name.startswith("midlines")]
 
 
-def test_parallel_map_finishes_every_item_before_raising():
+def test_parallel_map_raises_the_first_error_at_once():
     done = []
 
     def work(item):
-        if item == 0:
-            raise ValueError("first")
-        time.sleep(0.01)
+        if item in (2, 4):
+            raise ValueError(f"item {item}")
         done.append(item)
         return item
 
-    with pytest.raises(ValueError, match="first"):
+    with pytest.raises(ValueError, match="item 2"):
         _parallel_map(work, range(6), 2)
-    assert sorted(done) == [1, 2, 3, 4, 5]
+    assert done == [0, 1]
     assert _parallel_map(lambda x: x * x, range(6), 2) == [0, 1, 4, 9, 16, 25]
 
 

@@ -528,6 +528,26 @@ def test_json_round_trip(tmp_path):
         ] == entry["objects"]
 
 
+def test_load_ground_truth_joins_a_directory_in_name_order(tmp_path):
+    one = images_to_json([AnnotatedImage("one", 64, 64, [rectangle(20, 20, 10, 6, class_id=6)])])
+    two = images_to_json([AnnotatedImage("two", 32, 32), AnnotatedImage("three", 16, 16)])
+    (tmp_path / "b.json").write_text(one, encoding="utf-8")
+    (tmp_path / "a.json").write_text(two, encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not ground truth", encoding="utf-8")
+    restored = load_ground_truth(tmp_path)
+    assert [(r.image_id, r.width, len(r.objects)) for r in restored] == [
+        ("two", 32, 0), ("three", 16, 0), ("one", 64, 1),
+    ]
+    assert restored[2].objects.class_id.tolist() == [6]
+
+
+def test_load_ground_truth_refuses_a_directory_file_that_is_not_an_array(tmp_path):
+    (tmp_path / "a.json").write_text("[]", encoding="utf-8")
+    (tmp_path / "b.json").write_text('{"image_id": "x"}', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^b\.json: ground-truth JSON must be an array of images$"):
+        load_ground_truth(tmp_path)
+
+
 def test_json_schema_fields():
     img, _ = parse_icdar("10,10,50,12,49,30,9,28,###", image_id="t1")
     (payload,) = json.loads(images_to_json([img]))
