@@ -20,7 +20,7 @@ from midlines.errors import (
     ShapeMismatch,
     UnknownClass,
 )
-from midlines.evaluation import EvalReport, evaluate, rotated_iou
+from midlines.evaluation import EvalReport, evaluate, rotated_iou, rotated_iou_pairs
 from midlines.geometry import (
     Boxes,
     BranchId,
@@ -76,6 +76,7 @@ __all__ = [
     "parse_icdar",
     "rectangle",
     "rotated_iou",
+    "rotated_iou_pairs",
     "run_gradchecks",
     "tile_image",
     "total_loss",

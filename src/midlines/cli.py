@@ -17,7 +17,9 @@ ingest.images_from_json and ingest.detections_by_image, which type-check
 all records of a load in one pass and build one box table from them.
 eval exits 1 when a detection names an image the ground truth does not
 hold. An OSError a handler does not catch, such as an output path that
-cannot be written, ends in one error= line and exit 2.
+cannot be written, ends in one error= line and exit 2, printed after the
+lines the handler logged before it. eval and roundtrip score their
+rotated IoUs in one rotated_iou_pairs call per command.
 Per-file work runs in input order in the calling thread: a --jobs 2 thread
 pool made the CLI chain a third slower (280 against 204 ms a pass on 2
 vCPUs), as its threads handed the GIL over at each short numpy call.
@@ -44,7 +46,12 @@ from .container import read_maps, write_maps
 from .decoder import DEFAULT_MERGE_IOU, DEFAULT_THRESHOLD, Detections, decode
 from .encoder import DEFAULT_DRIFT_R, DEFAULT_STRIDE, TargetMaps, encode_image
 from .errors import MidlinesError, UnknownClass
-from .evaluation import evaluate, may_overlap, rotated_iou
+from .evaluation import (  # noqa: F401 - perfbench's trace mode wraps cli.rotated_iou
+    evaluate,
+    may_overlap,
+    rotated_iou,
+    rotated_iou_pairs,
+)
 from .geometry import (  # noqa: F401 - perfbench's trace mode wraps cli.box_to_midlines
     BRANCH_HIGH_DEG,
     BRANCH_LOW_DEG,
@@ -181,18 +188,17 @@ def _encode(img: AnnotatedImage, args: argparse.Namespace) -> TargetMaps:
 # --- tile -------------------------------------------------------------------------
 
 
-def cmd_tile(args: argparse.Namespace) -> CommandResult:
+def cmd_tile(args: argparse.Namespace, result: CommandResult) -> None:
     """Parse a directory of annotation files and write one JSON per tile."""
-    result = CommandResult()
     try:
         spec = TileSpec(window=args.window, overlap=args.overlap)
     except ValueError as err:
         result.fail(VALIDATION_ERROR, error=err)
-        return result
+        return
     root = Path(args.input)
     if not root.is_dir():
         result.fail(IO_ERROR, error=f"not a readable directory: {root}")
-        return result
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = sorted(root.glob("*.txt"))
@@ -232,18 +238,16 @@ def cmd_tile(args: argparse.Namespace) -> CommandResult:
         images=len(files), tiles=n_tiles, objects=n_objects,
         warnings=n_warnings, out=out,
     )
-    return result
 
 
 # --- encode -----------------------------------------------------------------------
 
 
-def cmd_encode(args: argparse.Namespace) -> CommandResult:
+def cmd_encode(args: argparse.Namespace, result: CommandResult) -> None:
     """Encode every ground-truth image into a map container directory."""
-    result = CommandResult()
     images = _load_gt_images(result, Path(args.gt), args.classes)
     if images is None:
-        return result
+        return
     out = Path(args.out)
     provenance = {
         "command": "encode",
@@ -260,7 +264,6 @@ def cmd_encode(args: argparse.Namespace) -> CommandResult:
 
     counts = _map_images(result, process, images, args.jobs)
     result.log(images=len(images), objects=sum(counts), out=out)
-    return result
 
 
 # --- decode -----------------------------------------------------------------------
@@ -298,9 +301,8 @@ def _detections_json(dets: Detections, class_names: Sequence[str], image_id: str
     ]
 
 
-def cmd_decode(args: argparse.Namespace) -> CommandResult:
+def cmd_decode(args: argparse.Namespace, result: CommandResult) -> None:
     """Decode one container, or a directory of them, into detections JSON."""
-    result = CommandResult()
     root = Path(args.maps)
     single = (root / "manifest.json").is_file()
     containers = [root] if single else sorted(
@@ -308,7 +310,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
     )
     if not containers:
         result.fail(IO_ERROR, error=f"no manifest.json under {root}")
-        return result
+        return
 
     def process(container: Path):
         maps, class_names = read_maps(container)
@@ -323,7 +325,7 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
         # ValueError: malformed JSON, bytes that are not UTF-8, a NUL in a file name.
         # OverflowError: a stride past float range.
         result.fail(IO_ERROR, error=err)
-        return result
+        return
     records = [rec for recs, _ in outputs for rec in recs]
     dropped = sum(d for _, d in outputs)
     _write_text(Path(args.out), json_array(records, "") + "\n")
@@ -331,42 +333,48 @@ def cmd_decode(args: argparse.Namespace) -> CommandResult:
         containers=len(containers), detections=len(records),
         dropped_degenerate=dropped, out=args.out,
     )
-    return result
 
 
 # --- roundtrip --------------------------------------------------------------------
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
+def cmd_roundtrip(args: argparse.Namespace, result: CommandResult) -> None:
     """Encode then decode every image and report per-object fidelity.
 
     Objects whose shorter side is under two strides cannot survive the
     grid quantization and are tallied separately; the pass bar applies
-    only to well-resolved objects.
+    only to well-resolved objects. Each image returns its candidate
+    pairs, and one rotated_iou_pairs call scores those of every image:
+    scored per image, about 32 pairs a call, the array call would lose to
+    the one-pair rotated_iou.
     """
-    result = CommandResult()
     images = _load_gt_images(result, Path(args.gt), None)
     if images is None:
-        return result
+        return
 
     def process(img: AnnotatedImage):
         dets = decode(_encode(img, args), threshold=args.threshold)
         corners = img.objects.corners
-        candidates = may_overlap(corners, img.objects.class_id, dets.corners, dets.class_id)
         lines = midline_arrays(corners, args.branch_low, args.branch_high)
         lines.check()
         subres = lines.lengths.min(axis=1) < 2.0 * args.stride
-        det_corners = dets.corners.tolist()
-        ious = [
-            max((rotated_iou(gt, det_corners[j]) for j in np.flatnonzero(row)), default=0.0)
-            for gt, row, small in zip(corners.tolist(), candidates, subres)
-            if not small
-        ]
-        return ious, int(subres.sum())
+        resolved = corners[~subres]
+        candidates = may_overlap(resolved, img.objects.class_id[~subres], dets.corners, dets.class_id)
+        rows, cols = np.nonzero(candidates)
+        return len(resolved), rows, np.stack((resolved[rows], dets.corners[cols]), axis=1), int(subres.sum())
 
     outputs = _map_images(result, process, images, args.jobs)
-    ious = [v for vs, _ in outputs for v in vs]
-    subres = sum(s for _, s in outputs)
+    subres = sum(out[-1] for out in outputs)
+    # Every image's candidate pairs in one call. An object's IoU is the
+    # max over its pairs in their order, as max() takes it, or 0.0.
+    pairs = np.concatenate([np.zeros((0, 2, 4, 2)), *(out[2] for out in outputs)])
+    pair_iou = iter(rotated_iou_pairs(pairs[:, 0], pairs[:, 1]).tolist())
+    ious: list[float] = []
+    for n_objects, rows, _, _ in outputs:
+        per_object: list[list[float]] = [[] for _ in range(n_objects)]
+        for i in rows.tolist():
+            per_object[i].append(next(pair_iou))
+        ious.extend(max(p, default=0.0) for p in per_object)
     if not ious:
         # No well-resolved object meets the bar vacuously, but only when
         # some image ran or there was none to run.
@@ -375,7 +383,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
             images=len(images), objects=0, sub_resolution=subres,
             status="pass" if ran else "fail", note="vacuous" if ran else "no_image_ran",
         )
-        return result
+        return
     passed = sum(1 for v in ious if v >= 0.99)
     fraction = passed / len(ious)
     status = "pass" if fraction >= args.bar else "fail"
@@ -386,15 +394,13 @@ def cmd_roundtrip(args: argparse.Namespace) -> CommandResult:
     )
     if status == "fail":
         result.exit_code = VALIDATION_ERROR
-    return result
 
 
 # --- gradcheck --------------------------------------------------------------------
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
+def cmd_gradcheck(args: argparse.Namespace, result: CommandResult) -> None:
     """Finite-difference checks for every loss; exit 1 on any failure."""
-    result = CommandResult()
     try:
         reports = run_gradchecks(
             seed=args.seed, samples=args.samples,
@@ -402,7 +408,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
         )
     except (ValueError, MidlinesError) as err:
         result.fail(VALIDATION_ERROR, error=err)
-        return result
+        return
     for report in reports:
         result.log(
             loss=report.name,
@@ -414,42 +420,42 @@ def cmd_gradcheck(args: argparse.Namespace) -> CommandResult:
         )
     if not all(r.passed for r in reports):
         result.exit_code = VALIDATION_ERROR
-    return result
 
 
 # --- eval -------------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> CommandResult:
+def cmd_eval(args: argparse.Namespace, result: CommandResult) -> None:
     """Score a detections file against ground truth; print the table."""
-    result = CommandResult()
     images = _load_gt_images(result, Path(args.gt), args.classes)
     if images is None:
-        return result
+        return
     class_names = images[0].class_names if images else tuple(args.classes or ())
     try:
         records = json.loads(Path(args.dets).read_text(encoding="utf-8"))
         dets = detections_by_image(records, class_names)
     except (OSError, json.JSONDecodeError) as err:
         result.fail(IO_ERROR, error=err)
-        return result
+        return
     except (UnknownClass, ValueError) as err:
         result.fail(VALIDATION_ERROR, error=err)
-        return result
+        return
     gts = {img.image_id: img.objects for img in images}
     strays = sorted(set(dets) - set(gts))
     if strays:
         result.fail(VALIDATION_ERROR, error=f"detections name images not in the ground truth: {strays}")
-        return result
+        return
     report = evaluate(
         dets, gts, mode=args.mode, iou_threshold=args.iou,
         ap_mode=args.ap_mode, class_names=class_names,
     )
-    result.messages.append(report.format_table())
+    # Written before the table is logged: a report path that cannot be
+    # written ends in one error= line, as every output path does.
     if args.out is not None:
         _write_json(Path(args.out), report.to_json_dict())
+    result.messages.append(report.format_table())
+    if args.out is not None:
         result.log(out=args.out)
-    return result
 
 
 # --- argument parsing ---------------------------------------------------------------
@@ -538,11 +544,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    result = CommandResult()
     error = _range_error(args)
-    try:
-        result = CommandResult(VALIDATION_ERROR, [f"error={error}"]) if error else args.run(args)
-    except OSError as err:  # a file a handler could not read, or an output path it could not write
-        result = CommandResult(IO_ERROR, [f"error={err}"])
+    if error:
+        result.fail(VALIDATION_ERROR, error=error)
+    else:
+        try:
+            args.run(args, result)
+        except OSError as err:  # a file a handler could not read, or an output path it could not write
+            # The lines logged before it stand, as do the files written before it.
+            result.fail(IO_ERROR, error=err)
     for line in result.messages:
         print(line)
     return result.exit_code

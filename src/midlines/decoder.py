@@ -174,7 +174,11 @@ def merge_branches(
     strictly above the threshold, the lower-scoring one is dropped; an
     exact score tie keeps the horizontal one. Detections within a branch
     never suppress each other. Only the pairs may_overlap finds get a
-    rotated_iou call.
+    rotated_iou call. The merge keeps the one-pair call, where eval and
+    roundtrip score theirs in one rotated_iou_pairs call: an array call
+    costs about 0.2 ms at any size under about 50 pairs, and one decode
+    meets 4 to 47. On the detect benchmark's seed-0 pass (32 images, 842
+    pairs) per-call batches took 6.2 ms against 3.1 ms one pair at a time.
     """
     horizontal = np.flatnonzero(detections.branch == BranchId.HORIZONTAL.index)
     oriented = np.flatnonzero(detections.branch == BranchId.ORIENTED.index)

@@ -165,6 +165,19 @@ def test_tile_stops_at_a_file_it_cannot_read_after_writing_the_files_before(tmp_
     ]
 
 
+def test_tile_keeps_the_lines_logged_before_a_file_it_cannot_read(tmp_path, capsys):
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "A.txt").write_text("10 10 50 10 50 30 10 30 plane 0\nnot a label line\n", encoding="utf-8")
+    (labels / "B.txt").mkdir()  # reading it raises IsADirectoryError, an OSError
+    code, stdout = run(capsys, "tile", "--input", labels, "--out", tmp_path / "t")
+    assert code == 2
+    warning, error = stdout.splitlines()
+    assert warning.startswith("file=A.txt warning='line 2:")
+    assert error.startswith("error=[Errno 21] Is a directory:") and "B.txt" in error
+    assert [p.name for p in (tmp_path / "t").iterdir()] == ["A__0_0.json"]
+
+
 # A dart: its corners turn both ways, but no two of its edges cross.
 DART_LINE = "200 200 260 210 220 220 260 260 plane 0\n"
 
@@ -1105,6 +1118,33 @@ def test_roundtrip_fails_when_regions_merge(tmp_path, capsys):
     code, out = run(capsys, "roundtrip", "--gt", gt)
     assert code == 1
     assert "status=fail" in out
+
+
+def test_roundtrip_around_a_failed_image_scores_each_object_by_its_own_pairs(tmp_path, capsys):
+    # All pairs are scored in one call after the images ran, so a failed
+    # image between two good ones must not shift the good ones' slices.
+    inner = {"class": "ship", "corners": [108, 112, 148, 112, 148, 128, 108, 128], "difficult": False}
+    outer = {"class": "ship", "corners": [88, 96, 168, 96, 168, 144, 88, 144], "difficult": False}
+    thin = {"class": "ship", "corners": [50, 50, 90, 50, 90, 54, 50, 54], "difficult": False}
+    outside = {"class": "plane", "corners": [290, 40, 310, 40, 310, 60, 290, 60], "difficult": False}
+    images = {
+        "a": {"image_id": "a", "width": 256, "height": 256, "objects": [inner, outer, PLANE]},
+        "b": {"image_id": "b", "width": 100, "height": 100, "objects": [outside, PLANE]},
+        "c": {"image_id": "c", "width": 256, "height": 256, "objects": [thin, SHIP, PLANE]},
+    }
+    fields = {}
+    for ids in ("abc", "ac"):
+        gt = tmp_path / f"{ids}.json"
+        gt.write_text(json.dumps([images[i] for i in ids]), encoding="utf-8")
+        code, out = run(capsys, "roundtrip", "--gt", gt)
+        assert code == 1
+        *errors, summary = out.splitlines()
+        assert [line.split(" error=")[0] for line in errors] == ["image=b"] * (ids == "abc")
+        fields[ids] = dict(item.split("=") for item in summary.split())
+    keys = ("objects", "sub_resolution", "min_iou", "mean_iou", "fraction")
+    assert [fields["abc"][k] for k in keys] == [fields["ac"][k] for k in keys]
+    # a's merged pair scores 1.0 and 1/6; c's thin box is sub-resolution.
+    assert [fields["ac"][k] for k in keys] == ["5", "1", "0.166667", "0.833333", "0.800000"]
 
 
 @pytest.mark.parametrize("value", ["-3", "1.01", "nan"])

@@ -13,6 +13,7 @@ from midlines.evaluation import (
     evaluate,
     may_overlap,
     rotated_iou,
+    rotated_iou_pairs,
 )
 from midlines.geometry import (
     Boxes,
@@ -84,6 +85,82 @@ def test_iou_symmetry_and_bounds():
         ba = rotated_iou(b, a)
         assert 0.0 <= ab <= 1.0
         assert abs(ab - ba) < 1e-12
+
+
+def convex_quad(rng, scale=20.0):
+    """Four points on a random rotated ellipse at sorted angles: a convex
+    quad, counter-clockwise, or clockwise when flipped."""
+    cx, cy = rng.uniform(-scale, scale, 2)
+    rx, ry = rng.uniform(0.5, scale, 2)
+    angle = np.sort(rng.uniform(0, 2 * np.pi, 4))
+    turn = rng.uniform(0, np.pi)
+    x, y = rx * np.cos(angle), ry * np.sin(angle)
+    quad = np.column_stack([cx + x * np.cos(turn) - y * np.sin(turn), cy + x * np.sin(turn) + y * np.cos(turn)])
+    return quad[::-1] if rng.random() < 0.2 else quad
+
+
+def assert_pairs_match_scalar(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rotated_iou_pairs(a, b)
+    want = np.array([rotated_iou(p, q) for p, q in zip(a.tolist(), b.tolist())])
+    assert got.shape == (len(a),) and got.dtype == np.float64
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_iou_pairs_match_the_scalar_path_bit_for_bit_on_random_quads():
+    rng = np.random.default_rng(28)
+    a = np.array([convex_quad(rng) for _ in range(3000)])
+    b = np.array([convex_quad(rng) for _ in range(3000)])
+    assert_pairs_match_scalar(a, b)
+    boxes = [random_box(rng) for _ in range(2000)]
+    rebuilt = [midlines_to_box(box_to_midlines(box).ends) for box in boxes]
+    assert_pairs_match_scalar(Boxes.of(boxes).corners, Boxes.of(rebuilt).corners)
+    assert_pairs_match_scalar(Boxes.of(rebuilt).corners, Boxes.of(boxes).corners)
+
+
+EDGE_PAIRS = {
+    "identical": (rectangle(10, 10, 8, 4, angle_deg=30), rectangle(10, 10, 8, 4, angle_deg=30)),
+    "shared edge": (square(0, 0), square(2, 0)),
+    "shared corner": (square(0, 0), square(2, 2)),
+    "inside": (rectangle(0, 0, 10, 10), rectangle(0, 0, 5, 5, angle_deg=15)),
+    "around": (rectangle(0, 0, 5, 5, angle_deg=15), rectangle(0, 0, 10, 10)),
+    "disjoint": (square(0, 0), square(10, 10)),
+    "collinear edges": (rectangle(0, 0, 4, 2), rectangle(1, 0, 4, 2)),
+    "parallel edges": (rectangle(0, 0, 4, 2, angle_deg=37), rectangle(0.5, 0.5, 4, 2, angle_deg=37)),
+    "tiny intersection": (square(0, 0), square(2.0 - 1e-11, 0)),
+    "thin sliver": (rectangle(0, 0, 100, 1e-6, angle_deg=10), rectangle(0, 0, 100, 1e-6, angle_deg=10.0001)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PAIRS)
+def test_iou_pairs_match_the_scalar_path_on_edge_cases(name):
+    a, b = EDGE_PAIRS[name]
+    corners = Boxes.of([a, b]).corners
+    assert_pairs_match_scalar(corners[[0, 1]], corners[[1, 0]])
+    assert_pairs_match_scalar(corners[[0, 0]], corners[[0, 1]])
+
+
+def test_iou_pairs_of_a_tiny_intersection_are_exactly_zero():
+    a, b = EDGE_PAIRS["tiny intersection"]
+    assert rotated_iou_pairs(*(Boxes.of([box]).corners for box in (a, b))).tolist() == [0.0]
+
+
+def test_iou_pairs_of_no_pairs_are_empty():
+    empty = np.zeros((0, 4, 2))
+    out = rotated_iou_pairs(empty, empty)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_iou_pairs_overflow_like_the_scalar_path_and_print_nothing():
+    # Far out, the shoelace terms overflow and the IoU is NaN; larger still,
+    # the side tests overflow too and clip everything away.
+    a, b = (np.array(box.corners) for box in (rectangle(0, 0, 4, 2, angle_deg=30), rectangle(1, 0, 4, 2, angle_deg=35)))
+    placed = [(1e155, 1e153), (1e154, 1e153), (0.0, 3e154)]
+    a, b = (np.array([xy * side + at for at, side in placed]) for xy in (a, b))
+    assert np.isnan(rotated_iou_pairs(a, b)).tolist() == [True, False, False]
+    assert_pairs_match_scalar(a, b)
 
 
 def overlap(a, b):
@@ -216,19 +293,53 @@ def test_matching_respects_class():
     assert report.counts == {"class_0": (0, 1, 0), "class_1": (0, 0, 1)}
 
 
-def test_taken_ground_truth_gets_no_iou_call(monkeypatch):
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The (a, b) arguments of each rotated_iou_pairs call evaluate makes."""
     calls = []
 
     def counted(a, b):
-        calls.append((a, b))
-        return rotated_iou(a, b)
+        calls.append((a.copy(), b.copy()))
+        return rotated_iou_pairs(a, b)
 
-    monkeypatch.setattr(evaluation, "rotated_iou", counted)
+    monkeypatch.setattr(evaluation, "rotated_iou_pairs", counted)
+    return calls
+
+
+def test_evaluate_scores_exactly_the_candidate_pairs_in_one_call(pair_calls):
+    gts = {"a": [square(0, 0, 4)], "b": [square(0, 0, 4), square(20, 0, 4, class_id=1)]}
+    dets = {
+        "a": [square(0, 0, 4, score=0.9), square(0, 0, 4, score=0.8)],
+        "b": [square(40, 40, 4, score=0.7), square(20, 0, 4, class_id=1, score=0.6)],
+    }
+    report = evaluate(dets, gts, iou_threshold=0.5)
+    assert report.counts == {"class_0": (1, 2, 1), "class_1": (1, 0, 0)}
+    assert len(pair_calls) == 1
+    det_xy, gt_xy = pair_calls[0]
+    # a's two detections of its one box, then b's class-1 pair; b's far box and
+    # its class-0 ground truth are no candidates.
+    assert det_xy.tolist() == Boxes.of([dets["a"][0], dets["a"][1], dets["b"][1]]).corners.tolist()
+    assert gt_xy.tolist() == Boxes.of([gts["a"][0], gts["a"][0], gts["b"][1]]).corners.tolist()
+
+
+def test_taken_ground_truth_is_claimed_once_from_one_call(pair_calls):
     gt = [square(0, 0, 4)]
     dets = [square(0, 0, 4, score=0.9), square(0, 0, 4, score=0.8)]
     report = evaluate(dets, gt, iou_threshold=0.5)
     assert report.counts == {"class_0": (1, 1, 0)}
-    assert len(calls) == 1
+    # Both may_overlap pairs are scored up front, the second then finds its box taken.
+    assert len(pair_calls) == 1
+    assert pair_calls[0][0].tolist() == Boxes.of(dets).corners.tolist()
+    assert pair_calls[0][1].tolist() == Boxes.of(gt * 2).corners.tolist()
+
+
+def test_evaluate_with_no_candidate_pair(pair_calls):
+    report = evaluate({}, {}, class_names=["plane"])
+    assert report.counts == {"plane": (0, 0, 0)} and report.map_score == 0.0
+    far = {"x": [square(0, 0, 4, score=0.9)], "y": [square(9, 9, 4, class_id=1, score=0.5)]}
+    report = evaluate(far, {"x": [square(50, 50, 4)], "y": [square(9, 9, 4)]}, mode="text")
+    assert report.counts == {"class_0": (0, 1, 2), "class_1": (0, 1, 0)}
+    assert [len(a) for a, _ in pair_calls] == [0, 0]
 
 
 # --- average_precision --------------------------------------------------------------
