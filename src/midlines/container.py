@@ -1,35 +1,48 @@
 """On-disk container for encoded maps.
 
-A container directory holds manifest.json plus one little-endian file per
-tensor. A tensor's cells are numbered by their row-major [channel][row][col]
-flat index. Branch 1 is the horizontal branch, branch 2 the oriented one.
-Each tensor's manifest entry names its layout:
+A container directory holds manifest.json plus one little-endian data file,
+maps.f32, in which the six tensors lie back to back in TENSOR_NAMES order.
+Each tensor's manifest entry names its file and the byte offset where its
+extent starts. A tensor's cells are numbered by their row-major
+[channel][row][col] flat index. Branch 1 is the horizontal branch, branch 2
+the oriented one. Each entry names its layout:
 
 - "dense": every cell as a float32, in flat-index order. An entry with no
   layout is dense, as every tensor was before layouts existed.
-- "sparse": the entry's count K, and a file of K strictly increasing uint32
-  flat indices followed by their K float32 values; every other cell is 0.
+- "sparse": the entry's count K, and an extent of K strictly increasing
+  uint32 flat indices followed by their K float32 values; every other cell
+  is 0.
 
-A file is written from the map's Cells (encoder.Cells: the cells that are
+One size rule holds for every file the manifest names. An entry's offset is
+0 when it has none. The extents of the entries naming a file, sorted by
+offset, start at byte 0, neither overlap nor leave a gap, and end exactly at
+the file's size. A container written before the shared data file, six
+files and no offsets, is six files of one extent each under the same rule.
+Readers from before the shared file refuse a container written now, since
+maps.f32 fails their check that a tensor's file is exactly its size.
+
+A tensor is written from the map's Cells (encoder.Cells: the cells that are
 not zero by bit pattern), which encode_image gives ready-made, or from its
 dense array, whose cells one scan finds. write_maps stores a tensor sparse
-when that file is the smaller one: 8 bytes per cell against 4 per grid
+when that extent is the smaller one: 8 bytes per cell against 4 per grid
 cell, so when fewer than half its cells are stored. Target maps light a
-few cells per object, so theirs shrink; a map with every cell non-zero is
-written as before. A sparse tensor has at most MAX_SPARSE_CELLS cells, and
-a larger one is dense.
+few cells per object, so theirs shrink at any image size; a map with every
+cell non-zero is written as before.
 
-read_maps gives a map whose two branch files are sparse back as Cells and
+read_maps gives a map whose two branch tensors are sparse back as Cells and
 makes no grid for it; a dense array is made only when the maps' heatmap,
-regression or reg_mask is read. A map with a dense file, such as a
+regression or reg_mask is read. A map with a dense tensor, such as a
 network's prediction, comes back as a dense array.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +51,21 @@ from .errors import MidlinesError, ShapeMismatch
 
 TENSOR_NAMES = ("hm_b1", "hm_b2", "reg_b1", "reg_b2", "mask_b1", "mask_b2")
 
+# The one file write_maps puts every tensor in.
+DATA_FILE = "maps.f32"
+
 _MANIFEST_SIZES = ("stride", "num_classes", "width", "height", "image_w", "image_h")
 _MANIFEST_FIELDS = (*_MANIFEST_SIZES, "class_names", "tensors")
 
-# The most cells a sparse tensor may have. A dense file's size shows that
-# its cells are real; a sparse file's does not, yet reading the maps' dense
-# arrays makes every cell the manifest claims. 2**24 holds the largest DOTA
-# image (4000 x 4000 px) at the default stride 4: 15 classes x 1000**2 cells.
+# The most cells a sparse tensor may store. A dense extent's size shows that
+# its cells are real; a sparse one's shows only its stored cells, so the
+# count bounds what reading it allocates. A sparse tensor stores fewer than
+# half its cells, so 2**24 holds every map of the largest DOTA image (4000 x
+# 4000 px) at the default stride 4: 15 classes x 1000**2 cells.
 MAX_SPARSE_CELLS = 1 << 24
+
+# The most grid cells a sparse tensor may have: its "<u4" indices address no more.
+MAX_SPARSE_GRID = 1 << 32
 
 
 def is_plain_file_name(name: str) -> bool:
@@ -54,7 +74,7 @@ def is_plain_file_name(name: str) -> bool:
 
 
 def _branch_tensors(maps: TargetMaps):
-    """(name, tensor) of each tensor file: one branch of a map's dense array or of its Cells."""
+    """(name, tensor) of each tensor: one branch of a map's dense array or of its Cells."""
     for kind, field in (("hm", "heatmap"), ("reg", "regression"), ("mask", "reg_mask")):
         kept = maps.kept(field)
         if isinstance(kept, Cells):
@@ -68,16 +88,22 @@ def _branch_tensors(maps: TargetMaps):
 
 
 def _is_dense(count: int, cells: int) -> bool:
-    """Whether a tensor of `cells` cells, `count` of them stored, is written dense."""
-    return 2 * count >= cells or cells > MAX_SPARSE_CELLS
+    """Whether a tensor of `cells` cells, `count` of them stored, is written dense.
+
+    Dense when that extent is no larger than the sparse one. A sparse
+    tensor of more than MAX_SPARSE_CELLS stored cells, or of more than
+    MAX_SPARSE_GRID cells, which its "<u4" indices cannot address, is
+    written dense too, since read_maps refuses it.
+    """
+    return 2 * count >= cells or count > MAX_SPARSE_CELLS or cells > MAX_SPARSE_GRID
 
 
 def _payload(tensor: np.ndarray | Cells) -> tuple[list, dict]:
-    """One tensor file's arrays in the smaller layout, dense on a tie, and its layout fields.
+    """One tensor's arrays in the smaller layout, dense on a tie, and its layout fields.
 
     A dense array's cells are those whose bits are not zero, as Cells keep
-    them, so a -0.0 or NaN cell is stored as the dense file would store it;
-    a dense array written dense is not scanned for them.
+    them, so a -0.0 or NaN cell is stored as the dense layout would store
+    it; a dense array written dense is not scanned for them.
     """
     if not isinstance(tensor, Cells):
         flat = np.ascontiguousarray(tensor).reshape(-1)
@@ -94,12 +120,6 @@ def _payload(tensor: np.ndarray | Cells) -> tuple[list, dict]:
     return [tensor.index.astype("<u4"), tensor.value.astype("<f4")], {"layout": "sparse", "count": count}
 
 
-def _write_file(path: Path, arrays: list) -> None:
-    with open(path, "wb") as f:
-        for array in arrays:
-            array.tofile(f)
-
-
 def write_maps(
     maps: TargetMaps,
     out_dir: str | Path,
@@ -113,18 +133,24 @@ def write_maps(
         )
     out = Path(out_dir)
     tensors = []
-    for name, tensor in _branch_tensors(maps):
-        arrays, layout = _payload(tensor)
-        if not tensors:
-            # Made once the first file's arrays exist, so maps whose first
-            # dense file is too large to allocate leave no directory behind.
-            out.mkdir(parents=True, exist_ok=True)
-        file = f"{name}.f32"
-        _write_file(out / file, arrays)
-        del arrays  # so the next file's arrays are made after these are freed
-        tensors.append(
-            {"name": name, "file": file, "shape": list(tensor.shape), "dtype": "<f4", **layout}
-        )
+    offset = 0
+    with contextlib.ExitStack() as stack:
+        for name, tensor in _branch_tensors(maps):
+            arrays, layout = _payload(tensor)
+            if not tensors:
+                # Made once the first tensor's arrays exist, so maps whose
+                # first dense tensor is too large to allocate leave no
+                # directory behind.
+                out.mkdir(parents=True, exist_ok=True)
+                data = stack.enter_context(open(out / DATA_FILE, "wb"))
+            tensors.append({
+                "name": name, "file": DATA_FILE, "offset": offset,
+                "shape": list(tensor.shape), "dtype": "<f4", **layout,
+            })
+            for array in arrays:
+                data.write(array)
+                offset += array.nbytes
+            del arrays  # so the next tensor's arrays are made after these are freed
     manifest = {
         "stride": maps.stride,
         "num_classes": maps.num_classes,
@@ -149,13 +175,52 @@ def _count(value, what: str, least: int) -> int:
     return value
 
 
+class _Extent(NamedTuple):
+    """One tensor's checked manifest entry: where its bytes lie and how they read."""
+
+    name: str
+    file: str
+    offset: int
+    nbytes: int  # 4 per cell (dense) or 8 per stored cell (sparse)
+    count: int | None  # None when dense
+    what: str  # what sets its size, for errors: "shape (...)" or "count K"
+
+    @property
+    def stop(self) -> int:
+        return self.offset + self.nbytes
+
+
+def _check_extents(extents: list[_Extent], sizes: dict[str, int]) -> None:
+    """The size rule: a file's extents, by offset, tile it from byte 0 to its end."""
+    for file, size in sizes.items():
+        end = 0
+        tiles = sorted((e for e in extents if e.file == file), key=lambda e: (e.offset, e.stop))
+        for i, e in enumerate(tiles):
+            if e.offset < end:
+                raise ShapeMismatch(
+                    f"tensor {e.name}: extent at byte {e.offset} of {file!r} overlaps"
+                    f" tensor {tiles[i - 1].name}'s, which ends at byte {end}"
+                )
+            if e.offset > end:
+                raise ShapeMismatch(
+                    f"tensor {e.name}: extent at byte {e.offset} of {file!r} leaves"
+                    f" bytes {end} to {e.offset} in no tensor"
+                )
+            end = e.stop
+            # Past the file's end, or the last extent short of it.
+            if end > size or (i == len(tiles) - 1 and end != size):
+                raise ShapeMismatch(
+                    f"tensor {e.name}: file holds {size} bytes,"
+                    f" manifest {e.what} at offset {e.offset} needs {end}"
+                )
+
+
 def _stack(parts: list, shape: tuple[int, ...], dtype) -> Cells | np.ndarray:
-    """One map from its two branch files' (at, values): Cells when both are sparse, else dense."""
+    """One map from its two branch tensors' (at, values): Cells when both are sparse, else dense."""
     (at1, values1), (at2, values2) = parts
     if isinstance(at1, slice) or isinstance(at2, slice):
-        # Zeroed, so the pages of cells that no file writes are never backed.
-        # A dense file has shown that its cells are real, and a sparse
-        # tensor has at most MAX_SPARSE_CELLS.
+        # Zeroed, so the pages of cells that no tensor writes are never
+        # backed. A dense extent has shown that the grid's cells are real.
         grid = np.zeros(shape, dtype=dtype)
         grid[0].reshape(-1)[at1], grid[1].reshape(-1)[at2] = values1, values2
         return grid
@@ -166,16 +231,26 @@ def _stack(parts: list, shape: tuple[int, ...], dtype) -> Cells | np.ndarray:
 def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
     """Read a container back; inverse of write_maps up to float32 rounding.
 
+    Each file the manifest names is opened once, and each tensor's extent
+    is read alone, so only one tensor's bytes are held at a time. A map
+    whose two tensors are sparse comes back as Cells, and neither this nor
+    decode makes its grid; reading the maps' .heatmap, .regression or
+    .reg_mask still makes the whole grid, up to MAX_SPARSE_GRID cells per
+    branch for a sparse one.
+
     Raises ShapeMismatch when a manifest field is missing or of the wrong
     type (the six sizes are integers of at least 1), when class_names is
     not num_classes strings, when a tensor's file is not a plain file name
     inside the container (empty, "." or "..", or holding "/" or NUL), when a
     tensor's dtype is not "<f4" or its layout neither "dense" nor "sparse",
-    when a sparse tensor has more than MAX_SPARSE_CELLS cells or a count
-    that is not an integer of at least 0, when a tensor file's size
-    disagrees with its manifest shape (dense) or count (sparse), when a
-    sparse tensor's indices are not strictly increasing or reach past its
-    cells, or when required tensors are missing or a tensor is named twice, and
+    when its shape is not the one the sizes give, when a sparse tensor's
+    count is not an integer of at least 0 or is more than MAX_SPARSE_CELLS,
+    or its grid has more than MAX_SPARSE_GRID cells (all checked before
+    anything is allocated), when an offset is not an integer of at least 0,
+    when a file's extents break the size rule (an overlap, a gap, an extent
+    past the file's end, or bytes after the last one), when a sparse
+    tensor's indices are not strictly increasing or reach past its cells,
+    or when required tensors are missing or a tensor is named twice, and
     MidlinesError when a tensor holds NaN or infinity or a heatmap holds a
     value outside [0, 1]; missing files surface as FileNotFoundError.
     """
@@ -209,8 +284,7 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         raise ShapeMismatch(f"manifest missing tensors {missing}")
 
     expected = {"hm": (num_classes, height, width), "reg": (8, height, width), "mask": (height, width)}
-    stacks: dict[str, Cells | np.ndarray] = {}
-    parts: list = []
+    extents = []
     for name in TENSOR_NAMES:
         entry = by_name[name]
         file = entry.get("file")
@@ -225,45 +299,59 @@ def read_maps(container_dir: str | Path) -> tuple[TargetMaps, list[str]]:
         layout = entry.get("layout", "dense")
         if layout not in ("dense", "sparse"):
             raise ShapeMismatch(f"tensor {name}: layout must be 'dense' or 'sparse', got {layout!r}")
-        cells = math.prod(shape)
-        sparse = layout == "sparse"
-        if sparse and cells > MAX_SPARSE_CELLS:
-            raise ShapeMismatch(
-                f"tensor {name}: sparse shape {shape} has {cells} cells, more than {MAX_SPARSE_CELLS}"
-            )
-        count = _count(entry.get("count"), f"tensor {name} count", 0) if sparse else cells
-        path = root / file
-        size, needed = path.stat().st_size, (8 if sparse else 4) * count
-        if size != needed:  # np.fromfile would drop 1-3 trailing bytes unseen
-            what = f"count {count}" if sparse else f"shape {shape}"
-            raise ShapeMismatch(
-                f"tensor {name}: file holds {size} bytes, manifest {what} needs {needed}"
-            )
-        raw = np.fromfile(path, dtype="<f4")
-        kind, branch = name.split("_")
+        kind = name.split("_")[0]
         if shape != expected[kind]:
             raise ShapeMismatch(f"tensor {name}: shape {shape}, expected {expected[kind]}")
-        at, values = slice(None), raw  # a dense file holds every cell in order
-        if sparse:
-            at, values = raw[:count].view("<u4"), raw[count:]
-            if (at[1:] <= at[:-1]).any():
-                raise ShapeMismatch(f"tensor {name}: indices not strictly increasing")
-            if count and at[-1] >= cells:
-                raise ShapeMismatch(f"tensor {name}: index {at[-1]} at or past its {cells} cells")
-        if not np.isfinite(values).all():
-            raise MidlinesError(f"tensor {name}: non-finite values")
-        if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
-            raise MidlinesError(f"tensor {name}: values outside [0, 1]")
-        if kind == "mask":
-            values = values > 0.5
-        if sparse:  # Cells hold the values with bits: -0.0 is one, +0.0 or false is none
-            stored = values if kind == "mask" else values.view("<u4") != 0
-            at, values = at[stored].astype(np.int64), values[stored]
-        parts.append((at, values))
-        if branch == "b2":  # TENSOR_NAMES lists b1 then b2 of each map
-            dtype = bool if kind == "mask" else np.float64
-            stacks[kind] = _stack(parts, (2, *expected[kind]), dtype)
-            parts = []
+        cells = math.prod(shape)
+        if layout == "dense":
+            count, nbytes, what = None, 4 * cells, f"shape {shape}"
+        else:
+            if cells > MAX_SPARSE_GRID:
+                raise ShapeMismatch(
+                    f"tensor {name}: sparse shape {shape} has {cells} cells, more than {MAX_SPARSE_GRID}"
+                )
+            count = _count(entry.get("count"), f"tensor {name} count", 0)
+            if count > MAX_SPARSE_CELLS:
+                raise ShapeMismatch(f"tensor {name}: sparse count {count} is more than {MAX_SPARSE_CELLS}")
+            nbytes, what = 8 * count, f"count {count}"
+        offset = _count(entry.get("offset", 0), f"tensor {name} offset", 0)
+        extents.append(_Extent(name, file, offset, nbytes, count, what))
+
+    stacks: dict[str, Cells | np.ndarray] = {}
+    parts: list = []
+    with contextlib.ExitStack() as stack:
+        files = {
+            file: stack.enter_context(open(root / file, "rb"))
+            for file in dict.fromkeys(e.file for e in extents)
+        }
+        _check_extents(extents, {file: os.fstat(f.fileno()).st_size for file, f in files.items()})
+        for e in extents:
+            data = files[e.file]
+            data.seek(e.offset)
+            raw = np.frombuffer(data.read(e.nbytes), dtype="<f4")
+            kind, branch = e.name.split("_")
+            at, values = slice(None), raw  # a dense extent holds every cell in order
+            if e.count is not None:
+                count, cells = e.count, math.prod(expected[kind])
+                at, values = raw[:count].view("<u4"), raw[count:]
+                if (at[1:] <= at[:-1]).any():
+                    raise ShapeMismatch(f"tensor {e.name}: indices not strictly increasing")
+                if count and at[-1] >= cells:
+                    raise ShapeMismatch(f"tensor {e.name}: index {at[-1]} at or past its {cells} cells")
+            if not np.isfinite(values).all():
+                raise MidlinesError(f"tensor {e.name}: non-finite values")
+            if kind == "hm" and ((values < 0.0) | (values > 1.0)).any():
+                raise MidlinesError(f"tensor {e.name}: values outside [0, 1]")
+            if kind == "mask":
+                values = values > 0.5
+            if e.count is not None:  # Cells hold the values with bits: -0.0 is one, +0.0 or false is none
+                stored = values if kind == "mask" else values.view("<u4") != 0
+                at, values = at[stored].astype(np.int64), values[stored]
+            parts.append((at, values))
+            if branch == "b2":  # TENSOR_NAMES lists b1 then b2 of each map
+                dtype = bool if kind == "mask" else np.float64
+                stacks[kind] = _stack(parts, (2, *expected[kind]), dtype)
+                parts = []
 
     maps = TargetMaps(
         stride=sizes["stride"],

@@ -21,6 +21,8 @@ from midlines.errors import NonBinaryGroundTruth
 from midlines.geometry import OrientedBox, Point2, rectangle
 from midlines.losses import LossWeights, focal_ip_loss, line_loss, total_loss
 
+from test_container import tensor_bytes
+
 FIELDS = ("heatmap", "regression", "reg_mask")
 NAMES = ["a", "b", "c"]
 
@@ -148,7 +150,7 @@ def test_value_that_rounds_to_zero_in_float32_is_stored(tmp_path):
     assert_writes_same_bytes(maps, dense_copy(maps), tmp_path)
     (entry,) = [t for t in json.loads((tmp_path / "cells" / "manifest.json").read_text())["tensors"]
                 if t["name"] == "reg_b1"]
-    raw = (tmp_path / "cells" / "reg_b1.f32").read_bytes()
+    raw = tensor_bytes(tmp_path / "cells", "reg_b1")
     indices = np.frombuffer(raw[:4 * entry["count"]], "<u4").tolist()
     values = np.frombuffer(raw[4 * entry["count"]:], "<f4")
     assert values[indices.index(5)] == 0.0

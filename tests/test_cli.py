@@ -17,6 +17,7 @@ from midlines.errors import MidlinesError, ShapeMismatch
 from midlines.geometry import Boxes, OrientedBox, Point2, rectangle
 from midlines.ingest import DOTA_CLASS_NAMES
 
+from test_container import extent, rewrite_tensor, tensor_bytes
 from test_gradcheck import bias_every_loss
 
 DOTA_SCENE = """imagesource:GoogleEarth
@@ -326,12 +327,12 @@ def encode_scene(tmp_path, capsys, layout):
 
 
 def value_slot(container, tensor):
-    """A tensor file as float32 words, and the position of a value word in its middle."""
+    """A tensor's bytes as float32 words, and the position of a value word in its middle."""
     entry = next(
         t for t in json.loads((container / "manifest.json").read_text())["tensors"]
         if t["name"] == tensor
     )
-    data = np.fromfile(container / entry["file"], dtype="<f4")
+    data = np.frombuffer(tensor_bytes(container, tensor), dtype="<f4").copy()
     if entry["layout"] == "dense":
         return data, len(data) // 2
     count = entry["count"]  # count indices come first, then count values
@@ -345,7 +346,7 @@ def test_encode_writes_container_with_provenance(tmp_path, capsys):
     assert manifest["num_classes"] == 15  # DOTA vocabulary inferred
     for tensor, classes in (("hm_b1", HORIZONTAL_CLASSES), ("hm_b2", ORIENTED_CLASSES)):
         channels = [manifest["class_names"].index(c) for c in classes]
-        heatmap = np.fromfile(container / f"{tensor}.f32", dtype="<f4").reshape(15, 1, 1)
+        heatmap = np.frombuffer(tensor_bytes(container, tensor), dtype="<f4").reshape(15, 1, 1)
         assert (heatmap[channels] == 1.0).all()  # the branch's own classes
         assert np.delete(heatmap, channels, axis=0).max() == 0.0
 
@@ -361,12 +362,12 @@ def test_encode_writes_container_with_provenance_sparse(tmp_path, capsys):
     entries = {t["name"]: t for t in manifest["tensors"]}
     assert {t["layout"] for t in entries.values()} == {"sparse"}
     count = entries["hm_b1"]["count"]
-    raw = (container / "hm_b1.f32").read_bytes()
+    raw = tensor_bytes(container, "hm_b1")
     cells = np.frombuffer(raw[: 4 * count], dtype="<u4")
     assert count > 0 and (cells < 64 * 64).all()  # plane channel, horizontal branch
     assert (np.frombuffer(raw[4 * count :], dtype="<f4") == 1.0).all()
     assert entries["hm_b2"]["count"] == 0
-    assert (container / "hm_b2.f32").stat().st_size == 0
+    assert extent(container, "hm_b2")[2] == 0
 
 
 def test_encode_zero_objects_gives_zero_tensors(tmp_path, capsys):
@@ -797,7 +798,7 @@ def test_decode_high_threshold_gives_empty_array(tmp_path, capsys):
 def test_decode_missing_tensor_is_io_error(tmp_path, capsys):
     gt = make_gt(tmp_path, [PLANE])
     run(capsys, "encode", "--gt", gt, "--out", tmp_path / "maps")
-    (tmp_path / "maps" / "img" / "reg_b1.f32").unlink()
+    extent(tmp_path / "maps" / "img", "reg_b1")[0].unlink()
     code, _ = run(capsys, "decode", "--maps", tmp_path / "maps", "--out", tmp_path / "d.json")
     assert code == 2
 
@@ -821,7 +822,7 @@ def test_decode_merge_iou_is_honoured(tmp_path, capsys):
 def corrupt_and_decode(tmp_path, capsys, container, tensor, value, message):
     data, at = value_slot(container, tensor)
     data[at] = value
-    data.tofile(container / f"{tensor}.f32")
+    rewrite_tensor(container, tensor, data.tobytes())
     with pytest.raises(MidlinesError, match=message):
         read_maps(container)
     code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
@@ -925,24 +926,43 @@ def test_decode_anchors_at_a_huge_stride_do_not_wrap(tmp_path, capsys):
     assert sorted(ys) == [-(2.0**59)] * 2 + [2.0**59] * 2
 
 
-@pytest.mark.parametrize("side", [8192, 2**26])
-def test_decode_sparse_grid_past_the_cell_cap_is_io_error(tmp_path, capsys, side):
-    # Empty sparse files can claim any grid: 15 x 8192**2 heatmap cells is
-    # 16 GB of float64 the OS would grant lazily, and decode would scan it;
-    # 2**26 on a side is past any address space. Both stop before allocating.
-    container = encode_plane(tmp_path, capsys)
+def claim_empty_grid(container, side):
+    """Make the container claim a side x side grid, every tensor sparse and empty."""
     path = container / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["width"] = manifest["height"] = side
     for entry in manifest["tensors"]:
         entry["shape"][-2:] = [side, side]
-        entry["count"] = 0
+        entry.update(count=0, offset=0)
         (container / entry["file"]).write_bytes(b"")
     path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("side", [16922, 2**26])
+def test_decode_sparse_grid_past_the_cell_cap_is_io_error(tmp_path, capsys, side):
+    # Empty sparse tensors can claim any grid, but not one of more than
+    # 2**32 cells, which their "<u4" indices cannot address: 15 x 16922**2
+    # heatmap cells is just past that, and 2**26 on a side is past any
+    # address space. Both stop before allocating.
+    container = encode_plane(tmp_path, capsys)
+    claim_empty_grid(container, side)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
     assert code == 2
-    assert out.startswith("error=") and "hm_b1: sparse shape" in out and "more than" in out
+    assert out.startswith("error=") and "hm_b1: sparse shape" in out and "more than 4294967296" in out
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 100_000  # KiB
+
+
+@pytest.mark.parametrize("side", [8192, 16921])
+def test_decode_empty_sparse_grid_makes_no_grid(tmp_path, capsys, side):
+    # 15 x 16921**2 heatmap cells is just under 2**32, 32 GB of float64 per
+    # branch if it were made; decode reads the empty Cells and makes none.
+    container = encode_plane(tmp_path, capsys)
+    claim_empty_grid(container, side)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code, out = run(capsys, "decode", "--maps", container, "--out", tmp_path / "d.json")
+    assert code == 0 and "detections=0" in out
+    assert json.loads((tmp_path / "d.json").read_text()) == []
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 100_000  # KiB
 
 

@@ -1,13 +1,19 @@
 import json
+import math
+import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from midlines.cli import main
-from midlines.container import MAX_SPARSE_CELLS, TENSOR_NAMES, read_maps, write_maps
-from midlines.encoder import TargetMaps, encode_image
+from midlines.container import (
+    DATA_FILE, MAX_SPARSE_CELLS, MAX_SPARSE_GRID, TENSOR_NAMES, read_maps, write_maps,
+)
+from midlines.decoder import decode
+from midlines.encoder import Cells, TargetMaps, encode_image
 from midlines.errors import ShapeMismatch
 from midlines.geometry import rectangle
 
@@ -53,10 +59,33 @@ def entries(container):
     return {t["name"]: t for t in manifest["tensors"]}
 
 
+def extent(container, name):
+    """A tensor's file, byte offset and byte length, found through its manifest entry."""
+    entry = entries(container)[name]
+    words = 2 * entry["count"] if entry.get("layout") == "sparse" else math.prod(entry["shape"])
+    return Path(container) / entry["file"], entry.get("offset", 0), 4 * words
+
+
+def tensor_bytes(container, name):
+    path, offset, length = extent(container, name)
+    return path.read_bytes()[offset:offset + length]
+
+
+def rewrite_tensor(container, name, data, cut=False):
+    """Put data in place of a tensor's bytes, leaving the manifest as it is.
+
+    The file's later bytes follow data, or with cut=True they are dropped
+    and the file ends where data does: cut short when data is.
+    """
+    path, offset, length = extent(container, name)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:offset] + data + (b"" if cut else raw[offset + length:]))
+
+
 def sparse_cells(container, name):
-    """A sparse tensor file's flat indices and values, read independently of read_maps."""
+    """A sparse tensor's flat indices and values, read independently of read_maps."""
     count = entries(container)[name]["count"]
-    raw = (Path(container) / f"{name}.f32").read_bytes()
+    raw = tensor_bytes(container, name)
     return np.frombuffer(raw[:4 * count], "<u4"), np.frombuffer(raw[4 * count:], "<f4")
 
 
@@ -93,12 +122,14 @@ def test_manifest_fields_and_tensor_list(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     for field in ("stride", "num_classes", "width", "height", "image_w", "image_h", "class_names", "tensors"):
         assert field in manifest
-    assert {t["name"] for t in manifest["tensors"]} == set(TENSOR_NAMES)
+    assert [t["name"] for t in manifest["tensors"]] == list(TENSOR_NAMES)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", DATA_FILE]
+    offset = 0  # the tensors lie back to back in one file
     for t in manifest["tensors"]:
-        assert t["dtype"] == "<f4"
+        assert t["dtype"] == "<f4" and t["file"] == DATA_FILE and t["offset"] == offset
         assert t["layout"] == "dense" and "count" not in t
-        size = (tmp_path / t["file"]).stat().st_size
-        assert size == 4 * int(np.prod(t["shape"]))
+        offset += 4 * int(np.prod(t["shape"]))
+    assert (tmp_path / DATA_FILE).stat().st_size == offset
 
 
 def test_manifest_fields_and_tensor_list_sparse(tmp_path):
@@ -109,13 +140,16 @@ def test_manifest_fields_and_tensor_list_sparse(tmp_path):
     views = {
         "hm": maps.heatmap, "reg": maps.regression, "mask": maps.reg_mask,
     }
+    offset = 0
     for t in manifest["tensors"]:
         kind, branch = t["name"].split("_")
         array = views[kind][int(branch[-1]) - 1]
         assert t["dtype"] == "<f4" and t["layout"] == "sparse"
+        assert t["file"] == DATA_FILE and t["offset"] == offset
         assert t["shape"] == list(array.shape)
         assert 0 < t["count"] == np.count_nonzero(array) < array.size / 2
-        assert (tmp_path / t["file"]).stat().st_size == 8 * t["count"]
+        offset += 8 * t["count"]
+    assert (tmp_path / DATA_FILE).stat().st_size == offset
 
 
 def test_layout_is_little_endian_channel_row_col(tmp_path):
@@ -123,7 +157,7 @@ def test_layout_is_little_endian_channel_row_col(tmp_path):
     maps.regression[1, 3, 5, 7] = -123.5  # branch 2, channel 3, row 5, col 7
     write_maps(maps, tmp_path, ["a", "b"])
     assert entries(tmp_path)["reg_b2"]["layout"] == "dense"
-    raw = (tmp_path / "reg_b2.f32").read_bytes()
+    raw = tensor_bytes(tmp_path, "reg_b2")
     flat_index = (3 * maps.height + 5) * maps.width + 7
     value = struct.unpack("<f", raw[4 * flat_index : 4 * flat_index + 4])[0]
     assert value == -123.5
@@ -134,7 +168,7 @@ def test_layout_is_little_endian_channel_row_col_sparse(tmp_path):
     maps.regression[1, 3, 5, 7] = -123.5  # branch 2, channel 3, row 5, col 7
     write_maps(maps, tmp_path, ["a", "b"])
     count = entries(tmp_path)["reg_b2"]["count"]
-    raw = (tmp_path / "reg_b2.f32").read_bytes()
+    raw = tensor_bytes(tmp_path, "reg_b2")
     indices = struct.unpack(f"<{count}I", raw[: 4 * count])
     values = struct.unpack(f"<{count}f", raw[4 * count :])
     assert list(indices) == sorted(set(indices))
@@ -177,14 +211,37 @@ def test_sparse_when_smaller_than_dense(tmp_path):
         "hm_b1": "sparse", "hm_b2": "dense", "reg_b1": "sparse", "reg_b2": "dense",
         "mask_b1": "sparse", "mask_b2": "dense",
     }
-    assert (tmp_path / "hm_b1.f32").stat().st_size == 8 * 14
-    assert (tmp_path / "mask_b1.f32").stat().st_size == 0
+    assert len(tensor_bytes(tmp_path, "hm_b1")) == 8 * 14
+    assert extent(tmp_path, "mask_b1")[2] == 0
     back, _ = read_maps(tmp_path)
     assert_reads_as_written(back, maps)
 
 
 def test_tensor_past_the_sparse_cell_cap_is_written_dense(tmp_path, monkeypatch):
+    # The cap is on stored cells: a tensor storing more is written dense,
+    # however small a share of its grid they are, since read_maps refuses
+    # a sparse one.
     monkeypatch.setattr("midlines.container.MAX_SPARSE_CELLS", 30)
+    maps = tiny_dense_maps()  # 30 cells per heatmap, 120 per regression, 15 per mask
+    maps.heatmap[...] = 0.0
+    maps.regression[...] = 0.0
+    maps.regression[0].reshape(-1)[:30] = 2.0  # 8 x 30 < 4 x 120, at the cap: sparse
+    maps.regression[1].reshape(-1)[:31] = 2.0  # 8 x 31 < 4 x 120, past the cap: dense
+    maps.reg_mask[...] = False
+    write_maps(maps, tmp_path, ["a", "b"])
+    layouts = {name: t["layout"] for name, t in entries(tmp_path).items()}
+    assert layouts == {
+        "hm_b1": "sparse", "hm_b2": "sparse", "reg_b1": "sparse", "reg_b2": "dense",
+        "mask_b1": "sparse", "mask_b2": "sparse",
+    }
+    back, _ = read_maps(tmp_path)
+    assert_reads_as_written(back, maps)
+
+
+def test_tensor_past_the_sparse_grid_is_written_dense(tmp_path, monkeypatch):
+    # A grid of more than 2**32 cells is written dense whatever it stores:
+    # its "<u4" indices could not address every cell.
+    monkeypatch.setattr("midlines.container.MAX_SPARSE_GRID", 29)
     maps = tiny_dense_maps()  # 30 cells per heatmap, 120 per regression, 15 per mask
     maps.heatmap[...] = 0.0
     maps.regression[...] = 0.0
@@ -192,7 +249,7 @@ def test_tensor_past_the_sparse_cell_cap_is_written_dense(tmp_path, monkeypatch)
     write_maps(maps, tmp_path, ["a", "b"])
     layouts = {name: t["layout"] for name, t in entries(tmp_path).items()}
     assert layouts == {
-        "hm_b1": "sparse", "hm_b2": "sparse", "reg_b1": "dense", "reg_b2": "dense",
+        "hm_b1": "dense", "hm_b2": "dense", "reg_b1": "dense", "reg_b2": "dense",
         "mask_b1": "sparse", "mask_b2": "sparse",
     }
     back, _ = read_maps(tmp_path)
@@ -205,24 +262,55 @@ def claim_grid(path, height, width):
     manifest["height"], manifest["width"] = height, width
     for entry in manifest["tensors"]:
         entry["shape"][-2:] = [height, width]
-        entry.update(layout="sparse", count=0)
-        (path / entry["file"]).write_bytes(b"")
+        entry.update(layout="sparse", count=0, offset=0)
+    (path / DATA_FILE).write_bytes(b"")
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
-def test_sparse_tensor_past_the_cell_cap_raises_before_allocating(tmp_path):
+def test_sparse_tensor_past_the_cell_cap_raises_before_allocating(tmp_path, monkeypatch):
     write_maps(sample_maps(), tmp_path, ["a", "b"])
-    # 8 regression channels make reg_b1 the first tensor to reach the cap.
-    claim_grid(tmp_path, 1024, MAX_SPARSE_CELLS // 8 // 1024)
-    back, _ = read_maps(tmp_path)
-    assert back.regression.shape == (2, 8, 1024, MAX_SPARSE_CELLS // 8 // 1024)
-    claim_grid(tmp_path, 1024, MAX_SPARSE_CELLS // 8 // 1024 + 1)
-    with pytest.raises(ShapeMismatch, match=r"^tensor reg_b1: sparse shape .* more than 16777216$"):
+    counts = {name: t["count"] for name, t in entries(tmp_path).items()}
+    most = max(counts.values())
+    first = next(name for name in TENSOR_NAMES if counts[name] == most)
+    monkeypatch.setattr("midlines.container.MAX_SPARSE_CELLS", most)
+    read_maps(tmp_path)
+    monkeypatch.setattr("midlines.container.MAX_SPARSE_CELLS", most - 1)
+    with pytest.raises(ShapeMismatch, match=rf"^tensor {first}: sparse count {most} is more than {most - 1}$"):
+        read_maps(tmp_path)
+    monkeypatch.undo()
+    # Refused from the manifest alone, before the extents are checked or read.
+    edit_entry(tmp_path, "hm_b1", count=MAX_SPARSE_CELLS + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatch, match=r"^tensor hm_b1: sparse count 16777217 is more than 16777216$"):
+            read_maps(tmp_path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_tensor_past_the_grid_cap_raises_before_allocating(tmp_path):
+    write_maps(sample_maps(), tmp_path, ["a", "b"])
+    # 8 regression channels make reg_b1 the first tensor to pass 2**32 cells.
+    claim_grid(tmp_path, 1 << 16, MAX_SPARSE_GRID // 8 >> 16)
+    tracemalloc.start()
+    try:
+        back, _ = read_maps(tmp_path)
+        assert len(decode(back)) == 0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20  # no grid is made
+    finally:
+        tracemalloc.stop()
+    regression = back.kept("regression")
+    assert isinstance(regression, Cells) and regression.shape == (2, 8, 1 << 16, 1 << 13)
+    claim_grid(tmp_path, 1 << 16, (MAX_SPARSE_GRID // 8 >> 16) + 1)
+    with pytest.raises(
+        ShapeMismatch, match=r"^tensor reg_b1: sparse shape \(8, 65536, 8193\) has 4295491584 cells, more than 4294967296$"
+    ):
         read_maps(tmp_path)
 
 
 def test_container_written_before_layouts_still_reads():
-    assert all("layout" not in t for t in entries(DENSE_CONTAINER).values())
+    assert all("layout" not in t and "offset" not in t for t in entries(DENSE_CONTAINER).values())
     back, names = read_maps(DENSE_CONTAINER)
     assert names == ["plane", "ship"]
     maps = tiny_dense_maps()
@@ -233,11 +321,14 @@ def test_container_written_before_layouts_still_reads():
 
 
 def test_dense_map_writes_the_tensor_files_written_before_layouts(tmp_path):
+    # Each tensor's bytes and entry are those of its own file then; the
+    # bytes now lie in one file, at the entry's offset.
     write_maps(tiny_dense_maps(), tmp_path, ["plane", "ship"])
     for name, entry in entries(tmp_path).items():
-        assert entry.pop("layout") == "dense"
-        assert entry == entries(DENSE_CONTAINER)[name]
-        assert (tmp_path / entry["file"]).read_bytes() == (DENSE_CONTAINER / entry["file"]).read_bytes()
+        assert (entry.pop("file"), entry.pop("layout")) == (DATA_FILE, "dense")
+        entry.pop("offset")
+        assert entry == {k: v for k, v in entries(DENSE_CONTAINER)[name].items() if k != "file"}
+        assert tensor_bytes(tmp_path, name) == tensor_bytes(DENSE_CONTAINER, name)
 
 
 def test_mask_stores_ones(tmp_path):
@@ -251,46 +342,57 @@ def test_mask_stores_ones(tmp_path):
 
 def test_missing_tensor_file_raises(tmp_path):
     write_maps(sample_maps(), tmp_path, ["a", "b"])
-    (tmp_path / "reg_b1.f32").unlink()
+    extent(tmp_path, "reg_b1")[0].unlink()
     with pytest.raises(FileNotFoundError):
         read_maps(tmp_path)
 
 
 def test_truncated_tensor_raises_shape_mismatch(tmp_path):
+    # The file cut 8 bytes short of hm_b1's end: hm_b1 is the first extent
+    # to reach past it.
     write_maps(dense_maps(), tmp_path, ["a", "b"])
-    data = (tmp_path / "hm_b1.f32").read_bytes()
-    (tmp_path / "hm_b1.f32").write_bytes(data[:-8])
-    with pytest.raises(ShapeMismatch, match="hm_b1: file holds .* manifest shape"):
+    rewrite_tensor(tmp_path, "hm_b1", tensor_bytes(tmp_path, "hm_b1")[:-8], cut=True)
+    with pytest.raises(
+        ShapeMismatch, match=r"^tensor hm_b1: file holds 30712 bytes, manifest shape \(2, 60, 64\) at offset 0 needs 30720$"
+    ):
         read_maps(tmp_path)
 
 
 def test_truncated_tensor_raises_shape_mismatch_sparse(tmp_path):
     write_maps(sample_maps(), tmp_path, ["a", "b"])
-    data = (tmp_path / "hm_b1.f32").read_bytes()
-    (tmp_path / "hm_b1.f32").write_bytes(data[:-8])  # one index and one value short
-    with pytest.raises(ShapeMismatch, match="hm_b1: file holds .* manifest count"):
+    needs = len(tensor_bytes(tmp_path, "hm_b1"))
+    rewrite_tensor(tmp_path, "hm_b1", tensor_bytes(tmp_path, "hm_b1")[:-8], cut=True)  # one index and one value short
+    with pytest.raises(
+        ShapeMismatch, match=rf"^tensor hm_b1: file holds {needs - 8} bytes, manifest count {needs // 8} at offset 0 needs {needs}$"
+    ):
         read_maps(tmp_path)
+
+
+def assert_trailing_bytes_raise(container, extra):
+    # Bytes after reg_b1's extent push every later extent back, so the
+    # file's last extent, mask_b2's, ends that many bytes before the file
+    # does. np.fromfile reads whole float32 values only, so 1-3 extra
+    # bytes would leave every element count right; the size rule sees them.
+    rewrite_tensor(container, "reg_b1", tensor_bytes(container, "reg_b1") + bytes(extra))
+    size = (container / DATA_FILE).stat().st_size
+    _, offset, _ = extent(container, "mask_b2")
+    with pytest.raises(
+        ShapeMismatch, match=rf"^tensor mask_b2: file holds {size} bytes, manifest .* at offset {offset} needs {size - extra}$"
+    ):
+        read_maps(container)
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4])
 def test_trailing_bytes_raise_shape_mismatch(tmp_path, extra):
-    # np.fromfile reads whole float32 values only, so 1-3 extra bytes
-    # leave the element count right; the byte size is what disagrees.
     write_maps(dense_maps(), tmp_path, ["a", "b"])
-    with open(tmp_path / "reg_b1.f32", "ab") as f:
-        f.write(bytes(extra))
-    with pytest.raises(ShapeMismatch, match="reg_b1: file holds"):
-        read_maps(tmp_path)
+    assert_trailing_bytes_raise(tmp_path, extra)
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4, 8])
 def test_trailing_bytes_raise_shape_mismatch_sparse(tmp_path, extra):
-    # 8 bytes is one whole index-value pair that the count does not list.
+    # 8 bytes is one whole index-value pair that no count lists.
     write_maps(sample_maps(), tmp_path, ["a", "b"])
-    with open(tmp_path / "reg_b1.f32", "ab") as f:
-        f.write(bytes(extra))
-    with pytest.raises(ShapeMismatch, match="reg_b1: file holds"):
-        read_maps(tmp_path)
+    assert_trailing_bytes_raise(tmp_path, extra)
 
 
 def edit_entry(container, name, **fields):
@@ -303,12 +405,9 @@ def edit_entry(container, name, **fields):
 
 
 def write_cells(container, name, indices, values):
-    """Replace a sparse tensor's file and count."""
-    indices = np.asarray(indices, "<u4")
-    (Path(container) / f"{name}.f32").write_bytes(
-        indices.tobytes() + np.asarray(values, "<f4").tobytes()
-    )
-    edit_entry(container, name, count=len(indices))
+    """Replace a sparse tensor's indices and values with as many others."""
+    assert len(indices) == entries(container)[name]["count"]
+    rewrite_tensor(container, name, np.asarray(indices, "<u4").tobytes() + np.asarray(values, "<f4").tobytes())
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -344,10 +443,99 @@ def test_sparse_count_must_be_a_non_negative_integer(tmp_path, count):
 
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_sparse_count_must_match_file_size(tmp_path, delta):
+    # hm_b2's extent then ends 8 bytes before or after reg_b1's starts.
     write_maps(sample_maps(), tmp_path, ["a", "b"])
     count = entries(tmp_path)["hm_b2"]["count"]
+    start = entries(tmp_path)["reg_b1"]["offset"]
     edit_entry(tmp_path, "hm_b2", count=count + delta)
-    with pytest.raises(ShapeMismatch, match="hm_b2: file holds"):
+    message = (
+        f"overlaps tensor hm_b2's, which ends at byte {start + 8}" if delta > 0
+        else f"leaves bytes {start - 8} to {start} in no tensor"
+    )
+    with pytest.raises(ShapeMismatch, match=rf"^tensor reg_b1: extent at byte {start} of 'maps.f32' {message}$"):
+        read_maps(tmp_path)
+
+
+def shift(container, name, by):
+    """Move a tensor's manifest offset by `by` bytes."""
+    edit_entry(container, name, offset=entries(container)[name]["offset"] + by)
+
+
+def overlap(c):
+    shift(c, "reg_b1", -4)
+
+
+def same_offset(c):
+    edit_entry(c, "reg_b2", offset=entries(c)["reg_b1"]["offset"])
+
+
+def gap(c):
+    shift(c, "mask_b1", 4)
+
+
+def gap_at_start(c):
+    (c / DATA_FILE).write_bytes(bytes(4) + (c / DATA_FILE).read_bytes())
+    for name in TENSOR_NAMES:
+        shift(c, name, 4)
+
+
+def past_end(c):
+    (c / DATA_FILE).write_bytes((c / DATA_FILE).read_bytes()[:-4])
+
+
+def after_last(c):
+    (c / DATA_FILE).write_bytes((c / DATA_FILE).read_bytes() + bytes(4))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (overlap, r"tensor reg_b1: extent at byte (\d+) of 'maps.f32' overlaps tensor hm_b2's, which ends at byte \d+"),
+    (same_offset, r"tensor reg_b\d: extent at byte (\d+) of 'maps.f32' overlaps tensor reg_b\d's, which ends at byte \d+"),
+    (gap, r"tensor mask_b1: extent at byte \d+ of 'maps.f32' leaves bytes \d+ to \d+ in no tensor"),
+    (gap_at_start, r"tensor hm_b1: extent at byte 4 of 'maps.f32' leaves bytes 0 to 4 in no tensor"),
+    (past_end, r"tensor mask_b2: file holds (\d+) bytes, manifest count \d+ at offset \d+ needs \d+"),
+    (after_last, r"tensor mask_b2: file holds (\d+) bytes, manifest count \d+ at offset \d+ needs \d+"),
+], ids=["overlap", "same-offset", "gap", "gap-at-start", "past-end", "after-last"])
+def test_extents_must_tile_their_file(tmp_path, capsys, damage, message):
+    container = tmp_path / "maps"
+    write_maps(sample_maps(), container, ["a", "b"])
+    damage(container)
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        read_maps(container)
+    assert main(["decode", "--maps", str(container), "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().out.startswith("error=tensor ")
+
+
+@pytest.mark.parametrize("offset", [-1, True, False, 0.0, 4.5, "0", None])
+def test_offset_must_be_a_non_negative_integer(tmp_path, offset):
+    write_maps(sample_maps(), tmp_path, ["a", "b"])
+    edit_entry(tmp_path, "hm_b2", offset=offset)
+    with pytest.raises(ShapeMismatch, match=rf"^manifest tensor hm_b2 offset must be an integer >= 0, got {re.escape(repr(offset))}$"):
+        read_maps(tmp_path)
+
+
+def test_tensor_in_its_own_file_reads_beside_the_shared_one(tmp_path):
+    # The size rule holds each file alone: maps.f32 without hm_b2's bytes,
+    # and hm_b2.f32 holding just them, its entry without an offset.
+    maps = sample_maps()
+    write_maps(maps, tmp_path, ["a", "b"])
+    data = tensor_bytes(tmp_path, "hm_b2")
+    _, start, _ = extent(tmp_path, "hm_b2")
+    rewrite_tensor(tmp_path, "hm_b2", b"")
+    (tmp_path / "hm_b2.f32").write_bytes(data)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for entry in manifest["tensors"]:
+        if entry["name"] == "hm_b2":
+            entry["file"] = "hm_b2.f32"
+            del entry["offset"]
+        elif entry["offset"] > start:
+            entry["offset"] -= len(data)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    back, _ = read_maps(tmp_path)
+    assert_reads_as_written(back, maps)
+    (tmp_path / "hm_b2.f32").write_bytes(data + bytes(4))
+    with pytest.raises(
+        ShapeMismatch, match=rf"^tensor hm_b2: file holds {len(data) + 4} bytes, manifest count \d+ at offset 0 needs {len(data)}$"
+    ):
         read_maps(tmp_path)
 
 
@@ -397,3 +585,26 @@ def test_tensor_named_twice_raises_shape_mismatch(tmp_path, capsys):
 def test_class_name_count_must_match_channels(tmp_path):
     with pytest.raises(ShapeMismatch):
         write_maps(sample_maps(), tmp_path, ["only-one"])
+
+
+def test_large_image_with_one_box_writes_and_decodes_without_a_grid(tmp_path, capsys):
+    # A 5000 x 5000 image at stride 4 has 15 x 1250**2 heatmap cells per
+    # branch, 94 MB as float32 and twice that as the float64 array read_maps
+    # would make; one box stores a few hundred cells.
+    gt = [{"image_id": "big", "width": 5000, "height": 5000, "objects": [
+        {"class": "plane", "corners": [2480, 2490, 2520, 2490, 2520, 2510, 2480, 2510], "difficult": False},
+    ]}]
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    assert main(["encode", "--gt", str(tmp_path / "gt.json"), "--out", str(tmp_path / "maps")]) == 0
+    container = tmp_path / "maps" / "big"
+    assert sum(p.stat().st_size for p in container.iterdir()) < 64 << 10
+    assert {t["layout"] for t in entries(container).values()} == {"sparse"}
+    tracemalloc.start()
+    try:
+        maps, _ = read_maps(container)
+        (det,) = decode(maps)
+        assert tracemalloc.get_traced_memory()[1] < 4 << 20
+    finally:
+        tracemalloc.stop()
+    assert (det.class_id, det.branch.index) == (0, 0)
+    assert all(isinstance(maps.kept(f), Cells) for f in ("heatmap", "regression", "reg_mask"))

@@ -3,10 +3,10 @@
 Each example replaces one to three values inside a valid ground-truth JSON,
 detections JSON or container manifest (the whole document included) with
 null, a string, a list, a negative number or a short list, damages the
-bytes of one tensor file in a valid dense or sparse container or the
-indices of a sparse one, or writes DOTA and ICDAR
-label lines with huge, non-finite or missing coordinates, then runs the
-CLI in-process on the result.
+bytes of one tensor in a valid dense or sparse container, the indices of a
+sparse one, or any bytes of a container's shared data file, or writes DOTA
+and ICDAR label lines with huge, non-finite or missing coordinates, then
+runs the CLI in-process on the result.
 """
 
 import contextlib
@@ -24,9 +24,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from midlines.cli import main
-from midlines.container import TENSOR_NAMES
+from midlines.container import DATA_FILE, TENSOR_NAMES
 
-from test_container import DENSE_CONTAINER
+from test_container import DENSE_CONTAINER, rewrite_tensor, tensor_bytes
 
 BOX = [8, 8, 40, 8, 40, 24, 8, 24]
 GT = [{
@@ -138,8 +138,8 @@ def test_malformed_manifest_never_raises(changes):
         run_cli("decode", "--maps", tmp / "maps" / "img", "--out", tmp / "dets.json")
 
 
-# How one tensor file is damaged: cut short, extended by a few bytes, or one
-# float32 word overwritten with NaN, an infinity or a heatmap value outside
+# How one tensor's bytes are damaged: its file cut short inside them, a few
+# bytes put after them, or one float32 word overwritten with NaN, an infinity or a heatmap value outside
 # [0, 1]. In a sparse file the word may be an index: each of those bit
 # patterns is an index past the tensor's cells.
 DAMAGE = st.one_of(
@@ -198,8 +198,8 @@ def test_damaged_tensor_bytes_never_raise(name, layout, damage, position):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         img, _ = container(tmp, layout)
-        tensor = img / f"{name}.f32"
-        tensor.write_bytes(damaged(tensor.read_bytes(), damage, position))
+        data = damaged(tensor_bytes(img, name), damage, position)
+        rewrite_tensor(img, name, data, cut=damage[0] == "truncate")
         code = run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
         if damage[0] != "overwrite" or not math.isfinite(damage[1]) or name.startswith("hm"):
             assert code == 2  # a size, a non-finite value, a heatmap outside [0, 1] or an index
@@ -213,7 +213,7 @@ def test_damaged_sparse_indices_never_raise(name, damage, position):
         img, manifest = container(tmp, "sparse")
         entry = next(t for t in manifest["tensors"] if t["name"] == name)
         count, cells = entry["count"], math.prod(entry["shape"])
-        data = (img / entry["file"]).read_bytes()
+        data = tensor_bytes(img, name)
         indices = np.frombuffer(data[:4 * count], "<u4").copy()
         kind, arg = damage
         i = position % (count - 1)  # a neighbour pair (i, i + 1) for repeat and swap
@@ -225,9 +225,38 @@ def test_damaged_sparse_indices_never_raise(name, damage, position):
             indices[[i, i + 1]] = indices[[i + 1, i]]
         else:
             entry["count"] = count + arg
-        (img / entry["file"]).write_bytes(indices.tobytes() + data[4 * count:])
+        rewrite_tensor(img, name, indices.tobytes() + data[4 * count:])
         write_json(img / "manifest.json", manifest)
         assert run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json") == 2
+
+
+# How a container's shared data file is damaged at any byte: some bytes cut
+# out, put in, or cut off its end, each of which leaves some extent where
+# its file does not, or some bytes overwritten, which may leave valid values.
+FILE_DAMAGE = st.tuples(
+    st.sampled_from(["cut", "insert", "truncate", "overwrite"]), st.integers(0, 2**20),
+    st.binary(min_size=1, max_size=16),
+)
+
+
+@FUZZ
+@given(FILE_DAMAGE, st.sampled_from([4, 32]))
+def test_damaged_data_file_never_raises(damage, stride):
+    # Stride 4 stores every tensor sparse; at 32 the 2 x 2 grid stores some dense.
+    kind, position, junk = damage
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gt = write_json(tmp / "gt.json", SCENE)
+        assert run_cli("encode", "--gt", gt, "--out", tmp / "maps", "--stride", stride) == 0
+        path = tmp / "maps" / "img" / DATA_FILE
+        data = path.read_bytes()
+        at = position % len(data)
+        cut = {"cut": len(junk), "insert": 0, "truncate": len(data), "overwrite": len(junk)}[kind]
+        put = b"" if kind in ("cut", "truncate") else junk
+        path.write_bytes(data[:at] + put + data[at + cut:])
+        code = run_cli("decode", "--maps", tmp / "maps", "--out", tmp / "dets.json")
+        if path.stat().st_size != len(data):
+            assert code == 2  # the size rule
 
 
 # Label coordinates: ordinary ones (at most five windows per axis), and
